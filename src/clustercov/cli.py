@@ -15,8 +15,7 @@ import json
 import os
 import sys
 
-from . import __version__
-from ._accel import BACKEND
+from . import KERNEL_BACKEND, __version__
 from .config import (
     ConfigError,
     PRESETS,
@@ -317,7 +316,7 @@ def _metadata(spec: SweepSpec, summary: dict) -> dict:
     }
     return {
         "package_version": __version__,
-        "kernel_backend": BACKEND,
+        "kernel_backend": KERNEL_BACKEND,
         "settings": settings,
         "resolved": resolved,
         "summary": summary,

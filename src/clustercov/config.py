@@ -221,15 +221,15 @@ def _merge(preset: str, overrides: dict) -> dict:
 
 def _require_positive(settings: dict, key: str) -> float:
     value = settings[key]
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"{key}: must be a positive number, got {value!r}")
+    if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{key}: must be a positive finite number, got {value!r}")
     return float(value)
 
 
 def _require_nonnegative(settings: dict, key: str) -> float:
     value = settings[key]
-    if not isinstance(value, (int, float)) or value < 0:
-        raise ConfigError(f"{key}: must be a nonnegative number, got {value!r}")
+    if not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ConfigError(f"{key}: must be a nonnegative finite number, got {value!r}")
     return float(value)
 
 
@@ -299,8 +299,8 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
         )
 
     size = float(settings["cluster_size"])
-    if size < 1:
-        raise ConfigError(f"cluster_size: must be >= 1, got {size}")
+    if not 1 <= size < math.inf:
+        raise ConfigError(f"cluster_size: must be a finite number >= 1, got {size}")
     sizes = []
     if size_key in ("fixed", "both"):
         if size != int(size):
@@ -319,6 +319,11 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
     else:
         raise ConfigError(
             f"ordered_rank: must be 'farthest' or a positive integer, got {rank!r}"
+        )
+    if ordered.k is not None and order_key != "unordered" and size_key != "fixed":
+        raise ConfigError(
+            f"ordered_rank: rank {rank} needs size_model = fixed; with Poisson "
+            "sizes only 'farthest' is supported"
         )
     orderings = []
     if order_key in ("unordered", "both"):

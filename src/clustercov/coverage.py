@@ -93,6 +93,19 @@ class Scenario:
     size_model: ClusterSizeModel
     interference: Interference = Interference.FULL
 
+    def __post_init__(self) -> None:
+        # The Poisson in-cluster transform assumes every interferer lies
+        # inside the typical distance, which holds only for the farthest node.
+        if (
+            isinstance(self.ordering, Ordered)
+            and self.ordering.k is not None
+            and isinstance(self.size_model, PoissonSize)
+        ):
+            raise ValueError(
+                f"rank k={self.ordering.k} needs a fixed cluster size; with "
+                "Poisson sizes only the farthest node (k=None) is supported"
+            )
+
     def tag(self) -> str:
         """Short label used in CSV output."""
         order = "unordered" if isinstance(self.ordering, Unordered) else (
@@ -136,8 +149,10 @@ class CoverageResult:
 
 
 def _check_gamma(gamma_th: float) -> None:
-    if gamma_th <= 0.0:
-        raise ValueError(f"SINR threshold must be positive (linear), got {gamma_th}")
+    if not (math.isfinite(gamma_th) and gamma_th > 0.0):
+        raise ValueError(
+            f"SINR threshold must be positive and finite (linear), got {gamma_th}"
+        )
 
 
 def _effective_params(p: LinkParams, interference: Interference) -> LinkParams:

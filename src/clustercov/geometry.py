@@ -1,72 +1,24 @@
-"""Spatial model: disc PPP, cluster sampling and distance distributions.
+"""Distance distributions of the clustered spatial model.
 
-Receivers form a homogeneous PPP on a finite disc; every receiver carries a
-cluster of nodes placed uniformly in a disc of radius ``a`` around it; a
-second independent PPP models coexisting nodes.  The typical receiver sits
-at the origin with its own cluster (reduced Palm conditioning), so the
-typical link statistics can be read straight off a realization.
+Every receiver carries a cluster of nodes placed uniformly in a disc of
+radius ``a`` around it.  The densities below give the typical link distance
+(a uniformly chosen node, or the k-th closest of n) and the in-cluster
+interferer distances given the typical node's rank; the coverage
+expressions integrate over them.  Sampling lives in the Monte Carlo engine
+(``clustercov.mc``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ClusterSizeModel, FixedSize, LinkParams
-
 __all__ = [
-    "Realization",
     "conditional_interferer_pdf",
-    "dump_realization",
     "ordered_distance_pdf",
-    "realization_to_dict",
-    "sample_cluster",
-    "sample_ppp",
-    "sample_realization",
     "unordered_distance_pdf",
 ]
-
-
-def _as_generator(rng: np.random.Generator | int) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = int(rng)
-    return np.random.default_rng(seed), seed
-
-
-def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    """n i.i.d. points uniform on the disc of the given radius, shape (n, 2)."""
-    r = radius * np.sqrt(rng.uniform(size=n))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_ppp(density: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample a homogeneous PPP on a disc; returns an (n, 2) array.
-
-    The count is Poisson(density * pi * window_radius^2) and points are
-    i.i.d. uniform on the disc.
-    """
-    if density < 0.0:
-        raise ValueError(f"density must be nonnegative, got {density}")
-    if window_radius <= 0.0:
-        raise ValueError(f"window_radius must be positive, got {window_radius}")
-    count = rng.poisson(density * math.pi * window_radius**2)
-    return _uniform_disc(rng, count, window_radius)
-
-
-def sample_cluster(size_model: ClusterSizeModel, a: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample one cluster's node offsets, shape (n, 2), all norms <= a."""
-    if a <= 0.0:
-        raise ValueError(f"cluster radius must be positive, got {a}")
-    if isinstance(size_model, FixedSize):
-        count = size_model.n
-    else:
-        count = int(rng.poisson(size_model.mean))
-    return _uniform_disc(rng, count, a)
 
 
 def unordered_distance_pdf(r, a: float):
@@ -121,111 +73,3 @@ def conditional_interferer_pdf(r, r_k: float, a: float):
     if near.ndim:
         return near, far
     return float(near), float(far)
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One sampled network.
-
-    receivers[0] is the typical receiver at the origin and clusters[0] its
-    cluster (offsets relative to the receiver, all norms <= a).  The
-    typical node is clusters[0][typical_index].  conditioning_retries
-    counts how often the typical cluster had to be redrawn to contain at
-    least one node under a Poisson size model.
-    """
-
-    receivers: np.ndarray
-    clusters: list[np.ndarray]
-    coexist_nodes: np.ndarray
-    typical_index: int
-    rng_seed: int | None
-    conditioning_retries: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if len(self.clusters) != len(self.receivers):
-            raise ValueError("one cluster per receiver is required")
-        if not np.allclose(self.receivers[0], 0.0):
-            raise ValueError("the typical receiver must sit at the origin")
-        if not 0 <= self.typical_index < len(self.clusters[0]):
-            raise ValueError("typical_index must index into the typical cluster")
-
-
-def sample_realization(
-    link: LinkParams,
-    size_model: ClusterSizeModel,
-    window_radius: float,
-    rng: np.random.Generator | int,
-    typical_rank: int | None = None,
-) -> Realization:
-    """Sample one network realization.
-
-    ``rng`` may be a Generator or a 64-bit seed; passing the same seed
-    reproduces the realization bit for bit.  ``typical_rank`` selects the
-    typical node: None draws it uniformly from the typical cluster, a
-    value k >= 1 picks the k-th closest node (clipped to the cluster size,
-    so any large value means "farthest").
-
-    Under a Poisson size model the typical cluster consists of the typical
-    node plus Poisson(mean - 1) further nodes, so the interferer count
-    matches the analytical in-cluster model exactly (mean >= 1 required);
-    other clusters keep the plain Poisson(mean) size.  The retry counter on
-    the result is kept for interface stability and is always zero under
-    this convention.
-    """
-    generator, seed = _as_generator(rng)
-
-    if isinstance(size_model, FixedSize):
-        typical_cluster = sample_cluster(size_model, link.a, generator)
-    else:
-        if size_model.mean < 1.0:
-            raise ValueError(
-                "the typical cluster needs a mean size >= 1, got "
-                f"{size_model.mean}"
-            )
-        count = 1 + int(generator.poisson(size_model.mean - 1.0))
-        typical_cluster = _uniform_disc(generator, count, link.a)
-    retries = 0
-
-    other_receivers = sample_ppp(link.lambda_g, window_radius, generator)
-    receivers = np.vstack((np.zeros((1, 2)), other_receivers))
-    clusters = [typical_cluster]
-    clusters.extend(
-        sample_cluster(size_model, link.a, generator) for _ in range(len(other_receivers))
-    )
-    coexist = sample_ppp(link.lambda_co, window_radius, generator)
-
-    n0 = len(typical_cluster)
-    if typical_rank is None:
-        typical_index = int(generator.integers(n0))
-    else:
-        if typical_rank < 1:
-            raise ValueError(f"typical_rank must be >= 1, got {typical_rank}")
-        radii = np.hypot(typical_cluster[:, 0], typical_cluster[:, 1])
-        order = np.argsort(radii, kind="stable")
-        typical_index = int(order[min(typical_rank, n0) - 1])
-
-    return Realization(
-        receivers=receivers,
-        clusters=clusters,
-        coexist_nodes=coexist,
-        typical_index=typical_index,
-        rng_seed=seed,
-        conditioning_retries=retries,
-    )
-
-
-def realization_to_dict(real: Realization) -> dict:
-    """JSON-friendly dump of a realization (debugging aid, format unstable)."""
-    return {
-        "receivers": real.receivers.tolist(),
-        "clusters": [c.tolist() for c in real.clusters],
-        "coexist_nodes": real.coexist_nodes.tolist(),
-        "typical_index": real.typical_index,
-        "rng_seed": real.rng_seed,
-        "conditioning_retries": real.conditioning_retries,
-    }
-
-
-def dump_realization(real: Realization, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(realization_to_dict(real), fh)

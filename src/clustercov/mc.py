@@ -1,4 +1,4 @@
-"""Monte Carlo ground truth: sampled networks, SINR draws and estimators.
+"""Monte Carlo ground truth: the vectorised network simulator and estimators.
 
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream derived from (seed, chunk index) and chunks are reduced in index
@@ -7,8 +7,9 @@ many workers execute them.  Thresholds share realizations (common random
 numbers), which makes the empirical coverage exactly monotone across the
 threshold grid within one run.
 
-The per-node power-law accumulation runs through the selected kernel
-backend (compiled extension or NumPy fallback).
+The per-node power-law accumulation runs through the two NumPy kernels
+``radial_sums`` and ``inter_sums``; they are module attributes so that
+profilers and tests can wrap them in place.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._accel import inter_sums, radial_sums
 from .coverage import (
     BoundSide,
     CoverageResult,
@@ -31,9 +31,8 @@ from .coverage import (
     Scenario,
     Unordered,
 )
-from .geometry import Realization
 from .metrics import MetricResult, rate_from_threshold
-from .params import FixedSize, LinkParams, NetworkConfig
+from .params import FixedSize, NetworkConfig
 
 __all__ = [
     "InterferenceField",
@@ -42,7 +41,6 @@ __all__ = [
     "estimate_coverage",
     "estimate_laplace",
     "estimate_metrics",
-    "sinr_of_realization",
 ]
 
 WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
@@ -77,8 +75,8 @@ class SimSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.chunk_trials < 1:
             raise ValueError(f"chunk_trials must be >= 1, got {self.chunk_trials}")
-        if any(g <= 0.0 for g in self.gamma_grid):
-            raise ValueError("SINR thresholds must be positive (linear units)")
+        if not all(math.isfinite(g) and g > 0.0 for g in self.gamma_grid):
+            raise ValueError("SINR thresholds must be positive and finite (linear units)")
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class McEstimate:
     mean: float
     stderr: float
     trials: int
-    conditioning_retries: int = field(default=0)
 
     def ci_halfwidth(self, z: float = 1.96) -> float:
         return z * self.stderr
@@ -100,50 +97,48 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _fading(rng: np.random.Generator | None, size: int) -> np.ndarray:
-    if rng is None:
-        return np.ones(size)
-    return rng.exponential(1.0, size=size)
+def radial_sums(
+    r: np.ndarray,
+    h: np.ndarray,
+    idx: np.ndarray,
+    n_out: int,
+    neg_alpha: float,
+) -> np.ndarray:
+    """Per-trial sums of h * r**neg_alpha for origin-centred fields.
 
-
-def sinr_of_realization(
-    real: Realization,
-    fading_rng: np.random.Generator | None,
-    p: LinkParams,
-) -> float:
-    """One SINR draw for the typical link of the given realization.
-
-    Every small-scale coefficient is an independent Exp(1) draw from
-    ``fading_rng``; pass None to pin all coefficients at 1 (useful for
-    deterministic checks).  The typical node is excluded from the
-    in-cluster interference and the typical cluster from the cross-cluster
-    sum; cross-cluster distances use the exact receiver-plus-offset
-    geometry.
+    ``r`` holds node distances, ``h`` the fading draws, ``idx`` the trial
+    index of each node, ``neg_alpha`` the (negative) path-loss exponent.
     """
-    typical = real.clusters[0][real.typical_index]
-    r_typ = math.hypot(typical[0], typical[1])
-    h_typ = float(_fading(fading_rng, 1)[0])
-    num = p.p_x0 * h_typ * p.eta * r_typ**-p.alpha
+    if len(r) == 0:
+        return np.zeros(n_out)
+    return np.bincount(idx, weights=h * r**neg_alpha, minlength=n_out)
 
-    intra = np.delete(real.clusters[0], real.typical_index, axis=0)
-    i_intra = 0.0
-    if len(intra):
-        d = np.hypot(intra[:, 0], intra[:, 1])
-        i_intra = float(np.sum(p.p_x * _fading(fading_rng, len(d)) * p.eta * d**-p.alpha))
 
-    i_inter = 0.0
-    for receiver, cluster in zip(real.receivers[1:], real.clusters[1:]):
-        if not len(cluster):
-            continue
-        d = np.hypot(receiver[0] + cluster[:, 0], receiver[1] + cluster[:, 1])
-        i_inter += float(np.sum(p.p_x * _fading(fading_rng, len(d)) * p.eta * d**-p.alpha))
+def inter_sums(
+    parent_r: np.ndarray,
+    trial_of_parent: np.ndarray,
+    node_parent: np.ndarray,
+    off_r: np.ndarray,
+    off_th: np.ndarray,
+    h: np.ndarray,
+    n_out: int,
+    neg_alpha: float,
+) -> np.ndarray:
+    """Per-trial sums of h * ||parent + offset||**neg_alpha.
 
-    i_co = 0.0
-    if len(real.coexist_nodes):
-        d = np.hypot(real.coexist_nodes[:, 0], real.coexist_nodes[:, 1])
-        i_co = float(np.sum(p.p_z * _fading(fading_rng, len(d)) * p.eta * d**-p.alpha))
-
-    return num / (i_intra + i_inter + i_co + p.sigma2)
+    Each parent sits on its trial's positive x-axis at distance
+    ``parent_r`` (valid by isotropy); offsets are polar (off_r, off_th).
+    """
+    if len(off_r) == 0:
+        return np.zeros(n_out)
+    x = parent_r[node_parent] + off_r * np.cos(off_th)
+    y = off_r * np.sin(off_th)
+    d2 = x * x + y * y
+    return np.bincount(
+        trial_of_parent[node_parent],
+        weights=h * d2 ** (0.5 * neg_alpha),
+        minlength=n_out,
+    )
 
 
 def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
@@ -153,22 +148,21 @@ def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
 
 def _typical_sizes(
     rng: np.random.Generator, size_model, n_trials: int
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Cluster sizes of the typical cluster.
 
     Poisson model: one typical node plus Poisson(mean - 1) others, matching
-    the analytical in-cluster interferer count exactly (see
-    geometry.sample_realization).  The retry counter survives in the
-    estimate interface and is always zero under this convention.
+    the analytical in-cluster interferer count exactly, so the typical
+    cluster is never empty.
     """
     if isinstance(size_model, FixedSize):
-        return np.full(n_trials, size_model.n, dtype=np.int64), 0
+        return np.full(n_trials, size_model.n, dtype=np.int64)
     if size_model.mean < 1.0:
         raise ValueError(
             f"the typical cluster needs a mean size >= 1, got {size_model.mean}"
         )
     sizes = 1 + rng.poisson(size_model.mean - 1.0, size=n_trials)
-    return sizes.astype(np.int64), 0
+    return sizes.astype(np.int64)
 
 
 def _simulate_chunk(args: tuple) -> dict:
@@ -195,10 +189,9 @@ def _simulate_chunk(args: tuple) -> dict:
 
     i_intra = np.zeros(n_trials)
     r_typ = h_typ = None
-    retries = 0
     if need_typical:
         # Typical cluster: radii only (interference depends on distance alone).
-        sizes0, retries = _typical_sizes(rng, scenario.size_model, n_trials)
+        sizes0 = _typical_sizes(rng, scenario.size_model, n_trials)
         total0 = int(sizes0.sum())
         trial_of_node0 = np.repeat(np.arange(n_trials, dtype=np.intp), sizes0)
         r0 = link.a * np.sqrt(rng.uniform(size=total0))
@@ -261,7 +254,7 @@ def _simulate_chunk(args: tuple) -> dict:
         )
 
     sigma2 = 0.0 if intra_only else link.sigma2
-    out: dict = {"trials": n_trials, "retries": retries}
+    out: dict = {"trials": n_trials}
     if gamma_grid or want_sinr:
         num = link.p_x0 * link.eta * h_typ * r_typ**-link.alpha
         den = i_intra + i_inter + i_co + sigma2
@@ -314,12 +307,12 @@ def _run_chunks(
         return list(pool.map(_simulate_chunk, args))
 
 
-def _bernoulli_estimate(count: int, trials: int, retries: int) -> McEstimate:
+def _bernoulli_estimate(count: int, trials: int) -> McEstimate:
     mean = count / trials
     stderr = 0.0
     if trials > 1:
         stderr = math.sqrt(mean * (1.0 - mean) / (trials - 1))
-    return McEstimate(mean=mean, stderr=stderr, trials=trials, conditioning_retries=retries)
+    return McEstimate(mean=mean, stderr=stderr, trials=trials)
 
 
 def estimate_coverage(spec: SimSpec, trace_path=None) -> list[McEstimate]:
@@ -333,12 +326,9 @@ def estimate_coverage(spec: SimSpec, trace_path=None) -> list[McEstimate]:
         raise ValueError("spec.gamma_grid must contain at least one threshold")
     chunks = _run_chunks(spec, spec.gamma_grid, None, (), trace_path is not None)
     counts = np.sum([c["covered"] for c in chunks], axis=0)
-    retries = sum(c["retries"] for c in chunks)
     if trace_path is not None:
         _write_trace(trace_path, chunks)
-    return [
-        _bernoulli_estimate(int(count), spec.trials, retries) for count in counts
-    ]
+    return [_bernoulli_estimate(int(count), spec.trials) for count in counts]
 
 
 def _write_trace(path, chunks: list[dict]) -> None:
@@ -365,20 +355,12 @@ def estimate_laplace(
     chunks = _run_chunks(spec, (), interf_field, tuple(s_grid), False)
     s1 = np.sum([c["laplace_s1"] for c in chunks], axis=0)
     s2 = np.sum([c["laplace_s2"] for c in chunks], axis=0)
-    retries = sum(c["retries"] for c in chunks)
     n = spec.trials
     out = []
     for total, total_sq in zip(s1, s2):
         mean = total / n
         var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
-        out.append(
-            McEstimate(
-                mean=float(mean),
-                stderr=math.sqrt(var / n),
-                trials=n,
-                conditioning_retries=retries,
-            )
-        )
+        out.append(McEstimate(mean=float(mean), stderr=math.sqrt(var / n), trials=n))
     return out
 
 

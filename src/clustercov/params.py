@@ -8,7 +8,7 @@ are per square metre.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ClusterSizeModel",
@@ -28,6 +28,11 @@ def free_space_eta(carrier_hz: float) -> float:
     if carrier_hz <= 0.0:
         raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
     return (SPEED_OF_LIGHT / (4.0 * math.pi * carrier_hz)) ** 2
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ class LinkParams:
     sigma2: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         for name in ("p_x0", "p_x", "p_z", "eta", "a"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -91,6 +98,7 @@ class FixedSize:
     n: int
 
     def __post_init__(self) -> None:
+        _require_finite("fixed cluster size", self.n)
         if self.n < 1:
             raise ValueError(f"fixed cluster size must be >= 1, got {self.n}")
 
@@ -102,6 +110,7 @@ class PoissonSize:
     mean: float
 
     def __post_init__(self) -> None:
+        _require_finite("mean cluster size", self.mean)
         if self.mean <= 0.0:
             raise ValueError(f"mean cluster size must be positive, got {self.mean}")
 
@@ -121,6 +130,7 @@ class NetworkConfig:
     window_radius: float
 
     def __post_init__(self) -> None:
+        _require_finite("window_radius", self.window_radius)
         if self.window_radius <= 0.0:
             raise ValueError(
                 f"window_radius must be positive, got {self.window_radius}"

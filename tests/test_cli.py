@@ -73,6 +73,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cluster_size"):
             build_sweep({"size_model": "fixed", "cluster_size": 5.5})
 
+    def test_rank_with_poisson_rejected(self):
+        # the Poisson in-cluster transform holds only for the farthest node
+        for size_model in ("poisson", "both"):
+            with pytest.raises(ConfigError, match="ordered_rank"):
+                build_sweep(parse_config_text(f"ordered_rank = 1\nsize_model = {size_model}"))
+        _, spec = build_sweep(parse_config_text("ordered_rank = 1\nsize_model = fixed"))
+        assert spec.scenarios
+
+    @pytest.mark.parametrize(
+        "key",
+        ["cluster_radius_m", "window_radius_m", "receiver_density_per_m2", "cluster_size"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_sweep(parse_config_text(f"{key} = {value}"))
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_resolve(self, preset):
         settings, spec = build_sweep({}, preset=preset)

@@ -157,6 +157,14 @@ class TestContracts:
         with pytest.raises(ValueError):
             coverage_ordered_gc(0.1, Scenario(Ordered(7), PoissonSize(5.5)), fig_link, quad50)
 
+    def test_rank_with_poisson_rejected(self):
+        # the Poisson in-cluster transform assumes every interferer lies
+        # inside the typical distance, which holds only for the farthest node
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="fixed cluster size"):
+                Scenario(Ordered(k), PoissonSize(6.0))
+        assert OR.ordering.k is None
+
     def test_result_validation(self):
         with pytest.raises(ValueError):
             CoverageResult(1.5, Method.GAUSS_CHEBYSHEV, BoundSide.UPPER, 0.1)

@@ -1,86 +1,12 @@
-import json
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from clustercov.geometry import (
-    Realization,
     conditional_interferer_pdf,
-    dump_realization,
     ordered_distance_pdf,
-    realization_to_dict,
-    sample_cluster,
-    sample_ppp,
-    sample_realization,
     unordered_distance_pdf,
 )
-from clustercov.params import FixedSize, PoissonSize
-
-from conftest import BASE_DENSITY, reference_link
-
-
-class TestPpp:
-    def test_zero_density_is_empty(self):
-        rng = np.random.default_rng(0)
-        assert len(sample_ppp(0.0, 1000.0, rng)) == 0
-
-    def test_mean_count(self):
-        # lambda * pi * R^2 = 160 for the reference density at 20 km
-        rng = np.random.default_rng(1)
-        counts = [len(sample_ppp(BASE_DENSITY, 20000.0, rng)) for _ in range(2000)]
-        expected = BASE_DENSITY * math.pi * 20000.0**2
-        stderr = math.sqrt(expected / len(counts))
-        assert abs(np.mean(counts) - expected) <= 3.0 * stderr
-
-    def test_support(self):
-        rng = np.random.default_rng(2)
-        points = sample_ppp(1e-5, 3000.0, rng)
-        assert np.all(np.hypot(points[:, 0], points[:, 1]) <= 3000.0)
-
-    def test_invalid_arguments(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_ppp(-1.0, 100.0, rng)
-        with pytest.raises(ValueError):
-            sample_ppp(1.0, 0.0, rng)
-
-
-class TestCluster:
-    def test_fixed_one(self):
-        rng = np.random.default_rng(3)
-        points = sample_cluster(FixedSize(1), 500.0, rng)
-        assert points.shape == (1, 2)
-        assert math.hypot(*points[0]) <= 500.0
-
-    def test_mean_squared_radius(self):
-        # E[r^2] = a^2/2 for uniform placement; r^2 is uniform on (0, a^2)
-        rng = np.random.default_rng(4)
-        a = 500.0
-        r2 = np.concatenate(
-            [np.sum(sample_cluster(FixedSize(6), a, rng) ** 2, axis=1) for _ in range(20000)]
-        )
-        stderr = a**2 / math.sqrt(12.0 * len(r2))
-        assert abs(r2.mean() - a**2 / 2.0) <= 3.0 * stderr
-
-    def test_poisson_mean_count(self):
-        rng = np.random.default_rng(5)
-        counts = [len(sample_cluster(PoissonSize(6.0), 100.0, rng)) for _ in range(20000)]
-        stderr = math.sqrt(6.0 / len(counts))
-        assert abs(np.mean(counts) - 6.0) <= 3.0 * stderr
-
-    def test_poisson_size_distribution(self):
-        rng = np.random.default_rng(6)
-        counts = np.array(
-            [len(sample_cluster(PoissonSize(6.0), 100.0, rng)) for _ in range(100000)]
-        )
-        hi = 16
-        observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)
-        pmf = stats.poisson.pmf(np.arange(hi + 1), 6.0)
-        pmf[hi] = 1.0 - pmf[:hi].sum()
-        result = stats.chisquare(observed, pmf * len(counts))
-        assert result.pvalue > 0.01
 
 
 class TestDistancePdfs:
@@ -186,77 +112,3 @@ class TestConditionalPdf:
             conditional_interferer_pdf(10.0, 0.0, 100.0)
         with pytest.raises(ValueError):
             conditional_interferer_pdf(10.0, 101.0, 100.0)
-
-
-class TestRealization:
-    def test_isolated_cluster(self):
-        link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        real = sample_realization(link, FixedSize(4), 20000.0, rng=9)
-        assert len(real.receivers) == 1
-        assert len(real.clusters) == 1
-        assert real.clusters[0].shape == (4, 2)
-        assert len(real.coexist_nodes) == 0
-        assert real.conditioning_retries == 0
-
-    def test_offsets_within_radius(self):
-        link = reference_link(a=250.0)
-        real = sample_realization(link, FixedSize(6), 20000.0, rng=10)
-        for cluster in real.clusters:
-            assert np.all(np.hypot(cluster[:, 0], cluster[:, 1]) <= 250.0)
-
-    def test_mean_receiver_count(self):
-        link = reference_link()
-        counts = [
-            len(sample_realization(link, FixedSize(2), 20000.0, rng=seed).receivers)
-            for seed in range(60)
-        ]
-        expected = 1.0 + BASE_DENSITY * math.pi * 20000.0**2
-        stderr = math.sqrt((expected - 1.0) / len(counts))
-        assert abs(np.mean(counts) - expected) <= 3.0 * stderr
-
-    def test_same_seed_bit_identical(self):
-        link = reference_link()
-        first = sample_realization(link, PoissonSize(3.0), 20000.0, rng=11)
-        second = sample_realization(link, PoissonSize(3.0), 20000.0, rng=11)
-        assert np.array_equal(first.receivers, second.receivers)
-        assert len(first.clusters) == len(second.clusters)
-        assert all(np.array_equal(a, b) for a, b in zip(first.clusters, second.clusters))
-        assert np.array_equal(first.coexist_nodes, second.coexist_nodes)
-        assert first.typical_index == second.typical_index
-        assert first.rng_seed == 11
-
-    def test_typical_cluster_never_empty(self):
-        link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        for seed in range(200):
-            real = sample_realization(link, PoissonSize(1.0), 20000.0, rng=seed)
-            assert len(real.clusters[0]) >= 1
-
-    def test_typical_rank_selects_kth_closest(self):
-        link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        real = sample_realization(link, FixedSize(5), 20000.0, rng=12, typical_rank=2)
-        radii = np.hypot(real.clusters[0][:, 0], real.clusters[0][:, 1])
-        assert radii[real.typical_index] == np.sort(radii)[1]
-
-    def test_poisson_mean_below_one_rejected(self):
-        link = reference_link()
-        with pytest.raises(ValueError):
-            sample_realization(link, PoissonSize(0.5), 20000.0, rng=0)
-
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            Realization(
-                receivers=np.array([[1.0, 0.0]]),
-                clusters=[np.zeros((1, 2))],
-                coexist_nodes=np.zeros((0, 2)),
-                typical_index=0,
-                rng_seed=None,
-            )
-
-    def test_json_roundtrip(self, tmp_path):
-        link = reference_link(lambda_g=1e-8)
-        real = sample_realization(link, FixedSize(3), 20000.0, rng=13)
-        path = tmp_path / "realization.json"
-        dump_realization(real, path)
-        loaded = json.loads(path.read_text())
-        assert loaded == realization_to_dict(real)
-        assert loaded["typical_index"] == real.typical_index

@@ -3,31 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import clustercov as cc
+import clustercov.mc as mc
 from clustercov.coverage import Interference, Ordered, Scenario, Unordered
-from clustercov.geometry import Realization
 from clustercov.mc import (
     InterferenceField,
     SimSpec,
     estimate_coverage,
     estimate_laplace,
     estimate_metrics,
-    sinr_of_realization,
 )
 from clustercov.params import FixedSize, NetworkConfig, PoissonSize
 
-from conftest import reference_link
-
-
-def isolated_realization(r: float) -> Realization:
-    return Realization(
-        receivers=np.zeros((1, 2)),
-        clusters=[np.array([[r, 0.0]])],
-        coexist_nodes=np.zeros((0, 2)),
-        typical_index=0,
-        rng_seed=None,
-    )
+from conftest import BASE_DENSITY, reference_link
 
 
 def make_spec(link=None, scenario=None, trials=4000, seed=21, gammas=(0.1,), **kw):
@@ -43,28 +33,142 @@ def make_spec(link=None, scenario=None, trials=4000, seed=21, gammas=(0.1,), **k
     )
 
 
-class TestSinrOfRealization:
-    def test_noise_limited_closed_form(self):
-        # single node, no interference, unit fading: SINR is exactly
-        # p_x0 eta r^-alpha / sigma2
-        link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        real = isolated_realization(300.0)
-        got = sinr_of_realization(real, None, link)
-        assert got == link.p_x0 * link.eta * 300.0**-link.alpha / link.sigma2
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record every kernel call's arguments, passing through to the kernel."""
+    calls = {"radial_sums": [], "inter_sums": []}
+    for name, log in calls.items():
+        def recorder(*args, _kernel=getattr(mc, name), _log=log):
+            _log.append(args)
+            return _kernel(*args)
 
-    def test_power_law_distance_scaling(self):
-        link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        near = sinr_of_realization(isolated_realization(200.0), None, link)
-        far = sinr_of_realization(isolated_realization(400.0), None, link)
-        assert far / near == pytest.approx(2.0**-link.alpha, rel=1e-12)
+        monkeypatch.setattr(mc, name, recorder)
+    return calls
 
-    def test_fading_draws_change_value(self):
-        link = reference_link()
-        real = cc.sample_realization(link, FixedSize(6), 20000.0, rng=5)
-        a = sinr_of_realization(real, np.random.default_rng(1), link)
-        b = sinr_of_realization(real, np.random.default_rng(2), link)
-        assert a != b
-        assert a > 0.0 and b > 0.0
+
+def typical_nodes(calls):
+    """(radius, weight, trial) of every typical-cluster node, chunks joined.
+
+    Valid when the coexisting field is off, so that every radial_sums call
+    is the typical cluster's.
+    """
+    radii, weights, trials, offset = [], [], [], 0
+    for r, h, trial, n_out, _ in calls["radial_sums"]:
+        radii.append(r)
+        weights.append(h)
+        trials.append(trial + offset)
+        offset += n_out
+    return np.concatenate(radii), np.concatenate(weights), np.concatenate(trials)
+
+
+def isolated_spec(size, ordering=None, trials=4000, **kw):
+    link = reference_link(lambda_g=0.0, lambda_co=0.0)
+    return make_spec(
+        link=link, scenario=Scenario(ordering or Unordered(), size),
+        trials=trials, workers=1, **kw,
+    )
+
+
+class TestEngineSampling:
+    """The engine's draws, observed at the kernel seam."""
+
+    def test_typical_radii_uniform_on_disc(self, kernel_calls):
+        estimate_coverage(isolated_spec(FixedSize(6)))
+        r, _, _ = typical_nodes(kernel_calls)
+        a = reference_link().a
+        assert len(r) == 6 * 4000
+        assert r.max() <= a
+        # r^2 / a^2 is uniform on (0, 1) for uniform placement on the disc
+        observed, _ = np.histogram((r / a) ** 2, bins=20, range=(0.0, 1.0))
+        assert stats.chisquare(observed).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "ordering, size",
+        [
+            (Unordered(), FixedSize(6)),
+            (Ordered(2), FixedSize(6)),
+            (Unordered(), PoissonSize(3.0)),
+            (Ordered(), PoissonSize(3.0)),
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_one_typical_node_per_trial(self, kernel_calls, ordering, size):
+        # the typical node enters the in-cluster sum with zero weight
+        estimate_coverage(isolated_spec(size, ordering, trials=1500))
+        _, h, trial = typical_nodes(kernel_calls)
+        zeros = np.bincount(trial[h == 0.0], minlength=1500)
+        assert np.all(zeros == 1)
+
+    @pytest.mark.parametrize(
+        "k, column", [(1, 0), (2, 1), (None, 4)], ids=["k1", "k2", "farthest"]
+    )
+    def test_ordered_typical_is_kth_closest(self, kernel_calls, k, column):
+        estimate_coverage(isolated_spec(FixedSize(5), Ordered(k), trials=1000))
+        r, h, _ = typical_nodes(kernel_calls)
+        r, h = r.reshape(-1, 5), h.reshape(-1, 5)
+        assert np.array_equal(r[h == 0.0], np.sort(r, axis=1)[:, column])
+
+    def test_poisson_typical_cluster_size(self, kernel_calls):
+        # one typical node plus Poisson(nbar - 1) in-cluster interferers
+        trials, nbar = 20000, 3.0
+        estimate_coverage(isolated_spec(PoissonSize(nbar), trials=trials))
+        _, _, trial = typical_nodes(kernel_calls)
+        sizes = np.bincount(trial, minlength=trials)
+        assert sizes.min() >= 1
+        hi = 8
+        observed = np.bincount(np.minimum(sizes - 1, hi), minlength=hi + 1)
+        pmf = stats.poisson.pmf(np.arange(hi + 1), nbar - 1.0)
+        pmf[hi] = 1.0 - pmf[:hi].sum()
+        assert stats.chisquare(observed, pmf * trials).pvalue > 0.01
+
+    def test_parent_count_matches_window_mean(self, kernel_calls):
+        trials = 500
+        spec = make_spec(trials=trials, workers=1)
+        estimate_coverage(spec)
+        parents = sum(len(args[0]) for args in kernel_calls["inter_sums"])
+        # lambda_g * pi * R^2 = 160 for the reference density at 20 km
+        expected = BASE_DENSITY * math.pi * spec.config.window_radius**2
+        stderr = math.sqrt(expected / trials)
+        assert abs(parents / trials - expected) <= 3.0 * stderr
+
+    def test_cross_cluster_support(self, kernel_calls):
+        spec = make_spec(trials=500, workers=1)
+        estimate_coverage(spec)
+        for parent_r, _, _, off_r, off_th, *_ in kernel_calls["inter_sums"]:
+            assert np.all((parent_r >= 0.0) & (parent_r <= spec.config.window_radius))
+            assert np.all((off_r >= 0.0) & (off_r <= spec.config.link.a))
+            assert np.all((off_th >= 0.0) & (off_th < 2.0 * math.pi))
+
+    def test_cross_cluster_poisson_sizes(self, kernel_calls):
+        # clusters other than the typical one hold Poisson(nbar) nodes
+        spec = make_spec(scenario=Scenario(Unordered(), PoissonSize(6.0)), trials=300, workers=1)
+        estimate_coverage(spec)
+        sizes = np.concatenate([
+            np.bincount(node_parent, minlength=len(parent_r))
+            for parent_r, _, node_parent, *_ in kernel_calls["inter_sums"]
+        ])
+        hi = 16
+        observed = np.bincount(np.minimum(sizes, hi), minlength=hi + 1)
+        pmf = stats.poisson.pmf(np.arange(hi + 1), 6.0)
+        pmf[hi] = 1.0 - pmf[:hi].sum()
+        assert stats.chisquare(observed, pmf * len(sizes)).pvalue > 0.01
+
+    def test_noise_limited_trace_sinr(self, kernel_calls, tmp_path):
+        # one node, no interferers: SINR = p_x0 eta h r^-alpha / sigma2
+        spec = isolated_spec(FixedSize(1), trials=300, seed=21)
+        path = tmp_path / "trace.csv"
+        estimate_coverage(spec, trace_path=path)
+        assert kernel_calls["inter_sums"] == []
+        ((r, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
+        # replay the chunk's stream: radius draws, then fading draws
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
+        link = spec.config.link
+        assert np.array_equal(r, link.a * np.sqrt(rng.uniform(size=300)))
+        h = rng.exponential(1.0, size=300)
+        with open(path, newline="") as fh:
+            sinr = np.array([float(row["sinr"]) for row in csv.DictReader(fh)])
+        expected = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
+        np.testing.assert_allclose(sinr, expected, rtol=1e-14, atol=0.0)
 
 
 class TestDeterminism:
@@ -157,12 +261,6 @@ class TestCoverageEstimates:
                 assert ana >= est.mean - 3.0 * est.stderr
             else:
                 assert ana <= est.mean + 3.0 * est.stderr
-
-    def test_no_retries_needed(self):
-        for size in (FixedSize(4), PoissonSize(3.0)):
-            spec = make_spec(scenario=Scenario(Unordered(), size), trials=2000)
-            (est,) = estimate_coverage(spec)
-            assert est.conditioning_retries == 0
 
     def test_farthest_rank_hurts_coverage(self):
         far = estimate_coverage(make_spec(scenario=Scenario(Ordered(), FixedSize(6))))
