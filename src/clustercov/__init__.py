@@ -18,11 +18,6 @@ from .coverage import (
     Scenario,
     Unordered,
     coverage,
-    coverage_intra_limited,
-    coverage_ordered_exact,
-    coverage_ordered_gc,
-    coverage_unordered_exact,
-    coverage_unordered_gc,
 )
 from .geometry import (
     conditional_interferer_pdf,
@@ -33,14 +28,7 @@ from .laplace import (
     laplace_coexist,
     laplace_inter_fixed_upper,
     laplace_inter_random_lower,
-    laplace_intra_fixed,
-    laplace_intra_fixed_gc,
-    laplace_intra_ordered_fixed,
-    laplace_intra_ordered_fixed_gc,
-    laplace_intra_ordered_random,
-    laplace_intra_ordered_random_gc,
-    laplace_intra_random,
-    laplace_intra_random_gc,
+    laplace_intra,
 )
 from .mc import (
     InterferenceField,

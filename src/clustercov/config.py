@@ -153,6 +153,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("axis_grid: must contain at least one point")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ConfigError(f"axis_grid: grid points must be finite, got {self.grid}")
         if list(self.grid) != sorted(self.grid):
             raise ConfigError("axis_grid: grid points must be sorted ascending")
         if not self.methods:
@@ -325,6 +327,10 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
             f"ordered_rank: rank {rank} needs size_model = fixed; with Poisson "
             "sizes only 'farthest' is supported"
         )
+    if ordered.k is not None and order_key != "unordered" and ordered.k > size:
+        raise ConfigError(
+            f"ordered_rank: rank {rank} exceeds the fixed cluster_size {size:g}"
+        )
     orderings = []
     if order_key in ("unordered", "both"):
         orderings.append(Unordered())
@@ -374,16 +380,9 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
     if not isinstance(seed, int):
         raise ConfigError(f"seed: must be an integer, got {seed!r}")
 
-    # Validate the base settings (and every variant) eagerly so schema
-    # errors precede any computation.
+    # Validate the base settings, the grid (in SweepSpec), and every variant
+    # at every grid point eagerly, so schema errors precede any computation.
     build_network(settings)
-    build_scenarios(settings)
-    for label, changes in settings["variants"]:
-        merged = dict(settings)
-        merged.update(changes)
-        build_network(merged)
-        build_scenarios(merged)
-
     spec = SweepSpec(
         preset=chosen,
         axis=axis,
@@ -398,6 +397,11 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
         chunk_trials=settings["chunk_trials"],
         settings=settings,
     )
+    for _, changes in spec.variants:
+        merged = {**settings, **changes}
+        for point in [merged] + [{**merged, axis: value} for value in grid]:
+            build_network(point)
+            build_scenarios(point)
     return settings, spec
 
 

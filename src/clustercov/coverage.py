@@ -2,10 +2,11 @@
 
 Scenarios combine how the typical node is chosen (uniformly, or the k-th
 closest in its cluster) with the cluster-size model (fixed count or
-Poisson).  Each scenario has an exact-integral route (adaptive quadrature
-over the typical link distance) and a closed-form Gauss-Chebyshev route;
-both compose the same interference transforms, so their agreement checks
-the quadrature swap and nothing else.
+Poisson).  All of them share one integrand over the typical link distance,
+a distance density times the three interference transforms, evaluated by
+adaptive quadrature (exact) or by closed-form Gauss-Chebyshev nodes; both
+rules compose the same transforms, so their agreement checks the quadrature
+swap and nothing else.
 
 Fixed-size results are upper bounds and Poisson-size results lower bounds,
 inherited from the direction of the cross-cluster transform bound; the
@@ -19,21 +20,14 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
 from scipy import integrate
 
-from .geometry import ordered_distance_pdf
 from .laplace import (
     laplace_coexist,
     laplace_inter_fixed_upper,
     laplace_inter_random_lower,
-    laplace_intra_fixed,
-    laplace_intra_fixed_gc,
-    laplace_intra_ordered_fixed,
-    laplace_intra_ordered_fixed_gc,
-    laplace_intra_ordered_random,
-    laplace_intra_ordered_random_gc,
-    laplace_intra_random,
-    laplace_intra_random_gc,
+    laplace_intra,
 )
 from .params import ClusterSizeModel, FixedSize, LinkParams, PoissonSize
 from .special import QuadratureSpec, make_quadrature
@@ -49,11 +43,6 @@ __all__ = [
     "Scenario",
     "Unordered",
     "coverage",
-    "coverage_intra_limited",
-    "coverage_ordered_exact",
-    "coverage_ordered_gc",
-    "coverage_unordered_exact",
-    "coverage_unordered_gc",
 ]
 
 DEFAULT_QUADRATURE = make_quadrature(50, 50)
@@ -94,17 +83,18 @@ class Scenario:
     interference: Interference = Interference.FULL
 
     def __post_init__(self) -> None:
+        k = self.ordering.k if isinstance(self.ordering, Ordered) else None
+        if k is None:
+            return
         # The Poisson in-cluster transform assumes every interferer lies
         # inside the typical distance, which holds only for the farthest node.
-        if (
-            isinstance(self.ordering, Ordered)
-            and self.ordering.k is not None
-            and isinstance(self.size_model, PoissonSize)
-        ):
+        if isinstance(self.size_model, PoissonSize):
             raise ValueError(
-                f"rank k={self.ordering.k} needs a fixed cluster size; with "
+                f"rank k={k} needs a fixed cluster size; with "
                 "Poisson sizes only the farthest node (k=None) is supported"
             )
+        if k > self.size_model.n:
+            raise ValueError(f"rank k={k} exceeds the cluster size n={self.size_model.n}")
 
     def tag(self) -> str:
         """Short label used in CSV output."""
@@ -180,15 +170,12 @@ def _resolve_rank(ordering: Ordered, size_model: ClusterSizeModel) -> tuple[int,
         n = size_model.n
     else:
         n = math.ceil(size_model.mean)
-    k = n if ordering.k is None else ordering.k
-    if k > n:
-        raise ValueError(f"rank k={k} exceeds the cluster size n={n}")
-    return k, n
+    return (n if ordering.k is None else ordering.k), n
 
 
-def _integrate(integrand, upper: float, int_tol: float) -> float:
+def _integrate(integrand, int_tol: float) -> float:
     value, abserr = integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-13, epsrel=int_tol, limit=200
+        integrand, 0.0, 1.0, epsabs=1e-13, epsrel=int_tol, limit=200
     )
     if abserr > max(10.0 * int_tol * abs(value), 1e-11):
         raise QuadratureError(
@@ -196,239 +183,6 @@ def _integrate(integrand, upper: float, int_tol: float) -> float:
             f"{int_tol:g} (value {value:g})"
         )
     return value
-
-
-def _clip(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
-def coverage_unordered_exact(
-    gamma_th: float,
-    scen: Scenario,
-    p: LinkParams,
-    int_tol: float = 1e-6,
-) -> CoverageResult:
-    """Coverage of a uniformly chosen typical node, by adaptive quadrature."""
-    _check_gamma(gamma_th)
-    if not isinstance(scen.ordering, Unordered):
-        raise ValueError("scenario ordering must be Unordered")
-    pe = _effective_params(p, scen.interference)
-    size = scen.size_model
-    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
-
-    if isinstance(size, FixedSize):
-        def intra(s: float) -> float:
-            return laplace_intra_fixed(s, size.n, pe)
-
-        def inter(s: float) -> float:
-            return laplace_inter_fixed_upper(s, size.n, pe)
-    else:
-        def intra(s: float) -> float:
-            return laplace_intra_random(s, size.mean, pe)
-
-        def inter(s: float) -> float:
-            return laplace_inter_random_lower(s, size.mean, pe)
-
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        s = r**pe.alpha * rho_scale
-        return (
-            math.exp(-s * pe.sigma2)
-            * intra(s)
-            * inter(s)
-            * laplace_coexist(s, pe)
-            * 2.0
-            * r
-            / pe.a**2
-        )
-
-    value = _integrate(integrand, pe.a, int_tol)
-    return CoverageResult(
-        value=_clip(value),
-        method=Method.EXACT_INTEGRAL,
-        bound_side=_bound_side(size, scen.interference),
-        gamma_th=gamma_th,
-    )
-
-
-def coverage_unordered_gc(
-    gamma_th: float,
-    scen: Scenario,
-    p: LinkParams,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> CoverageResult:
-    """Closed-form Gauss-Chebyshev coverage, uniformly chosen typical node."""
-    _check_gamma(gamma_th)
-    if not isinstance(scen.ordering, Unordered):
-        raise ValueError("scenario ordering must be Unordered")
-    pe = _effective_params(p, scen.interference)
-    size = scen.size_model
-    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
-
-    total = 0.0
-    for m in range(quad.order_m):
-        ell = quad.ell[m]
-        s = (ell * pe.a) ** pe.alpha * rho_scale
-        if isinstance(size, FixedSize):
-            intra = laplace_intra_fixed_gc(s, size.n, pe, quad)
-            inter = laplace_inter_fixed_upper(s, size.n, pe)
-        else:
-            intra = laplace_intra_random_gc(s, size.mean, pe, quad)
-            inter = laplace_inter_random_lower(s, size.mean, pe)
-        total += (
-            quad.theta[m]
-            * ell
-            * math.exp(-s * pe.sigma2)
-            * intra
-            * inter
-            * laplace_coexist(s, pe)
-        )
-    return CoverageResult(
-        value=_clip(quad.omega_m * total),
-        method=Method.GAUSS_CHEBYSHEV,
-        bound_side=_bound_side(size, scen.interference),
-        gamma_th=gamma_th,
-    )
-
-
-def coverage_intra_limited(
-    gamma_th: float,
-    scen: Scenario,
-    p: LinkParams,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> CoverageResult:
-    """Coverage with only in-cluster interference (no noise, no other fields).
-
-    The cluster radius cancels out of the expression, so it never enters
-    the computation: values are bit-identical across radii.
-    """
-    _check_gamma(gamma_th)
-    if scen.interference is not Interference.INTRA_LIMITED:
-        raise ValueError("scenario must be intra-interference limited")
-    if not isinstance(scen.ordering, Unordered):
-        raise ValueError("scenario ordering must be Unordered")
-    size = scen.size_model
-    gamma_ratio = gamma_th / p.p_ratio_x
-
-    total = 0.0
-    for m in range(quad.order_m):
-        ell = quad.ell[m]
-        beta = ell**p.alpha * gamma_ratio
-        if isinstance(size, FixedSize):
-            if size.n == 1:
-                factor = 1.0
-            else:
-                bracket = quad.omega_t * float(
-                    (quad.mu * quad.c ** (p.alpha + 1.0) / (quad.c**p.alpha + beta)).sum()
-                )
-                factor = bracket ** (size.n - 1)
-        else:
-            tail = quad.omega_t * float(
-                (quad.mu * quad.c / (quad.c**p.alpha / beta + 1.0)).sum()
-            )
-            factor = math.exp(-(size.mean - 1.0) * tail)
-        total += quad.theta[m] * ell * factor
-    return CoverageResult(
-        value=_clip(quad.omega_m * total),
-        method=Method.GAUSS_CHEBYSHEV,
-        bound_side=BoundSide.EXACT,
-        gamma_th=gamma_th,
-    )
-
-
-def coverage_ordered_exact(
-    gamma_th: float,
-    scen: Scenario,
-    p: LinkParams,
-    int_tol: float = 1e-6,
-) -> CoverageResult:
-    """Coverage of the k-th closest node, by adaptive quadrature."""
-    _check_gamma(gamma_th)
-    if not isinstance(scen.ordering, Ordered):
-        raise ValueError("scenario ordering must be Ordered")
-    pe = _effective_params(p, scen.interference)
-    size = scen.size_model
-    k, n = _resolve_rank(scen.ordering, size)
-    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
-
-    if isinstance(size, FixedSize):
-        def intra(s: float, r: float) -> float:
-            return laplace_intra_ordered_fixed(s, k, n, r, pe)
-
-        def inter(s: float) -> float:
-            return laplace_inter_fixed_upper(s, n, pe)
-    else:
-        def intra(s: float, r: float) -> float:
-            return laplace_intra_ordered_random(s, size.mean, r, pe)
-
-        def inter(s: float) -> float:
-            return laplace_inter_random_lower(s, size.mean, pe)
-
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        s = r**pe.alpha * rho_scale
-        return (
-            math.exp(-s * pe.sigma2)
-            * intra(s, r)
-            * inter(s)
-            * laplace_coexist(s, pe)
-            * ordered_distance_pdf(r, k, n, pe.a)
-        )
-
-    value = _integrate(integrand, pe.a, int_tol)
-    return CoverageResult(
-        value=_clip(value),
-        method=Method.EXACT_INTEGRAL,
-        bound_side=_bound_side(size, scen.interference),
-        gamma_th=gamma_th,
-    )
-
-
-def coverage_ordered_gc(
-    gamma_th: float,
-    scen: Scenario,
-    p: LinkParams,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> CoverageResult:
-    """Closed-form Gauss-Chebyshev coverage of the k-th closest node."""
-    _check_gamma(gamma_th)
-    if not isinstance(scen.ordering, Ordered):
-        raise ValueError("scenario ordering must be Ordered")
-    pe = _effective_params(p, scen.interference)
-    size = scen.size_model
-    k, n = _resolve_rank(scen.ordering, size)
-    nbar = size.mean if isinstance(size, PoissonSize) else None
-    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
-    os_coef = math.exp(math.lgamma(n + 1) - math.lgamma(n - k + 1) - math.lgamma(k))
-
-    total = 0.0
-    for m in range(quad.order_m):
-        ell = quad.ell[m]
-        r = ell * pe.a
-        s = r**pe.alpha * rho_scale
-        if nbar is None:
-            intra = laplace_intra_ordered_fixed_gc(s, k, n, r, pe, quad)
-            inter = laplace_inter_fixed_upper(s, n, pe)
-        else:
-            intra = laplace_intra_ordered_random_gc(s, nbar, r, pe, quad)
-            inter = laplace_inter_random_lower(s, nbar, pe)
-        os_density = os_coef * ell ** (2 * k - 1) * (1.0 - ell**2) ** (n - k)
-        total += (
-            quad.theta[m]
-            * os_density
-            * math.exp(-s * pe.sigma2)
-            * intra
-            * inter
-            * laplace_coexist(s, pe)
-        )
-    return CoverageResult(
-        value=_clip(quad.omega_m * total),
-        method=Method.GAUSS_CHEBYSHEV,
-        bound_side=_bound_side(size, scen.interference),
-        gamma_th=gamma_th,
-    )
 
 
 def coverage(
@@ -439,14 +193,69 @@ def coverage(
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
     int_tol: float = 1e-6,
 ) -> CoverageResult:
-    """Route to the scenario's exact or Gauss-Chebyshev implementation."""
-    unordered = isinstance(scen.ordering, Unordered)
-    if method is Method.EXACT_INTEGRAL:
-        fn = coverage_unordered_exact if unordered else coverage_ordered_exact
-        return fn(gamma_th, scen, p, int_tol=int_tol)
-    if method is Method.GAUSS_CHEBYSHEV:
-        if unordered and scen.interference is Interference.INTRA_LIMITED:
-            return coverage_intra_limited(gamma_th, scen, p, quad)
-        fn = coverage_unordered_gc if unordered else coverage_ordered_gc
-        return fn(gamma_th, scen, p, quad)
-    raise ValueError(f"unsupported analytical method {method}")
+    """Coverage probability of the scenario's typical node at threshold gamma_th.
+
+    Every scenario is one integral over u = r/a in (0, 1]:
+
+        P = int f_U(u) min(1, L_intra(beta, u)) e^(-s sigma2) L_inter(s) L_co(s) du
+
+    with s = (u a)^alpha gamma_th / (p_x0 eta) and beta = u^alpha gamma_th
+    p_x / p_x0.  f_U is 2u for a uniformly chosen node and the k-th
+    order-statistic density otherwise.  EXACT_INTEGRAL integrates it by
+    adaptive quadrature with exact disc averages; GAUSS_CHEBYSHEV evaluates
+    it at the M outer nodes of quad, with the in-cluster disc averages on
+    its T inner nodes.  The intra-interference-limited case is the same
+    integral with noise and the two other fields zeroed; beta does not
+    contain a, so its value is bit-identical across cluster radii.
+    """
+    _check_gamma(gamma_th)
+    if method not in (Method.EXACT_INTEGRAL, Method.GAUSS_CHEBYSHEV):
+        raise ValueError(f"unsupported analytical method {method}")
+    exact = method is Method.EXACT_INTEGRAL
+    pe = _effective_params(p, scen.interference)
+    size = scen.size_model
+    if isinstance(size, FixedSize):
+        inter, nodes = laplace_inter_fixed_upper, size.n
+    else:
+        inter, nodes = laplace_inter_random_lower, size.mean
+
+    if isinstance(scen.ordering, Unordered):
+        rank = None
+
+        def density(u):
+            return 2.0 * u
+    else:
+        rank, n = _resolve_rank(scen.ordering, size)
+        os_coef = 2.0 * math.exp(
+            math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank)
+        )
+
+        def density(u):
+            return os_coef * u ** (2 * rank - 1) * (1.0 - u**2) ** (n - rank)
+
+    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
+    beta_scale = gamma_th / pe.p_ratio_x
+    intra_quad = None if exact else quad
+
+    def integrand(u):
+        s = (u * pe.a) ** pe.alpha * rho_scale
+        intra = laplace_intra(u**pe.alpha * beta_scale, u, pe.alpha, size, rank, intra_quad)
+        return (
+            density(u)
+            * np.minimum(1.0, intra)
+            * np.exp(-s * pe.sigma2)
+            * inter(s, nodes, pe)
+            * laplace_coexist(s, pe)
+        )
+
+    if exact:
+        value = _integrate(integrand, int_tol)
+    else:
+        # the nodes ell are the (-1, 1) rule mapped onto (0, 1): half weight
+        value = 0.5 * quad.omega_m * float(np.sum(quad.theta * integrand(quad.ell)))
+    return CoverageResult(
+        value=min(1.0, max(0.0, value)),
+        method=method,
+        bound_side=_bound_side(size, scen.interference),
+        gamma_th=gamma_th,
+    )

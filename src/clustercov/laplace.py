@@ -1,12 +1,16 @@
 """Closed-form Laplace transforms of the three interference fields.
 
-Each transform is a function of the variable s at which the coverage
-integrand needs it (s carries units 1/(mW * m^-alpha)); the module accepts
-raw s so every form can be unit-tested independently of the coverage layer.
-Exact forms use the hypergeometric evaluator; the *_gc variants are the
-Gauss-Chebyshev approximations that make the coverage expressions closed
-form.  All transforms are 1 at s = 0 (returned exactly, without evaluating
-the hypergeometric function at an infinite argument) and lie in (0, 1].
+The field transforms (cross-cluster bounds and the coexisting PPP) are
+functions of the variable s at which the coverage integrand needs them (s
+carries units 1/(mW * m^-alpha)); they are elementwise over arrays of s, 1
+at s = 0 and lie in (0, 1].
+
+The in-cluster transform works in the dimensionless load beta = s p_x eta
+a^-alpha, which along the coverage chain equals u^alpha gamma_th p_x / p_x0
+with u the typical link distance in cluster radii; the cluster radius never
+enters it.  One function serves every ordering and cluster-size model, with
+the disc averages taken either exactly (hypergeometric evaluator) or by
+Gauss-Chebyshev nodes.
 """
 
 from __future__ import annotations
@@ -16,72 +20,136 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import LinkParams
+from .params import ClusterSizeModel, LinkParams, PoissonSize
 from .special import QuadratureSpec, gamma_fn, hyp2f1_1_b, log_beta
 
 __all__ = [
     "laplace_coexist",
     "laplace_inter_fixed_upper",
     "laplace_inter_random_lower",
-    "laplace_intra_fixed",
-    "laplace_intra_fixed_gc",
-    "laplace_intra_ordered_fixed",
-    "laplace_intra_ordered_fixed_gc",
-    "laplace_intra_ordered_random",
-    "laplace_intra_ordered_random_gc",
-    "laplace_intra_random",
-    "laplace_intra_random_gc",
+    "laplace_intra",
 ]
 
-# Relative closeness of r_k to the cluster radius below which the far-set
-# factor switches to its r_k -> a limit (the direct form is a 0/0 through
-# its normalising density).
+# Closeness of u to the cluster rim below which the far-set factor switches
+# to its u -> 1 limit (the direct form is a 0/0 through its normalising
+# density).
 _FAR_DEGENERATE_RTOL = 1e-9
 
 
-def _check_s(s: float) -> None:
-    if s < 0.0:
+def _extremes(x) -> tuple[float, float]:
+    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+
+
+def _check_s(s) -> None:
+    if _extremes(s)[0] < 0.0:
         raise ValueError(f"transform variable s must be nonnegative, got {s}")
 
 
-def _check_count(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be a count >= 1, got {value}")
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"requires delta = 2/alpha in (0, 1), got {delta}")
 
 
-def disc_mean(sp_eta: float, radius: float, alpha: float) -> float:
-    """Mean of 1/(1 + sp_eta * r^-alpha) over a uniform disc of the radius.
+def _disc_rule(alpha: float, quad: QuadratureSpec | None):
+    """(mean, tail) over a uniform disc, as functions of b = beta rho^-alpha.
 
-    Equals radius^alpha * delta / (sp_eta (delta+1)) * 2F1(1, delta+1;
-    delta+2; -radius^alpha / sp_eta) with delta = 2/alpha; this is the
-    per-interferer factor of the in-cluster transforms.
+    For interferers uniform in a disc of radius rho (in cluster radii),
+    mean(b) is the average of 1/(1 + b x^-alpha) over the unit disc and
+    tail(b) = 1 - mean(b) the average of the complementary fraction.  With
+    quad None they are delta z/(delta+1) 2F1(1, delta+1; delta+2; -z) and
+    2F1(1, delta; delta+1; -z) at z = 1/b, for scalar b; otherwise the T
+    Gauss-Chebyshev nodes of quad, elementwise over arrays of b.
     """
-    delta = 2.0 / alpha
-    z = radius**alpha / sp_eta
-    return z * delta / (delta + 1.0) * hyp2f1_1_b(delta + 1.0, z)
+    if quad is None:
+        delta = 2.0 / alpha
+
+        def mean(b):
+            if b == 0.0:
+                return 1.0
+            z = 1.0 / b
+            return z * delta / (delta + 1.0) * hyp2f1_1_b(delta + 1.0, z)
+
+        def tail(b):
+            return 0.0 if b == 0.0 else hyp2f1_1_b(delta, 1.0 / b)
+
+        return mean, tail
+
+    c_alpha = quad.c**alpha
+    mean_weights = quad.mu * quad.c ** (alpha + 1.0)
+    tail_weights = quad.mu * quad.c
+
+    def mean(b):
+        b = np.asarray(b, dtype=float)
+        nodes = mean_weights / (c_alpha + b[..., None])
+        return np.where(b > 0.0, quad.omega_t * nodes.sum(axis=-1), 1.0)
+
+    def tail(b):
+        b = np.asarray(b, dtype=float)[..., None]
+        return quad.omega_t * (tail_weights * b / (c_alpha + b)).sum(axis=-1)
+
+    return mean, tail
 
 
-def disc_tail(sp_eta: float, radius: float, alpha: float) -> float:
-    """Mean of sp_eta r^-alpha / (1 + sp_eta r^-alpha) over the disc.
+def laplace_intra(
+    beta,
+    u,
+    alpha: float,
+    size: ClusterSizeModel,
+    rank: int | None = None,
+    quad: QuadratureSpec | None = None,
+):
+    """In-cluster interference transform at dimensionless load beta.
 
-    Equals 2F1(1, delta; delta+1; -radius^alpha / sp_eta); complements
-    disc_mean and drives the Poisson-size exponent.
+    beta = s p_x eta a^-alpha and u in (0, 1] is the typical link distance
+    in cluster radii.  rank None means a uniformly chosen typical node: its
+    n - 1 (or Poisson(nbar - 1)) interferers are uniform in the cluster
+    disc.  rank k means the k-th closest node: with a fixed size n, k - 1
+    interferers are uniform inside radius u and n - k in the annulus
+    (u, 1]; with Poisson sizes only the farthest node is modelled, so every
+    interferer lies inside radius u whatever the rank.
+
+    quad None takes the disc averages exactly, for scalar beta and u;
+    otherwise by the T Gauss-Chebyshev nodes of quad, elementwise over
+    arrays (one (len(beta) x T) expression per disc).  The Gauss-Chebyshev
+    form can overshoot 1 by its quadrature error; the coverage composition
+    clips it.
     """
-    delta = 2.0 / alpha
-    return hyp2f1_1_b(delta, radius**alpha / sp_eta)
+    beta_lo, _ = _extremes(beta)
+    if beta_lo < 0.0:
+        raise ValueError(f"load beta must be nonnegative, got {beta}")
+    if rank is not None:
+        u_lo, u_hi = _extremes(u)
+        if not (0.0 < u_lo and u_hi <= 1.0):
+            raise ValueError(f"conditioning distance must lie in (0, 1] radii, got {u}")
+    if isinstance(size, PoissonSize):
+        if size.mean < 1.0:
+            raise ValueError(f"mean cluster size must be >= 1, got {size.mean}")
+        interferers = size.mean - 1.0
+    else:
+        n = size.n
+        if rank is not None and not 1 <= rank <= n:
+            raise ValueError(f"rank k must satisfy 1 <= k <= n, got k={rank}, n={n}")
+        interferers = n - 1
+    if interferers == 0:
+        return np.ones_like(beta, dtype=float)[()]
+    mean, tail = _disc_rule(alpha, quad)
 
-
-def disc_mean_gc(sp_eta: float, radius: float, alpha: float, quad: QuadratureSpec) -> float:
-    """Gauss-Chebyshev approximation of disc_mean."""
-    beta = radius**-alpha * sp_eta
-    terms = quad.mu * quad.c ** (alpha + 1.0) / (quad.c**alpha + beta)
-    return quad.omega_t * float(np.sum(terms))
-
-
-def disc_tail_gc(sp_eta: float, radius: float, alpha: float, quad: QuadratureSpec) -> float:
-    """Gauss-Chebyshev approximation of disc_tail."""
-    terms = quad.mu * quad.c / (quad.c**alpha * radius**alpha / sp_eta + 1.0)
-    return quad.omega_t * float(np.sum(terms))
+    if isinstance(size, PoissonSize):
+        b = beta if rank is None else beta * u**-alpha
+        return np.exp(-interferers * tail(b))
+    if rank is None:
+        return mean(beta) ** interferers
+    near = mean(beta * u**-alpha)
+    value = near ** (rank - 1)
+    if rank < n:
+        # mean over the annulus (u, 1] from the disc means at radii 1 and u;
+        # np.subtract turns the 0/0 at u = 1 into nan for floats too, and
+        # the rim limit replaces it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = (mean(beta) - u**2 * near) / np.subtract(1.0, u**2)
+        far = np.where(1.0 - u <= _FAR_DEGENERATE_RTOL, 1.0 / (1.0 + beta), far)
+        value = value * far ** (n - rank)
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -104,46 +172,7 @@ def _inter_beta_sum(n: int, delta: float) -> float:
     return math.fsum(terms)
 
 
-def laplace_intra_fixed(s: float, n: int, p: LinkParams) -> float:
-    """In-cluster transform, unordered typical node, fixed cluster size n."""
-    _check_s(s)
-    _check_count("n", n)
-    if s == 0.0 or n == 1:
-        return 1.0
-    return min(1.0, disc_mean(s * p.p_x * p.eta, p.a, p.alpha) ** (n - 1))
-
-
-def laplace_intra_random(s: float, nbar: float, p: LinkParams) -> float:
-    """In-cluster transform, unordered typical node, Poisson mean nbar >= 1."""
-    _check_s(s)
-    if nbar < 1.0:
-        raise ValueError(f"mean cluster size must be >= 1, got {nbar}")
-    if s == 0.0 or nbar == 1.0:
-        return 1.0
-    return min(1.0, math.exp(-(nbar - 1.0) * disc_tail(s * p.p_x * p.eta, p.a, p.alpha)))
-
-
-def laplace_intra_fixed_gc(s: float, n: int, p: LinkParams, quad: QuadratureSpec) -> float:
-    """Gauss-Chebyshev form of laplace_intra_fixed."""
-    _check_s(s)
-    _check_count("n", n)
-    if s == 0.0 or n == 1:
-        return 1.0
-    return min(1.0, disc_mean_gc(s * p.p_x * p.eta, p.a, p.alpha, quad) ** (n - 1))
-
-
-def laplace_intra_random_gc(s: float, nbar: float, p: LinkParams, quad: QuadratureSpec) -> float:
-    """Gauss-Chebyshev form of laplace_intra_random."""
-    _check_s(s)
-    if nbar < 1.0:
-        raise ValueError(f"mean cluster size must be >= 1, got {nbar}")
-    if s == 0.0 or nbar == 1.0:
-        return 1.0
-    tail = disc_tail_gc(s * p.p_x * p.eta, p.a, p.alpha, quad)
-    return min(1.0, math.exp(-(nbar - 1.0) * tail))
-
-
-def laplace_inter_fixed_upper(s: float, n: int, p: LinkParams) -> float:
+def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
     """Upper bound on the cross-cluster transform, fixed cluster size n.
 
     exp(-pi lambda_g (s p_x eta)^delta delta sum_p C(n,p) B(p-delta,
@@ -151,12 +180,10 @@ def laplace_inter_fixed_upper(s: float, n: int, p: LinkParams) -> float:
     distance approximation underlying it is mild.
     """
     _check_s(s)
-    _check_count("n", n)
+    if n < 1:
+        raise ValueError(f"n must be a count >= 1, got {n}")
     delta = p.delta
-    if delta >= 1.0:
-        raise ValueError(f"requires delta = 2/alpha < 1, got {delta}")
-    if s == 0.0 or p.lambda_g == 0.0:
-        return 1.0
+    _check_delta(delta)
     expo = (
         math.pi
         * p.lambda_g
@@ -164,19 +191,16 @@ def laplace_inter_fixed_upper(s: float, n: int, p: LinkParams) -> float:
         * delta
         * _inter_beta_sum(n, delta)
     )
-    return min(1.0, math.exp(-expo))
+    return np.exp(-expo)
 
 
-def laplace_inter_random_lower(s: float, nbar: float, p: LinkParams) -> float:
+def laplace_inter_random_lower(s, nbar: float, p: LinkParams):
     """Lower bound on the cross-cluster transform, Poisson mean nbar."""
     _check_s(s)
     if nbar <= 0.0:
         raise ValueError(f"mean cluster size must be positive, got {nbar}")
     delta = p.delta
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"requires delta = 2/alpha in (0, 1), got {delta}")
-    if s == 0.0 or p.lambda_g == 0.0:
-        return 1.0
+    _check_delta(delta)
     expo = (
         math.pi**2
         * p.lambda_g
@@ -185,17 +209,14 @@ def laplace_inter_random_lower(s: float, nbar: float, p: LinkParams) -> float:
         * delta
         / math.sin(math.pi * delta)
     )
-    return min(1.0, math.exp(-expo))
+    return np.exp(-expo)
 
 
-def laplace_coexist(s: float, p: LinkParams) -> float:
+def laplace_coexist(s, p: LinkParams):
     """Transform of the coexisting-PPP interference (exact, not a bound)."""
     _check_s(s)
     delta = p.delta
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"requires delta = 2/alpha in (0, 1), got {delta}")
-    if s == 0.0 or p.lambda_co == 0.0:
-        return 1.0
+    _check_delta(delta)
     expo = (
         math.pi
         * p.lambda_co
@@ -203,102 +224,4 @@ def laplace_coexist(s: float, p: LinkParams) -> float:
         * gamma_fn(1.0 - delta)
         * (s * p.p_z * p.eta) ** delta
     )
-    return min(1.0, math.exp(-expo))
-
-
-def _far_mean(sp_eta: float, r_k: float, a: float, alpha: float) -> float:
-    """Mean of 1/(1 + sp_eta r^-alpha) over the annulus (r_k, a].
-
-    (a^2 m(a) - r_k^2 m(r_k)) / (a^2 - r_k^2) with m = disc_mean; resolved
-    by continuity (value at the rim) when the annulus degenerates.
-    """
-    if a - r_k <= _FAR_DEGENERATE_RTOL * a:
-        return a**alpha / (a**alpha + sp_eta)
-    num = a**2 * disc_mean(sp_eta, a, alpha) - r_k**2 * disc_mean(sp_eta, r_k, alpha)
-    return num / (a**2 - r_k**2)
-
-
-def _far_mean_gc(
-    sp_eta: float, r_k: float, a: float, alpha: float, quad: QuadratureSpec
-) -> float:
-    if a - r_k <= _FAR_DEGENERATE_RTOL * a:
-        return a**alpha / (a**alpha + sp_eta)
-    num = a**2 * disc_mean_gc(sp_eta, a, alpha, quad) - r_k**2 * disc_mean_gc(
-        sp_eta, r_k, alpha, quad
-    )
-    return num / (a**2 - r_k**2)
-
-
-def _check_ordered_args(k: int, n: int, r_k: float, a: float) -> None:
-    _check_count("n", n)
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if not 0.0 < r_k <= a:
-        raise ValueError(f"conditioning distance must lie in (0, a], got {r_k}")
-
-
-def laplace_intra_ordered_fixed(s: float, k: int, n: int, r_k: float, p: LinkParams) -> float:
-    """In-cluster transform when the typical node is the k-th closest of n.
-
-    Near-set factor^(k-1) times far-set factor^(n-k), conditioned on the
-    typical link distance r_k.
-    """
-    _check_ordered_args(k, n, r_k, p.a)
-    _check_s(s)
-    if s == 0.0 or n == 1:
-        return 1.0
-    sp_eta = s * p.p_x * p.eta
-    value = 1.0
-    if k > 1:
-        value *= disc_mean(sp_eta, r_k, p.alpha) ** (k - 1)
-    if k < n:
-        value *= _far_mean(sp_eta, r_k, p.a, p.alpha) ** (n - k)
-    return min(1.0, value)
-
-
-def laplace_intra_ordered_random(s: float, nbar: float, r_n: float, p: LinkParams) -> float:
-    """In-cluster transform, farthest-node conditioning, Poisson mean nbar.
-
-    exp(-(nbar - 1) 2F1(1, delta; delta+1; -r_n^alpha / (s p_x eta))): the
-    interferers all lie within the typical link distance r_n.
-    """
-    _check_s(s)
-    if nbar < 1.0:
-        raise ValueError(f"mean cluster size must be >= 1, got {nbar}")
-    if not 0.0 < r_n <= p.a:
-        raise ValueError(f"conditioning distance must lie in (0, a], got {r_n}")
-    if s == 0.0 or nbar == 1.0:
-        return 1.0
-    return min(1.0, math.exp(-(nbar - 1.0) * disc_tail(s * p.p_x * p.eta, r_n, p.alpha)))
-
-
-def laplace_intra_ordered_fixed_gc(
-    s: float, k: int, n: int, r_k: float, p: LinkParams, quad: QuadratureSpec
-) -> float:
-    """Gauss-Chebyshev form of laplace_intra_ordered_fixed."""
-    _check_ordered_args(k, n, r_k, p.a)
-    _check_s(s)
-    if s == 0.0 or n == 1:
-        return 1.0
-    sp_eta = s * p.p_x * p.eta
-    value = 1.0
-    if k > 1:
-        value *= disc_mean_gc(sp_eta, r_k, p.alpha, quad) ** (k - 1)
-    if k < n:
-        value *= _far_mean_gc(sp_eta, r_k, p.a, p.alpha, quad) ** (n - k)
-    return min(1.0, value)
-
-
-def laplace_intra_ordered_random_gc(
-    s: float, nbar: float, r_n: float, p: LinkParams, quad: QuadratureSpec
-) -> float:
-    """Gauss-Chebyshev form of laplace_intra_ordered_random."""
-    _check_s(s)
-    if nbar < 1.0:
-        raise ValueError(f"mean cluster size must be >= 1, got {nbar}")
-    if not 0.0 < r_n <= p.a:
-        raise ValueError(f"conditioning distance must lie in (0, a], got {r_n}")
-    if s == 0.0 or nbar == 1.0:
-        return 1.0
-    tail = disc_tail_gc(s * p.p_x * p.eta, r_n, p.alpha, quad)
-    return min(1.0, math.exp(-(nbar - 1.0) * tail))
+    return np.exp(-expo)

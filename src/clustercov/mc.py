@@ -207,7 +207,7 @@ def _simulate_chunk(args: tuple) -> dict:
             if scenario.ordering.k is None:
                 rank = sizes0 - 1
             else:
-                rank = np.minimum(scenario.ordering.k, sizes0) - 1
+                rank = scenario.ordering.k - 1
             typical_pos = order[seg_start + rank]
 
         r_typ = r0[typical_pos]

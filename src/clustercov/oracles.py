@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from . import laplace, special
-from .params import LinkParams
+from .params import FixedSize, LinkParams, PoissonSize
 
 __all__ = [
     "OracleCheck",
@@ -214,20 +214,24 @@ def _check_laplace() -> OracleCheck:
     p = _fig2_link()
     worst = 0.0
     gamma_th = 0.1
+    fixed, poisson = FixedSize(6), PoissonSize(6.0)
     for r in (50.0, 150.0, 350.0, 500.0):
         s = r**p.alpha * gamma_th / (p.p_x0 * p.eta)
+        beta = s * p.p_x * p.eta / p.a**p.alpha
+        u = min(r, p.a) / p.a
         pairs = [
-            (laplace.laplace_intra_fixed(s, 6, p), intra_fixed_integral(s, 6, p)),
-            (laplace.laplace_intra_random(s, 6.0, p), intra_random_integral(s, 6.0, p)),
+            (laplace.laplace_intra(beta, u, p.alpha, fixed), intra_fixed_integral(s, 6, p)),
+            (laplace.laplace_intra(beta, u, p.alpha, poisson),
+             intra_random_integral(s, 6.0, p)),
             (
-                laplace.laplace_intra_ordered_random(s, 6.0, min(r, p.a), p),
+                laplace.laplace_intra(beta, u, p.alpha, poisson, rank=6),
                 intra_ordered_random_integral(s, 6.0, min(r, p.a), p),
             ),
         ]
         if r < p.a:
             pairs.append(
                 (
-                    laplace.laplace_intra_ordered_fixed(s, 3, 6, r, p),
+                    laplace.laplace_intra(beta, u, p.alpha, fixed, rank=3),
                     intra_ordered_fixed_integral(s, 3, 6, r, p),
                 )
             )

@@ -11,6 +11,7 @@ typical SINR sweep).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,11 @@ class ConvergenceError(RuntimeError):
     """A series or iteration failed to reach the requested tolerance."""
 
 
-def _series_1_b(b: float, x: float) -> float:
+def _series_1_b(b: float, x: float, rtol: float = _SERIES_RTOL) -> float:
     """Sum_k b/(b+k) * x**k for |x| < 1, i.e. 2F1(1, b; b+1; x).
 
     Successive term ratios stay below |x|, so |term| * |x|/(1-|x|) bounds
-    the remaining tail; summation stops once that bound meets the
-    tolerance.
+    the remaining tail; summation stops once that bound meets rtol.
     """
     tail_factor = abs(x) / (1.0 - abs(x))
     term = 1.0
@@ -53,7 +53,7 @@ def _series_1_b(b: float, x: float) -> float:
     for k in range(1, _SERIES_MAX_TERMS):
         term *= x * (b + k - 1.0) / (b + k)
         total += term
-        if abs(term) * tail_factor <= _SERIES_RTOL * abs(total):
+        if abs(term) * tail_factor <= rtol * abs(total):
             return total
     raise ConvergenceError(
         f"hypergeometric series did not converge (b={b}, x={x})"
@@ -124,12 +124,16 @@ def hyp2f1_1_b(b: float, z: float) -> float:
         )
     # Large z: 2F1(1, b; b+1; -z) =
     #   b/(b-1) * z^-1 * 2F1(1, 1-b; 2-b; -1/z) + Gamma(1+b)Gamma(1-b) z^-b,
-    # with Gamma(1+b)Gamma(1-b) = pi*b/sin(pi*b).  The near-integer guard
-    # above keeps both terms well conditioned here.
+    # with Gamma(1+b)Gamma(1-b) = pi*b/sin(pi*b).  Near an integer m both
+    # terms grow like 1/|b-m| and cancel, so each is carried to machine
+    # precision: sin(pi*b) = (-1)^m sin(pi*(b-m)) keeps its relative
+    # accuracy (b - m is exact), and the series runs to machine epsilon
+    # because its terms of size 1/|b-m| cancel against the other term.
     inv = 1.0 / z
+    sin_pi_b = math.sin(math.pi * (b - m)) * (-1.0 if m % 2 else 1.0)
     return (
-        b / (b - 1.0) * inv * _series_1_b(1.0 - b, -inv)
-        + math.pi * b / math.sin(math.pi * b) * z**-b
+        b / (b - 1.0) * inv * _series_1_b(1.0 - b, -inv, sys.float_info.epsilon)
+        + math.pi * b / sin_pi_b * z**-b
     )
 
 

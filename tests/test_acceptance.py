@@ -161,7 +161,7 @@ def test_05_intra_limited_radius_invariance():
     for size in (FixedSize(6), PoissonSize(6.0)):
         scen = Scenario(Unordered(), size, Interference.INTRA_LIMITED)
         values = [
-            cc.coverage_intra_limited(GAMMA10, scen, reference_link(a=a), QUAD).value
+            cc.coverage(GAMMA10, scen, reference_link(a=a), quad=QUAD).value
             for a in (100.0, 500.0, 1000.0)
         ]
         spread = max(values) - min(values)
@@ -295,19 +295,22 @@ def test_10_special_function_oracles(fig_link):
         worst_identity = max(worst_identity, abs(lhs - rhs) / rhs)
 
     worst_laplace = 0.0
+    alpha = fig_link.alpha
     for r in (50.0, 150.0, 350.0, 500.0):
-        s = r**fig_link.alpha * GAMMA10 / (fig_link.p_x0 * fig_link.eta)
+        s = r**alpha * GAMMA10 / (fig_link.p_x0 * fig_link.eta)
+        beta = s * fig_link.p_x * fig_link.eta / fig_link.a**alpha
+        u = min(r, fig_link.a) / fig_link.a
         pairs = [
-            (cc.laplace_intra_fixed(s, 6, fig_link),
+            (cc.laplace_intra(beta, u, alpha, FixedSize(6)),
              oracles.intra_fixed_integral(s, 6, fig_link)),
-            (cc.laplace_intra_random(s, 6.0, fig_link),
+            (cc.laplace_intra(beta, u, alpha, PoissonSize(6.0)),
              oracles.intra_random_integral(s, 6.0, fig_link)),
-            (cc.laplace_intra_ordered_random(s, 6.0, min(r, fig_link.a), fig_link),
+            (cc.laplace_intra(beta, u, alpha, PoissonSize(6.0), rank=6),
              oracles.intra_ordered_random_integral(s, 6.0, min(r, fig_link.a), fig_link)),
         ]
         if r < fig_link.a:
             pairs.append(
-                (cc.laplace_intra_ordered_fixed(s, 3, 6, r, fig_link),
+                (cc.laplace_intra(beta, u, alpha, FixedSize(6), rank=3),
                  oracles.intra_ordered_fixed_integral(s, 3, 6, r, fig_link))
             )
         for got, ref in pairs:

@@ -81,6 +81,20 @@ class TestConfigParsing:
         _, spec = build_sweep(parse_config_text("ordered_rank = 1\nsize_model = fixed"))
         assert spec.scenarios
 
+    def test_rank_beyond_fixed_size_rejected(self):
+        # Monte Carlo used to clip such a rank to the farthest node silently
+        with pytest.raises(ConfigError, match="ordered_rank"):
+            build_sweep(parse_config_text("ordered_rank = 7\nsize_model = fixed\ncluster_size = 6"))
+        _, spec = build_sweep(
+            parse_config_text("ordered_rank = 6\nsize_model = fixed\ncluster_size = 6")
+        )
+        assert spec.scenarios
+        # every point of a cluster-size sweep is checked, not only the base
+        with pytest.raises(ConfigError, match="ordered_rank"):
+            build_sweep(parse_config_text(
+                "axis = cluster_size\naxis_grid = 1, 2, 3\nordered_rank = 3\nsize_model = fixed"
+            ))
+
     @pytest.mark.parametrize(
         "key",
         ["cluster_radius_m", "window_radius_m", "receiver_density_per_m2", "cluster_size"],
@@ -163,6 +177,15 @@ class TestMainEntry:
         bad.write_text("path_loss_exponent = 1.5\n")
         assert main(["validate", "--config", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan", "-10, inf", "-inf, 0"])
+    def test_validate_rejects_non_finite_grid(self, tmp_path, capsys, grid):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"axis_grid = {grid}\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "axis_grid" in captured.err
+        assert "config OK" not in captured.out
 
     def test_schema_error_before_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +10,9 @@ from clustercov.laplace import (
     laplace_coexist,
     laplace_inter_fixed_upper,
     laplace_inter_random_lower,
-    laplace_intra_fixed,
-    laplace_intra_fixed_gc,
-    laplace_intra_ordered_fixed,
-    laplace_intra_ordered_fixed_gc,
-    laplace_intra_ordered_random,
-    laplace_intra_ordered_random_gc,
-    laplace_intra_random,
-    laplace_intra_random_gc,
+    laplace_intra,
 )
+from clustercov.params import FixedSize, PoissonSize
 from clustercov.special import make_quadrature
 
 from conftest import reference_link
@@ -30,32 +25,42 @@ def s_at(r: float, gamma_th: float = 0.1) -> float:
     return r**LINK.alpha * gamma_th / (LINK.p_x0 * LINK.eta)
 
 
+def intra(s, size, rank=None, r=None, quad=None, link=LINK):
+    """laplace_intra at transform variable s, typical node at distance r (m).
+
+    With Poisson sizes any rank selects the farthest-node transform.
+    """
+    beta = s * link.p_x * link.eta / link.a**link.alpha
+    u = (link.a if r is None else r) / link.a
+    return laplace_intra(beta, u, link.alpha, size, rank, quad)
+
+
 S_GRID = [s_at(r, g) for r in (50.0, 250.0, 500.0) for g in (0.01, 0.1, 10.0)]
 
 
 class TestTrivialValues:
     def test_unit_at_zero_s(self):
         quad = make_quadrature(30, 1)
-        assert laplace_intra_fixed(0.0, 6, LINK) == 1.0
-        assert laplace_intra_random(0.0, 6.0, LINK) == 1.0
-        assert laplace_intra_fixed_gc(0.0, 6, LINK, quad) == 1.0
-        assert laplace_intra_random_gc(0.0, 6.0, LINK, quad) == 1.0
+        assert intra(0.0, FixedSize(6)) == 1.0
+        assert intra(0.0, PoissonSize(6.0)) == 1.0
+        assert intra(0.0, FixedSize(6), quad=quad) == 1.0
+        assert intra(0.0, PoissonSize(6.0), quad=quad) == 1.0
         assert laplace_inter_fixed_upper(0.0, 6, LINK) == 1.0
         assert laplace_inter_random_lower(0.0, 6.0, LINK) == 1.0
         assert laplace_coexist(0.0, LINK) == 1.0
-        assert laplace_intra_ordered_fixed(0.0, 3, 6, 100.0, LINK) == 1.0
-        assert laplace_intra_ordered_random(0.0, 6.0, 100.0, LINK) == 1.0
-        assert laplace_intra_ordered_fixed_gc(0.0, 3, 6, 100.0, LINK, quad) == 1.0
-        assert laplace_intra_ordered_random_gc(0.0, 6.0, 100.0, LINK, quad) == 1.0
+        assert intra(0.0, FixedSize(6), 3, 100.0) == 1.0
+        assert intra(0.0, PoissonSize(6.0), 6, 100.0) == 1.0
+        assert intra(0.0, FixedSize(6), 3, 100.0, quad) == 1.0
+        assert intra(0.0, PoissonSize(6.0), 6, 100.0, quad) == 1.0
 
     def test_unit_with_no_interferers(self):
         quad = make_quadrature(30, 1)
         s = s_at(300.0)
-        assert laplace_intra_fixed(s, 1, LINK) == 1.0
-        assert laplace_intra_random(s, 1.0, LINK) == 1.0
-        assert laplace_intra_fixed_gc(s, 1, LINK, quad) == 1.0
-        assert laplace_intra_ordered_fixed(s, 1, 1, 100.0, LINK) == 1.0
-        assert laplace_intra_ordered_random(s, 1.0, 100.0, LINK) == 1.0
+        assert intra(s, FixedSize(1)) == 1.0
+        assert intra(s, PoissonSize(1.0)) == 1.0
+        assert intra(s, FixedSize(1), quad=quad) == 1.0
+        assert intra(s, FixedSize(1), 1, 100.0) == 1.0
+        assert intra(s, PoissonSize(1.0), 1, 100.0) == 1.0
 
     def test_unit_with_zero_density(self):
         link = reference_link(lambda_g=0.0, lambda_co=0.0)
@@ -68,13 +73,13 @@ class TestTrivialValues:
 class TestAgainstIntegralOracles:
     @pytest.mark.parametrize("s", S_GRID)
     def test_intra_fixed(self, s):
-        assert laplace_intra_fixed(s, 6, LINK) == pytest.approx(
+        assert intra(s, FixedSize(6)) == pytest.approx(
             oracles.intra_fixed_integral(s, 6, LINK), rel=1e-6
         )
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_intra_random(self, s):
-        assert laplace_intra_random(s, 6.0, LINK) == pytest.approx(
+        assert intra(s, PoissonSize(6.0)) == pytest.approx(
             oracles.intra_random_integral(s, 6.0, LINK), rel=1e-6
         )
 
@@ -82,14 +87,14 @@ class TestAgainstIntegralOracles:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_intra_ordered_fixed(self, r_k, k):
         s = s_at(r_k)
-        assert laplace_intra_ordered_fixed(s, k, 6, r_k, LINK) == pytest.approx(
+        assert intra(s, FixedSize(6), k, r_k) == pytest.approx(
             oracles.intra_ordered_fixed_integral(s, k, 6, r_k, LINK), rel=1e-6
         )
 
     @pytest.mark.parametrize("r_n", [50.0, 200.0, 500.0])
     def test_intra_ordered_random(self, r_n):
         s = s_at(r_n)
-        assert laplace_intra_ordered_random(s, 6.0, r_n, LINK) == pytest.approx(
+        assert intra(s, PoissonSize(6.0), 6, r_n) == pytest.approx(
             oracles.intra_ordered_random_integral(s, 6.0, r_n, LINK), rel=1e-6
         )
 
@@ -115,28 +120,49 @@ class TestGaussChebyshev:
             for r in (50.0, 250.0, 499.0):
                 s = s_at(r, gamma)
                 assert abs(
-                    laplace_intra_fixed_gc(s, 6, LINK, quad) - laplace_intra_fixed(s, 6, LINK)
+                    intra(s, FixedSize(6), quad=quad) - intra(s, FixedSize(6))
                 ) <= 1e-3
                 assert abs(
-                    laplace_intra_random_gc(s, 6.0, LINK, quad)
-                    - laplace_intra_random(s, 6.0, LINK)
+                    intra(s, PoissonSize(6.0), quad=quad)
+                    - intra(s, PoissonSize(6.0))
                 ) <= 1e-3
                 assert abs(
-                    laplace_intra_ordered_fixed_gc(s, 3, 6, r, LINK, quad)
-                    - laplace_intra_ordered_fixed(s, 3, 6, r, LINK)
+                    intra(s, FixedSize(6), 3, r, quad)
+                    - intra(s, FixedSize(6), 3, r)
                 ) <= 1e-3
                 assert abs(
-                    laplace_intra_ordered_random_gc(s, 6.0, r, LINK, quad)
-                    - laplace_intra_ordered_random(s, 6.0, r, LINK)
+                    intra(s, PoissonSize(6.0), 6, r, quad)
+                    - intra(s, PoissonSize(6.0), 6, r)
                 ) <= 1e-3
+
+    def test_elementwise_over_arrays(self):
+        # the coverage composition evaluates all outer nodes in one call
+        quad = make_quadrature(50, 1)
+        r = np.array([50.0, 250.0, 499.0, LINK.a])
+        s = s_at(r)
+        for size, rank in (
+            (FixedSize(6), None),
+            (PoissonSize(6.0), None),
+            (FixedSize(6), 3),
+            (PoissonSize(6.0), 6),
+        ):
+            together = intra(s, size, rank, r, quad)
+            one_by_one = [intra(si, size, rank, ri, quad) for si, ri in zip(s, r)]
+            np.testing.assert_allclose(together, one_by_one, rtol=1e-14, atol=0.0)
+        for field in (
+            lambda s: laplace_inter_fixed_upper(s, 6, LINK),
+            lambda s: laplace_inter_random_lower(s, 6.0, LINK),
+            lambda s: laplace_coexist(s, LINK),
+        ):
+            assert list(field(s)) == [field(si) for si in s]
 
     def test_error_shrinks_with_order(self):
         coarse = make_quadrature(10, 1)
         fine = make_quadrature(50, 1)
         for s in S_GRID:
-            exact = laplace_intra_fixed(s, 6, LINK)
-            err_coarse = abs(laplace_intra_fixed_gc(s, 6, LINK, coarse) - exact)
-            err_fine = abs(laplace_intra_fixed_gc(s, 6, LINK, fine) - exact)
+            exact = intra(s, FixedSize(6))
+            err_coarse = abs(intra(s, FixedSize(6), quad=coarse) - exact)
+            err_fine = abs(intra(s, FixedSize(6), quad=fine) - exact)
             assert err_fine <= err_coarse + 1e-12
 
 
@@ -144,12 +170,12 @@ class TestShapeProperties:
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda s: laplace_intra_fixed(s, 6, LINK),
-            lambda s: laplace_intra_random(s, 6.0, LINK),
+            lambda s: intra(s, FixedSize(6)),
+            lambda s: intra(s, PoissonSize(6.0)),
             lambda s: laplace_inter_fixed_upper(s, 6, LINK),
             lambda s: laplace_inter_random_lower(s, 6.0, LINK),
             lambda s: laplace_coexist(s, LINK),
-            lambda s: laplace_intra_ordered_fixed(s, 3, 6, 200.0, LINK),
+            lambda s: intra(s, FixedSize(6), 3, 200.0),
         ],
     )
     def test_in_unit_interval_and_nonincreasing_in_s(self, fn):
@@ -175,9 +201,9 @@ class TestShapeProperties:
         s = s_at(300.0)
         links = [dataclasses.replace(LINK, p_x=f * LINK.p_x) for f in (0.5, 1.0, 2.0, 4.0)]
         for fn in (
-            lambda link: laplace_intra_fixed(s, 6, link),
+            lambda link: intra(s, FixedSize(6), link=link),
             lambda link: laplace_inter_fixed_upper(s, 6, link),
-            lambda link: laplace_intra_ordered_fixed(s, 3, 6, 200.0, link),
+            lambda link: intra(s, FixedSize(6), 3, 200.0, link=link),
         ):
             values = [fn(link) for link in links]
             assert all(x > y for x, y in zip(values, values[1:]))
@@ -195,27 +221,27 @@ class TestShapeProperties:
     )
     def test_intra_fixed_monotone_property(self, r, gamma, factor):
         s = s_at(r, gamma)
-        assert laplace_intra_fixed(s, 6, LINK) >= laplace_intra_fixed(s * factor, 6, LINK)
+        assert intra(s, FixedSize(6)) >= intra(s * factor, FixedSize(6))
 
     def test_far_factor_continuous_at_rim(self):
         # r_k -> a is a removable singularity of the far-set factor
         s = s_at(499.0)
-        at_rim = laplace_intra_ordered_fixed(s, 3, 6, LINK.a, LINK)
-        near_rim = laplace_intra_ordered_fixed(s, 3, 6, LINK.a * (1.0 - 1e-7), LINK)
+        at_rim = intra(s, FixedSize(6), 3, LINK.a)
+        near_rim = intra(s, FixedSize(6), 3, LINK.a * (1.0 - 1e-7))
         assert at_rim == pytest.approx(near_rim, rel=1e-5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            laplace_intra_fixed(-1.0, 6, LINK)
+            intra(-1.0, FixedSize(6))
         with pytest.raises(ValueError):
-            laplace_intra_fixed(1.0, 0, LINK)
+            intra(1.0, FixedSize(0))
         with pytest.raises(ValueError):
-            laplace_intra_random(1.0, 0.5, LINK)
+            intra(1.0, PoissonSize(0.5))
         with pytest.raises(ValueError):
             laplace_inter_random_lower(1.0, 0.0, LINK)
         with pytest.raises(ValueError):
-            laplace_intra_ordered_fixed(1.0, 7, 6, 100.0, LINK)
+            intra(1.0, FixedSize(6), 7, 100.0)
         with pytest.raises(ValueError):
-            laplace_intra_ordered_fixed(1.0, 2, 6, 600.0, LINK)
+            intra(1.0, FixedSize(6), 2, 600.0)
         with pytest.raises(ValueError):
-            laplace_intra_ordered_random(1.0, 6.0, 0.0, LINK)
+            intra(1.0, PoissonSize(6.0), 6, 0.0)

@@ -240,7 +240,7 @@ class TestCoverageEstimates:
         scen = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
         spec = make_spec(scenario=scen, trials=20000)
         (est,) = estimate_coverage(spec)
-        ana = cc.coverage_intra_limited(0.1, scen, spec.config.link, quad50).value
+        ana = cc.coverage(0.1, scen, spec.config.link, quad=quad50).value
         assert abs(est.mean - ana) <= 3.0 * est.stderr + 0.005
 
     def test_large_radius_gap_sits_on_bound_side(self, quad50):

@@ -8,7 +8,7 @@ from clustercov.coverage import (
     Method,
     Ordered,
     Scenario,
-    coverage_ordered_gc,
+    coverage,
 )
 from clustercov.metrics import (
     area_spectral_efficiency,
@@ -112,7 +112,7 @@ class TestEe:
         values = []
         for a in (300.0, 400.0, 500.0, 600.0, 700.0):
             link = reference_link(a=a)
-            cov = coverage_ordered_gc(0.1, scen, link, quad50)
+            cov = coverage(0.1, scen, link, quad=quad50)
             values.append(energy_efficiency(0.1, link.p_x, cov).ee)
         assert all(x >= y for x, y in zip(values, values[1:]))
 

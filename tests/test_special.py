@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,37 @@ from clustercov.special import (
 )
 
 DELTA = 2.0 / 3.5
+
+# b within this distance of an integer is where the large-z connection
+# formula pairs two terms of size 1/|b - m| that cancel
+NEAR_INTEGER_BAND = 1e-4
+
+
+def _signed_log_offset(exponent_and_sign):
+    exponent, sign = exponent_and_sign
+    return sign * 10.0**exponent
+
+
+_B_NEAR_INTEGER = st.one_of(
+    st.tuples(st.sampled_from([1.0, 2.0]), st.floats(-NEAR_INTEGER_BAND, NEAR_INTEGER_BAND)),
+    st.tuples(
+        st.sampled_from([1.0, 2.0]),
+        st.tuples(st.floats(-13.0, -4.0), st.sampled_from([-1.0, 1.0])).map(_signed_log_offset),
+    ),
+).map(lambda pair: min(2.0, pair[0] + pair[1]))
+_B = st.one_of(st.floats(1e-6, 2.0), _B_NEAR_INTEGER, st.floats(1e-9, NEAR_INTEGER_BAND))
+_Z = st.one_of(
+    st.floats(0.0, 1e12),
+    st.floats(-6.0, 12.0).map(lambda e: 10.0**e),
+    st.floats(0.5 - 1e-6, 0.5 + 1e-6),  # direct series / Pfaff switch
+    st.floats(20.0 - 1e-4, 20.0 + 1e-4),  # Pfaff / connection-formula switch
+)
+
+
+def _mp_hyp2f1_1_b(b: float, z: float) -> float:
+    with mpmath.workdps(40):
+        b_mp = mpmath.mpf(b)
+        return float(mpmath.hyp2f1(1, b_mp, b_mp + 1, -mpmath.mpf(z)))
 
 
 class TestHyp2f1:
@@ -49,6 +81,20 @@ class TestHyp2f1:
     )
     def test_monotone_property(self, b, z1, factor):
         assert hyp2f1_1_b(b, z1) > hyp2f1_1_b(b, z1 * factor)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(b=_B, z=_Z)
+    def test_against_mpmath(self, b, z):
+        ref = _mp_hyp2f1_1_b(b, z)
+        near_integer = abs(b - round(b)) <= NEAR_INTEGER_BAND
+        rtol = 1e-6 if near_integer else 1e-8
+        assert abs(hyp2f1_1_b(b, z) - ref) <= rtol * ref
+
+    @pytest.mark.parametrize("b, z", [(1.0 + 1.17e-8, 20.000005), (2.0 - 5e-8, 1e3)])
+    def test_near_integer_b_large_z(self, b, z):
+        # just past the switch to the closed integer form, where sin(pi b)
+        # used to lose its relative precision
+        assert hyp2f1_1_b(b, z) == pytest.approx(_mp_hyp2f1_1_b(b, z), rel=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
