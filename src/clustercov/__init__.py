@@ -36,14 +36,12 @@ from .mc import (
     SimSpec,
     estimate_coverage,
     estimate_laplace,
-    estimate_metrics,
 )
 from .metrics import (
     MetricResult,
-    area_spectral_efficiency,
+    ase_ee,
     db_to_linear,
     dbm_to_mw,
-    energy_efficiency,
     linear_to_db,
     mw_to_dbm,
     noise_power_mw,

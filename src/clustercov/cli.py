@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import KERNEL_BACKEND, __version__
+from . import KERNEL_BACKEND, __version__, mc
 from .config import (
     ConfigError,
     PRESETS,
@@ -24,18 +24,10 @@ from .config import (
     build_scenarios,
     build_sweep,
     load_config,
-    resolve_eta,
-    resolve_noise_mw,
 )
-from .coverage import Method, Scenario, coverage
-from .mc import SimSpec, estimate_metrics
-from .metrics import (
-    area_spectral_efficiency,
-    dbm_to_mw,
-    energy_efficiency,
-    rate_from_threshold,
-)
-from .params import FixedSize, NetworkConfig
+from .coverage import BoundSide, CoverageResult, Method, Scenario, coverage
+from .metrics import MetricResult, ase_ee, db_to_linear, rate_from_threshold
+from .params import FixedSize, LinkParams, NetworkConfig
 
 __all__ = ["main", "run_sweep"]
 
@@ -63,12 +55,6 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _apply_axis(settings: dict, axis: str, value: float) -> dict:
-    merged = dict(settings)
-    merged[axis] = value
-    return merged
-
-
 def _scenario_nodes(scen: Scenario) -> float:
     return float(scen.size_model.n) if isinstance(scen.size_model, FixedSize) else scen.size_model.mean
 
@@ -88,30 +74,55 @@ def _curve_label(scen: Scenario, variant: str, axis: str) -> str:
     return label
 
 
-def _analytic_row(
-    axis_value: float,
-    label: str,
-    method_key: str,
-    gamma_linear: float,
-    scen: Scenario,
-    link,
-    spec: SweepSpec,
-    quad,
-) -> tuple:
-    result = coverage(
-        gamma_linear, scen, link, method=_ANALYTIC_METHODS[method_key], quad=quad
-    )
-    ase = area_spectral_efficiency(_scenario_nodes(scen), link.lambda_g, gamma_linear, result)
-    ee = energy_efficiency(gamma_linear, link.p_x, result)
+def _curve(
+    spec: SweepSpec, method: str, points: list[tuple[dict, LinkParams, Scenario]], quad
+) -> list[CoverageResult]:
+    """Coverage of one curve at every grid point; ``points`` hold (settings, link, scenario).
+
+    Monte Carlo on the threshold axis is one simulation over the whole grid,
+    so the thresholds share realizations.  Every other curve makes one call
+    per point.  Chunk streams depend only on the seed and the chunk index,
+    so both routes give the same estimate at the same point.
+    """
+    if method != "mc":
+        return [
+            coverage(
+                db_to_linear(float(point["gamma_th_db"])), scen, link,
+                method=_ANALYTIC_METHODS[method], quad=quad,
+            )
+            for point, link, scen in points
+        ]
+    groups = [points] if spec.axis == "gamma_th_db" else [[p] for p in points]
+    results = []
+    for group in groups:
+        point, link, scen = group[0]
+        gammas = tuple(db_to_linear(float(p["gamma_th_db"])) for p, _, _ in group)
+        sim = mc.SimSpec(
+            config=NetworkConfig(link=link, window_radius=float(point["window_radius_m"])),
+            scenario=scen,
+            trials=spec.trials,
+            seed=spec.seed,
+            gamma_grid=gammas,
+            chunk_trials=spec.chunk_trials,
+        )
+        results.extend(
+            CoverageResult(est.mean, Method.MONTE_CARLO, BoundSide.ESTIMATE, gamma, est.stderr)
+            for gamma, est in zip(gammas, mc.estimate_coverage(sim))
+        )
+    return results
+
+
+def _row(spec: SweepSpec, axis_value: float, label: str, method: str, metric: MetricResult) -> tuple:
+    cov = metric.coverage
     return (
         _fmt(axis_value),
         label,
-        method_key,
-        result.bound_side.value,
-        _fmt(result.value),
-        _fmt(ase.ase),
-        _fmt(ee.ee),
-        "",
+        method,
+        cov.bound_side.value,
+        _fmt(cov.value),
+        _fmt(metric.ase),
+        _fmt(metric.ee),
+        _fmt(cov.stderr),
         str(spec.seed),
         str(spec.quad_t),
         str(spec.quad_m),
@@ -124,7 +135,6 @@ def run_sweep(spec: SweepSpec, out_path: str) -> dict:
     Returns a summary dict (largest cross-method coverage gaps and, for
     cluster-size sweeps, the ASE-maximising size per curve).
     """
-    settings = spec.settings
     quad = spec.quadrature()
     rows: list[tuple] = []
     # summary accumulators keyed by curve = (variant, scenario index, method);
@@ -134,116 +144,27 @@ def run_sweep(spec: SweepSpec, out_path: str) -> dict:
     curve_names: dict[tuple, str] = {}
 
     for variant_label, changes in spec.variants:
-        base = dict(settings)
-        base.update(changes)
-        base_scenarios = build_scenarios(base)
-        for scen_idx, base_scen in enumerate(base_scenarios):
+        base = {**spec.settings, **changes}
+        points = []
+        for axis_value in spec.grid:
+            point = {**base, spec.axis: axis_value}
+            points.append((point, build_link(point), build_scenarios(point)))
+        for scen_idx, base_scen in enumerate(build_scenarios(base)):
+            curve_points = [(point, link, scens[scen_idx]) for point, link, scens in points]
             for method in spec.methods:
                 curve = (variant_label, scen_idx, method)
                 curve_names[curve] = _curve_label(base_scen, variant_label, spec.axis)
-                if method == "mc" and spec.axis == "gamma_th_db":
-                    rows.extend(
-                        _mc_gamma_rows(spec, base, scen_idx, variant_label, cov_map, curve)
-                    )
-                    continue
-                for axis_value in spec.grid:
-                    point = _apply_axis(base, spec.axis, axis_value)
-                    link = build_link(point)
-                    scen = build_scenarios(point)[scen_idx]
+                covs = _curve(spec, method, curve_points, quad)
+                for axis_value, (_, link, scen), cov in zip(spec.grid, curve_points, covs):
+                    metric = ase_ee(cov, _scenario_nodes(scen), link.lambda_g, link.p_x)
                     label = _scenario_label(scen, variant_label)
-                    gamma_linear = 10.0 ** (float(point["gamma_th_db"]) / 10.0)
-                    if spec.axis == "gamma_th_db":
-                        gamma_linear = 10.0 ** (axis_value / 10.0)
-                    if method == "mc":
-                        row = _mc_point_row(spec, point, scen, label, axis_value, gamma_linear)
-                    else:
-                        row = _analytic_row(
-                            axis_value, label, method, gamma_linear, scen, link, spec, quad
-                        )
-                    rows.append(row)
-                    cov_map[curve + (axis_value,)] = float(row[4])
-                    ase_map.setdefault(curve, []).append((axis_value, float(row[5])))
+                    rows.append(_row(spec, axis_value, label, method, metric))
+                    cov_map[curve + (axis_value,)] = cov.value
+                    ase_map.setdefault(curve, []).append((axis_value, metric.ase))
 
     summary = _summarise(spec, cov_map, ase_map, curve_names)
     _write_outputs(spec, out_path, rows, summary)
     return summary
-
-
-def _mc_gamma_rows(
-    spec: SweepSpec,
-    base: dict,
-    scen_idx: int,
-    variant_label: str,
-    cov_map: dict,
-    curve: tuple,
-) -> list[tuple]:
-    """One simulation serves the whole threshold grid (shared realizations)."""
-    link = build_link(base)
-    scen = build_scenarios(base)[scen_idx]
-    label = _scenario_label(scen, variant_label)
-    gammas = tuple(10.0 ** (v / 10.0) for v in spec.grid)
-    sim = SimSpec(
-        config=NetworkConfig(link=link, window_radius=float(base["window_radius_m"])),
-        scenario=scen,
-        trials=spec.trials,
-        seed=spec.seed,
-        gamma_grid=gammas,
-        chunk_trials=spec.chunk_trials,
-    )
-    rows = []
-    for axis_value, metric in zip(spec.grid, estimate_metrics(sim)):
-        cov = metric.coverage
-        rows.append(
-            (
-                _fmt(axis_value),
-                label,
-                "mc",
-                cov.bound_side.value,
-                _fmt(cov.value),
-                _fmt(metric.ase),
-                _fmt(metric.ee),
-                _fmt(cov.ci_halfwidth / 1.96),
-                str(spec.seed),
-                str(spec.quad_t),
-                str(spec.quad_m),
-            )
-        )
-        cov_map[curve + (axis_value,)] = cov.value
-    return rows
-
-
-def _mc_point_row(
-    spec: SweepSpec,
-    point: dict,
-    scen: Scenario,
-    label: str,
-    axis_value: float,
-    gamma_linear: float,
-) -> tuple:
-    link = build_link(point)
-    sim = SimSpec(
-        config=NetworkConfig(link=link, window_radius=float(point["window_radius_m"])),
-        scenario=scen,
-        trials=spec.trials,
-        seed=spec.seed,
-        gamma_grid=(gamma_linear,),
-        chunk_trials=spec.chunk_trials,
-    )
-    metric = estimate_metrics(sim)[0]
-    cov = metric.coverage
-    return (
-        _fmt(axis_value),
-        label,
-        "mc",
-        cov.bound_side.value,
-        _fmt(cov.value),
-        _fmt(metric.ase),
-        _fmt(metric.ee),
-        _fmt(cov.ci_halfwidth / 1.96),
-        str(spec.seed),
-        str(spec.quad_t),
-        str(spec.quad_m),
-    )
 
 
 def _summarise(spec: SweepSpec, cov_map: dict, ase_map: dict, curve_names: dict) -> dict:
@@ -288,7 +209,7 @@ def _write_outputs(spec: SweepSpec, out_path: str, rows: list[tuple], summary: d
             writer.writerow(_CSV_HEADER)
             writer.writerows(rows)
         with open(tmp_meta, "w", encoding="utf-8") as fh:
-            json.dump(_metadata(spec, summary), fh, indent=2, sort_keys=True)
+            json.dump(_metadata(spec, summary), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp_csv, out_path)
         os.replace(tmp_meta, meta_path)
@@ -302,17 +223,15 @@ def _write_outputs(spec: SweepSpec, out_path: str, rows: list[tuple], summary: d
 def _metadata(spec: SweepSpec, summary: dict) -> dict:
     settings = dict(spec.settings)
     settings["variants"] = [[label, changes] for label, changes in spec.settings["variants"]]
-    tx_mw = dbm_to_mw(float(settings["tx_power_dbm"]))
-    co_dbm = settings["coexist_power_dbm"]
+    link = build_link(spec.settings)
+    gamma = db_to_linear(float(settings["gamma_th_db"]))
     resolved = {
-        "eta": resolve_eta(settings),
-        "noise_mw": resolve_noise_mw(settings),
-        "tx_power_mw": tx_mw,
-        "coexist_power_mw": tx_mw if co_dbm is None else dbm_to_mw(float(co_dbm)),
-        "gamma_th_linear": 10.0 ** (float(settings["gamma_th_db"]) / 10.0),
-        "rate_bits_per_hz": rate_from_threshold(
-            10.0 ** (float(settings["gamma_th_db"]) / 10.0)
-        ),
+        "eta": link.eta,
+        "noise_mw": link.sigma2,
+        "tx_power_mw": link.p_x,
+        "coexist_power_mw": link.p_z,
+        "gamma_th_linear": gamma,
+        "rate_bits_per_hz": rate_from_threshold(gamma),
     }
     return {
         "package_version": __version__,
@@ -357,12 +276,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     settings, spec = load_config(args.config, preset=args.preset)
     print(f"config OK: preset={spec.preset} axis={spec.axis} points={len(spec.grid)}")
     print(f"scenarios: {', '.join(s.tag() for s in spec.scenarios)}")
-    resolved = {
-        "eta": resolve_eta(settings),
-        "noise_mw": resolve_noise_mw(settings),
-        "tx_power_mw": dbm_to_mw(float(settings["tx_power_dbm"])),
-    }
-    for key, value in resolved.items():
+    link = build_link(settings)
+    for key, value in (("eta", link.eta), ("noise_mw", link.sigma2), ("tx_power_mw", link.p_x)):
         print(f"{key} = {value!r}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .coverage import Interference, Ordered, Scenario, Unordered
 from .metrics import dbm_to_mw, noise_power_mw
-from .params import FixedSize, LinkParams, NetworkConfig, PoissonSize
+from .params import FixedSize, LinkParams, NetworkConfig, PoissonSize, free_space_eta
 from .special import make_quadrature
 
 __all__ = [
@@ -155,10 +155,14 @@ class SweepSpec:
             raise ConfigError("axis_grid: must contain at least one point")
         if not all(math.isfinite(v) for v in self.grid):
             raise ConfigError(f"axis_grid: grid points must be finite, got {self.grid}")
-        if list(self.grid) != sorted(self.grid):
-            raise ConfigError("axis_grid: grid points must be sorted ascending")
+        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
+            raise ConfigError(
+                f"axis_grid: grid points must be sorted ascending without repeats, got {self.grid}"
+            )
         if not self.methods:
             raise ConfigError("methods: at least one of exact/gc/mc is required")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods: each method may appear once, got {self.methods}")
 
     def quadrature(self):
         return make_quadrature(self.quad_t, self.quad_m)
@@ -221,6 +225,13 @@ def _merge(preset: str, overrides: dict) -> dict:
     return settings
 
 
+def _require_finite(settings: dict, key: str) -> float:
+    value = settings[key]
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require_positive(settings: dict, key: str) -> float:
     value = settings[key]
     if not isinstance(value, (int, float)) or not 0 < value < math.inf:
@@ -235,43 +246,36 @@ def _require_nonnegative(settings: dict, key: str) -> float:
     return float(value)
 
 
-def resolve_eta(settings: dict) -> float:
-    if settings["eta"] is not None:
-        if settings["eta"] <= 0:
-            raise ConfigError(f"eta: must be positive, got {settings['eta']}")
-        return float(settings["eta"])
-    carrier = _require_positive(settings, "carrier_frequency_hz")
-    from .params import free_space_eta
-
-    return free_space_eta(carrier)
-
-
-def resolve_noise_mw(settings: dict) -> float:
-    mode = settings["noise_mode"]
-    if mode == "zero":
-        return 0.0
-    if mode == "thermal":
-        return noise_power_mw(_require_positive(settings, "bandwidth_hz"))
-    raise ConfigError(f"noise_mode: must be thermal or zero, got {mode!r}")
-
-
 def build_link(settings: dict) -> LinkParams:
-    """LinkParams from resolved settings; raises ConfigError on violations."""
-    tx_mw = dbm_to_mw(float(settings["tx_power_dbm"]))
-    co_dbm = settings["coexist_power_dbm"]
-    co_mw = tx_mw if co_dbm is None else dbm_to_mw(float(co_dbm))
+    """LinkParams from resolved settings; raises ConfigError on violations.
+
+    This is the one place where dBm powers, eta and the noise power are
+    resolved to linear values; the sidecar metadata reads them off the result.
+    """
+    tx_mw = dbm_to_mw(_require_finite(settings, "tx_power_dbm"))
+    co_mw = tx_mw
+    if settings["coexist_power_dbm"] is not None:
+        co_mw = dbm_to_mw(_require_finite(settings, "coexist_power_dbm"))
+    if settings["eta"] is None:
+        eta = free_space_eta(_require_positive(settings, "carrier_frequency_hz"))
+    else:
+        eta = _require_positive(settings, "eta")
+    mode = settings["noise_mode"]
+    if mode not in ("thermal", "zero"):
+        raise ConfigError(f"noise_mode: must be thermal or zero, got {mode!r}")
+    sigma2 = 0.0 if mode == "zero" else noise_power_mw(_require_positive(settings, "bandwidth_hz"))
     alpha = _require_positive(settings, "path_loss_exponent")
     try:
         return LinkParams(
             p_x0=tx_mw,
             p_x=tx_mw,
             p_z=co_mw,
-            eta=resolve_eta(settings),
+            eta=eta,
             alpha=alpha,
             a=_require_positive(settings, "cluster_radius_m"),
             lambda_g=_require_nonnegative(settings, "receiver_density_per_m2"),
             lambda_co=_require_nonnegative(settings, "coexist_density_per_m2"),
-            sigma2=resolve_noise_mw(settings),
+            sigma2=sigma2,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -300,9 +304,10 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
             f"interference: must be full or intra-limited, got {settings['interference']!r}"
         )
 
-    size = float(settings["cluster_size"])
-    if not 1 <= size < math.inf:
-        raise ConfigError(f"cluster_size: must be a finite number >= 1, got {size}")
+    size = settings["cluster_size"]
+    if not isinstance(size, (int, float)) or not 1 <= size < math.inf:
+        raise ConfigError(f"cluster_size: must be a finite number >= 1, got {size!r}")
+    size = float(size)
     sizes = []
     if size_key in ("fixed", "both"):
         if size != int(size):
@@ -358,12 +363,15 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
     if axis not in _AXES:
         raise ConfigError(f"axis: must be one of {', '.join(_AXES)}, got {axis!r}")
     grid = settings["axis_grid"]
-    if isinstance(grid, (int, float)):
+    if not isinstance(grid, (tuple, list)):
         grid = (grid,)
+    if not all(isinstance(v, (int, float)) for v in grid):
+        raise ConfigError(f"axis_grid: grid points must be numbers, got {grid!r}")
     grid = tuple(float(v) for v in grid)
+    _require_finite(settings, "gamma_th_db")
 
     methods = settings["methods"]
-    if isinstance(methods, str):
+    if not isinstance(methods, (tuple, list)):
         methods = (methods,)
     methods = tuple(methods)
     for method in methods:

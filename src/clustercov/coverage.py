@@ -129,13 +129,13 @@ class CoverageResult:
     method: Method
     bound_side: BoundSide
     gamma_th: float
-    ci_halfwidth: float | None = None
+    stderr: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"coverage must lie in [0, 1], got {self.value}")
-        if (self.ci_halfwidth is not None) != (self.method is Method.MONTE_CARLO):
-            raise ValueError("ci_halfwidth is present exactly for Monte Carlo results")
+        if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
+            raise ValueError("stderr is present exactly for Monte Carlo results")
 
 
 def _check_gamma(gamma_th: float) -> None:

@@ -23,15 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coverage import (
-    BoundSide,
-    CoverageResult,
-    Interference,
-    Method,
-    Scenario,
-    Unordered,
-)
-from .metrics import MetricResult, rate_from_threshold
+from .coverage import Interference, Scenario, Unordered
 from .params import FixedSize, NetworkConfig
 
 __all__ = [
@@ -40,7 +32,6 @@ __all__ = [
     "SimSpec",
     "estimate_coverage",
     "estimate_laplace",
-    "estimate_metrics",
 ]
 
 WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
@@ -84,9 +75,6 @@ class McEstimate:
     mean: float
     stderr: float
     trials: int
-
-    def ci_halfwidth(self, z: float = 1.96) -> float:
-        return z * self.stderr
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -361,37 +349,4 @@ def estimate_laplace(
         mean = total / n
         var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
         out.append(McEstimate(mean=float(mean), stderr=math.sqrt(var / n), trials=n))
-    return out
-
-
-def _mc_coverage_result(est: McEstimate, gamma_th: float) -> CoverageResult:
-    return CoverageResult(
-        value=est.mean,
-        method=Method.MONTE_CARLO,
-        bound_side=BoundSide.ESTIMATE,
-        gamma_th=gamma_th,
-        ci_halfwidth=est.ci_halfwidth(),
-    )
-
-
-def estimate_metrics(spec: SimSpec) -> list[MetricResult]:
-    """ASE/EE built on Monte Carlo coverage, one result per threshold."""
-    size = spec.scenario.size_model
-    n_nodes = size.n if isinstance(size, FixedSize) else size.mean
-    link = spec.config.link
-    estimates = estimate_coverage(spec)
-    out = []
-    for gamma_th, est in zip(spec.gamma_grid, estimates):
-        rate = rate_from_threshold(gamma_th)
-        cov = _mc_coverage_result(est, gamma_th)
-        out.append(
-            MetricResult(
-                rate=rate,
-                coverage=cov,
-                ase=n_nodes * link.lambda_g * rate * est.mean,
-                ee=rate * est.mean / link.p_x,
-                ase_stderr=n_nodes * link.lambda_g * rate * est.stderr,
-                ee_stderr=rate * est.stderr / link.p_x,
-            )
-        )
     return out

@@ -9,10 +9,9 @@ from .coverage import CoverageResult
 
 __all__ = [
     "MetricResult",
-    "area_spectral_efficiency",
+    "ase_ee",
     "db_to_linear",
     "dbm_to_mw",
-    "energy_efficiency",
     "linear_to_db",
     "mw_to_dbm",
     "noise_power_mw",
@@ -59,61 +58,41 @@ def rate_from_threshold(gamma_th: float) -> float:
 
 @dataclass(frozen=True)
 class MetricResult:
-    """Rate-weighted metrics with their underlying coverage result.
+    """ASE and EE of one coverage result, which is kept with them.
 
     The coverage result is kept so the bound direction survives: an ASE
-    built on an upper-bound coverage is itself an upper bound.  Fields not
-    produced by a given operation are None; stderr fields are populated
-    only for Monte Carlo coverage.
+    built on an upper-bound coverage is itself an upper bound.  The stderr
+    fields are None unless the coverage is a Monte Carlo estimate.
     """
 
-    rate: float
     coverage: CoverageResult
-    ase: float | None = None
-    ee: float | None = None
-    ase_stderr: float | None = None
-    ee_stderr: float | None = None
+    rate: float
+    ase: float
+    ee: float
+    ase_stderr: float | None
+    ee_stderr: float | None
 
 
-def _check_same_threshold(gamma_th: float, cov: CoverageResult) -> None:
-    if not math.isclose(gamma_th, cov.gamma_th, rel_tol=1e-9, abs_tol=0.0):
-        raise ValueError(
-            f"coverage was computed at gamma_th={cov.gamma_th}, not {gamma_th}"
-        )
+def ase_ee(cov: CoverageResult, n_nodes: float, lambda_g: float, p_x: float) -> MetricResult:
+    """ASE = n * lambda_g * rate * coverage and EE = rate * coverage / p_x.
 
-
-def area_spectral_efficiency(
-    n_nodes: float,
-    lambda_g: float,
-    gamma_th: float,
-    cov: CoverageResult,
-) -> MetricResult:
-    """ASE = n * lambda_g * rate * coverage, bits/s/Hz per m^2.
-
+    ASE is in bits/s/Hz per m^2 and EE in bits/s/Hz per mW of transmit
+    power; the rate log2(1 + gamma_th) comes from ``cov.gamma_th``.
     ``n_nodes`` is the per-cluster count (or mean, for the Poisson model).
+    The node density cancels in EE, so it depends on per-link quantities only.
     """
     if n_nodes < 0.0 or lambda_g < 0.0:
         raise ValueError("node count and receiver density must be nonnegative")
-    _check_same_threshold(gamma_th, cov)
-    rate = rate_from_threshold(gamma_th)
-    ase = n_nodes * lambda_g * rate * cov.value
-    stderr = None
-    if cov.ci_halfwidth is not None:
-        stderr = n_nodes * lambda_g * rate * cov.ci_halfwidth / 1.96
-    return MetricResult(rate=rate, coverage=cov, ase=ase, ase_stderr=stderr)
-
-
-def energy_efficiency(gamma_th: float, p_x: float, cov: CoverageResult) -> MetricResult:
-    """EE = rate * coverage / p_x, bits/s/Hz per mW of transmit power.
-
-    The node density cancels, so EE depends only on the per-link quantities.
-    """
     if p_x <= 0.0:
         raise ValueError(f"transmit power must be positive, got {p_x}")
-    _check_same_threshold(gamma_th, cov)
-    rate = rate_from_threshold(gamma_th)
-    ee = rate * cov.value / p_x
-    stderr = None
-    if cov.ci_halfwidth is not None:
-        stderr = rate * (cov.ci_halfwidth / 1.96) / p_x
-    return MetricResult(rate=rate, coverage=cov, ee=ee, ee_stderr=stderr)
+    rate = rate_from_threshold(cov.gamma_th)
+    ase_scale = n_nodes * lambda_g * rate
+    stderr = cov.stderr
+    return MetricResult(
+        coverage=cov,
+        rate=rate,
+        ase=ase_scale * cov.value,
+        ee=rate * cov.value / p_x,
+        ase_stderr=None if stderr is None else ase_scale * stderr,
+        ee_stderr=None if stderr is None else rate * stderr / p_x,
+    )

@@ -232,7 +232,7 @@ def test_08_energy_efficiency_ordering():
         for a in grid:
             link = reference_link(a=a, power_dbm=p_dbm)
             cov = cc.coverage(GAMMA10, scen, link, quad=QUAD)
-            values.append(cc.energy_efficiency(GAMMA10, link.p_x, cov).ee)
+            values.append(cc.ase_ee(cov, 6, link.lambda_g, link.p_x).ee)
         curves[p_dbm] = values
         ok &= all(x >= y for x, y in zip(values, values[1:]))
     for i in range(len(grid)):

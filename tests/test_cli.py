@@ -97,12 +97,34 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key",
-        ["cluster_radius_m", "window_radius_m", "receiver_density_per_m2", "cluster_size"],
+        [
+            "cluster_radius_m", "window_radius_m", "receiver_density_per_m2", "cluster_size",
+            "gamma_th_db", "tx_power_dbm", "coexist_power_dbm", "eta",
+        ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             build_sweep(parse_config_text(f"{key} = {value}"))
+
+    @pytest.mark.parametrize(
+        "key",
+        ["eta", "tx_power_dbm", "coexist_power_dbm", "cluster_size", "gamma_th_db", "axis_grid"],
+    )
+    def test_non_numeric_rejected(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=key):
+            build_sweep(parse_config_text(f"{key} = abc"))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} = abc\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("methods", ("gc", "gc")), ("axis_grid", (-10.0, -10.0))]
+    )
+    def test_repeated_entries_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build_sweep({key: value})
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_resolve(self, preset):
@@ -143,6 +165,28 @@ class TestSweep:
         run_sweep(spec, str(first))
         run_sweep(spec, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_mc_point_matches_threshold_curve(self, tmp_path):
+        # chunk streams depend only on the seed and the chunk index, so the
+        # one simulation over a threshold grid and the per-point simulation
+        # of another axis give the same estimate at the same point
+        common = {"methods": ("mc",), "trials": 600, "seed": 3}
+        _, by_gamma = build_sweep({**common, "axis_grid": (-20.0, -10.0, 0.0)})
+        _, by_size = build_sweep(
+            {**common, "axis": "cluster_size", "axis_grid": (5.0, 6.0), "gamma_th_db": -10.0}
+        )
+        cells = {}
+        for name, spec, axis_value in (("gamma", by_gamma, "-10.0"), ("size", by_size, "6.0")):
+            out = tmp_path / f"{name}.csv"
+            run_sweep(spec, str(out))
+            with open(out, newline="") as fh:
+                cells[name] = {
+                    row["scenario"]: [row[c] for c in ("coverage", "ase", "ee", "stderr")]
+                    for row in csv.DictReader(fh)
+                    if row["axis_value"] == axis_value
+                }
+        assert len(cells["gamma"]) == 4
+        assert cells["gamma"] == cells["size"]
 
     def test_mc_rows_carry_stderr(self, tiny_config, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -186,6 +230,16 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "axis_grid" in captured.err
         assert "config OK" not in captured.out
+
+    def test_sweep_rejects_non_finite_threshold(self, tmp_path, capsys):
+        # on the threshold axis the base value reaches only the sidecar,
+        # which must never hold NaN (invalid JSON)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("gamma_th_db = nan\naxis_grid = -10, 0\nmethods = gc\n")
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert "gamma_th_db" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schema_error_before_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

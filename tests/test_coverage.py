@@ -236,7 +236,7 @@ class TestContracts:
         with pytest.raises(ValueError):
             CoverageResult(1.5, Method.GAUSS_CHEBYSHEV, BoundSide.UPPER, 0.1)
         with pytest.raises(ValueError):
-            CoverageResult(0.5, Method.GAUSS_CHEBYSHEV, BoundSide.UPPER, 0.1, ci_halfwidth=0.1)
+            CoverageResult(0.5, Method.GAUSS_CHEBYSHEV, BoundSide.UPPER, 0.1, stderr=0.1)
         with pytest.raises(ValueError):
             CoverageResult(0.5, Method.MONTE_CARLO, BoundSide.ESTIMATE, 0.1)
 

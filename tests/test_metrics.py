@@ -11,10 +11,9 @@ from clustercov.coverage import (
     coverage,
 )
 from clustercov.metrics import (
-    area_spectral_efficiency,
+    ase_ee,
     db_to_linear,
     dbm_to_mw,
-    energy_efficiency,
     linear_to_db,
     mw_to_dbm,
     noise_power_mw,
@@ -31,7 +30,7 @@ def analytic_cov(value: float, gamma_th: float) -> CoverageResult:
 
 def mc_cov(value: float, gamma_th: float, stderr: float) -> CoverageResult:
     return CoverageResult(
-        value, Method.MONTE_CARLO, BoundSide.ESTIMATE, gamma_th, ci_halfwidth=1.96 * stderr
+        value, Method.MONTE_CARLO, BoundSide.ESTIMATE, gamma_th, stderr=stderr
     )
 
 
@@ -64,48 +63,43 @@ class TestUnits:
 
 class TestAse:
     def test_zero_coverage_gives_zero(self):
-        res = area_spectral_efficiency(6, BASE_DENSITY, 0.1, analytic_cov(0.0, 0.1))
+        res = ase_ee(analytic_cov(0.0, 0.1), 6, BASE_DENSITY, 25.0)
         assert res.ase == 0.0
 
     def test_linear_in_node_count(self):
         cov = analytic_cov(0.4, 0.1)
-        single = area_spectral_efficiency(3, BASE_DENSITY, 0.1, cov)
-        double = area_spectral_efficiency(6, BASE_DENSITY, 0.1, cov)
+        single = ase_ee(cov, 3, BASE_DENSITY, 25.0)
+        double = ase_ee(cov, 6, BASE_DENSITY, 25.0)
         assert double.ase == pytest.approx(2.0 * single.ase, rel=1e-12)
 
     def test_formula(self):
         cov = analytic_cov(0.35, 0.1)
-        res = area_spectral_efficiency(6, BASE_DENSITY, 0.1, cov)
+        res = ase_ee(cov, 6, BASE_DENSITY, 25.0)
         assert res.ase == pytest.approx(6 * BASE_DENSITY * math.log2(1.1) * 0.35, rel=1e-12)
         assert res.coverage is cov
 
-    def test_threshold_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            area_spectral_efficiency(6, BASE_DENSITY, 0.2, analytic_cov(0.4, 0.1))
-
     def test_stderr_propagates_for_mc(self):
-        res = area_spectral_efficiency(6, BASE_DENSITY, 0.1, mc_cov(0.4, 0.1, 0.01))
+        res = ase_ee(mc_cov(0.4, 0.1, 0.01), 6, BASE_DENSITY, 25.0)
         assert res.ase_stderr == pytest.approx(6 * BASE_DENSITY * math.log2(1.1) * 0.01, rel=1e-9)
 
 
 class TestEe:
     def test_zero_coverage_gives_zero(self):
-        assert energy_efficiency(0.1, 25.0, analytic_cov(0.0, 0.1)).ee == 0.0
+        assert ase_ee(analytic_cov(0.0, 0.1), 6, BASE_DENSITY, 25.0).ee == 0.0
 
     def test_halving_power_doubles_ee(self):
         cov = analytic_cov(0.4, 0.1)
-        assert energy_efficiency(0.1, 12.5, cov).ee == pytest.approx(
-            2.0 * energy_efficiency(0.1, 25.0, cov).ee, rel=1e-12
+        assert ase_ee(cov, 6, BASE_DENSITY, 12.5).ee == pytest.approx(
+            2.0 * ase_ee(cov, 6, BASE_DENSITY, 25.0).ee, rel=1e-12
         )
 
     def test_independent_of_density_and_count(self):
         # the density terms cancel: a pinned coverage gives one EE no matter
         # what node count or receiver density the ASE side assumed
         cov = analytic_cov(0.4, 0.1)
-        baseline = energy_efficiency(0.1, 25.0, cov).ee
+        baseline = ase_ee(cov, 6, BASE_DENSITY, 25.0).ee
         for n_nodes, lam in ((1, BASE_DENSITY), (30, 5.0 * BASE_DENSITY)):
-            area_spectral_efficiency(n_nodes, lam, 0.1, cov)  # unrelated inputs vary
-            assert energy_efficiency(0.1, 25.0, cov).ee == baseline
+            assert ase_ee(cov, n_nodes, lam, 25.0).ee == baseline
 
     def test_monotone_in_cluster_radius(self, quad50):
         scen = Scenario(Ordered(), FixedSize(6))
@@ -113,9 +107,9 @@ class TestEe:
         for a in (300.0, 400.0, 500.0, 600.0, 700.0):
             link = reference_link(a=a)
             cov = coverage(0.1, scen, link, quad=quad50)
-            values.append(energy_efficiency(0.1, link.p_x, cov).ee)
+            values.append(ase_ee(cov, 6, link.lambda_g, link.p_x).ee)
         assert all(x >= y for x, y in zip(values, values[1:]))
 
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
-            energy_efficiency(0.1, 0.0, analytic_cov(0.4, 0.1))
+            ase_ee(analytic_cov(0.4, 0.1), 6, BASE_DENSITY, 0.0)
