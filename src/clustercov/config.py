@@ -246,16 +246,28 @@ def _require_nonnegative(settings: dict, key: str) -> float:
     return float(value)
 
 
+def _require_power_mw(settings: dict, key: str) -> float:
+    """A dBm setting as a linear power, which must be positive and finite."""
+    dbm = _require_finite(settings, key)
+    try:
+        mw = dbm_to_mw(dbm)
+    except OverflowError:
+        mw = math.inf
+    if not 0.0 < mw < math.inf:
+        raise ConfigError(f"{key}: {dbm!r} dBm is not a positive finite power in mW")
+    return mw
+
+
 def build_link(settings: dict) -> LinkParams:
     """LinkParams from resolved settings; raises ConfigError on violations.
 
     This is the one place where dBm powers, eta and the noise power are
     resolved to linear values; the sidecar metadata reads them off the result.
     """
-    tx_mw = dbm_to_mw(_require_finite(settings, "tx_power_dbm"))
+    tx_mw = _require_power_mw(settings, "tx_power_dbm")
     co_mw = tx_mw
     if settings["coexist_power_dbm"] is not None:
-        co_mw = dbm_to_mw(_require_finite(settings, "coexist_power_dbm"))
+        co_mw = _require_power_mw(settings, "coexist_power_dbm")
     if settings["eta"] is None:
         eta = free_space_eta(_require_positive(settings, "carrier_frequency_hz"))
     else:

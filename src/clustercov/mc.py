@@ -3,9 +3,16 @@
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream derived from (seed, chunk index) and chunks are reduced in index
 order, so estimates are bit-for-bit reproducible and independent of how
-many workers execute them.  Thresholds share realizations (common random
-numbers), which makes the empirical coverage exactly monotone across the
-threshold grid within one run.
+many workers execute them.
+
+Coverage is estimated by conditional Monte Carlo: under Rayleigh fading on
+the typical link, P(SINR >= gamma | everything else) = exp(-gamma x) with
+x = r**alpha (I + sigma2) / (p_x0 eta), so each trial contributes that
+probability instead of a 0/1 indicator.  The estimate stays unbiased and
+its variance falls (Rao-Blackwellisation), but it holds only while the
+typical link's fading is Rayleigh.  Thresholds share realizations (common
+random numbers), and each summand is nonincreasing in gamma, so the
+estimated coverage is exactly monotone across the grid within one run.
 
 The per-node power-law accumulation runs through the two NumPy kernels
 ``radial_sums`` and ``inter_sums``; they are module attributes so that
@@ -116,17 +123,19 @@ def inter_sums(
 
     Each parent sits on its trial's positive x-axis at distance
     ``parent_r`` (valid by isotropy); offsets are polar (off_r, off_th).
+    The squared distance is the law of cosines in its half-angle form,
+    (R - r)**2 + 4 R r cos(th / 2)**2, a sum of nonnegative terms that
+    keeps its relative precision where the node nearly sits on the origin.
     """
     if len(off_r) == 0:
         return np.zeros(n_out)
-    x = parent_r[node_parent] + off_r * np.cos(off_th)
-    y = off_r * np.sin(off_th)
-    d2 = x * x + y * y
-    return np.bincount(
-        trial_of_parent[node_parent],
-        weights=h * d2 ** (0.5 * neg_alpha),
-        minlength=n_out,
+    big_r = parent_r[node_parent]
+    half_cos = np.cos(0.5 * off_th)
+    d2 = (big_r - off_r) ** 2 + 4.0 * big_r * off_r * half_cos * half_cos
+    per_parent = np.bincount(
+        node_parent, weights=h * d2 ** (0.5 * neg_alpha), minlength=len(parent_r)
     )
+    return np.bincount(trial_of_parent, weights=per_parent, minlength=n_out)
 
 
 def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
@@ -156,11 +165,15 @@ def _typical_sizes(
 def _simulate_chunk(args: tuple) -> dict:
     """Simulate one chunk of trials; returns per-chunk accumulators.
 
+    Every trial gives one value exp(-t * x) per grid point t: for coverage
+    t is the SINR threshold and x the typical link's conditional coverage
+    exponent, for a transform t is the transform variable and x the field's
+    interference.  The chunk returns their sum and sum of squares per point.
+
     The draw order below is part of the reproducibility contract: typical
     clusters first, then cross-cluster geometry, then the coexisting field.
     """
-    (config, scenario, n_trials, seed, chunk_index, gamma_grid, field_name,
-     s_grid, want_sinr) = args
+    config, scenario, n_trials, seed, chunk_index, grid, field_name, want_trace = args
     link = config.link
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
@@ -176,7 +189,6 @@ def _simulate_chunk(args: tuple) -> dict:
     need_co = full or field_name == InterferenceField.COEXIST.value
 
     i_intra = np.zeros(n_trials)
-    r_typ = h_typ = None
     if need_typical:
         # Typical cluster: radii only (interference depends on distance alone).
         sizes0 = _typical_sizes(rng, scenario.size_model, n_trials)
@@ -200,10 +212,9 @@ def _simulate_chunk(args: tuple) -> dict:
 
         r_typ = r0[typical_pos]
         h_typ = h0[typical_pos]
-        h0_interf = h0.copy()
-        h0_interf[typical_pos] = 0.0
+        h0[typical_pos] = 0.0  # the typical node does not interfere with itself
         i_intra = link.p_x * link.eta * radial_sums(
-            r0, h0_interf, trial_of_node0, n_trials, neg_alpha
+            r0, h0, trial_of_node0, n_trials, neg_alpha
         )
 
     if not need_inter or intra_only or link.lambda_g == 0.0:
@@ -241,92 +252,78 @@ def _simulate_chunk(args: tuple) -> dict:
             r_co, h_co, trial_of_co, n_trials, neg_alpha
         )
 
-    sigma2 = 0.0 if intra_only else link.sigma2
-    out: dict = {"trials": n_trials}
-    if gamma_grid or want_sinr:
-        num = link.p_x0 * link.eta * h_typ * r_typ**-link.alpha
+    if field_name is None:
+        sigma2 = 0.0 if intra_only else link.sigma2
         den = i_intra + i_inter + i_co + sigma2
-    if gamma_grid:
-        gammas = np.asarray(gamma_grid)
-        out["covered"] = (num[None, :] >= gammas[:, None] * den[None, :]).sum(axis=1)
-    if field_name is not None:
-        i_field = {
+        x = den * r_typ**link.alpha / (link.p_x0 * link.eta)
+    else:
+        x = {
             InterferenceField.INTRA.value: i_intra,
             InterferenceField.INTER.value: i_inter,
             InterferenceField.COEXIST.value: i_co,
         }[field_name]
-        damp = np.exp(-np.asarray(s_grid)[:, None] * i_field[None, :])
-        out["laplace_s1"] = damp.sum(axis=1)
-        out["laplace_s2"] = (damp * damp).sum(axis=1)
-    if want_sinr:
+    values = np.exp(-np.asarray(grid)[:, None] * x[None, :])
+    out = {"sum": values.sum(axis=1), "sum_sq": (values * values).sum(axis=1)}
+    if want_trace:
         with np.errstate(divide="ignore"):
-            out["sinr"] = num / den
-        # same comparison as the counters, so trace flags always agree
-        out["covered_first"] = num >= gamma_grid[0] * den
+            out["sinr"] = link.p_x0 * link.eta * h_typ * r_typ**-link.alpha / den
+        out["p_covered"] = values[0]
     return out
 
 
-def _run_chunks(
+def _estimate(
     spec: SimSpec,
-    gamma_grid: tuple[float, ...],
     field: InterferenceField | None,
-    s_grid: tuple[float, ...],
-    want_sinr: bool,
-) -> list[dict]:
-    sizes = _chunk_sizes(spec.trials, spec.chunk_trials)
+    grid: tuple[float, ...],
+    trace_path=None,
+) -> list[McEstimate]:
+    """Sample mean and standard error of exp(-t * x) at every grid point t."""
     args = [
-        (
-            spec.config,
-            spec.scenario,
-            size,
-            spec.seed,
-            index,
-            gamma_grid,
-            field.value if field is not None else None,
-            s_grid,
-            want_sinr,
-        )
-        for index, size in enumerate(sizes)
+        (spec.config, spec.scenario, size, spec.seed, index, grid,
+         field.value if field is not None else None, trace_path is not None)
+        for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
     if workers == 1 or len(args) == 1:
-        return [_simulate_chunk(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_simulate_chunk, args))
-
-
-def _bernoulli_estimate(count: int, trials: int) -> McEstimate:
-    mean = count / trials
-    stderr = 0.0
-    if trials > 1:
-        stderr = math.sqrt(mean * (1.0 - mean) / (trials - 1))
-    return McEstimate(mean=mean, stderr=stderr, trials=trials)
+        chunks = [_simulate_chunk(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_simulate_chunk, args))
+    if trace_path is not None:
+        _write_trace(trace_path, chunks)
+    n = spec.trials
+    totals = np.sum([c["sum"] for c in chunks], axis=0)
+    totals_sq = np.sum([c["sum_sq"] for c in chunks], axis=0)
+    out = []
+    for total, total_sq in zip(totals, totals_sq):
+        var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
+        out.append(McEstimate(mean=float(total / n), stderr=math.sqrt(var / n), trials=n))
+    return out
 
 
 def estimate_coverage(spec: SimSpec, trace_path=None) -> list[McEstimate]:
     """Coverage estimates, one per threshold in spec.gamma_grid.
 
-    All thresholds share realizations, so the estimates are exactly
-    nonincreasing across the grid.  ``trace_path`` optionally writes a
-    per-trial CSV (trial, sinr, covered flag at the first threshold).
+    Each trial contributes its conditional coverage probability (see the
+    module docstring), and all thresholds share realizations, so the
+    estimates are exactly nonincreasing across the grid.  ``trace_path``
+    optionally writes a per-trial CSV (trial, sinr, p_covered), where
+    ``sinr`` is the realized SINR with the typical link's fading drawn and
+    ``p_covered`` the trial's conditional coverage at the first threshold.
     """
     if not spec.gamma_grid:
         raise ValueError("spec.gamma_grid must contain at least one threshold")
-    chunks = _run_chunks(spec, spec.gamma_grid, None, (), trace_path is not None)
-    counts = np.sum([c["covered"] for c in chunks], axis=0)
-    if trace_path is not None:
-        _write_trace(trace_path, chunks)
-    return [_bernoulli_estimate(int(count), spec.trials) for count in counts]
+    return _estimate(spec, None, spec.gamma_grid, trace_path)
 
 
 def _write_trace(path, chunks: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial", "sinr", "covered"])
+        writer.writerow(["trial", "sinr", "p_covered"])
         trial = 0
         for chunk in chunks:
-            for sinr, covered in zip(chunk["sinr"], chunk["covered_first"]):
-                writer.writerow([trial, repr(float(sinr)), int(covered)])
+            for sinr, p_covered in zip(chunk["sinr"], chunk["p_covered"]):
+                writer.writerow([trial, repr(float(sinr)), repr(float(p_covered))])
                 trial += 1
 
 
@@ -340,13 +337,4 @@ def estimate_laplace(
         raise ValueError("s_grid must contain at least one point")
     if any(s < 0.0 for s in s_grid):
         raise ValueError("transform grid points must be nonnegative")
-    chunks = _run_chunks(spec, (), interf_field, tuple(s_grid), False)
-    s1 = np.sum([c["laplace_s1"] for c in chunks], axis=0)
-    s2 = np.sum([c["laplace_s2"] for c in chunks], axis=0)
-    n = spec.trials
-    out = []
-    for total, total_sq in zip(s1, s2):
-        mean = total / n
-        var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
-        out.append(McEstimate(mean=float(mean), stderr=math.sqrt(var / n), trials=n))
-    return out
+    return _estimate(spec, interf_field, tuple(s_grid))

@@ -120,6 +120,22 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("tx_power_dbm = 4000", "tx_power_dbm"),
+            ("coexist_power_dbm = 4000", "coexist_power_dbm"),
+            ("tx_power_dbm = -4000", "tx_power_dbm"),
+            ("axis = tx_power_dbm\naxis_grid = 14, 4000", "tx_power_dbm"),
+        ],
+    )
+    def test_power_beyond_float_range_rejected(self, text, key, tmp_path, capsys):
+        # 10 ** 400 mW used to escape as an OverflowError traceback
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + "\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "key, value", [("methods", ("gc", "gc")), ("axis_grid", (-10.0, -10.0))]
     )
     def test_repeated_entries_rejected(self, key, value):

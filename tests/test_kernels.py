@@ -64,3 +64,16 @@ def test_empty_inputs():
     assert out.shape == (8,) and np.all(out == 0.0)
     out = inter_sums(empty_f, empty_i, empty_i, empty_f, empty_f, empty_f, 8, -3.5)
     assert out.shape == (8,) and np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 3.5, 4.2])
+def test_inter_sums_node_on_the_origin(alpha):
+    # a node at offset R opposite its parent at R lands (almost) on the
+    # origin, where a plain law of cosines cancels to zero or below
+    payload = _inter_payload(n_trials=3, clusters_per_trial=2, nodes_per_cluster=3)
+    payload["off_r"][0] = payload["parent_r"][0]
+    payload["off_th"][0] = math.pi
+    got = inter_sums(neg_alpha=-alpha, **payload)
+    want = _naive_inter_sums(neg_alpha=-alpha, **payload)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

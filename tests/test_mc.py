@@ -173,6 +173,22 @@ class TestEngineSampling:
         expected = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
         np.testing.assert_allclose(sinr, expected, rtol=1e-14, atol=0.0)
 
+    def test_noise_limited_conditional_coverage(self, tmp_path):
+        # one node, no interferers: each trial contributes
+        # exp(-gamma r^alpha sigma2 / (p_x0 eta)) and the estimate is their mean
+        gamma = 0.1
+        spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
+        path = tmp_path / "trace.csv"
+        (est,) = estimate_coverage(spec, trace_path=path)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
+        link = spec.config.link
+        r = link.a * np.sqrt(rng.uniform(size=300))
+        with open(path, newline="") as fh:
+            p_covered = np.array([float(row["p_covered"]) for row in csv.DictReader(fh)])
+        expected = np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
+        np.testing.assert_allclose(p_covered, expected, rtol=1e-14, atol=0.0)
+        assert est.mean == pytest.approx(p_covered.mean(), rel=1e-14)
+
 
 class TestDeterminism:
     def test_identical_specs_identical_estimates(self):
@@ -205,8 +221,9 @@ class TestDeterminism:
         assert 0.0 <= est.mean <= 1.0
 
     def test_single_trial(self):
+        # one trial contributes its conditional coverage probability
         (est,) = estimate_coverage(make_spec(trials=1))
-        assert est.mean in (0.0, 1.0)
+        assert 0.0 <= est.mean <= 1.0
         assert est.stderr == 0.0
 
 
@@ -216,6 +233,16 @@ class TestCoverageEstimates:
         estimates = estimate_coverage(make_spec(trials=4000, gammas=gammas))
         means = [e.mean for e in estimates]
         assert all(x >= y for x, y in zip(means, means[1:]))
+
+    def test_noise_free_run_dominates_noisy_run(self):
+        # same seed, same draws: removing the noise only lowers each trial's
+        # conditional coverage exponent, so coverage rises at every threshold
+        gammas = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
+        noisy = estimate_coverage(make_spec(trials=2000, gammas=gammas))
+        quiet = estimate_coverage(
+            make_spec(link=reference_link(sigma2=0.0), trials=2000, gammas=gammas)
+        )
+        assert all(q.mean >= n.mean for q, n in zip(quiet, noisy))
 
     def test_matches_analytics_loosely(self, quad50):
         scen = Scenario(Unordered(), FixedSize(6))
@@ -356,10 +383,24 @@ class TestTrace:
         (est,) = estimate_coverage(spec, trace_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["trial", "sinr", "covered"]
+        assert rows[0] == ["trial", "sinr", "p_covered"]
         assert len(rows) == 301
-        covered = sum(int(row[2]) for row in rows[1:])
-        assert covered == round(est.mean * 300)
+        p_covered = np.array([float(row[2]) for row in rows[1:]])
+        assert p_covered.mean() == pytest.approx(est.mean, rel=1e-12)
+
+    def test_indicator_agrees_with_conditional_mean(self, tmp_path):
+        # the 0/1 indicator recomputed from the realized SINR estimates the
+        # same coverage as the conditional column, with a larger variance
+        path = tmp_path / "trace.csv"
+        gamma = 0.1
+        estimate_coverage(make_spec(trials=4000, gammas=(gamma,)), trace_path=path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        indicator = np.array([float(row["sinr"]) >= gamma for row in rows], dtype=float)
+        p_covered = np.array([float(row["p_covered"]) for row in rows])
+        stderr = math.sqrt(indicator.var(ddof=1) / len(rows))
+        assert abs(indicator.mean() - p_covered.mean()) <= 3.0 * stderr
+        assert indicator.var(ddof=1) > p_covered.var(ddof=1)
 
 
 class TestSpecValidation:

@@ -6,6 +6,7 @@ break ``--trace 1``) without any other test noticing.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -36,3 +37,13 @@ def test_coverage_calls_transform_family(prefix):
     names = [name for name in dir(coverage_module) if name.startswith(prefix)]
     assert names
     assert all(callable(getattr(coverage_module, name)) for name in names)
+
+
+@pytest.mark.parametrize(
+    "kernel, position, name", [("inter_sums", 3, "off_r"), ("radial_sums", 0, "r")]
+)
+def test_node_count_argument_position(kernel, position, name):
+    # the tracer counts a kernel's nodes from the length of this positional
+    # argument, so reordering the parameters would miscount them silently
+    params = list(inspect.signature(getattr(mc, kernel)).parameters)
+    assert params[position] == name
