@@ -19,11 +19,6 @@ from .coverage import (
     Unordered,
     coverage,
 )
-from .geometry import (
-    conditional_interferer_pdf,
-    ordered_distance_pdf,
-    unordered_distance_pdf,
-)
 from .laplace import (
     laplace_coexist,
     laplace_inter_fixed_upper,

@@ -173,6 +173,19 @@ def _resolve_rank(ordering: Ordered, size_model: ClusterSizeModel) -> tuple[int,
     return (n if ordering.k is None else ordering.k), n
 
 
+def _distance_density(u, rank: int | None, n: int | None):
+    """Density of the typical link distance u = r/a on (0, 1].
+
+    2u for a uniformly chosen node (rank None); for the rank-th closest of
+    n nodes the order-statistic form n!/((n-k)!(k-1)!) F^(k-1) (1-F)^(n-k)
+    f with F(u) = u^2 and f = 2u.
+    """
+    if rank is None:
+        return 2.0 * u
+    coef = 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank))
+    return coef * u ** (2 * rank - 1) * (1.0 - u**2) ** (n - rank)
+
+
 def _integrate(integrand, int_tol: float) -> float:
     value, abserr = integrate.quad(
         integrand, 0.0, 1.0, epsabs=1e-13, epsrel=int_tol, limit=200
@@ -219,20 +232,9 @@ def coverage(
     else:
         inter, nodes = laplace_inter_random_lower, size.mean
 
-    if isinstance(scen.ordering, Unordered):
-        rank = None
-
-        def density(u):
-            return 2.0 * u
-    else:
+    rank = n = None
+    if isinstance(scen.ordering, Ordered):
         rank, n = _resolve_rank(scen.ordering, size)
-        os_coef = 2.0 * math.exp(
-            math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank)
-        )
-
-        def density(u):
-            return os_coef * u ** (2 * rank - 1) * (1.0 - u**2) ** (n - rank)
-
     rho_scale = gamma_th / (pe.p_x0 * pe.eta)
     beta_scale = gamma_th / pe.p_ratio_x
     intra_quad = None if exact else quad
@@ -241,7 +243,7 @@ def coverage(
         s = (u * pe.a) ** pe.alpha * rho_scale
         intra = laplace_intra(u**pe.alpha * beta_scale, u, pe.alpha, size, rank, intra_quad)
         return (
-            density(u)
+            _distance_density(u, rank, n)
             * np.minimum(1.0, intra)
             * np.exp(-s * pe.sigma2)
             * inter(s, nodes, pe)

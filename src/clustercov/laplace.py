@@ -40,9 +40,14 @@ def _extremes(x) -> tuple[float, float]:
     return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
 
 
+def _is_finite_nonnegative(x) -> bool:
+    lo, hi = _extremes(x)
+    return bool(lo >= 0.0 and hi < math.inf)
+
+
 def _check_s(s) -> None:
-    if _extremes(s)[0] < 0.0:
-        raise ValueError(f"transform variable s must be nonnegative, got {s}")
+    if not _is_finite_nonnegative(s):
+        raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
 
 
 def _check_delta(delta: float) -> None:
@@ -114,9 +119,8 @@ def laplace_intra(
     form can overshoot 1 by its quadrature error; the coverage composition
     clips it.
     """
-    beta_lo, _ = _extremes(beta)
-    if beta_lo < 0.0:
-        raise ValueError(f"load beta must be nonnegative, got {beta}")
+    if not _is_finite_nonnegative(beta):
+        raise ValueError(f"load beta must be finite and nonnegative, got {beta}")
     if rank is not None:
         u_lo, u_hi = _extremes(u)
         if not (0.0 < u_lo and u_hi <= 1.0):

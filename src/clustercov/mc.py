@@ -335,6 +335,6 @@ def estimate_laplace(
     """Empirical transforms mean(exp(-s * I_field)), one per grid point."""
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")
-    if any(s < 0.0 for s in s_grid):
-        raise ValueError("transform grid points must be nonnegative")
+    if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
+        raise ValueError("transform grid points must be finite and nonnegative")
     return _estimate(spec, interf_field, tuple(s_grid))

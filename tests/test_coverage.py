@@ -1,6 +1,8 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from clustercov import oracles
 from clustercov.coverage import (
@@ -11,6 +13,7 @@ from clustercov.coverage import (
     Ordered,
     Scenario,
     Unordered,
+    _distance_density,
     coverage,
 )
 from clustercov.params import FixedSize, PoissonSize
@@ -70,6 +73,62 @@ PINNED = [
     (4.2, O3F, 0, 0.008129638414423658, 0.00811780970998704),
     (4.2, O3F, 10, 9.155444638377217e-06, 9.139707745465636e-06),
 ]
+
+
+class TestDistanceDensity:
+    """The typical-link density in u = r/a that every scenario integrates."""
+
+    def test_unordered_endpoint(self):
+        assert _distance_density(1.0, None, None) == 2.0
+
+    def test_unordered_normalisation(self):
+        total, _ = integrate.quad(lambda u: _distance_density(u, None, None), 0.0, 1.0)
+        assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_ordered_reduces_to_unordered(self):
+        u = np.linspace(0.0, 1.0, 50)
+        assert np.allclose(_distance_density(u, 1, 1), _distance_density(u, None, None), rtol=1e-12)
+
+    def test_ordered_farthest_endpoint(self):
+        # k = n = 6 at u = 1: 2 n u^(2n-1) = 12
+        assert _distance_density(1.0, 6, 6) == pytest.approx(12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+    def test_ordered_normalisation(self, n):
+        for k in range(1, n + 1):
+            total, _ = integrate.quad(lambda u: _distance_density(u, k, n), 0.0, 1.0, limit=200)
+            assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_order_statistic_mixture_identity(self):
+        # averaging the k-th order-statistic densities over k recovers the
+        # unordered density
+        n = 7
+        u = np.linspace(0.002, 0.998, 200)
+        mixture = sum(_distance_density(u, k, n) for k in range(1, n + 1)) / n
+        assert np.allclose(mixture, _distance_density(u, None, None), atol=1e-8 * 2.0)
+
+    def test_ordered_matches_sampled_order_statistics(self):
+        n, k = 6, 3
+        rng = np.random.default_rng(7)
+        radii = np.sqrt(rng.uniform(size=(100000, n)))
+        kth = np.sort(radii, axis=1)[:, k - 1]
+        edges = np.linspace(0.0, 1.0, 21)
+        observed, _ = np.histogram(kth, bins=edges)
+        expected = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mass, _ = integrate.quad(lambda u: _distance_density(u, k, n), lo, hi)
+            expected.append(mass * len(kth))
+        result = stats.chisquare(observed, np.asarray(expected))
+        assert result.pvalue > 0.01
+
+    def test_rank_out_of_range(self):
+        # the density is reached only through a Scenario, which refuses a
+        # rank outside 1..n before any integrand is built
+        with pytest.raises(ValueError, match="exceeds the cluster size"):
+            Scenario(Ordered(3), FixedSize(2))
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=">= 1"):
+                Ordered(k)
 
 
 class TestPinnedValues:

@@ -230,6 +230,24 @@ class TestShapeProperties:
         near_rim = intra(s, FixedSize(6), 3, LINK.a * (1.0 - 1e-7))
         assert at_rim == pytest.approx(near_rim, rel=1e-5)
 
+    def test_degenerate_far_set_at_rim(self):
+        # at u = 1 the annulus (u, 1] is empty: the near set is the whole
+        # disc and the n - k farther nodes all sit on the rim, each giving
+        # 1/(1 + beta)
+        beta, n, k = 0.4, 6, 3
+        for quad in (None, make_quadrature(30, 1)):
+            ranked = laplace_intra(beta, 1.0, LINK.alpha, FixedSize(n), k, quad)
+            whole_disc = laplace_intra(beta, 1.0, LINK.alpha, FixedSize(k), None, quad)
+            assert ranked == pytest.approx(whole_disc * (1.0 + beta) ** -(n - k), rel=1e-12)
+
+    def test_invalid_conditioning(self):
+        # a ranked typical node's distance must lie in (0, 1] cluster radii,
+        # in every entry of an array
+        for u in (0.0, -0.2, 1.0 + 1e-9, np.array([0.5, 1.2]), np.array([0.0, 0.5])):
+            for size in (FixedSize(6), PoissonSize(6.0)):
+                with pytest.raises(ValueError, match="conditioning distance"):
+                    laplace_intra(0.3, u, LINK.alpha, size, 3)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             intra(-1.0, FixedSize(6))
@@ -245,3 +263,22 @@ class TestShapeProperties:
             intra(1.0, FixedSize(6), 2, 600.0)
         with pytest.raises(ValueError):
             intra(1.0, PoissonSize(6.0), 6, 0.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, np.array([1.0, math.nan])])
+    def test_coexist_rejects_non_finite_s(self, s):
+        for link in (LINK, reference_link(lambda_co=0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                laplace_coexist(s, link)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, np.array([1.0, math.inf])])
+    def test_inter_bounds_reject_non_finite_s(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            laplace_inter_fixed_upper(s, 6, LINK)
+        with pytest.raises(ValueError, match="finite"):
+            laplace_inter_random_lower(s, 6.0, LINK)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, np.array([0.5, math.nan])])
+    def test_intra_rejects_non_finite_load(self, beta):
+        for quad in (None, make_quadrature(20, 20)):
+            with pytest.raises(ValueError, match="finite"):
+                laplace_intra(beta, 1.0, LINK.alpha, FixedSize(6), None, quad)

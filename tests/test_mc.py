@@ -328,6 +328,12 @@ class TestLaplaceEstimates:
         with pytest.raises(ValueError):
             estimate_laplace(make_spec(), InterferenceField.INTER, (-1.0,))
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_grid_rejected(self, s):
+        spec = make_spec(scenario=Scenario(Unordered(), FixedSize(1)), trials=10)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_laplace(spec, InterferenceField.INTRA, (0.0, s))
+
 
 def mc_metrics(spec):
     """ASE/EE built on Monte Carlo coverage, one result per threshold."""

@@ -16,8 +16,8 @@ from clustercov.special import (
 
 DELTA = 2.0 / 3.5
 
-# b within this distance of an integer is where the large-z connection
-# formula pairs two terms of size 1/|b - m| that cancel
+# b within this distance of an integer is where scipy's 2F1 at z > 0.5
+# loses about 1e-15/|b - m| of relative precision
 NEAR_INTEGER_BAND = 1e-4
 
 
@@ -37,8 +37,8 @@ _B = st.one_of(st.floats(1e-6, 2.0), _B_NEAR_INTEGER, st.floats(1e-9, NEAR_INTEG
 _Z = st.one_of(
     st.floats(0.0, 1e12),
     st.floats(-6.0, 12.0).map(lambda e: 10.0**e),
-    st.floats(0.5 - 1e-6, 0.5 + 1e-6),  # direct series / Pfaff switch
-    st.floats(20.0 - 1e-4, 20.0 + 1e-4),  # Pfaff / connection-formula switch
+    st.floats(0.5 - 1e-6, 0.5 + 1e-6),  # scipy / closed integer form switch
+    st.floats(20.0 - 1e-4, 20.0 + 1e-4),  # a narrow band at moderate z
 )
 
 
@@ -90,10 +90,22 @@ class TestHyp2f1:
         rtol = 1e-6 if near_integer else 1e-8
         assert abs(hyp2f1_1_b(b, z) - ref) <= rtol * ref
 
-    @pytest.mark.parametrize("b, z", [(1.0 + 1.17e-8, 20.000005), (2.0 - 5e-8, 1e3)])
+    @pytest.mark.parametrize(
+        "b, z",
+        [
+            (1.0 + 1.17e-8, 20.000005),
+            (2.0 - 5e-8, 1e3),
+            (1.0 - 1e-11, 3.0),
+            (1.0, 4.64e11),
+            (2.0 - 1e-9, 4.64),
+            (1.0 + 1e-12, 10.0),
+            (2.0 - 1e-12, 4.64),
+        ],
+    )
     def test_near_integer_b_large_z(self, b, z):
-        # just past the switch to the closed integer form, where sin(pi b)
-        # used to lose its relative precision
+        # the first two lie just past the 1e-8 band of the closed integer
+        # form and the rest inside it; scipy's 2F1 alone misses rel 1e-6 at
+        # (1 - 1e-11, 3) and the last two
         assert hyp2f1_1_b(b, z) == pytest.approx(_mp_hyp2f1_1_b(b, z), rel=1e-6)
 
     def test_domain_errors(self):
@@ -103,6 +115,13 @@ class TestHyp2f1:
             hyp2f1_1_b(-1.0, 1.0)
         with pytest.raises(ValueError):
             hyp2f1_1_b(0.5, -0.1)
+        for b, z in [(0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)]:
+            with pytest.raises(ValueError):
+                hyp2f1_1_b(b, z)
+
+    @pytest.mark.parametrize("b", [DELTA, 1.0, 1.0 + DELTA, 2.0])
+    def test_limit_at_infinite_z(self, b):
+        assert hyp2f1_1_b(b, math.inf) == 0.0
 
 
 class TestBetaGamma:
