@@ -331,34 +331,24 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
         sizes.append(PoissonSize(size))
 
     rank = settings["ordered_rank"]
-    if rank == "farthest":
-        ordered = Ordered()
-    elif isinstance(rank, int) and rank >= 1:
-        ordered = Ordered(k=rank)
-    else:
-        raise ConfigError(
-            f"ordered_rank: must be 'farthest' or a positive integer, got {rank!r}"
-        )
-    if ordered.k is not None and order_key != "unordered" and size_key != "fixed":
-        raise ConfigError(
-            f"ordered_rank: rank {rank} needs size_model = fixed; with Poisson "
-            "sizes only 'farthest' is supported"
-        )
-    if ordered.k is not None and order_key != "unordered" and ordered.k > size:
-        raise ConfigError(
-            f"ordered_rank: rank {rank} exceeds the fixed cluster_size {size:g}"
-        )
+    if rank != "farthest" and not isinstance(rank, int):
+        raise ConfigError(f"ordered_rank: must be 'farthest' or an integer, got {rank!r}")
     orderings = []
     if order_key in ("unordered", "both"):
         orderings.append(Unordered())
-    if order_key in ("ordered", "both"):
-        orderings.append(ordered)
-
-    return tuple(
-        Scenario(ordering=o, size_model=s, interference=interference)
-        for o in orderings
-        for s in sizes
-    )
+    # Ordered and Scenario hold the rank rules; the cluster sizes are valid
+    # by now, so any ValueError they raise is about the rank.
+    try:
+        ordered = Ordered() if rank == "farthest" else Ordered(k=rank)
+        if order_key in ("ordered", "both"):
+            orderings.append(ordered)
+        return tuple(
+            Scenario(ordering=o, size_model=s, interference=interference)
+            for o in orderings
+            for s in sizes
+        )
+    except ValueError as exc:
+        raise ConfigError(f"ordered_rank: {exc}") from None
 
 
 def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, SweepSpec]:

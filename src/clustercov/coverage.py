@@ -29,7 +29,7 @@ from .laplace import (
     laplace_inter_random_lower,
     laplace_intra,
 )
-from .params import ClusterSizeModel, FixedSize, LinkParams, PoissonSize
+from .params import ClusterSizeModel, FixedSize, LinkParams, PoissonSize, require_int
 from .special import QuadratureSpec, make_quadrature
 
 __all__ = [
@@ -69,8 +69,8 @@ class Ordered:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"rank k must be >= 1, got {self.k}")
+        if self.k is not None:
+            require_int("rank k", self.k, 1)
 
 
 Ordering = Unordered | Ordered
@@ -78,11 +78,23 @@ Ordering = Unordered | Ordered
 
 @dataclass(frozen=True)
 class Scenario:
+    """Typical-node ordering, cluster-size model and interference mode.
+
+    Every rule on valid combinations lives here, so the closed forms and the
+    Monte Carlo engine accept exactly the same scenarios.
+    """
+
     ordering: Ordering
     size_model: ClusterSizeModel
     interference: Interference = Interference.FULL
 
     def __post_init__(self) -> None:
+        # The typical node belongs to its cluster: one node plus
+        # Poisson(mean - 1) others, which needs a mean of at least one.
+        if isinstance(self.size_model, PoissonSize) and self.size_model.mean < 1.0:
+            raise ValueError(
+                f"the typical cluster needs a mean size >= 1, got {self.size_model.mean}"
+            )
         k = self.ordering.k if isinstance(self.ordering, Ordered) else None
         if k is None:
             return
@@ -108,6 +120,12 @@ class Scenario:
         )
         suffix = "" if self.interference is Interference.FULL else "/intra-limited"
         return f"{order}/{size}{suffix}"
+
+    def effective_link(self, p: LinkParams) -> LinkParams:
+        """p, or for the intra-limited case p with lambda_g = lambda_co = sigma2 = 0."""
+        if self.interference is Interference.FULL:
+            return p
+        return replace(p, lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
 
 
 class Method(Enum):
@@ -143,13 +161,6 @@ def _check_gamma(gamma_th: float) -> None:
         raise ValueError(
             f"SINR threshold must be positive and finite (linear), got {gamma_th}"
         )
-
-
-def _effective_params(p: LinkParams, interference: Interference) -> LinkParams:
-    """Zero out the dropped terms for the intra-interference-limited case."""
-    if interference is Interference.FULL:
-        return p
-    return replace(p, lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
 
 
 def _bound_side(size_model: ClusterSizeModel, interference: Interference) -> BoundSide:
@@ -224,8 +235,10 @@ def coverage(
     _check_gamma(gamma_th)
     if method not in (Method.EXACT_INTEGRAL, Method.GAUSS_CHEBYSHEV):
         raise ValueError(f"unsupported analytical method {method}")
+    if not (math.isfinite(int_tol) and int_tol > 0.0):
+        raise ValueError(f"int_tol must be positive and finite, got {int_tol}")
     exact = method is Method.EXACT_INTEGRAL
-    pe = _effective_params(p, scen.interference)
+    pe = scen.effective_link(p)
     size = scen.size_model
     if isinstance(size, FixedSize):
         inter, nodes = laplace_inter_fixed_upper, size.n

@@ -50,11 +50,6 @@ def _check_s(s) -> None:
         raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"requires delta = 2/alpha in (0, 1), got {delta}")
-
-
 def _disc_rule(alpha: float, quad: QuadratureSpec | None):
     """(mean, tail) over a uniform disc, as functions of b = beta rho^-alpha.
 
@@ -69,9 +64,11 @@ def _disc_rule(alpha: float, quad: QuadratureSpec | None):
         delta = 2.0 / alpha
 
         def mean(b):
-            if b == 0.0:
+            # b = 0, and a load so small that 1/b overflows, take the b -> 0
+            # limit; the product below would be inf * 0 there
+            z = math.inf if b == 0.0 else 1.0 / b
+            if z == math.inf:
                 return 1.0
-            z = 1.0 / b
             return z * delta / (delta + 1.0) * hyp2f1_1_b(delta + 1.0, z)
 
         def tail(b):
@@ -187,7 +184,6 @@ def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
     if n < 1:
         raise ValueError(f"n must be a count >= 1, got {n}")
     delta = p.delta
-    _check_delta(delta)
     expo = (
         math.pi
         * p.lambda_g
@@ -204,7 +200,6 @@ def laplace_inter_random_lower(s, nbar: float, p: LinkParams):
     if nbar <= 0.0:
         raise ValueError(f"mean cluster size must be positive, got {nbar}")
     delta = p.delta
-    _check_delta(delta)
     expo = (
         math.pi**2
         * p.lambda_g
@@ -220,7 +215,6 @@ def laplace_coexist(s, p: LinkParams):
     """Transform of the coexisting-PPP interference (exact, not a bound)."""
     _check_s(s)
     delta = p.delta
-    _check_delta(delta)
     expo = (
         math.pi
         * p.lambda_co

@@ -5,6 +5,15 @@ stream derived from (seed, chunk index) and chunks are reduced in index
 order, so estimates are bit-for-bit reproducible and independent of how
 many workers execute them.
 
+A coverage trial draws three fields, one sampler each, in this order from
+its chunk's stream (the order is part of the reproducibility contract):
+``_typical_cluster`` (the typical link and the in-cluster interference),
+``_cross_clusters`` and ``_coexisting`` (the other clusters and the
+coexisting PPP inside the window).  A transform request draws only its own
+field, from the start of the stream.  The intra-limited case is the
+scenario's effective link, lambda_g = lambda_co = sigma2 = 0, and a zero
+density draws nothing.
+
 Coverage is estimated by conditional Monte Carlo: under Rayleigh fading on
 the typical link, P(SINR >= gamma | everything else) = exp(-gamma x) with
 x = r**alpha (I + sigma2) / (p_x0 eta), so each trial contributes that
@@ -30,8 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .coverage import Interference, Scenario, Unordered
-from .params import FixedSize, NetworkConfig
+from .coverage import Scenario, Unordered
+from .params import FixedSize, LinkParams, NetworkConfig, require_int
 
 __all__ = [
     "InterferenceField",
@@ -69,10 +78,11 @@ class SimSpec:
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.chunk_trials < 1:
-            raise ValueError(f"chunk_trials must be >= 1, got {self.chunk_trials}")
+        require_int("trials", self.trials, 1)
+        require_int("chunk_trials", self.chunk_trials, 1)
+        require_int("seed", self.seed, 0)
+        if self.workers is not None:
+            require_int("workers", self.workers, 1)
         if not all(math.isfinite(g) and g > 0.0 for g in self.gamma_grid):
             raise ValueError("SINR thresholds must be positive and finite (linear units)")
 
@@ -104,8 +114,6 @@ def radial_sums(
     ``r`` holds node distances, ``h`` the fading draws, ``idx`` the trial
     index of each node, ``neg_alpha`` the (negative) path-loss exponent.
     """
-    if len(r) == 0:
-        return np.zeros(n_out)
     return np.bincount(idx, weights=h * r**neg_alpha, minlength=n_out)
 
 
@@ -127,8 +135,6 @@ def inter_sums(
     (R - r)**2 + 4 R r cos(th / 2)**2, a sum of nonnegative terms that
     keeps its relative precision where the node nearly sits on the origin.
     """
-    if len(off_r) == 0:
-        return np.zeros(n_out)
     big_r = parent_r[node_parent]
     half_cos = np.cos(0.5 * off_th)
     d2 = (big_r - off_r) ** 2 + 4.0 * big_r * off_r * half_cos * half_cos
@@ -143,23 +149,76 @@ def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
     return [chunk_trials] * full + ([rest] if rest else [])
 
 
-def _typical_sizes(
-    rng: np.random.Generator, size_model, n_trials: int
-) -> np.ndarray:
-    """Cluster sizes of the typical cluster.
+def _window_points(rng, density: float, window: float, n: int):
+    """A PPP in the disc of radius window, per trial: (trial index, distance) of each point."""
+    counts = rng.poisson(density * (math.pi * window**2), size=n)
+    trial_of_point = np.repeat(np.arange(n, dtype=np.intp), counts)
+    return trial_of_point, window * np.sqrt(rng.uniform(size=len(trial_of_point)))
 
-    Poisson model: one typical node plus Poisson(mean - 1) others, matching
-    the analytical in-cluster interferer count exactly, so the typical
-    cluster is never empty.
+
+def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
+    """The typical node's own cluster: (r_typ, h_typ, i_intra) per trial.
+
+    Only radii are drawn (in-cluster interference depends on distance
+    alone).  Poisson sizes are the typical node plus Poisson(mean - 1)
+    others, the analytical in-cluster interferer count.
     """
+    size_model = scenario.size_model
     if isinstance(size_model, FixedSize):
-        return np.full(n_trials, size_model.n, dtype=np.int64)
-    if size_model.mean < 1.0:
-        raise ValueError(
-            f"the typical cluster needs a mean size >= 1, got {size_model.mean}"
-        )
-    sizes = 1 + rng.poisson(size_model.mean - 1.0, size=n_trials)
-    return sizes.astype(np.int64)
+        sizes = np.full(n, size_model.n, dtype=np.int64)
+    else:
+        sizes = 1 + rng.poisson(size_model.mean - 1.0, size=n)
+    trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
+    r = link.a * np.sqrt(rng.uniform(size=len(trial_of_node)))
+    h = rng.exponential(1.0, size=len(r))
+    seg_start = np.zeros(n, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=seg_start[1:])
+    if isinstance(scenario.ordering, Unordered):
+        # nodes are exchangeable, so the first one is a uniform pick
+        typical = seg_start
+    else:
+        k = scenario.ordering.k
+        rank = sizes - 1 if k is None else k - 1
+        typical = np.lexsort((r, trial_of_node))[seg_start + rank]
+
+    r_typ, h_typ = r[typical], h[typical]
+    h[typical] = 0.0  # the typical node does not interfere with itself
+    i_intra = link.p_x * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
+    return r_typ, h_typ, i_intra
+
+
+def _cross_clusters(rng, scenario: Scenario, link: LinkParams, window: float, n: int):
+    """Per-trial interference from the clusters with a parent in the window.
+
+    Other clusters hold n nodes (fixed) or Poisson(nbar), not 1 + Poisson.
+    Each is rotated into the frame where its parent lies on the positive
+    x-axis (valid by isotropy), saving one angle draw.
+    """
+    if link.lambda_g == 0.0:
+        return np.zeros(n)
+    trial_of_cluster, parent_r = _window_points(rng, link.lambda_g, window, n)
+    size_model = scenario.size_model
+    if isinstance(size_model, FixedSize):
+        sizes = np.full(len(parent_r), size_model.n, dtype=np.int64)
+    else:
+        sizes = rng.poisson(size_model.mean, size=len(parent_r))
+    cluster_of_node = np.repeat(np.arange(len(parent_r), dtype=np.intp), sizes)
+    nodes = len(cluster_of_node)
+    off_r = link.a * np.sqrt(rng.uniform(size=nodes))
+    off_th = rng.uniform(0.0, 2.0 * math.pi, size=nodes)
+    h = rng.exponential(1.0, size=nodes)
+    return link.p_x * link.eta * inter_sums(
+        parent_r, trial_of_cluster, cluster_of_node, off_r, off_th, h, n, -link.alpha
+    )
+
+
+def _coexisting(rng, link: LinkParams, window: float, n: int):
+    """Per-trial interference from the coexisting PPP inside the window."""
+    if link.lambda_co == 0.0:
+        return np.zeros(n)
+    trial_of_node, r = _window_points(rng, link.lambda_co, window, n)
+    h = rng.exponential(1.0, size=len(r))
+    return link.p_z * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
 
 
 def _simulate_chunk(args: tuple) -> dict:
@@ -169,99 +228,24 @@ def _simulate_chunk(args: tuple) -> dict:
     t is the SINR threshold and x the typical link's conditional coverage
     exponent, for a transform t is the transform variable and x the field's
     interference.  The chunk returns their sum and sum of squares per point.
-
-    The draw order below is part of the reproducibility contract: typical
-    clusters first, then cross-cluster geometry, then the coexisting field.
     """
-    config, scenario, n_trials, seed, chunk_index, grid, field_name, want_trace = args
-    link = config.link
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    )
-    intra_only = scenario.interference is Interference.INTRA_LIMITED
-    neg_alpha = -link.alpha
-    window_area = math.pi * config.window_radius**2
-
-    # A transform-only request pays for exactly the field it asks about.
-    full = field_name is None
-    need_typical = full or field_name == InterferenceField.INTRA.value
-    need_inter = full or field_name == InterferenceField.INTER.value
-    need_co = full or field_name == InterferenceField.COEXIST.value
-
-    i_intra = np.zeros(n_trials)
-    if need_typical:
-        # Typical cluster: radii only (interference depends on distance alone).
-        sizes0 = _typical_sizes(rng, scenario.size_model, n_trials)
-        total0 = int(sizes0.sum())
-        trial_of_node0 = np.repeat(np.arange(n_trials, dtype=np.intp), sizes0)
-        r0 = link.a * np.sqrt(rng.uniform(size=total0))
-        h0 = rng.exponential(1.0, size=total0)
-
-        seg_start = np.zeros(n_trials, dtype=np.intp)
-        np.cumsum(sizes0[:-1], out=seg_start[1:])
-        if isinstance(scenario.ordering, Unordered):
-            # nodes are exchangeable, so the first one is a uniform pick
-            typical_pos = seg_start
-        else:
-            order = np.lexsort((r0, trial_of_node0))
-            if scenario.ordering.k is None:
-                rank = sizes0 - 1
-            else:
-                rank = scenario.ordering.k - 1
-            typical_pos = order[seg_start + rank]
-
-        r_typ = r0[typical_pos]
-        h_typ = h0[typical_pos]
-        h0[typical_pos] = 0.0  # the typical node does not interfere with itself
-        i_intra = link.p_x * link.eta * radial_sums(
-            r0, h0, trial_of_node0, n_trials, neg_alpha
-        )
-
-    if not need_inter or intra_only or link.lambda_g == 0.0:
-        i_inter = np.zeros(n_trials)
+    spec, field, index, n, grid, want_trace = args
+    scenario = spec.scenario
+    link = scenario.effective_link(spec.config.link)
+    window = spec.config.window_radius
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+    if field is InterferenceField.INTRA:
+        x = _typical_cluster(rng, scenario, link, n)[2]
+    elif field is InterferenceField.INTER:
+        x = _cross_clusters(rng, scenario, link, window, n)
+    elif field is InterferenceField.COEXIST:
+        x = _coexisting(rng, link, window, n)
     else:
-        n_clusters = rng.poisson(link.lambda_g * window_area, size=n_trials)
-        total_clusters = int(n_clusters.sum())
-        trial_of_cluster = np.repeat(np.arange(n_trials, dtype=np.intp), n_clusters)
-        # Each cluster is rotated into the frame where its parent lies on
-        # the positive x-axis (valid by isotropy), saving one angle draw.
-        parent_r = config.window_radius * np.sqrt(rng.uniform(size=total_clusters))
-        if isinstance(scenario.size_model, FixedSize):
-            csizes = np.full(total_clusters, scenario.size_model.n, dtype=np.int64)
-        else:
-            csizes = rng.poisson(scenario.size_model.mean, size=total_clusters)
-        total_nodes = int(csizes.sum())
-        cluster_of_node = np.repeat(np.arange(total_clusters, dtype=np.intp), csizes)
-        off_r = link.a * np.sqrt(rng.uniform(size=total_nodes))
-        off_th = rng.uniform(0.0, 2.0 * math.pi, size=total_nodes)
-        h_inter = rng.exponential(1.0, size=total_nodes)
-        i_inter = link.p_x * link.eta * inter_sums(
-            parent_r, trial_of_cluster, cluster_of_node, off_r, off_th,
-            h_inter, n_trials, neg_alpha,
-        )
-
-    if not need_co or intra_only or link.lambda_co == 0.0:
-        i_co = np.zeros(n_trials)
-    else:
-        n_co = rng.poisson(link.lambda_co * window_area, size=n_trials)
-        total_co = int(n_co.sum())
-        trial_of_co = np.repeat(np.arange(n_trials, dtype=np.intp), n_co)
-        r_co = config.window_radius * np.sqrt(rng.uniform(size=total_co))
-        h_co = rng.exponential(1.0, size=total_co)
-        i_co = link.p_z * link.eta * radial_sums(
-            r_co, h_co, trial_of_co, n_trials, neg_alpha
-        )
-
-    if field_name is None:
-        sigma2 = 0.0 if intra_only else link.sigma2
-        den = i_intra + i_inter + i_co + sigma2
+        r_typ, h_typ, i_intra = _typical_cluster(rng, scenario, link, n)
+        i_inter = _cross_clusters(rng, scenario, link, window, n)
+        i_co = _coexisting(rng, link, window, n)
+        den = i_intra + i_inter + i_co + link.sigma2
         x = den * r_typ**link.alpha / (link.p_x0 * link.eta)
-    else:
-        x = {
-            InterferenceField.INTRA.value: i_intra,
-            InterferenceField.INTER.value: i_inter,
-            InterferenceField.COEXIST.value: i_co,
-        }[field_name]
     values = np.exp(-np.asarray(grid)[:, None] * x[None, :])
     out = {"sum": values.sum(axis=1), "sum_sq": (values * values).sum(axis=1)}
     if want_trace:
@@ -272,15 +256,11 @@ def _simulate_chunk(args: tuple) -> dict:
 
 
 def _estimate(
-    spec: SimSpec,
-    field: InterferenceField | None,
-    grid: tuple[float, ...],
-    trace_path=None,
+    spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...], trace_path=None
 ) -> list[McEstimate]:
     """Sample mean and standard error of exp(-t * x) at every grid point t."""
     args = [
-        (spec.config, spec.scenario, size, spec.seed, index, grid,
-         field.value if field is not None else None, trace_path is not None)
+        (spec, field, index, size, grid, trace_path is not None)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)

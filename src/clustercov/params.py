@@ -8,6 +8,7 @@ are per square metre.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -33,6 +34,14 @@ def free_space_eta(carrier_hz: float) -> float:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer >= minimum; bools and floats included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +107,7 @@ class FixedSize:
     n: int
 
     def __post_init__(self) -> None:
-        _require_finite("fixed cluster size", self.n)
-        if self.n < 1:
-            raise ValueError(f"fixed cluster size must be >= 1, got {self.n}")
+        require_int("fixed cluster size", self.n, 1)
 
 
 @dataclass(frozen=True)

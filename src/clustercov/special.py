@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
+from .params import require_int
+
 __all__ = [
     "QuadratureSpec",
     "beta_fn",
@@ -123,10 +125,8 @@ def _chebyshev_nodes(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def make_quadrature(order_t: int, order_m: int) -> QuadratureSpec:
     """Build the node/weight arrays for inner order T and outer order M."""
-    if order_t < 1 or order_m < 1:
-        raise ValueError(
-            f"quadrature orders must be >= 1, got T={order_t}, M={order_m}"
-        )
+    require_int("quadrature order T", order_t, 1)
+    require_int("quadrature order M", order_m, 1)
     psi, c, mu = _chebyshev_nodes(order_t)
     nu, ell, theta = _chebyshev_nodes(order_m)
     return QuadratureSpec(

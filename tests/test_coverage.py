@@ -306,6 +306,21 @@ class TestContracts:
         lim = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
         assert lim.tag().endswith("/intra-limited")
 
+    def test_integer_model_inputs(self, fig_link):
+        # FixedSize(2.5) used to give the MC estimate of FixedSize(2) and a
+        # TypeError from GC; Ordered(2.5) gave a GC value between k = 2 and 3
+        for k, n in ((None, 2.5), (2.5, 6), (None, True), (True, 6)):
+            with pytest.raises(ValueError, match="integer"):
+                coverage(0.1, Scenario(Ordered(k), FixedSize(n)), fig_link)
+        value = coverage(0.1, Scenario(Ordered(np.int64(2)), FixedSize(np.int64(6))), fig_link)
+        assert value == coverage(0.1, Scenario(Ordered(2), FixedSize(6)), fig_link)
+
+    @pytest.mark.parametrize("int_tol", [np.nan, np.inf, 0.0, -1e-6])
+    def test_int_tol_must_be_positive_and_finite(self, fig_link, int_tol):
+        # a NaN tolerance used to switch QuadratureError off silently
+        with pytest.raises(ValueError, match="int_tol"):
+            coverage(0.1, UF, fig_link, method=EXACT, int_tol=int_tol)
+
     def test_exact_integral_tolerance_respected(self, fig_link):
         tight = coverage(0.1, UF, fig_link, method=EXACT, int_tol=1e-10)
         loose = coverage(0.1, UF, fig_link, method=EXACT, int_tol=1e-4)

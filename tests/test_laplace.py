@@ -62,6 +62,12 @@ class TestTrivialValues:
         assert intra(s, FixedSize(1), 1, 100.0) == 1.0
         assert intra(s, PoissonSize(1.0), 1, 100.0) == 1.0
 
+    def test_subnormal_load_takes_zero_limit(self):
+        # 1/beta overflows to inf here, and the exact disc mean used to
+        # return inf * 0 = nan instead of its beta -> 0 limit
+        assert laplace_intra(1e-310, 1.0, 3.5, FixedSize(6)) == 1.0
+        assert laplace_intra(1e-310, 0.5, 3.5, FixedSize(6), rank=3) == 1.0
+
     def test_unit_with_zero_density(self):
         link = reference_link(lambda_g=0.0, lambda_co=0.0)
         s = s_at(300.0)

@@ -423,3 +423,121 @@ class TestSpecValidation:
             estimate_coverage(
                 make_spec(scenario=Scenario(Unordered(), PoissonSize(0.5)), trials=10)
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 1000.0), ("trials", True), ("chunk_trials", 64.0),
+         ("chunk_trials", 0), ("seed", 1.5), ("seed", -1), ("seed", None),
+         ("workers", 0)],
+        ids=repr,
+    )
+    def test_integer_fields_checked_when_built(self, field, value):
+        # these used to fail only once the simulation ran (a float trial
+        # count in _chunk_sizes, a float or negative seed in SeedSequence),
+        # or never (seed None drew fresh entropy for every chunk)
+        with pytest.raises(ValueError):
+            make_spec(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = make_spec(trials=np.int64(10), seed=np.int64(3), chunk_trials=np.int32(4))
+        (est,) = estimate_coverage(spec)
+        (ref,) = estimate_coverage(make_spec(trials=10, seed=3, chunk_trials=4))
+        assert est.mean == ref.mean
+
+
+def _pinned_spec(scenario):
+    return SimSpec(
+        config=NetworkConfig(link=reference_link(), window_radius=5000.0),
+        scenario=scenario, trials=1500, seed=11, gamma_grid=(0.01, 0.1, 1.0),
+    )
+
+
+PINNED_SCENARIOS = {
+    "UF-6": Scenario(Unordered(), FixedSize(6)),
+    "UP-6": Scenario(Unordered(), PoissonSize(6.0)),
+    "OF-6": Scenario(Ordered(), FixedSize(6)),
+    "OP-6": Scenario(Ordered(), PoissonSize(6.0)),
+    "O2-F4-intra": Scenario(Ordered(2), FixedSize(4), Interference.INTRA_LIMITED),
+}
+
+
+class TestPinnedStreams:
+    """The random-stream layout is part of the reproducibility contract.
+
+    These (mean, stderr) pairs were recorded before the engine was split into
+    one sampler per field.  Any change in what is drawn, or in which order,
+    moves them by O(stderr), far past the tolerance.
+    """
+
+    COVERAGE = {
+        "UF-6": [
+            (0.7085497776912203, 0.008710706884528352),
+            (0.3650163520912568, 0.009334198015159853),
+            (0.10614965940490373, 0.006306263447432226),
+        ],
+        "UP-6": [
+            (0.7171681770951622, 0.008614452696126157),
+            (0.387971525134778, 0.009702837080635128),
+            (0.13224664547847276, 0.007050827982082971),
+        ],
+        "OF-6": [
+            (0.4954142444247291, 0.008659291300829852),
+            (0.08502695165968671, 0.0037334856030665567),
+            (0.00021451762508967366, 5.186709390643606e-05),
+        ],
+        "OP-6": [
+            (0.5108615210654747, 0.009150086216910614),
+            (0.1386169529424814, 0.006011400872959222),
+            (0.01548849947929188, 0.002478632281054396),
+        ],
+        "O2-F4-intra": [
+            (0.8707113807498045, 0.00619371588295934),
+            (0.5923700500798145, 0.008161562523053627),
+            (0.12918626002205505, 0.004956042760736328),
+        ],
+    }
+    S_GRID = (0.0, 1e3, 1e6, 1e9)
+    LAPLACE = {
+        ("UF-6", InterferenceField.INTRA): [
+            (1.0, 0.0),
+            (0.9991954135594016, 0.000672571879574896),
+            (0.9844500209487709, 0.0025998413311689632),
+            (0.5969074636448258, 0.008595927607134304),
+        ],
+        ("UF-6", InterferenceField.INTER): [
+            (1.0, 0.0),
+            (0.9997821210840457, 0.00021568324910800345),
+            (0.9976156246133375, 0.0009137248111046843),
+            (0.9454109551311864, 0.004505017033041636),
+        ],
+        ("UF-6", InterferenceField.COEXIST): [
+            (1.0, 0.0),
+            (0.9999979368259487, 1.925920605148828e-06),
+            (0.9992393575836999, 0.0006384375978962385),
+            (0.9885637398732071, 0.0019662480744894358),
+        ],
+        ("O2-F4-intra", InterferenceField.INTRA): [
+            (1.0, 0.0),
+            (0.999868255761066, 8.837523971253311e-05),
+            (0.9889838977967955, 0.002145707426273351),
+            (0.705016707561259, 0.008462498332685),
+        ],
+        # the intra-limited link has no other clusters and no coexisting field
+        ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
+        ("O2-F4-intra", InterferenceField.COEXIST): [(1.0, 0.0)] * 4,
+    }
+
+    @staticmethod
+    def _check(estimates, expected):
+        got = [(e.mean, e.stderr) for e in estimates]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(COVERAGE))
+    def test_coverage(self, name):
+        spec = _pinned_spec(PINNED_SCENARIOS[name])
+        self._check(estimate_coverage(spec), self.COVERAGE[name])
+
+    @pytest.mark.parametrize("name, field", sorted(LAPLACE, key=str), ids=str)
+    def test_laplace(self, name, field):
+        spec = _pinned_spec(PINNED_SCENARIOS[name])
+        self._check(estimate_laplace(spec, field, self.S_GRID), self.LAPLACE[name, field])
