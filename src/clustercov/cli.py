@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -223,6 +224,8 @@ def _write_outputs(spec: SweepSpec, out_path: str, rows: list[tuple], summary: d
 def _metadata(spec: SweepSpec, summary: dict) -> dict:
     settings = dict(spec.settings)
     settings["variants"] = [[label, changes] for label, changes in spec.settings["variants"]]
+    if settings["window_radius_m"] == math.inf:
+        settings["window_radius_m"] = "inf"  # JSON has no infinity
     link = build_link(spec.settings)
     gamma = db_to_linear(float(settings["gamma_th_db"]))
     resolved = {

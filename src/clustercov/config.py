@@ -294,10 +294,13 @@ def build_link(settings: dict) -> LinkParams:
 
 
 def build_network(settings: dict) -> NetworkConfig:
-    return NetworkConfig(
-        link=build_link(settings),
-        window_radius=_require_positive(settings, "window_radius_m"),
-    )
+    window = settings["window_radius_m"]
+    if not isinstance(window, (int, float)) or not 0 < window <= math.inf:
+        raise ConfigError(
+            f"window_radius_m: must be a positive number or inf (the whole plane), "
+            f"got {window!r}"
+        )
+    return NetworkConfig(link=build_link(settings), window_radius=float(window))
 
 
 def build_scenarios(settings: dict) -> tuple[Scenario, ...]:

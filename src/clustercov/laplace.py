@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ClusterSizeModel, LinkParams, PoissonSize
+from .params import ClusterSizeModel, LinkParams, PoissonSize, require_int
 from .special import QuadratureSpec, gamma_fn, hyp2f1_1_b, log_beta
 
 __all__ = [
@@ -181,8 +181,7 @@ def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
     distance approximation underlying it is mild.
     """
     _check_s(s)
-    if n < 1:
-        raise ValueError(f"n must be a count >= 1, got {n}")
+    require_int("cluster size n", n, 1)
     delta = p.delta
     expo = (
         math.pi
@@ -197,8 +196,8 @@ def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
 def laplace_inter_random_lower(s, nbar: float, p: LinkParams):
     """Lower bound on the cross-cluster transform, Poisson mean nbar."""
     _check_s(s)
-    if nbar <= 0.0:
-        raise ValueError(f"mean cluster size must be positive, got {nbar}")
+    if not 0.0 < nbar < math.inf:
+        raise ValueError(f"mean cluster size must be positive and finite, got {nbar}")
     delta = p.delta
     expo = (
         math.pi**2

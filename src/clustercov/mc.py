@@ -9,19 +9,32 @@ A coverage trial draws three fields, one sampler each, in this order from
 its chunk's stream (the order is part of the reproducibility contract):
 ``_typical_cluster`` (the typical link and the in-cluster interference),
 ``_cross_clusters`` and ``_coexisting`` (the other clusters and the
-coexisting PPP inside the window).  A transform request draws only its own
-field, from the start of the stream.  The intra-limited case is the
+coexisting PPP inside the near disc).  A transform request draws only its
+own field, from the start of the stream.  The intra-limited case is the
 scenario's effective link, lambda_g = lambda_co = sigma2 = 0, and a zero
 density draws nothing.
 
+Only the near disc of radius R0 = min(W, NEAR_RADII * a) is drawn, with W
+the window radius and a the cluster radius.  Parents form a PPP, so the
+clusters and coexisting nodes of the annulus (R0, W] are independent of
+everything inside R0, and given the typical link their effect is exactly
+a probability generating functional: exp(-Lambda_far(s)) at
+s = gamma r**alpha / (p_x0 eta), integrated by ``_annulus_exponent``
+instead of sampled.  W may be infinite (the whole plane, no truncation
+bias); for W <= R0 the annulus is empty and nothing changes.
+
 Coverage is estimated by conditional Monte Carlo: under Rayleigh fading on
 the typical link, P(SINR >= gamma | everything else) = exp(-gamma x) with
-x = r**alpha (I + sigma2) / (p_x0 eta), so each trial contributes that
-probability instead of a 0/1 indicator.  The estimate stays unbiased and
-its variance falls (Rao-Blackwellisation), but it holds only while the
-typical link's fading is Rayleigh.  Thresholds share realizations (common
-random numbers), and each summand is nonincreasing in gamma, so the
-estimated coverage is exactly monotone across the grid within one run.
+x = r**alpha (I + sigma2) / (p_x0 eta) and I the drawn near-disc
+interference, so each trial contributes that probability times the far
+factor exp(-Lambda_far(s)) instead of a 0/1 indicator.  The estimate keeps
+the expectation of the fully sampled window and its variance falls
+(Rao-Blackwellisation), but it holds only while the typical link's fading
+is Rayleigh.  Thresholds share realizations (common random numbers), and
+each summand is nonincreasing in gamma, so the estimated coverage is
+exactly monotone across the grid within one run.  The trace's ``sinr``
+column is the SINR against the drawn near field, so it matches the
+estimate only when W <= R0.
 
 The per-node power-law accumulation runs through the two NumPy kernels
 ``radial_sums`` and ``inter_sums``; they are module attributes so that
@@ -38,6 +51,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.interpolate import PchipInterpolator
 
 from .coverage import Scenario, Unordered
 from .params import FixedSize, LinkParams, NetworkConfig, require_int
@@ -51,6 +66,29 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
+
+# Radius of the sampled near disc in cluster radii.  Like chunk_trials it is
+# part of the random-stream layout: changing it changes every estimate on a
+# window wider than the near disc.
+NEAR_RADII = 10.0
+
+# The far-field rule: Gauss-Legendre nodes in u = (R0/x)**(alpha - 2) over
+# the annulus, which maps an infinite window to a finite interval and makes
+# the x**(1 - alpha) tail of the integrand flat, times a polar rule over
+# each cluster disc (Gauss-Legendre in the offset radius, midpoints in the
+# angle).  The disc never covers the origin, since R0 >= 10 a wherever the
+# annulus is non-empty.
+_RADIAL_NODES = 32
+_DISC_NODES = 5
+# Coverage needs Lambda_far at a different s per trial and threshold, so it
+# is tabulated once per call on a lattice fixed by the link alone:
+# _TABLE_PER_DECADE points per decade of s / s_a, s_a = a**alpha / (p_x0 eta)
+# (s at gamma = 1 and r = a), from 10**-_TABLE_FLOOR_DECADES s_a up to two
+# points past the largest s of the request.  The interpolant on an interval
+# depends only on its neighbouring nodes, so a trial's value does not depend
+# on the request's other thresholds.
+_TABLE_PER_DECADE = 20
+_TABLE_FLOOR_DECADES = 6
 
 
 class InterferenceField(Enum):
@@ -149,11 +187,11 @@ def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
     return [chunk_trials] * full + ([rest] if rest else [])
 
 
-def _window_points(rng, density: float, window: float, n: int):
-    """A PPP in the disc of radius window, per trial: (trial index, distance) of each point."""
-    counts = rng.poisson(density * (math.pi * window**2), size=n)
+def _window_points(rng, density: float, radius: float, n: int):
+    """A PPP in the disc of the given radius, per trial: (trial index, distance) of each point."""
+    counts = rng.poisson(density * (math.pi * radius**2), size=n)
     trial_of_point = np.repeat(np.arange(n, dtype=np.intp), counts)
-    return trial_of_point, window * np.sqrt(rng.uniform(size=len(trial_of_point)))
+    return trial_of_point, radius * np.sqrt(rng.uniform(size=len(trial_of_point)))
 
 
 def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
@@ -187,8 +225,8 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
     return r_typ, h_typ, i_intra
 
 
-def _cross_clusters(rng, scenario: Scenario, link: LinkParams, window: float, n: int):
-    """Per-trial interference from the clusters with a parent in the window.
+def _cross_clusters(rng, scenario: Scenario, link: LinkParams, radius: float, n: int):
+    """Per-trial interference from the clusters with a parent in the near disc.
 
     Other clusters hold n nodes (fixed) or Poisson(nbar), not 1 + Poisson.
     Each is rotated into the frame where its parent lies on the positive
@@ -196,7 +234,7 @@ def _cross_clusters(rng, scenario: Scenario, link: LinkParams, window: float, n:
     """
     if link.lambda_g == 0.0:
         return np.zeros(n)
-    trial_of_cluster, parent_r = _window_points(rng, link.lambda_g, window, n)
+    trial_of_cluster, parent_r = _window_points(rng, link.lambda_g, radius, n)
     size_model = scenario.size_model
     if isinstance(size_model, FixedSize):
         sizes = np.full(len(parent_r), size_model.n, dtype=np.int64)
@@ -212,13 +250,121 @@ def _cross_clusters(rng, scenario: Scenario, link: LinkParams, window: float, n:
     )
 
 
-def _coexisting(rng, link: LinkParams, window: float, n: int):
-    """Per-trial interference from the coexisting PPP inside the window."""
+def _coexisting(rng, link: LinkParams, radius: float, n: int):
+    """Per-trial interference from the coexisting PPP inside the near disc."""
     if link.lambda_co == 0.0:
         return np.zeros(n)
-    trial_of_node, r = _window_points(rng, link.lambda_co, window, n)
+    trial_of_node, r = _window_points(rng, link.lambda_co, radius, n)
     h = rng.exponential(1.0, size=len(r))
     return link.p_z * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
+
+
+def _near_radius(config: NetworkConfig) -> float:
+    """R0, the radius of the disc whose parents and coexisting nodes are drawn."""
+    return min(config.window_radius, NEAR_RADII * config.link.a)
+
+
+def _unit_disc_rule():
+    """(offset radius, cos(angle / 2), weight) of nodes averaging over the unit disc.
+
+    Gauss-Legendre in the radius with its 2 rho density folded into the
+    weights, midpoints in the angle over [0, pi] (the field is symmetric
+    about the parent's axis).
+    """
+    t, w = leggauss(_DISC_NODES)
+    rho = 0.5 * (t + 1.0)
+    half_angle = 0.5 * math.pi * (np.arange(_DISC_NODES) + 0.5) / _DISC_NODES
+    weight = (w * rho)[:, None] / _DISC_NODES * np.ones(_DISC_NODES)
+    return rho[:, None], np.cos(half_angle)[None, :], weight
+
+
+_RADIAL_RULE = leggauss(_RADIAL_NODES)
+_UNIT_DISC = _unit_disc_rule()
+_POINT = (np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))  # the a = 0 "disc"
+
+
+def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: float,
+                      alpha: float) -> np.ndarray:
+    """-log of the transform of the clusters with a parent at distance (inner, outer].
+
+    Parents form a PPP of the given density and each cluster holds size
+    nodes uniform in a disc of radius a around its parent, so by the PGFL
+    the exponent is 2 pi density int [1 - G(x)] x dx, with G = g**n for a
+    fixed size, exp(-nbar (1 - g)) for a Poisson size, and
+    g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
+    PPP is a = 0 with one node per parent.  c holds the loads s p eta
+    (any shape); outer may be infinite.  Exactly 0 at c = 0.
+    """
+    c = np.asarray(c, dtype=float)
+    if density == 0.0 or inner >= outer:
+        return np.zeros_like(c)
+    k = alpha - 2.0
+    t, w = _RADIAL_RULE
+    u_lo = (inner / outer) ** k
+    u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
+    x = (inner * u ** (-1.0 / k))[:, None, None]
+    # x dx = inner**2 / k * u**(-alpha / k) du
+    radial_weight = 0.5 * (1.0 - u_lo) * w * inner**2 / k * u ** (-alpha / k)
+    rho, half_cos, disc_weight = _UNIT_DISC if a > 0.0 else _POINT
+    rho = a * rho
+    d_alpha = ((x - rho) ** 2 + 4.0 * x * rho * half_cos * half_cos) ** (0.5 * alpha)
+    load = c[..., None, None, None]
+    # 1 - g, summed directly so that it keeps its relative precision at small c
+    tail = (load / (d_alpha + load) * disc_weight).sum(axis=(-2, -1))
+    if isinstance(size, FixedSize):
+        bracket = -np.expm1(size.n * np.log1p(-np.minimum(tail, 1.0)))
+    else:
+        bracket = -np.expm1(-size.mean * tail)
+    return 2.0 * math.pi * density * (bracket * radial_weight).sum(axis=-1)
+
+
+def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
+    """Lambda_far(s): -log of one field's exact transform over the annulus (R0, W]."""
+    link = spec.scenario.effective_link(spec.config.link)
+    inner, outer = _near_radius(spec.config), spec.config.window_radius
+    s = np.asarray(s, dtype=float)
+    if field is InterferenceField.INTER:
+        return _annulus_exponent(
+            s * (link.p_x * link.eta), link.lambda_g, link.a, spec.scenario.size_model,
+            inner, outer, link.alpha,
+        )
+    return _annulus_exponent(
+        s * (link.p_z * link.eta), link.lambda_co, 0.0, FixedSize(1), inner, outer, link.alpha
+    )
+
+
+@dataclass(frozen=True)
+class _FarTable:
+    """Lambda_far(s) of both fields, tabulated for one coverage request.
+
+    A monotone cubic (PCHIP) in log Lambda against log s, and Lambda's
+    linear limit below the grid, so the table is nondecreasing in s like
+    Lambda itself and the estimate stays monotone in the threshold.
+    """
+
+    s_lo: float
+    lam_lo: float
+    log_lam: PchipInterpolator
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        inside = np.exp(self.log_lam(np.log(np.maximum(s, self.s_lo))))
+        return np.where(s < self.s_lo, self.lam_lo * (s / self.s_lo), inside)
+
+
+def _far_table(spec: SimSpec) -> _FarTable | None:
+    """The far factor's table over the request's s range; None if there is no far field."""
+    link = spec.scenario.effective_link(spec.config.link)
+    # r_typ <= a, so no trial's s exceeds max(gamma) s_a
+    floor = -_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES
+    top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
+    k = np.arange(floor, max(top, floor + 2) + 1)
+    s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
+    lam = _far_exponent(spec, InterferenceField.INTER, s)
+    lam += _far_exponent(spec, InterferenceField.COEXIST, s)
+    if not lam.any():
+        return None
+    log_lam = PchipInterpolator(np.log(s), np.log(lam))
+    return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam)
 
 
 def _simulate_chunk(args: tuple) -> dict:
@@ -226,27 +372,33 @@ def _simulate_chunk(args: tuple) -> dict:
 
     Every trial gives one value exp(-t * x) per grid point t: for coverage
     t is the SINR threshold and x the typical link's conditional coverage
-    exponent, for a transform t is the transform variable and x the field's
-    interference.  The chunk returns their sum and sum of squares per point.
+    exponent against the near field, and the value carries the far factor
+    exp(-far(s)) from the request's table; for a transform t is the
+    transform variable and x the field's near-disc interference.  The chunk
+    returns their sum and sum of squares per point.
     """
-    spec, field, index, n, grid, want_trace = args
+    spec, field, index, n, grid, far, want_trace = args
     scenario = spec.scenario
     link = scenario.effective_link(spec.config.link)
-    window = spec.config.window_radius
+    radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     if field is InterferenceField.INTRA:
         x = _typical_cluster(rng, scenario, link, n)[2]
     elif field is InterferenceField.INTER:
-        x = _cross_clusters(rng, scenario, link, window, n)
+        x = _cross_clusters(rng, scenario, link, radius, n)
     elif field is InterferenceField.COEXIST:
-        x = _coexisting(rng, link, window, n)
+        x = _coexisting(rng, link, radius, n)
     else:
         r_typ, h_typ, i_intra = _typical_cluster(rng, scenario, link, n)
-        i_inter = _cross_clusters(rng, scenario, link, window, n)
-        i_co = _coexisting(rng, link, window, n)
+        i_inter = _cross_clusters(rng, scenario, link, radius, n)
+        i_co = _coexisting(rng, link, radius, n)
         den = i_intra + i_inter + i_co + link.sigma2
         x = den * r_typ**link.alpha / (link.p_x0 * link.eta)
-    values = np.exp(-np.asarray(grid)[:, None] * x[None, :])
+    t = np.asarray(grid)[:, None]
+    exponent = -t * x[None, :]
+    if far is not None:
+        exponent -= far(t * (r_typ**link.alpha / (link.p_x0 * link.eta))[None, :])
+    values = np.exp(exponent)
     out = {"sum": values.sum(axis=1), "sum_sq": (values * values).sum(axis=1)}
     if want_trace:
         with np.errstate(divide="ignore"):
@@ -258,9 +410,10 @@ def _simulate_chunk(args: tuple) -> dict:
 def _estimate(
     spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...], trace_path=None
 ) -> list[McEstimate]:
-    """Sample mean and standard error of exp(-t * x) at every grid point t."""
+    """Sample mean and standard error of each trial's value at every grid point t."""
+    far = _far_table(spec) if field is None else None
     args = [
-        (spec, field, index, size, grid, trace_path is not None)
+        (spec, field, index, size, grid, far, trace_path is not None)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
@@ -288,8 +441,9 @@ def estimate_coverage(spec: SimSpec, trace_path=None) -> list[McEstimate]:
     module docstring), and all thresholds share realizations, so the
     estimates are exactly nonincreasing across the grid.  ``trace_path``
     optionally writes a per-trial CSV (trial, sinr, p_covered), where
-    ``sinr`` is the realized SINR with the typical link's fading drawn and
-    ``p_covered`` the trial's conditional coverage at the first threshold.
+    ``sinr`` is the realized SINR against the drawn near-disc field, with
+    the typical link's fading drawn, and ``p_covered`` the trial's
+    conditional coverage, far factor included, at the first threshold.
     """
     if not spec.gamma_grid:
         raise ValueError("spec.gamma_grid must contain at least one threshold")
@@ -312,9 +466,21 @@ def estimate_laplace(
     interf_field: InterferenceField,
     s_grid: tuple[float, ...],
 ) -> list[McEstimate]:
-    """Empirical transforms mean(exp(-s * I_field)), one per grid point."""
+    """Transforms E[exp(-s * I_field)], one per grid point.
+
+    The near disc's interference is sampled and the annulus's exact factor
+    exp(-Lambda_far(s)) multiplies each estimate (the in-cluster field has
+    no far part); s = 0 gives exactly 1.
+    """
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")
     if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
         raise ValueError("transform grid points must be finite and nonnegative")
-    return _estimate(spec, interf_field, tuple(s_grid))
+    estimates = _estimate(spec, interf_field, tuple(s_grid))
+    if interf_field is InterferenceField.INTRA:
+        return estimates
+    far = np.exp(-_far_exponent(spec, interf_field, s_grid))
+    return [
+        McEstimate(mean=float(e.mean * f), stderr=float(e.stderr * f), trials=e.trials)
+        for e, f in zip(estimates, far)
+    ]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import laplace, special
-from .params import FixedSize, LinkParams, PoissonSize
+from . import laplace, mc, special
+from .coverage import Scenario, Unordered
+from .params import FixedSize, LinkParams, NetworkConfig, PoissonSize
 
 __all__ = [
     "OracleCheck",
@@ -26,6 +27,7 @@ __all__ = [
     "intra_random_integral",
     "intra_ordered_fixed_integral",
     "intra_ordered_random_integral",
+    "inter_pgfl_integral",
     "noise_only_coverage_integral",
     "run_checks",
 ]
@@ -146,6 +148,74 @@ def intra_ordered_random_integral(s: float, nbar: float, r_n: float, p: LinkPara
     return math.exp(-(nbar - 1.0) * value)
 
 
+def inter_pgfl_integral(
+    load: float,
+    density: float,
+    a: float,
+    alpha: float,
+    size: FixedSize | PoissonSize,
+    r_lo: float = 0.0,
+    r_hi: float = math.inf,
+) -> float:
+    """Transform of a cluster field's interference, by nested adaptive quadrature.
+
+    Parents form a PPP of the given density at distance [r_lo, r_hi] from
+    the origin (0 and inf allowed), and each cluster holds size nodes
+    uniform in a disc of radius a around its parent.  With load = s p eta
+    the PGFL gives exp(-2 pi density int [1 - G(x)] x dx), where
+    G = g**n (fixed) or exp(-nbar (1 - g)) (Poisson) and 1 - g(x) is the
+    disc mean of load / (d**alpha + load), d the node's distance to the
+    origin; for x < a the disc covers the origin.  a = 0 is a plain PPP.
+    """
+    if load == 0.0 or density == 0.0 or r_lo >= r_hi:
+        return 1.0
+
+    def ring(x: float, rho: float) -> float:
+        # mean over the angle of load / (d**alpha + load), d**2 by the law of
+        # cosines in half-angle form
+        value, _ = integrate.quad(
+            lambda phi: load / (
+                ((x - rho) ** 2 + 4.0 * x * rho * math.cos(0.5 * phi) ** 2) ** (0.5 * alpha) + load
+            ),
+            0.0, math.pi, epsabs=1e-15, epsrel=1e-12, limit=200,
+        )
+        return value / math.pi
+
+    def tail(x: float) -> float:
+        if a == 0.0:
+            return load / (x**alpha + load)
+        value, _ = integrate.quad(
+            lambda rho: ring(x, rho) * 2.0 * rho / a**2, 0.0, a,
+            points=[x] if 0.0 < x < a else None, epsabs=1e-15, epsrel=1e-12, limit=200,
+        )
+        return value
+
+    def integrand(x: float) -> float:
+        q = tail(x)
+        if isinstance(size, FixedSize):
+            return -math.expm1(size.n * math.log1p(-q)) * x
+        return -math.expm1(-size.mean * q) * x
+
+    # panels end at the disc rim crossing the origin and at the radius where
+    # a node's load term reaches 1
+    breaks = sorted({r_lo, r_hi} | {v for v in (a, load ** (1.0 / alpha)) if r_lo < v < r_hi})
+    total = 0.0
+    for lo, hi in zip(breaks, breaks[1:]):
+        if hi < math.inf:
+            value, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)
+        else:
+            # x = lo * v**(-1 / k) maps [lo, inf) onto (0, 1] and turns the
+            # x**(1 - alpha) tail into a constant, where quad's own map of an
+            # infinite range resolves it poorly
+            k = alpha - 2.0
+            value, _ = integrate.quad(
+                lambda v: integrand(lo * v ** (-1.0 / k)) * lo / k * v ** (-1.0 / k - 1.0),
+                0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200,
+            )
+        total += value
+    return math.exp(-2.0 * math.pi * density * total)
+
+
 def noise_only_coverage_integral(gamma_th: float, p: LinkParams) -> float:
     """Coverage with no interferers at all: int e^(-rho sigma2) 2r/a^2 dr."""
     scale = gamma_th / (p.p_x0 * p.eta)
@@ -235,6 +305,27 @@ def _check_laplace() -> OracleCheck:
                     intra_ordered_fixed_integral(s, 3, 6, r, p),
                 )
             )
+        for got, ref in pairs:
+            worst = max(worst, abs(got - ref) / abs(ref))
+    # whole-plane PGFLs: the coexisting PPP, and single-node clusters, whose
+    # displaced parents are again a PPP so the fixed-size bound is exact
+    for r in (150.0, 500.0):
+        s = r**p.alpha * gamma_th / (p.p_x0 * p.eta)
+        pairs = [
+            (laplace.laplace_coexist(s, p),
+             inter_pgfl_integral(s * p.p_z * p.eta, p.lambda_co, 0.0, p.alpha, FixedSize(1))),
+            (laplace.laplace_inter_fixed_upper(s, 1, p),
+             inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, FixedSize(1))),
+        ]
+        # the Monte Carlo far factor over the annulus (R0, W]
+        for size in (fixed, poisson):
+            spec = mc.SimSpec(NetworkConfig(p, 20000.0), Scenario(Unordered(), size), 1, 0)
+            inner = mc._near_radius(spec.config)
+            pairs.append((
+                math.exp(-mc._far_exponent(spec, mc.InterferenceField.INTER, s)),
+                inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
+                                    inner, 20000.0),
+            ))
         for got, ref in pairs:
             worst = max(worst, abs(got - ref) / abs(ref))
     return OracleCheck("interference transforms vs integrals", worst, 1e-6)

@@ -127,18 +127,18 @@ ClusterSizeModel = FixedSize | PoissonSize
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Link parameters plus the finite simulation window.
+    """Link parameters plus the simulation window.
 
     The window is a disc of radius window_radius around the typical
-    receiver; it approximates the infinite plane for interference sums.
+    receiver that holds every interferer; math.inf means the whole plane.
     """
 
     link: LinkParams
     window_radius: float
 
     def __post_init__(self) -> None:
-        _require_finite("window_radius", self.window_radius)
-        if self.window_radius <= 0.0:
+        if not 0.0 < self.window_radius <= math.inf:
             raise ValueError(
-                f"window_radius must be positive, got {self.window_radius}"
+                f"window_radius must be positive (inf for the whole plane), "
+                f"got {self.window_radius}"
             )

@@ -96,16 +96,31 @@ class TestConfigParsing:
             ))
 
     @pytest.mark.parametrize(
-        "key",
+        "value, key",
         [
-            "cluster_radius_m", "window_radius_m", "receiver_density_per_m2", "cluster_size",
-            "gamma_th_db", "tx_power_dbm", "coexist_power_dbm", "eta",
+            (value, key)
+            for key in (
+                "cluster_radius_m", "window_radius_m", "receiver_density_per_m2",
+                "cluster_size", "gamma_th_db", "tx_power_dbm", "coexist_power_dbm", "eta",
+            )
+            for value in ("nan", "inf", "-inf")
+            # an infinite window is the whole plane (test_infinite_window_is_whole_plane)
+            if (value, key) != ("inf", "window_radius_m")
         ],
     )
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             build_sweep(parse_config_text(f"{key} = {value}"))
+
+    def test_infinite_window_is_whole_plane(self, tmp_path):
+        _, spec = build_sweep(parse_config_text(
+            "window_radius_m = inf\nmethods = mc\ntrials = 200\naxis_grid = -10"
+        ))
+        out = tmp_path / "whole.csv"
+        run_sweep(spec, str(out))
+        # JSON has no infinity: the sidecar spells the window as "inf"
+        meta = json.loads((tmp_path / "whole.csv.meta.json").read_text())
+        assert meta["settings"]["window_radius_m"] == "inf"
 
     @pytest.mark.parametrize(
         "key",

@@ -117,6 +117,51 @@ class TestAgainstIntegralOracles:
             )
             assert laplace_coexist(s, LINK) == pytest.approx(math.exp(-expo), rel=1e-12)
 
+    def test_coexist_matches_whole_plane_pgfl(self):
+        # the cluster-field PGFL with a = 0 and one node per parent is the
+        # coexisting PPP; over [0, inf) it is the closed form
+        for s in S_GRID:
+            ref = oracles.inter_pgfl_integral(
+                s * LINK.p_z * LINK.eta, LINK.lambda_co, 0.0, LINK.alpha, FixedSize(1)
+            )
+            assert laplace_coexist(s, LINK) == pytest.approx(ref, rel=1e-9)
+
+
+def bound_s_grid(link):
+    """Transform variables of the coverage chain at r = a, -20 / 0 / +10 dB."""
+    return [link.a**link.alpha * g / (link.p_x0 * link.eta) for g in (0.01, 1.0, 10.0)]
+
+
+class TestInterBoundSides:
+    """The cross-cluster bounds against the exact whole-plane transform (PGFL oracle)."""
+
+    @pytest.mark.parametrize("a", [200.0, 1000.0])
+    @pytest.mark.parametrize("n", [1, 6, 30])
+    def test_fixed_size_bound_is_upper(self, n, a):
+        # Jensen: 1 - t**n is concave in t; single-node clusters are a
+        # displaced PPP, so the bound is exact at n = 1
+        link = reference_link(a=a)
+        for s in bound_s_grid(link):
+            exact = oracles.inter_pgfl_integral(
+                s * link.p_x * link.eta, link.lambda_g, a, link.alpha, FixedSize(n)
+            )
+            bound = laplace_inter_fixed_upper(s, n, link)
+            if n == 1:
+                assert exact == pytest.approx(bound, rel=1e-8)
+            else:
+                assert exact <= bound
+
+    @pytest.mark.parametrize("a", [200.0, 1000.0])
+    @pytest.mark.parametrize("nbar", [1.0, 6.0, 30.0])
+    def test_poisson_size_bound_is_lower(self, nbar, a):
+        # 1 - exp(-y) <= y
+        link = reference_link(a=a)
+        for s in bound_s_grid(link):
+            exact = oracles.inter_pgfl_integral(
+                s * link.p_x * link.eta, link.lambda_g, a, link.alpha, PoissonSize(nbar)
+            )
+            assert exact >= laplace_inter_random_lower(s, nbar, link)
+
 
 class TestGaussChebyshev:
     def test_agreement_at_order_50(self):
@@ -282,6 +327,18 @@ class TestShapeProperties:
             laplace_inter_fixed_upper(s, 6, LINK)
         with pytest.raises(ValueError, match="finite"):
             laplace_inter_random_lower(s, 6.0, LINK)
+
+    @pytest.mark.parametrize("n", [2.5, 6.0, True, 0])
+    def test_inter_fixed_upper_needs_integer_size(self, n):
+        # 2.5 and 6.0 used to raise TypeError from range(), True passed as n = 1
+        with pytest.raises(ValueError, match="integer|>= 1"):
+            laplace_inter_fixed_upper(1e9, n, LINK)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_inter_random_lower_needs_finite_mean(self, nbar):
+        # NaN used to give NaN and inf a transform of 0.0
+        with pytest.raises(ValueError, match="finite"):
+            laplace_inter_random_lower(1e9, nbar, LINK)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, np.array([0.5, math.nan])])
     def test_intra_rejects_non_finite_load(self, beta):

@@ -7,6 +7,7 @@ from scipy import stats
 
 import clustercov as cc
 import clustercov.mc as mc
+from clustercov import oracles
 from clustercov.coverage import (
     BoundSide,
     CoverageResult,
@@ -23,11 +24,12 @@ from clustercov.params import FixedSize, NetworkConfig, PoissonSize
 from conftest import BASE_DENSITY, reference_link
 
 
-def make_spec(link=None, scenario=None, trials=4000, seed=21, gammas=(0.1,), **kw):
+def make_spec(link=None, scenario=None, trials=4000, seed=21, gammas=(0.1,), window=20000.0,
+              **kw):
     link = link or reference_link()
     scenario = scenario or Scenario(Unordered(), FixedSize(6))
     return SimSpec(
-        config=NetworkConfig(link=link, window_radius=20000.0),
+        config=NetworkConfig(link=link, window_radius=window),
         scenario=scenario,
         trials=trials,
         seed=seed,
@@ -129,8 +131,11 @@ class TestEngineSampling:
         spec = make_spec(trials=trials, workers=1)
         estimate_coverage(spec)
         parents = sum(len(args[0]) for args in kernel_calls["inter_sums"])
-        # lambda_g * pi * R^2 = 160 for the reference density at 20 km
-        expected = BASE_DENSITY * math.pi * spec.config.window_radius**2
+        # only the near disc is drawn: lambda_g * pi * R0^2 = 10 for the
+        # reference density at R0 = 10 a = 5 km
+        near = min(spec.config.window_radius, mc.NEAR_RADII * spec.config.link.a)
+        assert near == 5000.0
+        expected = BASE_DENSITY * math.pi * near**2
         stderr = math.sqrt(expected / trials)
         assert abs(parents / trials - expected) <= 3.0 * stderr
 
@@ -188,6 +193,87 @@ class TestEngineSampling:
         expected = np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
         np.testing.assert_allclose(p_covered, expected, rtol=1e-14, atol=0.0)
         assert est.mean == pytest.approx(p_covered.mean(), rel=1e-14)
+
+
+GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
+
+
+class TestFarField:
+    """The annulus beyond the near disc, integrated exactly instead of sampled."""
+
+    @staticmethod
+    def oracle_exponent(spec, s):
+        """-log of both fields' exact transforms over (R0, W], by nested quadrature."""
+        link, size = spec.config.link, spec.scenario.size_model
+        inner, outer = mc._near_radius(spec.config), spec.config.window_radius
+        inter = oracles.inter_pgfl_integral(
+            s * link.p_x * link.eta, link.lambda_g, link.a, link.alpha, size, inner, outer
+        )
+        coexist = oracles.inter_pgfl_integral(
+            s * link.p_z * link.eta, link.lambda_co, 0.0, link.alpha, FixedSize(1), inner, outer
+        )
+        return -math.log(inter) - math.log(coexist)
+
+    @pytest.mark.parametrize("window", [20000.0, math.inf], ids=str)
+    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
+    def test_far_factor_matches_oracle(self, size, window):
+        spec = make_spec(scenario=Scenario(Unordered(), size), gammas=GAMMAS_16, window=window)
+        link = spec.config.link
+        table = mc._far_table(spec)
+        # the request's s range: up to gamma = 10 dB at r = a, below the table too
+        s_top = GAMMAS_16[-1] * link.a**link.alpha / (link.p_x0 * link.eta)
+        for s in s_top * np.array([1e-8, 1e-4, 0.02, 0.3, 0.77, 1.0]):
+            ref = self.oracle_exponent(spec, s)
+            assert abs(table(np.array(s)) - ref) <= 1e-6
+            direct = (mc._far_exponent(spec, InterferenceField.INTER, s)
+                      + mc._far_exponent(spec, InterferenceField.COEXIST, s))
+            assert abs(direct - ref) <= 1e-9
+
+    def test_empty_annulus_changes_nothing(self):
+        # W <= R0: no far factor at all, so the draws and estimates are the
+        # plain simulation's (TestPinnedStreams pins them)
+        spec = make_spec(window=5000.0, gammas=GAMMAS_16)
+        assert mc._far_table(spec) is None
+        for field in (InterferenceField.INTER, InterferenceField.COEXIST):
+            assert not mc._far_exponent(spec, field, np.array([1e9, 1e12])).any()
+
+    @pytest.mark.parametrize("field", [InterferenceField.INTER, InterferenceField.COEXIST])
+    def test_transform_unit_at_zero_s(self, field):
+        (est,) = estimate_laplace(make_spec(trials=500), field, (0.0,))
+        assert est.mean == 1.0
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize(
+        "scenario, seeds",
+        [(Scenario(Unordered(), FixedSize(6)), (21, 22)),
+         (Scenario(Ordered(), PoissonSize(6.0)), (23, 24))],
+        ids=["UF-6", "OP-6"],
+    )
+    def test_hybrid_matches_plain_simulation(self, monkeypatch, scenario, seeds):
+        # near disc plus exact annulus against drawing the whole 20 km
+        # window (R0 = W), at -20, -10 and 0 dB
+        gammas = (0.01, 0.1, 1.0)
+        hybrid = estimate_coverage(
+            make_spec(scenario=scenario, trials=32768, seed=seeds[0], gammas=gammas)
+        )
+        monkeypatch.setattr(mc, "NEAR_RADII", math.inf)
+        plain = estimate_coverage(
+            make_spec(scenario=scenario, trials=32768, seed=seeds[1], gammas=gammas)
+        )
+        for h, p in zip(hybrid, plain):
+            assert abs(h.mean - p.mean) <= 3.0 * math.hypot(h.stderr, p.stderr)
+
+    def test_hybrid_transform_matches_plain_simulation(self, monkeypatch):
+        link = reference_link()
+        s_ref = link.a**link.alpha * 0.1 / (link.p_x0 * link.eta)
+        s_grid = (0.1 * s_ref, s_ref, 10.0 * s_ref)
+        hybrid = estimate_laplace(
+            make_spec(trials=32768, seed=25), InterferenceField.INTER, s_grid
+        )
+        monkeypatch.setattr(mc, "NEAR_RADII", math.inf)
+        plain = estimate_laplace(make_spec(trials=32768, seed=26), InterferenceField.INTER, s_grid)
+        for h, p in zip(hybrid, plain):
+            assert abs(h.mean - p.mean) <= 3.0 * math.hypot(h.stderr, p.stderr)
 
 
 class TestDeterminism:
@@ -265,6 +351,12 @@ class TestCoverageEstimates:
             scenario=scen, trials=30000, seed=78, gamma_grid=(0.1,),
         ))[0]
         assert abs(near.mean - far.mean) <= 3.0 * math.hypot(near.stderr, far.stderr)
+        # an infinite window is the whole plane, with no truncation at all
+        whole = estimate_coverage(SimSpec(
+            config=NetworkConfig(link=link, window_radius=math.inf),
+            scenario=scen, trials=30000, seed=79, gamma_grid=(0.1,),
+        ))[0]
+        assert abs(near.mean - whole.mean) <= 3.0 * math.hypot(near.stderr, whole.stderr)
 
     def test_intra_limited_matches_proposition(self, quad50):
         scen = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
@@ -396,10 +488,12 @@ class TestTrace:
 
     def test_indicator_agrees_with_conditional_mean(self, tmp_path):
         # the 0/1 indicator recomputed from the realized SINR estimates the
-        # same coverage as the conditional column, with a larger variance
+        # same coverage as the conditional column, with a larger variance; the
+        # sinr column sees only the drawn near field, so the window is the
+        # near disc (W = R0 = 10 a) and there is no far factor
         path = tmp_path / "trace.csv"
         gamma = 0.1
-        estimate_coverage(make_spec(trials=4000, gammas=(gamma,)), trace_path=path)
+        estimate_coverage(make_spec(trials=4000, gammas=(gamma,), window=5000.0), trace_path=path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         indicator = np.array([float(row["sinr"]) >= gamma for row in rows], dtype=float)

@@ -32,11 +32,24 @@ CONSTRUCTORS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
-@pytest.mark.parametrize("field", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in sorted(CONSTRUCTORS)
+        for value in (math.nan, math.inf, -math.inf)
+        # an infinite window is the whole plane (test_infinite_window_is_whole_plane)
+        if (field, value) != ("NetworkConfig.window_radius", math.inf)
+    ],
+    ids=str,
+)
 def test_non_finite_input_rejected(field, value):
     with pytest.raises(ValueError):
         CONSTRUCTORS[field](value)
+
+
+def test_infinite_window_is_whole_plane():
+    assert cc.NetworkConfig(reference_link(), math.inf).window_radius == math.inf
 
 
 INTEGER_CONSTRUCTORS = {
