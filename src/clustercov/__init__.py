@@ -12,7 +12,6 @@ Carlo simulator that cross-validates every expression.
 from .coverage import (
     BoundSide,
     CoverageResult,
-    Interference,
     Method,
     Ordered,
     Scenario,

@@ -16,9 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .coverage import Interference, Ordered, Scenario, Unordered
-from .metrics import dbm_to_mw, noise_power_mw
-from .params import FixedSize, LinkParams, NetworkConfig, PoissonSize, free_space_eta
+from .coverage import Ordered, Scenario, Unordered
+from .metrics import db_to_linear, noise_power_mw
+from .params import (
+    FixedSize,
+    LinkParams,
+    NetworkConfig,
+    PoissonSize,
+    free_space_eta,
+    require_int,
+)
 from .special import make_quadrature
 
 __all__ = [
@@ -58,7 +65,6 @@ _DEFAULTS: dict = {
     "cluster_size": 6.0,
     "ordering": "both",  # unordered | ordered | both
     "ordered_rank": "farthest",  # farthest | positive integer
-    "interference": "full",  # full | intra-limited
     "gamma_th_db": -10.0,
     "axis": "gamma_th_db",
     "axis_grid": tuple(float(db) for db in range(-20, 11, 2)),
@@ -246,16 +252,24 @@ def _require_nonnegative(settings: dict, key: str) -> float:
     return float(value)
 
 
-def _require_power_mw(settings: dict, key: str) -> float:
-    """A dBm setting as a linear power, which must be positive and finite."""
-    dbm = _require_finite(settings, key)
+def _require_linear(settings: dict, key: str, unit: str, what: str) -> float:
+    """A dB (or dBm) setting as a linear value, which must be positive and finite."""
+    db = _require_finite(settings, key)
     try:
-        mw = dbm_to_mw(dbm)
+        linear = db_to_linear(db)
     except OverflowError:
-        mw = math.inf
-    if not 0.0 < mw < math.inf:
-        raise ConfigError(f"{key}: {dbm!r} dBm is not a positive finite power in mW")
-    return mw
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ConfigError(f"{key}: {db!r} {unit} is not a positive finite {what}")
+    return linear
+
+
+def _require_count(settings: dict, key: str, minimum: int) -> None:
+    """An integer setting under the simulator's rule (no bools, no floats)."""
+    try:
+        require_int(key, settings[key], minimum)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def build_link(settings: dict) -> LinkParams:
@@ -264,10 +278,10 @@ def build_link(settings: dict) -> LinkParams:
     This is the one place where dBm powers, eta and the noise power are
     resolved to linear values; the sidecar metadata reads them off the result.
     """
-    tx_mw = _require_power_mw(settings, "tx_power_dbm")
+    tx_mw = _require_linear(settings, "tx_power_dbm", "dBm", "power in mW")
     co_mw = tx_mw
     if settings["coexist_power_dbm"] is not None:
-        co_mw = _require_power_mw(settings, "coexist_power_dbm")
+        co_mw = _require_linear(settings, "coexist_power_dbm", "dBm", "power in mW")
     if settings["eta"] is None:
         eta = free_space_eta(_require_positive(settings, "carrier_frequency_hz"))
     else:
@@ -310,14 +324,6 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
     order_key = settings["ordering"]
     if order_key not in ("unordered", "ordered", "both"):
         raise ConfigError(f"ordering: must be unordered, ordered or both, got {order_key!r}")
-    interference = {
-        "full": Interference.FULL,
-        "intra-limited": Interference.INTRA_LIMITED,
-    }.get(settings["interference"])
-    if interference is None:
-        raise ConfigError(
-            f"interference: must be full or intra-limited, got {settings['interference']!r}"
-        )
 
     size = settings["cluster_size"]
     if not isinstance(size, (int, float)) or not 1 <= size < math.inf:
@@ -346,7 +352,7 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
         if order_key in ("ordered", "both"):
             orderings.append(ordered)
         return tuple(
-            Scenario(ordering=o, size_model=s, interference=interference)
+            Scenario(ordering=o, size_model=s)
             for o in orderings
             for s in sizes
         )
@@ -373,7 +379,6 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
     if not all(isinstance(v, (int, float)) for v in grid):
         raise ConfigError(f"axis_grid: grid points must be numbers, got {grid!r}")
     grid = tuple(float(v) for v in grid)
-    _require_finite(settings, "gamma_th_db")
 
     methods = settings["methods"]
     if not isinstance(methods, (tuple, list)):
@@ -383,19 +388,14 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
         if method not in _METHODS:
             raise ConfigError(f"methods: must be among {', '.join(_METHODS)}, got {method!r}")
 
-    trials = settings["trials"]
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
-    for key in ("quad_t", "quad_m", "chunk_trials"):
-        if not isinstance(settings[key], int) or settings[key] < 1:
-            raise ConfigError(f"{key}: must be a positive integer, got {settings[key]!r}")
-    seed = settings["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    for key in ("trials", "quad_t", "quad_m", "chunk_trials"):
+        _require_count(settings, key, 1)
+    _require_count(settings, "seed", 0)
 
     # Validate the base settings, the grid (in SweepSpec), and every variant
     # at every grid point eagerly, so schema errors precede any computation.
     build_network(settings)
+    _require_linear(settings, "gamma_th_db", "dB", "SINR threshold")
     spec = SweepSpec(
         preset=chosen,
         axis=axis,
@@ -403,8 +403,8 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
         methods=methods,
         scenarios=build_scenarios(settings),
         variants=tuple((label, dict(changes)) for label, changes in settings["variants"]),
-        seed=seed,
-        trials=trials,
+        seed=settings["seed"],
+        trials=settings["trials"],
         quad_t=settings["quad_t"],
         quad_m=settings["quad_m"],
         chunk_trials=settings["chunk_trials"],
@@ -415,6 +415,7 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
         for point in [merged] + [{**merged, axis: value} for value in grid]:
             build_network(point)
             build_scenarios(point)
+            _require_linear(point, "gamma_th_db", "dB", "SINR threshold")
     return settings, spec
 
 

@@ -11,13 +11,14 @@ swap and nothing else.
 Fixed-size results are upper bounds and Poisson-size results lower bounds,
 inherited from the direction of the cross-cluster transform bound; the
 result object carries that tag so downstream metrics never mix directions
-silently.
+silently.  A link without other clusters (lambda_g = 0) has no such bound,
+so its result is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,7 +36,6 @@ from .special import QuadratureSpec, make_quadrature
 __all__ = [
     "BoundSide",
     "CoverageResult",
-    "Interference",
     "Method",
     "Ordered",
     "Ordering",
@@ -50,11 +50,6 @@ DEFAULT_QUADRATURE = make_quadrature(50, 50)
 
 class QuadratureError(RuntimeError):
     """Adaptive integration failed to reach the requested tolerance."""
-
-
-class Interference(Enum):
-    FULL = "full"
-    INTRA_LIMITED = "intra-limited"
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ Ordering = Unordered | Ordered
 
 @dataclass(frozen=True)
 class Scenario:
-    """Typical-node ordering, cluster-size model and interference mode.
+    """Typical-node ordering and cluster-size model.
 
     Every rule on valid combinations lives here, so the closed forms and the
     Monte Carlo engine accept exactly the same scenarios.
@@ -86,7 +81,6 @@ class Scenario:
 
     ordering: Ordering
     size_model: ClusterSizeModel
-    interference: Interference = Interference.FULL
 
     def __post_init__(self) -> None:
         # The typical node belongs to its cluster: one node plus
@@ -118,14 +112,7 @@ class Scenario:
             if isinstance(self.size_model, FixedSize)
             else f"poisson-nbar{self.size_model.mean:g}"
         )
-        suffix = "" if self.interference is Interference.FULL else "/intra-limited"
-        return f"{order}/{size}{suffix}"
-
-    def effective_link(self, p: LinkParams) -> LinkParams:
-        """p, or for the intra-limited case p with lambda_g = lambda_co = sigma2 = 0."""
-        if self.interference is Interference.FULL:
-            return p
-        return replace(p, lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
+        return f"{order}/{size}"
 
 
 class Method(Enum):
@@ -163,8 +150,9 @@ def _check_gamma(gamma_th: float) -> None:
         )
 
 
-def _bound_side(size_model: ClusterSizeModel, interference: Interference) -> BoundSide:
-    if interference is Interference.INTRA_LIMITED:
+def _bound_side(size_model: ClusterSizeModel, link: LinkParams) -> BoundSide:
+    # the cross-cluster transform is the only bound in the composition
+    if link.lambda_g == 0.0:
         return BoundSide.EXACT
     return BoundSide.UPPER if isinstance(size_model, FixedSize) else BoundSide.LOWER
 
@@ -228,9 +216,9 @@ def coverage(
     order-statistic density otherwise.  EXACT_INTEGRAL integrates it by
     adaptive quadrature with exact disc averages; GAUSS_CHEBYSHEV evaluates
     it at the M outer nodes of quad, with the in-cluster disc averages on
-    its T inner nodes.  The intra-interference-limited case is the same
-    integral with noise and the two other fields zeroed; beta does not
-    contain a, so its value is bit-identical across cluster radii.
+    its T inner nodes.  The in-cluster-interference-limited case is a link
+    with lambda_g = lambda_co = sigma2 = 0; beta does not contain a, so its
+    value is bit-identical across cluster radii.
     """
     _check_gamma(gamma_th)
     if method not in (Method.EXACT_INTEGRAL, Method.GAUSS_CHEBYSHEV):
@@ -238,7 +226,6 @@ def coverage(
     if not (math.isfinite(int_tol) and int_tol > 0.0):
         raise ValueError(f"int_tol must be positive and finite, got {int_tol}")
     exact = method is Method.EXACT_INTEGRAL
-    pe = scen.effective_link(p)
     size = scen.size_model
     if isinstance(size, FixedSize):
         inter, nodes = laplace_inter_fixed_upper, size.n
@@ -248,19 +235,19 @@ def coverage(
     rank = n = None
     if isinstance(scen.ordering, Ordered):
         rank, n = _resolve_rank(scen.ordering, size)
-    rho_scale = gamma_th / (pe.p_x0 * pe.eta)
-    beta_scale = gamma_th / pe.p_ratio_x
+    rho_scale = gamma_th / (p.p_x0 * p.eta)
+    beta_scale = gamma_th / p.p_ratio_x
     intra_quad = None if exact else quad
 
     def integrand(u):
-        s = (u * pe.a) ** pe.alpha * rho_scale
-        intra = laplace_intra(u**pe.alpha * beta_scale, u, pe.alpha, size, rank, intra_quad)
+        s = (u * p.a) ** p.alpha * rho_scale
+        intra = laplace_intra(u**p.alpha * beta_scale, u, p.alpha, size, rank, intra_quad)
         return (
             _distance_density(u, rank, n)
             * np.minimum(1.0, intra)
-            * np.exp(-s * pe.sigma2)
-            * inter(s, nodes, pe)
-            * laplace_coexist(s, pe)
+            * np.exp(-s * p.sigma2)
+            * inter(s, nodes, p)
+            * laplace_coexist(s, p)
         )
 
     if exact:
@@ -271,6 +258,6 @@ def coverage(
     return CoverageResult(
         value=min(1.0, max(0.0, value)),
         method=method,
-        bound_side=_bound_side(size, scen.interference),
+        bound_side=_bound_side(size, p),
         gamma_th=gamma_th,
     )

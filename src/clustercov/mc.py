@@ -10,9 +10,9 @@ its chunk's stream (the order is part of the reproducibility contract):
 ``_typical_cluster`` (the typical link and the in-cluster interference),
 ``_cross_clusters`` and ``_coexisting`` (the other clusters and the
 coexisting PPP inside the near disc).  A transform request draws only its
-own field, from the start of the stream.  The intra-limited case is the
-scenario's effective link, lambda_g = lambda_co = sigma2 = 0, and a zero
-density draws nothing.
+own field, from the start of the stream.  A zero density draws nothing,
+so the in-cluster-interference-limited case (a link with lambda_g =
+lambda_co = sigma2 = 0) draws the typical cluster alone.
 
 Only the near disc of radius R0 = min(W, NEAR_RADII * a) is drawn, with W
 the window radius and a the cluster radius.  Parents form a PPP, so the
@@ -320,7 +320,7 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
 
 def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
     """Lambda_far(s): -log of one field's exact transform over the annulus (R0, W]."""
-    link = spec.scenario.effective_link(spec.config.link)
+    link = spec.config.link
     inner, outer = _near_radius(spec.config), spec.config.window_radius
     s = np.asarray(s, dtype=float)
     if field is InterferenceField.INTER:
@@ -353,7 +353,7 @@ class _FarTable:
 
 def _far_table(spec: SimSpec) -> _FarTable | None:
     """The far factor's table over the request's s range; None if there is no far field."""
-    link = spec.scenario.effective_link(spec.config.link)
+    link = spec.config.link
     # r_typ <= a, so no trial's s exceeds max(gamma) s_a
     floor = -_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES
     top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
@@ -379,7 +379,7 @@ def _simulate_chunk(args: tuple) -> dict:
     """
     spec, field, index, n, grid, far, want_trace = args
     scenario = spec.scenario
-    link = scenario.effective_link(spec.config.link)
+    link = spec.config.link
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     if field is InterferenceField.INTRA:

@@ -1,12 +1,15 @@
 """Acceptance suite: one test per release criterion.
 
 Every test prints an ``ACCEPTANCE nn <name>: PASS`` line (run pytest with
-``-s`` to see them live).  Tolerances are fixed here and nowhere else.
+``-s`` to see them live).  Tolerances are fixed here, except criterion 10's:
+it runs ``oracles.run_checks()``, the suite behind ``clustercov oracle``,
+whose per-family tolerances live in ``clustercov.oracles``.
 Monte Carlo gates are statistical three-standard-error checks evaluated at
 pinned seeds, so the suite is deterministic end to end.
 
-Budget: the full module takes a few minutes, dominated by the 1e5-trial
-simulations; set CLUSTERCOV_WORKERS to parallelise chunks.
+Budget: the module takes about 25 s on one core of a 2-core VM, and about
+20 s with CLUSTERCOV_WORKERS=2.  A 1e5-trial simulation takes under a
+second here, so extra workers help little; they never change a result.
 """
 
 import math
@@ -19,7 +22,7 @@ import numpy as np
 
 import clustercov as cc
 from clustercov import oracles
-from clustercov.coverage import Interference, Method, Ordered, Scenario, Unordered
+from clustercov.coverage import Method, Ordered, Scenario, Unordered
 from clustercov.mc import InterferenceField
 from clustercov.params import FixedSize, PoissonSize
 
@@ -156,12 +159,18 @@ def test_04_monotonicity_suite():
 
 
 def test_05_intra_limited_radius_invariance():
-    """The in-cluster-only coverage is identical across cluster radii."""
+    """The in-cluster-only coverage is identical across cluster radii.
+
+    In-cluster-only is the link without other clusters, coexisting nodes or noise.
+    """
     ok = True
     for size in (FixedSize(6), PoissonSize(6.0)):
-        scen = Scenario(Unordered(), size, Interference.INTRA_LIMITED)
+        scen = Scenario(Unordered(), size)
         values = [
-            cc.coverage(GAMMA10, scen, reference_link(a=a), quad=QUAD).value
+            cc.coverage(
+                GAMMA10, scen,
+                reference_link(a=a, lambda_g=0.0, lambda_co=0.0, sigma2=0.0), quad=QUAD,
+            ).value
             for a in (100.0, 500.0, 1000.0)
         ]
         spread = max(values) - min(values)
@@ -274,55 +283,13 @@ def test_09_noise_necessity():
     _report(9, "noise necessity", ok, detail)
 
 
-def test_10_special_function_oracles(fig_link):
-    """Closed forms against their independent integral oracles."""
-    worst_2f1 = 0.0
-    for b in (0.25, 2.0 / 3.5, 1.0, 1.0 + 2.0 / 3.5):
-        for z in np.logspace(-3, 6, 13):
-            ref = oracles.hyp_integral(b, float(z))
-            worst_2f1 = max(worst_2f1, abs(cc.hyp2f1_1_b(b, float(z)) - ref) / ref)
-
-    worst_identity = 0.0
-    delta = fig_link.delta
-    for x, y in ((0.5, 0.5), (1.0 - delta, 5.0 + delta), (2.5, 0.75)):
-        via_gamma = cc.gamma_fn(x) * cc.gamma_fn(y) / cc.gamma_fn(x + y)
-        worst_identity = max(
-            worst_identity, abs(cc.beta_fn(x, y) - via_gamma) / via_gamma
-        )
-    for d in (0.1, delta, 0.9):
-        lhs = cc.gamma_fn(1.0 + d) * cc.gamma_fn(1.0 - d)
-        rhs = math.pi * d / math.sin(math.pi * d)
-        worst_identity = max(worst_identity, abs(lhs - rhs) / rhs)
-
-    worst_laplace = 0.0
-    alpha = fig_link.alpha
-    for r in (50.0, 150.0, 350.0, 500.0):
-        s = r**alpha * GAMMA10 / (fig_link.p_x0 * fig_link.eta)
-        beta = s * fig_link.p_x * fig_link.eta / fig_link.a**alpha
-        u = min(r, fig_link.a) / fig_link.a
-        pairs = [
-            (cc.laplace_intra(beta, u, alpha, FixedSize(6)),
-             oracles.intra_fixed_integral(s, 6, fig_link)),
-            (cc.laplace_intra(beta, u, alpha, PoissonSize(6.0)),
-             oracles.intra_random_integral(s, 6.0, fig_link)),
-            (cc.laplace_intra(beta, u, alpha, PoissonSize(6.0), rank=6),
-             oracles.intra_ordered_random_integral(s, 6.0, min(r, fig_link.a), fig_link)),
-        ]
-        if r < fig_link.a:
-            pairs.append(
-                (cc.laplace_intra(beta, u, alpha, FixedSize(6), rank=3),
-                 oracles.intra_ordered_fixed_integral(s, 3, 6, r, fig_link))
-            )
-        for got, ref in pairs:
-            worst_laplace = max(worst_laplace, abs(got - ref) / ref)
-
-    ok = worst_2f1 <= 1e-8 and worst_identity <= 1e-10 and worst_laplace <= 1e-6
-    _report(
-        10,
-        "special-function oracles",
-        ok,
-        f"2f1 {worst_2f1:.1e}, identities {worst_identity:.1e}, transforms {worst_laplace:.1e}",
+def test_10_special_function_oracles():
+    """Closed forms against their independent integral oracles, all families."""
+    checks = oracles.run_checks()
+    detail = ", ".join(
+        f"{c.name} {c.worst_error:.1e} (tol {c.tolerance:.0e})" for c in checks
     )
+    _report(10, "special-function oracles", all(c.passed for c in checks), detail)
 
 
 def test_11_determinism_across_workers(tmp_path):

@@ -141,6 +141,10 @@ class TestConfigParsing:
             ("coexist_power_dbm = 4000", "coexist_power_dbm"),
             ("tx_power_dbm = -4000", "tx_power_dbm"),
             ("axis = tx_power_dbm\naxis_grid = 14, 4000", "tx_power_dbm"),
+            # thresholds: 10 ** 400 used to pass validate and fail the sweep
+            # after every curve, and 10 ** -400 is a zero threshold
+            ("gamma_th_db = 4000", "gamma_th_db"),
+            ("axis_grid = -4000, 0", "gamma_th_db"),
         ],
     )
     def test_power_beyond_float_range_rejected(self, text, key, tmp_path, capsys):
@@ -156,6 +160,28 @@ class TestConfigParsing:
     def test_repeated_entries_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             build_sweep({key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", True), ("trials", 0), ("trials", 1.5),
+            ("quad_t", True), ("quad_m", 0), ("chunk_trials", 2.0),
+            ("seed", -1), ("seed", False), ("seed", "x"),
+        ],
+    )
+    def test_integer_settings_follow_simulator_rule(self, key, value):
+        # bools used to pass as integers and a negative seed passed until the
+        # Monte Carlo part of a sweep rejected it
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build_sweep({key: value})
+
+    def test_interference_key_is_gone(self, tmp_path, capsys):
+        # the in-cluster-limited case is a link: receiver and coexisting
+        # densities zero and noise_mode = zero
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("interference = intra-limited\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert "unknown configuration key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_resolve(self, preset):
@@ -218,6 +244,19 @@ class TestSweep:
                 }
         assert len(cells["gamma"]) == 4
         assert cells["gamma"] == cells["size"]
+
+    def test_in_cluster_limited_rows_are_exact(self, tmp_path):
+        # no other clusters, no coexisting nodes, no noise: nothing is bounded
+        _, spec = build_sweep(parse_config_text(
+            "receiver_density_per_m2 = 0\ncoexist_density_per_m2 = 0\nnoise_mode = zero\n"
+            "axis_grid = -10, 0\nmethods = gc, exact"
+        ))
+        out = tmp_path / "intra.csv"
+        run_sweep(spec, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 4
+        assert {row["bound_side"] for row in rows} == {"exact"}
 
     def test_mc_rows_carry_stderr(self, tiny_config, tmp_path):
         out = tmp_path / "sweep.csv"

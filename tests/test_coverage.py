@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -8,7 +6,6 @@ from clustercov import oracles
 from clustercov.coverage import (
     BoundSide,
     CoverageResult,
-    Interference,
     Method,
     Ordered,
     Scenario,
@@ -195,58 +192,65 @@ class TestCrossMethod:
             assert u >= o
 
 
+def intra_link(**kw):
+    """The in-cluster-interference-limited link: no other clusters, coexisting nodes or noise."""
+    return reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0, **kw)
+
+
 class TestIntraLimited:
     def test_single_node_has_unit_coverage(self, quad50):
-        scen = Scenario(Unordered(), FixedSize(1), Interference.INTRA_LIMITED)
-        assert coverage(0.1, scen, reference_link(), quad=quad50).value == 1.0
+        scen = Scenario(Unordered(), FixedSize(1))
+        assert coverage(0.1, scen, intra_link(), quad=quad50).value == 1.0
 
     def test_independent_of_cluster_radius(self, quad50):
-        scen = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
         values = {
-            coverage(0.1, scen, reference_link(a=a), quad=quad50).value
+            coverage(0.1, UF, intra_link(a=a), quad=quad50).value
             for a in (100.0, 500.0, 1000.0)
         }
         assert len(values) == 1  # bit-identical, the radius never enters
 
     def test_poisson_variant_also_radius_free(self, quad50):
-        scen = Scenario(Unordered(), PoissonSize(6.0), Interference.INTRA_LIMITED)
         values = {
-            coverage(0.1, scen, reference_link(a=a), quad=quad50).value
+            coverage(0.1, UR, intra_link(a=a), quad=quad50).value
             for a in (100.0, 1000.0)
         }
         assert len(values) == 1
 
     def test_upper_bounds_full_interference(self, fig_link, quad50):
-        scen_lim = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
-        limited = coverage(0.1, scen_lim, fig_link, quad=quad50).value
+        limited = coverage(0.1, UF, intra_link(), quad=quad50).value
         full = coverage(0.1, UF, fig_link, quad=quad50).value
         assert limited > full
 
-    def test_dispatcher_routes_here(self, fig_link, quad50):
-        # intra-limited is the full composition with noise and fields zeroed
-        scen = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
-        bare = dataclasses.replace(fig_link, lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
-        direct = coverage(0.1, UF, bare, quad=quad50)
-        routed = coverage(0.1, scen, fig_link, quad=quad50)
-        assert routed.value == direct.value
-        assert routed.bound_side is BoundSide.EXACT
+    def test_exact_without_other_clusters(self, quad50):
+        # the cross-cluster transform is the only bound in the composition,
+        # so without other clusters every scenario's result is exact
+        for link in (intra_link(), reference_link(lambda_g=0.0)):
+            for scen in ALL_SCENARIOS:
+                for method, kw in ((EXACT, {}), (Method.GAUSS_CHEBYSHEV, {"quad": quad50})):
+                    result = coverage(0.1, scen, link, method=method, **kw)
+                    assert result.bound_side is BoundSide.EXACT
 
     @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=["fixed", "poisson"])
-    def test_gc_matches_exact(self, size, fig_link, quad50):
-        scen = Scenario(Unordered(), size, Interference.INTRA_LIMITED)
+    def test_gc_matches_exact(self, size, quad50):
+        scen = Scenario(Unordered(), size)
         for gamma_db in (-20, -10, 0, 10):
             gamma = 10.0 ** (gamma_db / 10.0)
-            exact = coverage(gamma, scen, fig_link, method=EXACT).value
-            approx = coverage(gamma, scen, fig_link, quad=quad50).value
+            exact = coverage(gamma, scen, intra_link(), method=EXACT).value
+            approx = coverage(gamma, scen, intra_link(), quad=quad50).value
             assert abs(exact - approx) <= 1e-3
 
 
 class TestContracts:
     def test_bound_side_tags(self, fig_link, quad50):
-        assert coverage(0.1, UF, fig_link, quad=quad50).bound_side is BoundSide.UPPER
-        assert coverage(0.1, UR, fig_link, quad=quad50).bound_side is BoundSide.LOWER
-        assert coverage(0.1, OF, fig_link, quad=quad50).bound_side is BoundSide.UPPER
-        assert coverage(0.1, OR, fig_link, quad=quad50).bound_side is BoundSide.LOWER
+        # any lambda_g > 0 keeps the bound's side, whatever the other fields
+        # are; so does n = 1, which the sweeps tag upper-bound like every
+        # fixed size
+        for link in (fig_link, reference_link(lambda_co=0.0, sigma2=0.0)):
+            for size, side in ((FixedSize(1), BoundSide.UPPER), (FixedSize(6), BoundSide.UPPER),
+                               (PoissonSize(6.0), BoundSide.LOWER)):
+                for ordering in (Unordered(), Ordered()):
+                    result = coverage(0.1, Scenario(ordering, size), link, quad=quad50)
+                    assert result.bound_side is side
 
     def test_threshold_must_be_positive(self, fig_link):
         with pytest.raises(ValueError):
@@ -303,8 +307,6 @@ class TestContracts:
         assert UF.tag() == "unordered/fixed-n6"
         assert OR.tag() == "ordered-farthest/poisson-nbar6"
         assert Scenario(Ordered(2), FixedSize(3)).tag() == "ordered-k2/fixed-n3"
-        lim = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
-        assert lim.tag().endswith("/intra-limited")
 
     def test_integer_model_inputs(self, fig_link):
         # FixedSize(2.5) used to give the MC estimate of FixedSize(2) and a

@@ -11,7 +11,6 @@ from clustercov import oracles
 from clustercov.coverage import (
     BoundSide,
     CoverageResult,
-    Interference,
     Method,
     Ordered,
     Scenario,
@@ -359,8 +358,10 @@ class TestCoverageEstimates:
         assert abs(near.mean - whole.mean) <= 3.0 * math.hypot(near.stderr, whole.stderr)
 
     def test_intra_limited_matches_proposition(self, quad50):
-        scen = Scenario(Unordered(), FixedSize(6), Interference.INTRA_LIMITED)
-        spec = make_spec(scenario=scen, trials=20000)
+        # the in-cluster-limited link: no other clusters, coexisting nodes or noise
+        link = reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
+        scen = Scenario(Unordered(), FixedSize(6))
+        spec = make_spec(link=link, scenario=scen, trials=20000)
         (est,) = estimate_coverage(spec)
         ana = cc.coverage(0.1, scen, spec.config.link, quad=quad50).value
         assert abs(est.mean - ana) <= 3.0 * est.stderr + 0.005
@@ -539,20 +540,26 @@ class TestSpecValidation:
         assert est.mean == ref.mean
 
 
-def _pinned_spec(scenario):
+# (scenario, link); "intra" is the in-cluster-limited link, which has no
+# other clusters, no coexisting nodes and no noise
+PINNED = {
+    "UF-6": (Scenario(Unordered(), FixedSize(6)), reference_link()),
+    "UP-6": (Scenario(Unordered(), PoissonSize(6.0)), reference_link()),
+    "OF-6": (Scenario(Ordered(), FixedSize(6)), reference_link()),
+    "OP-6": (Scenario(Ordered(), PoissonSize(6.0)), reference_link()),
+    "O2-F4-intra": (
+        Scenario(Ordered(2), FixedSize(4)),
+        reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0),
+    ),
+}
+
+
+def _pinned_spec(name):
+    scenario, link = PINNED[name]
     return SimSpec(
-        config=NetworkConfig(link=reference_link(), window_radius=5000.0),
+        config=NetworkConfig(link=link, window_radius=5000.0),
         scenario=scenario, trials=1500, seed=11, gamma_grid=(0.01, 0.1, 1.0),
     )
-
-
-PINNED_SCENARIOS = {
-    "UF-6": Scenario(Unordered(), FixedSize(6)),
-    "UP-6": Scenario(Unordered(), PoissonSize(6.0)),
-    "OF-6": Scenario(Ordered(), FixedSize(6)),
-    "OP-6": Scenario(Ordered(), PoissonSize(6.0)),
-    "O2-F4-intra": Scenario(Ordered(2), FixedSize(4), Interference.INTRA_LIMITED),
-}
 
 
 class TestPinnedStreams:
@@ -616,7 +623,7 @@ class TestPinnedStreams:
             (0.9889838977967955, 0.002145707426273351),
             (0.705016707561259, 0.008462498332685),
         ],
-        # the intra-limited link has no other clusters and no coexisting field
+        # the in-cluster-limited link has no other clusters and no coexisting field
         ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
         ("O2-F4-intra", InterferenceField.COEXIST): [(1.0, 0.0)] * 4,
     }
@@ -628,10 +635,10 @@ class TestPinnedStreams:
 
     @pytest.mark.parametrize("name", sorted(COVERAGE))
     def test_coverage(self, name):
-        spec = _pinned_spec(PINNED_SCENARIOS[name])
+        spec = _pinned_spec(name)
         self._check(estimate_coverage(spec), self.COVERAGE[name])
 
     @pytest.mark.parametrize("name, field", sorted(LAPLACE, key=str), ids=str)
     def test_laplace(self, name, field):
-        spec = _pinned_spec(PINNED_SCENARIOS[name])
+        spec = _pinned_spec(name)
         self._check(estimate_laplace(spec, field, self.S_GRID), self.LAPLACE[name, field])
