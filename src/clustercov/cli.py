@@ -20,15 +20,17 @@ from . import KERNEL_BACKEND, __version__, mc
 from .config import (
     ConfigError,
     PRESETS,
+    SweepPoint,
     SweepSpec,
-    build_link,
-    build_scenarios,
     build_sweep,
     load_config,
+    read_config,
 )
+# Unused here (build_sweep resolves every point); perfbench/spans.py wraps them.
+from .config import build_link, build_scenarios  # noqa: F401
 from .coverage import BoundSide, CoverageResult, Method, Scenario, coverage
-from .metrics import MetricResult, ase_ee, db_to_linear, rate_from_threshold
-from .params import FixedSize, LinkParams, NetworkConfig
+from .metrics import MetricResult, ase_ee, rate_from_threshold
+from .params import FixedSize
 
 __all__ = ["main", "run_sweep"]
 
@@ -76,9 +78,9 @@ def _curve_label(scen: Scenario, variant: str, axis: str) -> str:
 
 
 def _curve(
-    spec: SweepSpec, method: str, points: list[tuple[dict, LinkParams, Scenario]], quad
+    spec: SweepSpec, method: str, points: list[tuple[SweepPoint, Scenario]], quad
 ) -> list[CoverageResult]:
-    """Coverage of one curve at every grid point; ``points`` hold (settings, link, scenario).
+    """Coverage of one curve at every grid point; ``points`` hold (point, scenario).
 
     Monte Carlo on the threshold axis is one simulation over the whole grid,
     so the thresholds share realizations.  Every other curve makes one call
@@ -88,18 +90,18 @@ def _curve(
     if method != "mc":
         return [
             coverage(
-                db_to_linear(float(point["gamma_th_db"])), scen, link,
+                point.gamma, scen, point.network.link,
                 method=_ANALYTIC_METHODS[method], quad=quad,
             )
-            for point, link, scen in points
+            for point, scen in points
         ]
     groups = [points] if spec.axis == "gamma_th_db" else [[p] for p in points]
     results = []
     for group in groups:
-        point, link, scen = group[0]
-        gammas = tuple(db_to_linear(float(p["gamma_th_db"])) for p, _, _ in group)
+        point, scen = group[0]
+        gammas = tuple(p.gamma for p, _ in group)
         sim = mc.SimSpec(
-            config=NetworkConfig(link=link, window_radius=float(point["window_radius_m"])),
+            config=point.network,
             scenario=scen,
             trials=spec.trials,
             seed=spec.seed,
@@ -144,24 +146,20 @@ def run_sweep(spec: SweepSpec, out_path: str) -> dict:
     ase_map: dict[tuple, list[tuple[float, float]]] = {}
     curve_names: dict[tuple, str] = {}
 
-    for variant_label, changes in spec.variants:
-        base = {**spec.settings, **changes}
-        points = []
-        for axis_value in spec.grid:
-            point = {**base, spec.axis: axis_value}
-            points.append((point, build_link(point), build_scenarios(point)))
-        for scen_idx, base_scen in enumerate(build_scenarios(base)):
-            curve_points = [(point, link, scens[scen_idx]) for point, link, scens in points]
+    for variant_label, points in spec.variant_points:
+        for scen_idx, first_scen in enumerate(points[0].scenarios):
+            curve_points = [(point, point.scenarios[scen_idx]) for point in points]
             for method in spec.methods:
                 curve = (variant_label, scen_idx, method)
-                curve_names[curve] = _curve_label(base_scen, variant_label, spec.axis)
+                curve_names[curve] = _curve_label(first_scen, variant_label, spec.axis)
                 covs = _curve(spec, method, curve_points, quad)
-                for axis_value, (_, link, scen), cov in zip(spec.grid, curve_points, covs):
+                for (point, scen), cov in zip(curve_points, covs):
+                    link = point.network.link
                     metric = ase_ee(cov, _scenario_nodes(scen), link.lambda_g, link.p_x)
                     label = _scenario_label(scen, variant_label)
-                    rows.append(_row(spec, axis_value, label, method, metric))
-                    cov_map[curve + (axis_value,)] = cov.value
-                    ase_map.setdefault(curve, []).append((axis_value, metric.ase))
+                    rows.append(_row(spec, point.axis_value, label, method, metric))
+                    cov_map[curve + (point.axis_value,)] = cov.value
+                    ase_map.setdefault(curve, []).append((point.axis_value, metric.ase))
 
     summary = _summarise(spec, cov_map, ase_map, curve_names)
     _write_outputs(spec, out_path, rows, summary)
@@ -170,7 +168,8 @@ def run_sweep(spec: SweepSpec, out_path: str) -> dict:
 
 def _summarise(spec: SweepSpec, cov_map: dict, ase_map: dict, curve_names: dict) -> dict:
     summary: dict = {"preset": spec.preset, "axis": spec.axis}
-    families = {(variant, idx) for variant, idx, _ in curve_names}
+    # in sweep order, so a tie goes to the first curve whatever the hash seed
+    families = dict.fromkeys((variant, idx) for variant, idx, _ in curve_names)
     gaps = {}
     for first, second in (("mc", "gc"), ("mc", "exact"), ("gc", "exact")):
         worst = None
@@ -223,11 +222,9 @@ def _write_outputs(spec: SweepSpec, out_path: str, rows: list[tuple], summary: d
 
 def _metadata(spec: SweepSpec, summary: dict) -> dict:
     settings = dict(spec.settings)
-    settings["variants"] = [[label, changes] for label, changes in spec.settings["variants"]]
     if settings["window_radius_m"] == math.inf:
         settings["window_radius_m"] = "inf"  # JSON has no infinity
-    link = build_link(spec.settings)
-    gamma = db_to_linear(float(settings["gamma_th_db"]))
+    link, gamma = spec.network.link, spec.gamma
     resolved = {
         "eta": link.eta,
         "noise_mw": link.sigma2,
@@ -246,12 +243,7 @@ def _metadata(spec: SweepSpec, summary: dict) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    overrides: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            from .config import parse_config_text
-
-            overrides = parse_config_text(fh.read())
+    overrides = read_config(args.config) if args.config else {}
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
@@ -276,10 +268,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    settings, spec = load_config(args.config, preset=args.preset)
+    _, spec = load_config(args.config, preset=args.preset)
     print(f"config OK: preset={spec.preset} axis={spec.axis} points={len(spec.grid)}")
     print(f"scenarios: {', '.join(s.tag() for s in spec.scenarios)}")
-    link = build_link(settings)
+    link = spec.network.link
     for key, value in (("eta", link.eta), ("noise_mw", link.sigma2), ("tx_power_mw", link.p_x)):
         print(f"{key} = {value!r}")
     return 0

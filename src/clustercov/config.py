@@ -31,10 +31,12 @@ from .special import make_quadrature
 __all__ = [
     "ConfigError",
     "PRESETS",
+    "SweepPoint",
     "SweepSpec",
     "build_sweep",
     "load_config",
     "parse_config_text",
+    "read_config",
 ]
 
 BASE_DENSITY = 0.1 / (500.0**2 * math.pi)  # reference receiver density, m^-2
@@ -140,35 +142,37 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class SweepPoint:
+    """One grid point of one variant, resolved into model objects."""
+
+    axis_value: float
+    network: NetworkConfig
+    scenarios: tuple[Scenario, ...]
+    gamma: float  # linear SINR threshold
+
+
+@dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: an axis grid crossed with scenarios, variants and methods."""
+    """One sweep: an axis grid crossed with scenarios, variants and methods.
+
+    ``network``, ``gamma`` and ``scenarios`` resolve the settings alone;
+    ``variant_points`` holds each variant's label and resolved grid points.
+    """
 
     preset: str
     axis: str
     grid: tuple[float, ...]
     methods: tuple[str, ...]
+    network: NetworkConfig
+    gamma: float
     scenarios: tuple[Scenario, ...]
-    variants: tuple[tuple[str, dict], ...]
+    variant_points: tuple[tuple[str, tuple[SweepPoint, ...]], ...]
     seed: int
     trials: int
     quad_t: int
     quad_m: int
     chunk_trials: int
     settings: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.grid:
-            raise ConfigError("axis_grid: must contain at least one point")
-        if not all(math.isfinite(v) for v in self.grid):
-            raise ConfigError(f"axis_grid: grid points must be finite, got {self.grid}")
-        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
-            raise ConfigError(
-                f"axis_grid: grid points must be sorted ascending without repeats, got {self.grid}"
-            )
-        if not self.methods:
-            raise ConfigError("methods: at least one of exact/gc/mc is required")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"methods: each method may appear once, got {self.methods}")
 
     def quadrature(self):
         return make_quadrature(self.quad_t, self.quad_m)
@@ -231,30 +235,30 @@ def _merge(preset: str, overrides: dict) -> dict:
     return settings
 
 
-def _require_finite(settings: dict, key: str) -> float:
+def _number(settings: dict, key: str, *, above: float = -math.inf,
+            at_least: float = -math.inf, allow_inf: bool = False) -> float:
+    """``settings[key]`` as a float, else a ConfigError naming ``key``.
+
+    A bool is not a number.  The value must be finite (+inf too where
+    ``allow_inf``), greater than ``above`` and at least ``at_least``.
+    """
     value = settings[key]
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if above < number and at_least <= number and (allow_inf or number < math.inf):
+            return number
+    bound = f" > {above:g}" if above > -math.inf else (
+        f" >= {at_least:g}" if at_least > -math.inf else "")
+    kind = f"a number{bound} or inf" if allow_inf else f"a finite number{bound}"
+    raise ConfigError(f"{key}: must be {kind}, got {value!r}")
 
 
-def _require_positive(settings: dict, key: str) -> float:
-    value = settings[key]
-    if not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ConfigError(f"{key}: must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _require_nonnegative(settings: dict, key: str) -> float:
-    value = settings[key]
-    if not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ConfigError(f"{key}: must be a nonnegative finite number, got {value!r}")
-    return float(value)
-
-
-def _require_linear(settings: dict, key: str, unit: str, what: str) -> float:
+def _linear(settings: dict, key: str, unit: str, what: str) -> float:
     """A dB (or dBm) setting as a linear value, which must be positive and finite."""
-    db = _require_finite(settings, key)
+    db = _number(settings, key)
     try:
         linear = db_to_linear(db)
     except OverflowError:
@@ -278,19 +282,19 @@ def build_link(settings: dict) -> LinkParams:
     This is the one place where dBm powers, eta and the noise power are
     resolved to linear values; the sidecar metadata reads them off the result.
     """
-    tx_mw = _require_linear(settings, "tx_power_dbm", "dBm", "power in mW")
+    tx_mw = _linear(settings, "tx_power_dbm", "dBm", "power in mW")
     co_mw = tx_mw
     if settings["coexist_power_dbm"] is not None:
-        co_mw = _require_linear(settings, "coexist_power_dbm", "dBm", "power in mW")
+        co_mw = _linear(settings, "coexist_power_dbm", "dBm", "power in mW")
     if settings["eta"] is None:
-        eta = free_space_eta(_require_positive(settings, "carrier_frequency_hz"))
+        eta = free_space_eta(_number(settings, "carrier_frequency_hz", above=0))
     else:
-        eta = _require_positive(settings, "eta")
+        eta = _number(settings, "eta", above=0)
     mode = settings["noise_mode"]
     if mode not in ("thermal", "zero"):
         raise ConfigError(f"noise_mode: must be thermal or zero, got {mode!r}")
-    sigma2 = 0.0 if mode == "zero" else noise_power_mw(_require_positive(settings, "bandwidth_hz"))
-    alpha = _require_positive(settings, "path_loss_exponent")
+    sigma2 = 0.0 if mode == "zero" else noise_power_mw(_number(settings, "bandwidth_hz", above=0))
+    alpha = _number(settings, "path_loss_exponent", above=0)
     try:
         return LinkParams(
             p_x0=tx_mw,
@@ -298,23 +302,13 @@ def build_link(settings: dict) -> LinkParams:
             p_z=co_mw,
             eta=eta,
             alpha=alpha,
-            a=_require_positive(settings, "cluster_radius_m"),
-            lambda_g=_require_nonnegative(settings, "receiver_density_per_m2"),
-            lambda_co=_require_nonnegative(settings, "coexist_density_per_m2"),
+            a=_number(settings, "cluster_radius_m", above=0),
+            lambda_g=_number(settings, "receiver_density_per_m2", at_least=0),
+            lambda_co=_number(settings, "coexist_density_per_m2", at_least=0),
             sigma2=sigma2,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def build_network(settings: dict) -> NetworkConfig:
-    window = settings["window_radius_m"]
-    if not isinstance(window, (int, float)) or not 0 < window <= math.inf:
-        raise ConfigError(
-            f"window_radius_m: must be a positive number or inf (the whole plane), "
-            f"got {window!r}"
-        )
-    return NetworkConfig(link=build_link(settings), window_radius=float(window))
 
 
 def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
@@ -325,10 +319,7 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
     if order_key not in ("unordered", "ordered", "both"):
         raise ConfigError(f"ordering: must be unordered, ordered or both, got {order_key!r}")
 
-    size = settings["cluster_size"]
-    if not isinstance(size, (int, float)) or not 1 <= size < math.inf:
-        raise ConfigError(f"cluster_size: must be a finite number >= 1, got {size!r}")
-    size = float(size)
+    size = _number(settings, "cluster_size", at_least=1)
     sizes = []
     if size_key in ("fixed", "both"):
         if size != int(size):
@@ -360,12 +351,21 @@ def build_scenarios(settings: dict) -> tuple[Scenario, ...]:
         raise ConfigError(f"ordered_rank: {exc}") from None
 
 
+def _resolve(settings: dict, axis_value: float) -> SweepPoint:
+    # an infinite window is the whole plane
+    window = _number(settings, "window_radius_m", above=0, allow_inf=True)
+    network = NetworkConfig(link=build_link(settings), window_radius=window)
+    gamma = _linear(settings, "gamma_th_db", "dB", "SINR threshold")
+    return SweepPoint(axis_value, network, build_scenarios(settings), gamma)
+
+
 def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, SweepSpec]:
     """Resolve overrides over a preset; returns (settings, sweep spec).
 
-    ``settings`` is the fully resolved flat document (what the sidecar
-    metadata echoes); the scenarios inside the SweepSpec are built per
-    variant at run time because variants may change scenario inputs.
+    Settings merge as defaults < preset < overrides < variant < axis point;
+    ``settings`` stops before the variant (the sidecar metadata echoes it).
+    Every variant is resolved at every grid point here, so validating a
+    config is resolving it, and schema errors precede any computation.
     """
     chosen = preset or overrides.get("preset", "custom")
     settings = _merge(chosen, overrides)
@@ -376,33 +376,43 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
     grid = settings["axis_grid"]
     if not isinstance(grid, (tuple, list)):
         grid = (grid,)
-    if not all(isinstance(v, (int, float)) for v in grid):
-        raise ConfigError(f"axis_grid: grid points must be numbers, got {grid!r}")
-    grid = tuple(float(v) for v in grid)
+    grid = tuple(_number({"axis_grid": v}, "axis_grid") for v in grid)
+    if not grid:
+        raise ConfigError("axis_grid: must contain at least one point")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(
+            f"axis_grid: grid points must be sorted ascending without repeats, got {grid}"
+        )
 
     methods = settings["methods"]
     if not isinstance(methods, (tuple, list)):
         methods = (methods,)
     methods = tuple(methods)
+    if not methods:
+        raise ConfigError("methods: at least one of exact/gc/mc is required")
     for method in methods:
         if method not in _METHODS:
             raise ConfigError(f"methods: must be among {', '.join(_METHODS)}, got {method!r}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"methods: each method may appear once, got {methods}")
 
     for key in ("trials", "quad_t", "quad_m", "chunk_trials"):
         _require_count(settings, key, 1)
     _require_count(settings, "seed", 0)
 
-    # Validate the base settings, the grid (in SweepSpec), and every variant
-    # at every grid point eagerly, so schema errors precede any computation.
-    build_network(settings)
-    _require_linear(settings, "gamma_th_db", "dB", "SINR threshold")
-    spec = SweepSpec(
+    base = _resolve(settings, settings[axis])
+    return settings, SweepSpec(
         preset=chosen,
         axis=axis,
         grid=grid,
         methods=methods,
-        scenarios=build_scenarios(settings),
-        variants=tuple((label, dict(changes)) for label, changes in settings["variants"]),
+        network=base.network,
+        gamma=base.gamma,
+        scenarios=base.scenarios,
+        variant_points=tuple(
+            (label, tuple(_resolve({**settings, **changes, axis: v}, v) for v in grid))
+            for label, changes in settings["variants"]
+        ),
         seed=settings["seed"],
         trials=settings["trials"],
         quad_t=settings["quad_t"],
@@ -410,17 +420,14 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
         chunk_trials=settings["chunk_trials"],
         settings=settings,
     )
-    for _, changes in spec.variants:
-        merged = {**settings, **changes}
-        for point in [merged] + [{**merged, axis: value} for value in grid]:
-            build_network(point)
-            build_scenarios(point)
-            _require_linear(point, "gamma_th_db", "dB", "SINR threshold")
-    return settings, spec
+
+
+def read_config(path) -> dict:
+    """The overrides a flat key = value config file sets."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_config_text(fh.read())
 
 
 def load_config(path, preset: str | None = None) -> tuple[dict, SweepSpec]:
     """Parse and validate a config file (optionally over a preset)."""
-    with open(path, encoding="utf-8") as fh:
-        overrides = parse_config_text(fh.read())
-    return build_sweep(overrides, preset=preset)
+    return build_sweep(read_config(path), preset=preset)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clustercov
 from clustercov.cli import main, run_sweep
 from clustercov.config import (
+    BASE_DENSITY,
     ConfigError,
     PRESETS,
     build_sweep,
@@ -145,6 +150,11 @@ class TestConfigParsing:
             # after every curve, and 10 ** -400 is a zero threshold
             ("gamma_th_db = 4000", "gamma_th_db"),
             ("axis_grid = -4000, 0", "gamma_th_db"),
+            # an integer beyond the float range used to escape as an
+            # OverflowError from float()
+            pytest.param(f"cluster_radius_m = {10 ** 400}", "cluster_radius_m",
+                         id="cluster_radius_m-int-1e400"),
+            pytest.param(f"gamma_th_db = {10 ** 400}", "gamma_th_db", id="gamma_th_db-int-1e400"),
         ],
     )
     def test_power_beyond_float_range_rejected(self, text, key, tmp_path, capsys):
@@ -167,6 +177,11 @@ class TestConfigParsing:
             ("trials", True), ("trials", 0), ("trials", 1.5),
             ("quad_t", True), ("quad_m", 0), ("chunk_trials", 2.0),
             ("seed", -1), ("seed", False), ("seed", "x"),
+            # nor is a bool a real number: True used to be a 1 m radius, n = 1
+            # or a grid point of 1.0
+            ("cluster_size", True), ("cluster_radius_m", True),
+            ("window_radius_m", True), ("bandwidth_hz", True),
+            ("axis_grid", (True, 2.0)), ("axis_grid", True),
         ],
     )
     def test_integer_settings_follow_simulator_rule(self, key, value):
@@ -182,6 +197,18 @@ class TestConfigParsing:
         bad.write_text("interference = intra-limited\n")
         assert main(["validate", "--config", str(bad)]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
+
+    def test_resolution_order(self):
+        # preset < overrides < variant < axis point
+        override = 3.0 * BASE_DENSITY
+        _, spec = build_sweep({"coexist_density_per_m2": override}, preset="fig4")
+        expected = {"co-zero": 0.0, "co-base": override, "co-10x": 10.0 * BASE_DENSITY}
+        assert [label for label, _ in spec.variant_points] == list(expected)
+        for label, points in spec.variant_points:
+            assert [p.axis_value for p in points] == list(spec.grid)
+            for value, point in zip(spec.grid, points):
+                assert point.network.link.lambda_co == expected[label]
+                assert point.network.link.lambda_g == value
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets_resolve(self, preset):
@@ -222,6 +249,29 @@ class TestSweep:
         run_sweep(spec, str(first))
         run_sweep(spec, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_outputs_ignore_hash_seed(self, tmp_path):
+        # every curve ties at gap 0 here: n = 1 in-cluster-limited rows are
+        # exact, so the worst gap is reported for the first curve, not for
+        # one picked by set order
+        cfg = tmp_path / "ties.cfg"
+        cfg.write_text(
+            "receiver_density_per_m2 = 0\ncoexist_density_per_m2 = 0\nnoise_mode = zero\n"
+            "cluster_size = 1\nmethods = gc, exact\naxis_grid = -10, 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(clustercov.__file__))
+        outputs = []
+        for hash_seed in ("1", "4"):
+            out = tmp_path / f"h{hash_seed}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "clustercov.cli", "sweep", "--config", str(cfg),
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                check=True, capture_output=True, timeout=120,
+            )
+            meta = tmp_path / f"h{hash_seed}.csv.meta.json"
+            outputs.append((out.read_bytes(), meta.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_mc_point_matches_threshold_curve(self, tmp_path):
         # chunk streams depend only on the seed and the chunk index, so the
