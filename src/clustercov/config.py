@@ -16,13 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .coverage import Ordered, Scenario, Unordered
 from .metrics import db_to_linear, noise_power_mw
 from .params import (
     FixedSize,
     LinkParams,
     NetworkConfig,
+    Ordered,
     PoissonSize,
+    Scenario,
+    Unordered,
     free_space_eta,
     require_int,
 )
@@ -286,14 +288,17 @@ def build_link(settings: dict) -> LinkParams:
     co_mw = tx_mw
     if settings["coexist_power_dbm"] is not None:
         co_mw = _linear(settings, "coexist_power_dbm", "dBm", "power in mW")
+    # checked even where unread: the sidecar echoes both
+    carrier_hz = _number(settings, "carrier_frequency_hz", above=0)
+    bandwidth_hz = _number(settings, "bandwidth_hz", above=0)
     if settings["eta"] is None:
-        eta = free_space_eta(_number(settings, "carrier_frequency_hz", above=0))
+        eta = free_space_eta(carrier_hz)
     else:
         eta = _number(settings, "eta", above=0)
     mode = settings["noise_mode"]
     if mode not in ("thermal", "zero"):
         raise ConfigError(f"noise_mode: must be thermal or zero, got {mode!r}")
-    sigma2 = 0.0 if mode == "zero" else noise_power_mw(_number(settings, "bandwidth_hz", above=0))
+    sigma2 = 0.0 if mode == "zero" else noise_power_mw(bandwidth_hz)
     alpha = _number(settings, "path_loss_exponent", above=0)
     try:
         return LinkParams(

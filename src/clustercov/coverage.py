@@ -30,7 +30,16 @@ from .laplace import (
     laplace_inter_random_lower,
     laplace_intra,
 )
-from .params import ClusterSizeModel, FixedSize, LinkParams, PoissonSize, require_int
+from .params import (  # the scenario types are re-exported from here
+    ClusterSizeModel,
+    FixedSize,
+    LinkParams,
+    Ordered,
+    Ordering,
+    PoissonSize,
+    Scenario,
+    Unordered,
+)
 from .special import QuadratureSpec, make_quadrature
 
 __all__ = [
@@ -50,69 +59,6 @@ DEFAULT_QUADRATURE = make_quadrature(50, 50)
 
 class QuadratureError(RuntimeError):
     """Adaptive integration failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class Unordered:
-    """Typical node drawn uniformly from its cluster."""
-
-
-@dataclass(frozen=True)
-class Ordered:
-    """Typical node is the k-th closest in its cluster; None means farthest."""
-
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k is not None:
-            require_int("rank k", self.k, 1)
-
-
-Ordering = Unordered | Ordered
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Typical-node ordering and cluster-size model.
-
-    Every rule on valid combinations lives here, so the closed forms and the
-    Monte Carlo engine accept exactly the same scenarios.
-    """
-
-    ordering: Ordering
-    size_model: ClusterSizeModel
-
-    def __post_init__(self) -> None:
-        # The typical node belongs to its cluster: one node plus
-        # Poisson(mean - 1) others, which needs a mean of at least one.
-        if isinstance(self.size_model, PoissonSize) and self.size_model.mean < 1.0:
-            raise ValueError(
-                f"the typical cluster needs a mean size >= 1, got {self.size_model.mean}"
-            )
-        k = self.ordering.k if isinstance(self.ordering, Ordered) else None
-        if k is None:
-            return
-        # The Poisson in-cluster transform assumes every interferer lies
-        # inside the typical distance, which holds only for the farthest node.
-        if isinstance(self.size_model, PoissonSize):
-            raise ValueError(
-                f"rank k={k} needs a fixed cluster size; with "
-                "Poisson sizes only the farthest node (k=None) is supported"
-            )
-        if k > self.size_model.n:
-            raise ValueError(f"rank k={k} exceeds the cluster size n={self.size_model.n}")
-
-    def tag(self) -> str:
-        """Short label used in CSV output."""
-        order = "unordered" if isinstance(self.ordering, Unordered) else (
-            "ordered-farthest" if self.ordering.k is None else f"ordered-k{self.ordering.k}"
-        )
-        size = (
-            f"fixed-n{self.size_model.n}"
-            if isinstance(self.size_model, FixedSize)
-            else f"poisson-nbar{self.size_model.mean:g}"
-        )
-        return f"{order}/{size}"
 
 
 class Method(Enum):
@@ -141,6 +87,7 @@ class CoverageResult:
             raise ValueError(f"coverage must lie in [0, 1], got {self.value}")
         if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
             raise ValueError("stderr is present exactly for Monte Carlo results")
+        _check_gamma(self.gamma_th)
 
 
 def _check_gamma(gamma_th: float) -> None:
@@ -157,30 +104,23 @@ def _bound_side(size_model: ClusterSizeModel, link: LinkParams) -> BoundSide:
     return BoundSide.UPPER if isinstance(size_model, FixedSize) else BoundSide.LOWER
 
 
-def _resolve_rank(ordering: Ordered, size_model: ClusterSizeModel) -> tuple[int, int]:
-    """(k, n) used by the ordered expressions.
-
-    Poisson sizes enter the order-statistic density through a factorial, so
-    the cluster size is taken as ceil(nbar) there; the Monte Carlo engine
-    keeps the literal conditioning, which makes the convention's error
-    measurable instead of hidden.
-    """
-    if isinstance(size_model, FixedSize):
-        n = size_model.n
-    else:
-        n = math.ceil(size_model.mean)
-    return (n if ordering.k is None else ordering.k), n
-
-
-def _distance_density(u, rank: int | None, n: int | None):
+def _distance_density(u, scenario: Scenario):
     """Density of the typical link distance u = r/a on (0, 1].
 
-    2u for a uniformly chosen node (rank None); for the rank-th closest of
-    n nodes the order-statistic form n!/((n-k)!(k-1)!) F^(k-1) (1-F)^(n-k)
-    f with F(u) = u^2 and f = 2u.
+    2u for a uniformly chosen node; for the k-th closest of n nodes the
+    order-statistic form n!/((n-k)!(k-1)!) F^(k-1) (1-F)^(n-k) f with
+    F(u) = u^2 and f = 2u.  The farthest of 1 + Poisson(m) nodes, m =
+    nbar - 1, mixes the farthest-of-N densities 2N u^(2N-1) over the
+    cluster size: 2u (1 + m u^2) e^(-m (1 - u^2)).
     """
-    if rank is None:
+    ordering, size = scenario.ordering, scenario.size_model
+    if isinstance(ordering, Unordered):
         return 2.0 * u
+    if isinstance(size, PoissonSize):
+        m = size.mean - 1.0
+        return 2.0 * u * (1.0 + m * u**2) * np.exp(-m * (1.0 - u**2))
+    n = size.n
+    rank = n if ordering.k is None else ordering.k
     coef = 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank))
     return coef * u ** (2 * rank - 1) * (1.0 - u**2) ** (n - rank)
 
@@ -212,8 +152,10 @@ def coverage(
         P = int f_U(u) min(1, L_intra(beta, u)) e^(-s sigma2) L_inter(s) L_co(s) du
 
     with s = (u a)^alpha gamma_th / (p_x0 eta) and beta = u^alpha gamma_th
-    p_x / p_x0.  f_U is 2u for a uniformly chosen node and the k-th
-    order-statistic density otherwise.  EXACT_INTEGRAL integrates it by
+    p_x / p_x0.  f_U is 2u for a uniformly chosen node, the k-th
+    order-statistic density for a ranked node of a fixed-size cluster, and
+    its mixture over 1 + Poisson(nbar - 1) nodes for the farthest node of a
+    Poisson-size cluster.  EXACT_INTEGRAL integrates it by
     adaptive quadrature with exact disc averages; GAUSS_CHEBYSHEV evaluates
     it at the M outer nodes of quad, with the in-cluster disc averages on
     its T inner nodes.  The in-cluster-interference-limited case is a link
@@ -232,18 +174,15 @@ def coverage(
     else:
         inter, nodes = laplace_inter_random_lower, size.mean
 
-    rank = n = None
-    if isinstance(scen.ordering, Ordered):
-        rank, n = _resolve_rank(scen.ordering, size)
     rho_scale = gamma_th / (p.p_x0 * p.eta)
     beta_scale = gamma_th / p.p_ratio_x
     intra_quad = None if exact else quad
 
     def integrand(u):
         s = (u * p.a) ** p.alpha * rho_scale
-        intra = laplace_intra(u**p.alpha * beta_scale, u, p.alpha, size, rank, intra_quad)
+        intra = laplace_intra(u**p.alpha * beta_scale, u, p.alpha, scen, intra_quad)
         return (
-            _distance_density(u, rank, n)
+            _distance_density(u, scen)
             * np.minimum(1.0, intra)
             * np.exp(-s * p.sigma2)
             * inter(s, nodes, p)

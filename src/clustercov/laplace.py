@@ -3,25 +3,26 @@
 The field transforms (cross-cluster bounds and the coexisting PPP) are
 functions of the variable s at which the coverage integrand needs them (s
 carries units 1/(mW * m^-alpha)); they are elementwise over arrays of s, 1
-at s = 0 and lie in (0, 1].
+at s = 0 and lie in (0, 1].  All three are one PPP form,
+exp(-pi lambda Gamma(1-delta) K (s P eta)^delta), and differ only in the
+density lambda, the power P and the constant K.
 
 The in-cluster transform works in the dimensionless load beta = s p_x eta
 a^-alpha, which along the coverage chain equals u^alpha gamma_th p_x / p_x0
 with u the typical link distance in cluster radii; the cluster radius never
-enters it.  One function serves every ordering and cluster-size model, with
-the disc averages taken either exactly (hypergeometric evaluator) or by
-Gauss-Chebyshev nodes.
+enters it.  One function serves every scenario, with the disc averages
+taken either exactly (hypergeometric evaluator) or by Gauss-Chebyshev
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .params import ClusterSizeModel, LinkParams, PoissonSize, require_int
-from .special import QuadratureSpec, gamma_fn, hyp2f1_1_b, log_beta
+from .params import LinkParams, Ordered, PoissonSize, Scenario, require_int
+from .special import QuadratureSpec, hyp2f1_1_b
 
 __all__ = [
     "laplace_coexist",
@@ -43,11 +44,6 @@ def _extremes(x) -> tuple[float, float]:
 def _is_finite_nonnegative(x) -> bool:
     lo, hi = _extremes(x)
     return bool(lo >= 0.0 and hi < math.inf)
-
-
-def _check_s(s) -> None:
-    if not _is_finite_nonnegative(s):
-        raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
 
 
 def _disc_rule(alpha: float, quad: QuadratureSpec | None):
@@ -93,22 +89,19 @@ def _disc_rule(alpha: float, quad: QuadratureSpec | None):
 
 
 def laplace_intra(
-    beta,
-    u,
-    alpha: float,
-    size: ClusterSizeModel,
-    rank: int | None = None,
-    quad: QuadratureSpec | None = None,
+    beta, u, alpha: float, scenario: Scenario, quad: QuadratureSpec | None = None
 ):
     """In-cluster interference transform at dimensionless load beta.
 
     beta = s p_x eta a^-alpha and u in (0, 1] is the typical link distance
-    in cluster radii.  rank None means a uniformly chosen typical node: its
-    n - 1 (or Poisson(nbar - 1)) interferers are uniform in the cluster
-    disc.  rank k means the k-th closest node: with a fixed size n, k - 1
-    interferers are uniform inside radius u and n - k in the annulus
-    (u, 1]; with Poisson sizes only the farthest node is modelled, so every
-    interferer lies inside radius u whatever the rank.
+    in cluster radii.  For a uniformly chosen typical node the n - 1 (or
+    Poisson(nbar - 1)) interferers are uniform in the cluster disc.  For
+    the k-th closest of n nodes, k - 1 interferers are uniform inside
+    radius u and n - k in the annulus (u, 1].  For the farthest node with
+    Poisson sizes the cluster is the typical node plus J ~ Poisson(m)
+    others, m = nbar - 1, all inside radius u; given u, J has the
+    posterior P(J) (J + 1) u^(2J), which gives (1 + m u^2 g)/(1 + m u^2)
+    exp(-m u^2 (1 - g)) with g the disc mean inside radius u.
 
     quad None takes the disc averages exactly, for scalar beta and u;
     otherwise by the T Gauss-Chebyshev nodes of quad, elementwise over
@@ -118,29 +111,28 @@ def laplace_intra(
     """
     if not _is_finite_nonnegative(beta):
         raise ValueError(f"load beta must be finite and nonnegative, got {beta}")
-    if rank is not None:
+    ordering, size = scenario.ordering, scenario.size_model
+    ranked, poisson = isinstance(ordering, Ordered), isinstance(size, PoissonSize)
+    if ranked:
         u_lo, u_hi = _extremes(u)
         if not (0.0 < u_lo and u_hi <= 1.0):
             raise ValueError(f"conditioning distance must lie in (0, 1] radii, got {u}")
-    if isinstance(size, PoissonSize):
-        if size.mean < 1.0:
-            raise ValueError(f"mean cluster size must be >= 1, got {size.mean}")
-        interferers = size.mean - 1.0
-    else:
-        n = size.n
-        if rank is not None and not 1 <= rank <= n:
-            raise ValueError(f"rank k must satisfy 1 <= k <= n, got k={rank}, n={n}")
-        interferers = n - 1
+    interferers = size.mean - 1.0 if poisson else size.n - 1
     if interferers == 0:
         return np.ones_like(beta, dtype=float)[()]
     mean, tail = _disc_rule(alpha, quad)
 
-    if isinstance(size, PoissonSize):
-        b = beta if rank is None else beta * u**-alpha
-        return np.exp(-interferers * tail(b))
-    if rank is None:
+    if not ranked:
+        if poisson:
+            return np.exp(-interferers * tail(beta))
         return mean(beta) ** interferers
+    if poisson:
+        load = interferers * u**2
+        far_share = tail(beta * u**-alpha)  # 1 - g
+        return (1.0 + load * (1.0 - far_share)) / (1.0 + load) * np.exp(-load * far_share)
     near = mean(beta * u**-alpha)
+    n = size.n
+    rank = n if ordering.k is None else ordering.k
     value = near ** (rank - 1)
     if rank < n:
         # mean over the annulus (u, 1] from the disc means at radii 1 and u;
@@ -153,72 +145,42 @@ def laplace_intra(
     return value
 
 
-@lru_cache(maxsize=None)
-def _inter_beta_sum(n: int, delta: float) -> float:
-    """sum_{p=1}^{n} C(n,p) B(p - delta, n - p + delta), in log space.
+def _ppp(s, density: float, power: float, k: float, p: LinkParams):
+    """exp(-pi density Gamma(1 - delta) k (s power eta)^delta).
 
-    Binomial coefficients overflow float64 past n ~ 1e3 and the Beta values
-    underflow symmetrically, so each term is assembled from logs.
+    With k = Gamma(1 + delta) this is the exact transform of a PPP of
+    Rayleigh-faded transmitters; the cross-cluster bounds scale k.
     """
-    log_n_fact = math.lgamma(n + 1)
-    terms = [
-        math.exp(
-            log_n_fact
-            - math.lgamma(p + 1)
-            - math.lgamma(n - p + 1)
-            + log_beta(p - delta, n - p + delta)
-        )
-        for p in range(1, n + 1)
-    ]
-    return math.fsum(terms)
+    if not _is_finite_nonnegative(s):
+        raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
+    delta = p.delta
+    return np.exp(
+        -math.pi * density * math.gamma(1.0 - delta) * k * (s * power * p.eta) ** delta
+    )
 
 
 def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
     """Upper bound on the cross-cluster transform, fixed cluster size n.
 
-    exp(-pi lambda_g (s p_x eta)^delta delta sum_p C(n,p) B(p-delta,
-    n-p+delta)); tight for small cluster radii, where the node-to-parent
-    distance approximation underlying it is mild.
+    The paper's exponent pi lambda_g (s p_x eta)^delta delta sum_p C(n,p)
+    B(p-delta, n-p+delta) with the sum in closed form: the binomial
+    theorem inside the Beta integral gives delta sum_p C(n,p) B(p-delta,
+    n-p+delta) = Gamma(1-delta) Gamma(n+delta)/Gamma(n).  Tight for small
+    cluster radii, where the node-to-parent distance approximation
+    underlying it is mild; exact at n = 1.
     """
-    _check_s(s)
     require_int("cluster size n", n, 1)
-    delta = p.delta
-    expo = (
-        math.pi
-        * p.lambda_g
-        * (s * p.p_x * p.eta) ** delta
-        * delta
-        * _inter_beta_sum(n, delta)
-    )
-    return np.exp(-expo)
+    k = math.exp(math.lgamma(n + p.delta) - math.lgamma(n))
+    return _ppp(s, p.lambda_g, p.p_x, k, p)
 
 
 def laplace_inter_random_lower(s, nbar: float, p: LinkParams):
     """Lower bound on the cross-cluster transform, Poisson mean nbar."""
-    _check_s(s)
     if not 0.0 < nbar < math.inf:
         raise ValueError(f"mean cluster size must be positive and finite, got {nbar}")
-    delta = p.delta
-    expo = (
-        math.pi**2
-        * p.lambda_g
-        * nbar
-        * (s * p.p_x * p.eta) ** delta
-        * delta
-        / math.sin(math.pi * delta)
-    )
-    return np.exp(-expo)
+    return _ppp(s, p.lambda_g, p.p_x, nbar * math.gamma(1.0 + p.delta), p)
 
 
 def laplace_coexist(s, p: LinkParams):
     """Transform of the coexisting-PPP interference (exact, not a bound)."""
-    _check_s(s)
-    delta = p.delta
-    expo = (
-        math.pi
-        * p.lambda_co
-        * gamma_fn(1.0 + delta)
-        * gamma_fn(1.0 - delta)
-        * (s * p.p_z * p.eta) ** delta
-    )
-    return np.exp(-expo)
+    return _ppp(s, p.lambda_co, p.p_z, math.gamma(1.0 + p.delta), p)

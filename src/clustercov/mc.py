@@ -54,8 +54,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
-from .coverage import Scenario, Unordered
-from .params import FixedSize, LinkParams, NetworkConfig, require_int
+from .params import FixedSize, LinkParams, NetworkConfig, Scenario, Unordered, require_int
 
 __all__ = [
     "InterferenceField",

@@ -20,22 +20,24 @@ __all__ = [
 
 
 def db_to_linear(db: float) -> float:
+    if not math.isfinite(db):
+        raise ValueError(f"dB value must be finite, got {db}")
     return 10.0 ** (db / 10.0)
 
 
 def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        raise ValueError(f"cannot express nonpositive value {value} in dB")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"cannot express value {value} in dB; it must be positive and finite")
     return 10.0 * math.log10(value)
 
 
 def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
+    return db_to_linear(dbm)
 
 
 def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        raise ValueError(f"cannot express nonpositive power {mw} mW in dBm")
+    if not 0.0 < mw < math.inf:
+        raise ValueError(f"cannot express power {mw} mW in dBm; it must be positive and finite")
     return 10.0 * math.log10(mw)
 
 
@@ -44,15 +46,15 @@ def noise_power_mw(bandwidth_hz: float) -> float:
 
     -174 dBm/Hz plus 10 log10(BW).
     """
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_hz}")
     return dbm_to_mw(-174.0 + 10.0 * math.log10(bandwidth_hz))
 
 
 def rate_from_threshold(gamma_th: float) -> float:
     """Per-link rate log2(1 + gamma_th) in bits/s/Hz (gamma_th linear)."""
-    if gamma_th <= -1.0:
-        raise ValueError(f"threshold must exceed -1 in linear units, got {gamma_th}")
+    if not -1.0 < gamma_th < math.inf:
+        raise ValueError(f"threshold must be finite and exceed -1 in linear units, got {gamma_th}")
     return math.log2(1.0 + gamma_th)
 
 
@@ -81,10 +83,10 @@ def ase_ee(cov: CoverageResult, n_nodes: float, lambda_g: float, p_x: float) -> 
     ``n_nodes`` is the per-cluster count (or mean, for the Poisson model).
     The node density cancels in EE, so it depends on per-link quantities only.
     """
-    if n_nodes < 0.0 or lambda_g < 0.0:
-        raise ValueError("node count and receiver density must be nonnegative")
-    if p_x <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {p_x}")
+    if not (0.0 <= n_nodes < math.inf and 0.0 <= lambda_g < math.inf):
+        raise ValueError("node count and receiver density must be nonnegative and finite")
+    if not 0.0 < p_x < math.inf:
+        raise ValueError(f"transmit power must be positive and finite, got {p_x}")
     rate = rate_from_threshold(cov.gamma_th)
     ase_scale = n_nodes * lambda_g * rate
     stderr = cov.stderr

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 
 from . import laplace, mc, special
-from .coverage import Scenario, Unordered
-from .params import FixedSize, LinkParams, NetworkConfig, PoissonSize
+from .params import FixedSize, LinkParams, NetworkConfig, Ordered, PoissonSize, Scenario, Unordered
 
 __all__ = [
     "OracleCheck",
@@ -65,16 +64,20 @@ def hyp_integral(b: float, z: float) -> float:
 
 
 def beta_integral(x: float, y: float) -> float:
-    """B(x, y) from its defining integral int_0^inf t^(x-1)/(1+t)^(x+y) dt."""
-    value, _ = integrate.quad(
-        lambda t: t ** (x - 1.0) * (1.0 + t) ** (-(x + y)),
-        0.0,
-        np.inf,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return value
+    """B(x, y) from its defining integral int_0^inf t^(x-1)/(1+t)^(x+y) dt.
+
+    t -> 1/t folds (1, inf) onto (0, 1) as t^(y-1)/(1+t)^(x+y), so both
+    halves are a smooth factor under an algebraic endpoint weight; the
+    heavy t^(-1-y) tail never reaches the quadrature.
+    """
+    total = 0.0
+    for power in (x, y):
+        value, _ = integrate.quad(
+            lambda t: (1.0 + t) ** (-(x + y)), 0.0, 1.0, weight="alg",
+            wvar=(power - 1.0, 0.0), epsabs=1e-15, epsrel=1e-13, limit=400,
+        )
+        total += value
+    return total
 
 
 def _disc_factor_integral(sp_eta: float, radius: float, alpha: float) -> float:
@@ -133,19 +136,21 @@ def intra_ordered_fixed_integral(s: float, k: int, n: int, r_k: float, p: LinkPa
 
 
 def intra_ordered_random_integral(s: float, nbar: float, r_n: float, p: LinkParams) -> float:
-    """Ordered/Poisson in-cluster transform from the near-set density."""
+    """Ordered/Poisson in-cluster transform as a posterior-weighted sum over sizes.
+
+    The cluster is the typical node plus J ~ Poisson(nbar - 1) others; the
+    typical node, the farthest, sits at r_n, so J has posterior weights
+    P(J) (J + 1) (r_n/a)^(2J) and each of the J others is uniform in the
+    disc of radius r_n.  The sum stops once the Poisson tail P(> J) falls
+    below 1e-16.
+    """
     if s == 0.0 or nbar == 1.0:
         return 1.0
-    sp_eta = s * p.p_x * p.eta
-    value, _ = integrate.quad(
-        lambda r: (2.0 * r / r_n**2) * sp_eta * r**-p.alpha / (1.0 + sp_eta * r**-p.alpha),
-        0.0,
-        r_n,
-        epsabs=1e-16,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return math.exp(-(nbar - 1.0) * value)
+    m = nbar - 1.0
+    disc = _disc_factor_integral(s * p.p_x * p.eta, r_n, p.alpha)
+    j = np.arange(stats.poisson.isf(1e-16, m) + 2)
+    weights = stats.poisson.pmf(j, m) * (j + 1) * (r_n / p.a) ** (2 * j)
+    return math.fsum(weights * disc**j) / math.fsum(weights)
 
 
 def inter_pgfl_integral(
@@ -277,6 +282,14 @@ def _check_beta() -> OracleCheck:
         lhs = special.gamma_fn(1.0 + delta) * special.gamma_fn(1.0 - delta)
         rhs = math.pi * delta / math.sin(math.pi * delta)
         worst = max(worst, abs(lhs - rhs) / rhs)
+    # the fixed-size cross-cluster bound's constant: sum_p C(n,p) B(p-delta,
+    # n-p+delta) = Gamma(1-delta) Gamma(n+delta) / (delta Gamma(n))
+    delta = 2.0 / 3.5
+    for n in (1, 2, 6, 30):
+        ref = math.fsum(math.comb(n, p) * beta_integral(p - delta, n - p + delta)
+                        for p in range(1, n + 1))
+        closed = math.gamma(1.0 - delta) * math.gamma(n + delta) / (delta * math.gamma(n))
+        worst = max(worst, abs(closed - ref) / ref)
     return OracleCheck("beta/gamma identities", worst, 1e-10)
 
 
@@ -290,18 +303,17 @@ def _check_laplace() -> OracleCheck:
         beta = s * p.p_x * p.eta / p.a**p.alpha
         u = min(r, p.a) / p.a
         pairs = [
-            (laplace.laplace_intra(beta, u, p.alpha, fixed), intra_fixed_integral(s, 6, p)),
-            (laplace.laplace_intra(beta, u, p.alpha, poisson),
+            (laplace.laplace_intra(beta, u, p.alpha, Scenario(Unordered(), fixed)),
+             intra_fixed_integral(s, 6, p)),
+            (laplace.laplace_intra(beta, u, p.alpha, Scenario(Unordered(), poisson)),
              intra_random_integral(s, 6.0, p)),
-            (
-                laplace.laplace_intra(beta, u, p.alpha, poisson, rank=6),
-                intra_ordered_random_integral(s, 6.0, min(r, p.a), p),
-            ),
+            (laplace.laplace_intra(beta, u, p.alpha, Scenario(Ordered(), poisson)),
+             intra_ordered_random_integral(s, 6.0, min(r, p.a), p)),
         ]
         if r < p.a:
             pairs.append(
                 (
-                    laplace.laplace_intra(beta, u, p.alpha, fixed, rank=3),
+                    laplace.laplace_intra(beta, u, p.alpha, Scenario(Ordered(3), fixed)),
                     intra_ordered_fixed_integral(s, 3, 6, r, p),
                 )
             )

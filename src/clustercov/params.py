@@ -10,14 +10,19 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 __all__ = [
     "ClusterSizeModel",
     "FixedSize",
     "LinkParams",
     "NetworkConfig",
+    "Ordered",
+    "Ordering",
     "PoissonSize",
     "SPEED_OF_LIGHT",
+    "Scenario",
+    "Unordered",
     "free_space_eta",
 ]
 
@@ -26,8 +31,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 def free_space_eta(carrier_hz: float) -> float:
     """Free-space reference path-loss constant (c / (4 pi f))^2."""
-    if carrier_hz <= 0.0:
-        raise ValueError(f"carrier frequency must be positive, got {carrier_hz}")
+    if not 0.0 < carrier_hz < math.inf:
+        raise ValueError(f"carrier frequency must be positive and finite, got {carrier_hz}")
     return (SPEED_OF_LIGHT / (4.0 * math.pi * carrier_hz)) ** 2
 
 
@@ -85,7 +90,7 @@ class LinkParams:
                 "transforms diverge"
             )
 
-    @property
+    @cached_property  # read once per field transform, on every integrand evaluation
     def delta(self) -> float:
         return 2.0 / self.alpha
 
@@ -93,11 +98,6 @@ class LinkParams:
     def p_ratio_x(self) -> float:
         """Power ratio typical/interferer, p_x0 / p_x."""
         return self.p_x0 / self.p_x
-
-    @property
-    def p_ratio_z(self) -> float:
-        """Power ratio typical/coexisting, p_x0 / p_z."""
-        return self.p_x0 / self.p_z
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,69 @@ class PoissonSize:
 
 
 ClusterSizeModel = FixedSize | PoissonSize
+
+
+@dataclass(frozen=True)
+class Unordered:
+    """Typical node drawn uniformly from its cluster."""
+
+
+@dataclass(frozen=True)
+class Ordered:
+    """Typical node is the k-th closest in its cluster; None means farthest."""
+
+    k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.k is not None:
+            require_int("rank k", self.k, 1)
+
+
+Ordering = Unordered | Ordered
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Typical-node ordering and cluster-size model.
+
+    Every rule on valid combinations lives here, so the closed forms and the
+    Monte Carlo engine accept exactly the same scenarios.
+    """
+
+    ordering: Ordering
+    size_model: ClusterSizeModel
+
+    def __post_init__(self) -> None:
+        # The typical node belongs to its cluster: one node plus
+        # Poisson(mean - 1) others, which needs a mean of at least one.
+        if isinstance(self.size_model, PoissonSize) and self.size_model.mean < 1.0:
+            raise ValueError(
+                f"the typical cluster needs a mean size >= 1, got {self.size_model.mean}"
+            )
+        k = self.ordering.k if isinstance(self.ordering, Ordered) else None
+        if k is None:
+            return
+        # With Poisson sizes a fixed rank may exceed the drawn cluster; only
+        # the farthest node is defined for every draw.
+        if isinstance(self.size_model, PoissonSize):
+            raise ValueError(
+                f"rank k={k} needs a fixed cluster size; with "
+                "Poisson sizes only the farthest node (k=None) is supported"
+            )
+        if k > self.size_model.n:
+            raise ValueError(f"rank k={k} exceeds the cluster size n={self.size_model.n}")
+
+    def tag(self) -> str:
+        """Short label used in CSV output."""
+        order = "unordered" if isinstance(self.ordering, Unordered) else (
+            "ordered-farthest" if self.ordering.k is None else f"ordered-k{self.ordering.k}"
+        )
+        size = (
+            f"fixed-n{self.size_model.n}"
+            if isinstance(self.size_model, FixedSize)
+            else f"poisson-nbar{self.size_model.mean:g}"
+        )
+        return f"{order}/{size}"
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,27 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            # an explicit eta leaves the carrier unread; inf used to pass
+            # validate and fail the sweep's sidecar with a JSON error
+            ("eta = 1e-4\ncarrier_frequency_hz = inf", "carrier_frequency_hz"),
+            # zero noise leaves the bandwidth unread; -5 reached the sidecar
+            ("noise_mode = zero\nbandwidth_hz = -5", "bandwidth_hz"),
+        ],
+        ids=["carrier-with-eta", "bandwidth-without-noise"],
+    )
+    def test_unread_keys_still_checked(self, text, key, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + "\naxis_grid = -10, 0\nmethods = gc\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value", [("methods", ("gc", "gc")), ("axis_grid", (-10.0, -10.0))]
     )
     def test_repeated_entries_rejected(self, key, value):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -27,7 +29,10 @@ ALL_SCENARIOS = (UF, UR, OF, OR)
 
 # (alpha, scenario, threshold dB, GC value, exact value) on the reference
 # link, recorded with the five scenario-specific coverage functions that
-# the single composition replaced (GC at T = M = 50).
+# the single composition replaced (GC at T = M = 50).  The OR rows were
+# recorded again when the farthest node of a Poisson-size cluster became
+# the farthest of 1 + Poisson(nbar - 1) nodes, in place of the farthest of
+# ceil(nbar).
 PINNED = [
     (3.5, UF, -20, 0.7212275647777077, 0.720519391050702),
     (3.5, UF, -10, 0.3633874503227335, 0.36303294266769415),
@@ -41,10 +46,10 @@ PINNED = [
     (3.5, OF, -10, 0.08704063893905187, 0.08685498513575368),
     (3.5, OF, 0, 0.0003389315081328794, 0.0003380379291826259),
     (3.5, OF, 10, 2.8308372342348053e-09, 2.8232842431026536e-09),
-    (3.5, OR, -20, 0.5090657740168542, 0.5085736425004215),
-    (3.5, OR, -10, 0.11974963875903061, 0.1196462631640746),
-    (3.5, OR, 0, 0.006846493533927044, 0.006843861727614473),
-    (3.5, OR, 10, 0.00010503731967567768, 0.00010508482549829721),
+    (3.5, OR, -20, 0.5106317572694586, 0.5101888941513077),
+    (3.5, OR, -10, 0.12321547820877599, 0.12314635066821653),
+    (3.5, OR, 0, 0.009622741872713572, 0.009624163070428047),
+    (3.5, OR, 10, 0.001391954529774733, 0.0013923391601922484),
     (3.5, O3F, -20, 0.7481812168412473, 0.7475324899600428),
     (3.5, O3F, -10, 0.32476247414218457, 0.32443765085191834),
     (3.5, O3F, 0, 0.014996275498412223, 0.014975190667943221),
@@ -61,10 +66,10 @@ PINNED = [
     (4.2, OF, -10, 0.0396049945828658, 0.03952200344838709),
     (4.2, OF, 0, 9.05497086647871e-06, 9.03633314275937e-06),
     (4.2, OF, 10, 8.903766277006044e-13, 8.881923340693611e-13),
-    (4.2, OR, -20, 0.3933882749721981, 0.3930149442924643),
-    (4.2, OR, -10, 0.06242194800507534, 0.06237663772031048),
-    (4.2, OR, 0, 0.00031778086428706453, 0.00031788908846751485),
-    (4.2, OR, 10, 1.895684397198582e-07, 1.897102370031256e-07),
+    (4.2, OR, -20, 0.39642654576975517, 0.396102895734489),
+    (4.2, OR, -10, 0.06978786984507357, 0.06976003498780889),
+    (4.2, OR, 0, 0.0032554211868322724, 0.003256030304076902),
+    (4.2, OR, 10, 0.0007024012087147735, 0.0007024757403873323),
     (4.2, O3F, -20, 0.6748765986073505, 0.6742796660018842),
     (4.2, O3F, -10, 0.255834694231305, 0.2555685197320991),
     (4.2, O3F, 0, 0.008129638414423658, 0.00811780970998704),
@@ -72,28 +77,53 @@ PINNED = [
 ]
 
 
+def farthest_mixture(gamma, nbar, link):
+    """Exact coverage of the farthest node over 1 + Poisson(nbar - 1) nodes, size by size.
+
+    The sum of P(N - 1; nbar - 1) times the exact fixed-size farthest-node
+    coverage at N, truncated once the Poisson tail falls below 1e-16.
+    Without other clusters (lambda_g = 0) no factor of the composition
+    depends on the cluster size except through the typical cluster, so
+    this is the Poisson scenario's exact value.
+    """
+    m = nbar - 1.0
+    terms, n = [], 1
+    while True:
+        scen = Scenario(Ordered(), FixedSize(n))
+        value = coverage(gamma, scen, link, method=EXACT, int_tol=1e-10).value
+        terms.append(stats.poisson.pmf(n - 1, m) * value)
+        if stats.poisson.sf(n - 1, m) < 1e-16:
+            return math.fsum(terms)
+        n += 1
+
+
+def ranked(k, n):
+    return Scenario(Ordered(k), FixedSize(n))
+
+
 class TestDistanceDensity:
     """The typical-link density in u = r/a that every scenario integrates."""
 
     def test_unordered_endpoint(self):
-        assert _distance_density(1.0, None, None) == 2.0
+        assert _distance_density(1.0, UF) == 2.0
 
     def test_unordered_normalisation(self):
-        total, _ = integrate.quad(lambda u: _distance_density(u, None, None), 0.0, 1.0)
+        total, _ = integrate.quad(lambda u: _distance_density(u, UF), 0.0, 1.0)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_ordered_reduces_to_unordered(self):
         u = np.linspace(0.0, 1.0, 50)
-        assert np.allclose(_distance_density(u, 1, 1), _distance_density(u, None, None), rtol=1e-12)
+        assert np.allclose(_distance_density(u, ranked(1, 1)), _distance_density(u, UF), rtol=1e-12)
 
     def test_ordered_farthest_endpoint(self):
         # k = n = 6 at u = 1: 2 n u^(2n-1) = 12
-        assert _distance_density(1.0, 6, 6) == pytest.approx(12.0, rel=1e-12)
+        assert _distance_density(1.0, OF) == pytest.approx(12.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
     def test_ordered_normalisation(self, n):
         for k in range(1, n + 1):
-            total, _ = integrate.quad(lambda u: _distance_density(u, k, n), 0.0, 1.0, limit=200)
+            total, _ = integrate.quad(lambda u: _distance_density(u, ranked(k, n)), 0.0, 1.0,
+                                      limit=200)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_order_statistic_mixture_identity(self):
@@ -101,8 +131,8 @@ class TestDistanceDensity:
         # unordered density
         n = 7
         u = np.linspace(0.002, 0.998, 200)
-        mixture = sum(_distance_density(u, k, n) for k in range(1, n + 1)) / n
-        assert np.allclose(mixture, _distance_density(u, None, None), atol=1e-8 * 2.0)
+        mixture = sum(_distance_density(u, ranked(k, n)) for k in range(1, n + 1)) / n
+        assert np.allclose(mixture, _distance_density(u, UF), atol=1e-8 * 2.0)
 
     def test_ordered_matches_sampled_order_statistics(self):
         n, k = 6, 3
@@ -113,10 +143,22 @@ class TestDistanceDensity:
         observed, _ = np.histogram(kth, bins=edges)
         expected = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            mass, _ = integrate.quad(lambda u: _distance_density(u, k, n), lo, hi)
+            mass, _ = integrate.quad(lambda u: _distance_density(u, ranked(k, n)), lo, hi)
             expected.append(mass * len(kth))
         result = stats.chisquare(observed, np.asarray(expected))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("nbar", [1.0, 1.5, 6.0, 30.0])
+    def test_poisson_farthest_is_size_mixture(self, nbar):
+        # the farthest of 1 + Poisson(m) nodes: the farthest-of-N densities
+        # weighted by P(N - 1; m); no ceiling of nbar enters
+        scen = Scenario(Ordered(), PoissonSize(nbar))
+        u = np.linspace(0.0, 1.0, 101)
+        mixture = sum(stats.poisson.pmf(n - 1, nbar - 1.0) * _distance_density(u, ranked(n, n))
+                      for n in range(1, 200))
+        np.testing.assert_allclose(_distance_density(u, scen), mixture, rtol=1e-12, atol=1e-300)
+        total, _ = integrate.quad(lambda v: _distance_density(v, scen), 0.0, 1.0)
+        assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_out_of_range(self):
         # the density is reached only through a Scenario, which refuses a
@@ -166,6 +208,30 @@ class TestLimits:
         assert coverage(0.1, Scenario(Ordered(), FixedSize(1)), link, quad=quad50).value == 1.0
         exact = coverage(0.1, Scenario(Ordered(), FixedSize(1)), link, method=EXACT)
         assert exact.value == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOrderedPoisson:
+    """The farthest node of 1 + Poisson(nbar - 1) nodes, as the simulator draws it."""
+
+    @pytest.mark.parametrize("a, nbar", [(1000.0, 1.5), (500.0, 6.0), (500.0, 2.0)])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    def test_exact_is_mixture_of_fixed_sizes(self, a, nbar, gamma):
+        # thermal noise and the coexisting field depend on the typical
+        # distance, so only the size mixture, not one representative
+        # size, reproduces the scenario
+        link = reference_link(a=a, lambda_g=0.0)
+        scen = Scenario(Ordered(), PoissonSize(nbar))
+        got = coverage(gamma, scen, link, method=EXACT, int_tol=1e-10).value
+        assert got == pytest.approx(farthest_mixture(gamma, nbar, link), rel=1e-9)
+
+    def test_unit_mean_is_single_node(self, fig_link, quad50):
+        single = Scenario(Ordered(), FixedSize(1))
+        for method, kw in ((EXACT, {}), (Method.GAUSS_CHEBYSHEV, {"quad": quad50})):
+            for gamma in (0.1, 1.0, 10.0):
+                got = coverage(gamma, Scenario(Ordered(), PoissonSize(1.0)), fig_link,
+                               method=method, **kw).value
+                assert got == pytest.approx(
+                    coverage(gamma, single, fig_link, method=method, **kw).value, rel=1e-13)
 
 
 class TestCrossMethod:
@@ -280,12 +346,13 @@ class TestContracts:
             coverage(0.1, OF, fig_link).value
         )
 
-    def test_fractional_mean_uses_ceiling(self, fig_link, quad50):
-        # the order-statistic factor needs an integer size; 5.5 rounds up
-        frac = coverage(0.1, Scenario(Ordered(), PoissonSize(5.5)), fig_link, quad=quad50)
-        assert 0.0 <= frac.value <= 1.0
+    def test_fractional_mean_is_exact(self, quad50):
+        # a fractional mean needs no rounding to an integer cluster size
+        link = reference_link(lambda_g=0.0)
+        frac = coverage(0.1, Scenario(Ordered(), PoissonSize(5.5)), link, method=EXACT).value
+        assert frac == pytest.approx(farthest_mixture(0.1, 5.5, link), rel=1e-9)
         with pytest.raises(ValueError):
-            coverage(0.1, Scenario(Ordered(7), PoissonSize(5.5)), fig_link, quad=quad50)
+            coverage(0.1, Scenario(Ordered(7), PoissonSize(5.5)), link, quad=quad50)
 
     def test_rank_with_poisson_rejected(self):
         # the Poisson in-cluster transform assumes every interferer lies

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,14 @@ from clustercov.laplace import (
     laplace_inter_random_lower,
     laplace_intra,
 )
-from clustercov.params import FixedSize, PoissonSize
-from clustercov.special import make_quadrature
+from clustercov.params import FixedSize, Ordered, PoissonSize, Scenario, Unordered
+from clustercov.special import log_beta, make_quadrature
 
 from conftest import reference_link
 
 LINK = reference_link()
+UF6 = Scenario(Unordered(), FixedSize(6))
+OR6 = Scenario(Ordered(), PoissonSize(6.0))
 
 
 def s_at(r: float, gamma_th: float = 0.1) -> float:
@@ -25,14 +28,11 @@ def s_at(r: float, gamma_th: float = 0.1) -> float:
     return r**LINK.alpha * gamma_th / (LINK.p_x0 * LINK.eta)
 
 
-def intra(s, size, rank=None, r=None, quad=None, link=LINK):
-    """laplace_intra at transform variable s, typical node at distance r (m).
-
-    With Poisson sizes any rank selects the farthest-node transform.
-    """
+def intra(s, size, ordering=Unordered(), r=None, quad=None, link=LINK):
+    """laplace_intra at transform variable s, typical node at distance r (m)."""
     beta = s * link.p_x * link.eta / link.a**link.alpha
     u = (link.a if r is None else r) / link.a
-    return laplace_intra(beta, u, link.alpha, size, rank, quad)
+    return laplace_intra(beta, u, link.alpha, Scenario(ordering, size), quad)
 
 
 S_GRID = [s_at(r, g) for r in (50.0, 250.0, 500.0) for g in (0.01, 0.1, 10.0)]
@@ -48,10 +48,10 @@ class TestTrivialValues:
         assert laplace_inter_fixed_upper(0.0, 6, LINK) == 1.0
         assert laplace_inter_random_lower(0.0, 6.0, LINK) == 1.0
         assert laplace_coexist(0.0, LINK) == 1.0
-        assert intra(0.0, FixedSize(6), 3, 100.0) == 1.0
-        assert intra(0.0, PoissonSize(6.0), 6, 100.0) == 1.0
-        assert intra(0.0, FixedSize(6), 3, 100.0, quad) == 1.0
-        assert intra(0.0, PoissonSize(6.0), 6, 100.0, quad) == 1.0
+        assert intra(0.0, FixedSize(6), Ordered(3), 100.0) == 1.0
+        assert intra(0.0, PoissonSize(6.0), Ordered(), 100.0) == 1.0
+        assert intra(0.0, FixedSize(6), Ordered(3), 100.0, quad) == 1.0
+        assert intra(0.0, PoissonSize(6.0), Ordered(), 100.0, quad) == 1.0
 
     def test_unit_with_no_interferers(self):
         quad = make_quadrature(30, 1)
@@ -59,14 +59,14 @@ class TestTrivialValues:
         assert intra(s, FixedSize(1)) == 1.0
         assert intra(s, PoissonSize(1.0)) == 1.0
         assert intra(s, FixedSize(1), quad=quad) == 1.0
-        assert intra(s, FixedSize(1), 1, 100.0) == 1.0
-        assert intra(s, PoissonSize(1.0), 1, 100.0) == 1.0
+        assert intra(s, FixedSize(1), Ordered(1), 100.0) == 1.0
+        assert intra(s, PoissonSize(1.0), Ordered(), 100.0) == 1.0
 
     def test_subnormal_load_takes_zero_limit(self):
         # 1/beta overflows to inf here, and the exact disc mean used to
         # return inf * 0 = nan instead of its beta -> 0 limit
-        assert laplace_intra(1e-310, 1.0, 3.5, FixedSize(6)) == 1.0
-        assert laplace_intra(1e-310, 0.5, 3.5, FixedSize(6), rank=3) == 1.0
+        assert laplace_intra(1e-310, 1.0, 3.5, UF6) == 1.0
+        assert laplace_intra(1e-310, 0.5, 3.5, Scenario(Ordered(3), FixedSize(6))) == 1.0
 
     def test_unit_with_zero_density(self):
         link = reference_link(lambda_g=0.0, lambda_co=0.0)
@@ -93,14 +93,14 @@ class TestAgainstIntegralOracles:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_intra_ordered_fixed(self, r_k, k):
         s = s_at(r_k)
-        assert intra(s, FixedSize(6), k, r_k) == pytest.approx(
+        assert intra(s, FixedSize(6), Ordered(k), r_k) == pytest.approx(
             oracles.intra_ordered_fixed_integral(s, k, 6, r_k, LINK), rel=1e-6
         )
 
     @pytest.mark.parametrize("r_n", [50.0, 200.0, 500.0])
     def test_intra_ordered_random(self, r_n):
         s = s_at(r_n)
-        assert intra(s, PoissonSize(6.0), 6, r_n) == pytest.approx(
+        assert intra(s, PoissonSize(6.0), Ordered(), r_n) == pytest.approx(
             oracles.intra_ordered_random_integral(s, 6.0, r_n, LINK), rel=1e-6
         )
 
@@ -130,6 +130,48 @@ class TestAgainstIntegralOracles:
 def bound_s_grid(link):
     """Transform variables of the coverage chain at r = a, -20 / 0 / +10 dB."""
     return [link.a**link.alpha * g / (link.p_x0 * link.eta) for g in (0.01, 1.0, 10.0)]
+
+
+def log_space_beta_sum(n: int, delta: float) -> float:
+    """sum_{p=1}^{n} C(n,p) B(p - delta, n - p + delta), term by term in log space.
+
+    The form the fixed-size bound was once built from; binomial
+    coefficients overflow float64 past n ~ 1e3 and the Beta values
+    underflow symmetrically, so each term is assembled from logs.
+    """
+    log_n_fact = math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(log_n_fact - math.lgamma(p + 1) - math.lgamma(n - p + 1)
+                 + log_beta(p - delta, n - p + delta))
+        for p in range(1, n + 1)
+    )
+
+
+class TestFixedBoundConstant:
+    """The fixed-size bound's exponent pi lambda_g (s p_x eta)^delta delta sum_p C(n,p) B(...)."""
+
+    @pytest.mark.parametrize("alpha", [20.0, 3.5, 4.2, 2.0 / 0.9])
+    def test_against_beta_sum_and_mpmath(self, alpha):
+        link = reference_link(alpha=alpha)
+        delta = link.delta
+        mp_delta = mpmath.mpf(delta)
+        with mpmath.workdps(30):
+            for n in (1, 2, 6, 30, 300, 5000):
+                ref_sum = delta * log_space_beta_sum(n, delta)
+                ref_mp = mpmath.gamma(1 - mp_delta) * mpmath.gamma(n + mp_delta) / mpmath.gamma(n)
+                # s puts the exponent near 1, where -log of the transform
+                # keeps its relative precision
+                s = (math.pi * link.lambda_g * ref_sum) ** (-1.0 / delta) / (link.p_x * link.eta)
+                scale = math.pi * link.lambda_g * (s * link.p_x * link.eta) ** delta
+                got = -math.log(laplace_inter_fixed_upper(s, n, link)) / scale
+                assert got == pytest.approx(ref_sum, rel=1e-10)
+                assert got == pytest.approx(float(ref_mp), rel=1e-10)
+
+    def test_single_node_equals_poisson_bound_at_unit_mean(self):
+        for s in S_GRID:
+            assert laplace_inter_fixed_upper(s, 1, LINK) == pytest.approx(
+                laplace_inter_random_lower(s, 1.0, LINK), rel=1e-14
+            )
 
 
 class TestInterBoundSides:
@@ -178,12 +220,12 @@ class TestGaussChebyshev:
                     - intra(s, PoissonSize(6.0))
                 ) <= 1e-3
                 assert abs(
-                    intra(s, FixedSize(6), 3, r, quad)
-                    - intra(s, FixedSize(6), 3, r)
+                    intra(s, FixedSize(6), Ordered(3), r, quad)
+                    - intra(s, FixedSize(6), Ordered(3), r)
                 ) <= 1e-3
                 assert abs(
-                    intra(s, PoissonSize(6.0), 6, r, quad)
-                    - intra(s, PoissonSize(6.0), 6, r)
+                    intra(s, PoissonSize(6.0), Ordered(), r, quad)
+                    - intra(s, PoissonSize(6.0), Ordered(), r)
                 ) <= 1e-3
 
     def test_elementwise_over_arrays(self):
@@ -191,14 +233,14 @@ class TestGaussChebyshev:
         quad = make_quadrature(50, 1)
         r = np.array([50.0, 250.0, 499.0, LINK.a])
         s = s_at(r)
-        for size, rank in (
-            (FixedSize(6), None),
-            (PoissonSize(6.0), None),
-            (FixedSize(6), 3),
-            (PoissonSize(6.0), 6),
+        for size, ordering in (
+            (FixedSize(6), Unordered()),
+            (PoissonSize(6.0), Unordered()),
+            (FixedSize(6), Ordered(3)),
+            (PoissonSize(6.0), Ordered()),
         ):
-            together = intra(s, size, rank, r, quad)
-            one_by_one = [intra(si, size, rank, ri, quad) for si, ri in zip(s, r)]
+            together = intra(s, size, ordering, r, quad)
+            one_by_one = [intra(si, size, ordering, ri, quad) for si, ri in zip(s, r)]
             np.testing.assert_allclose(together, one_by_one, rtol=1e-14, atol=0.0)
         for field in (
             lambda s: laplace_inter_fixed_upper(s, 6, LINK),
@@ -226,7 +268,7 @@ class TestShapeProperties:
             lambda s: laplace_inter_fixed_upper(s, 6, LINK),
             lambda s: laplace_inter_random_lower(s, 6.0, LINK),
             lambda s: laplace_coexist(s, LINK),
-            lambda s: intra(s, FixedSize(6), 3, 200.0),
+            lambda s: intra(s, FixedSize(6), Ordered(3), 200.0),
         ],
     )
     def test_in_unit_interval_and_nonincreasing_in_s(self, fn):
@@ -254,7 +296,7 @@ class TestShapeProperties:
         for fn in (
             lambda link: intra(s, FixedSize(6), link=link),
             lambda link: laplace_inter_fixed_upper(s, 6, link),
-            lambda link: intra(s, FixedSize(6), 3, 200.0, link=link),
+            lambda link: intra(s, FixedSize(6), Ordered(3), 200.0, link=link),
         ):
             values = [fn(link) for link in links]
             assert all(x > y for x, y in zip(values, values[1:]))
@@ -277,8 +319,8 @@ class TestShapeProperties:
     def test_far_factor_continuous_at_rim(self):
         # r_k -> a is a removable singularity of the far-set factor
         s = s_at(499.0)
-        at_rim = intra(s, FixedSize(6), 3, LINK.a)
-        near_rim = intra(s, FixedSize(6), 3, LINK.a * (1.0 - 1e-7))
+        at_rim = intra(s, FixedSize(6), Ordered(3), LINK.a)
+        near_rim = intra(s, FixedSize(6), Ordered(3), LINK.a * (1.0 - 1e-7))
         assert at_rim == pytest.approx(near_rim, rel=1e-5)
 
     def test_degenerate_far_set_at_rim(self):
@@ -287,17 +329,18 @@ class TestShapeProperties:
         # 1/(1 + beta)
         beta, n, k = 0.4, 6, 3
         for quad in (None, make_quadrature(30, 1)):
-            ranked = laplace_intra(beta, 1.0, LINK.alpha, FixedSize(n), k, quad)
-            whole_disc = laplace_intra(beta, 1.0, LINK.alpha, FixedSize(k), None, quad)
+            ranked = laplace_intra(beta, 1.0, LINK.alpha, Scenario(Ordered(k), FixedSize(n)), quad)
+            whole_disc = laplace_intra(beta, 1.0, LINK.alpha, Scenario(Unordered(), FixedSize(k)),
+                                       quad)
             assert ranked == pytest.approx(whole_disc * (1.0 + beta) ** -(n - k), rel=1e-12)
 
     def test_invalid_conditioning(self):
         # a ranked typical node's distance must lie in (0, 1] cluster radii,
         # in every entry of an array
         for u in (0.0, -0.2, 1.0 + 1e-9, np.array([0.5, 1.2]), np.array([0.0, 0.5])):
-            for size in (FixedSize(6), PoissonSize(6.0)):
+            for scenario in (Scenario(Ordered(3), FixedSize(6)), OR6):
                 with pytest.raises(ValueError, match="conditioning distance"):
-                    laplace_intra(0.3, u, LINK.alpha, size, 3)
+                    laplace_intra(0.3, u, LINK.alpha, scenario)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -309,11 +352,11 @@ class TestShapeProperties:
         with pytest.raises(ValueError):
             laplace_inter_random_lower(1.0, 0.0, LINK)
         with pytest.raises(ValueError):
-            intra(1.0, FixedSize(6), 7, 100.0)
+            intra(1.0, FixedSize(6), Ordered(7), 100.0)
         with pytest.raises(ValueError):
-            intra(1.0, FixedSize(6), 2, 600.0)
+            intra(1.0, FixedSize(6), Ordered(2), 600.0)
         with pytest.raises(ValueError):
-            intra(1.0, PoissonSize(6.0), 6, 0.0)
+            intra(1.0, PoissonSize(6.0), Ordered(), 0.0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, np.array([1.0, math.nan])])
     def test_coexist_rejects_non_finite_s(self, s):
@@ -344,4 +387,4 @@ class TestShapeProperties:
     def test_intra_rejects_non_finite_load(self, beta):
         for quad in (None, make_quadrature(20, 20)):
             with pytest.raises(ValueError, match="finite"):
-                laplace_intra(beta, 1.0, LINK.alpha, FixedSize(6), None, quad)
+                laplace_intra(beta, 1.0, LINK.alpha, UF6, quad)

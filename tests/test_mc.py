@@ -385,6 +385,21 @@ class TestCoverageEstimates:
             else:
                 assert ana <= est.mean + 3.0 * est.stderr
 
+    @pytest.mark.parametrize("a, nbar", [(1000.0, 1.5), (500.0, 6.0)])
+    def test_ordered_poisson_matches_exact(self, a, nbar):
+        # without other clusters the closed form is exact, and with noise and
+        # the coexisting field on it depends on the typical distance beyond
+        # the in-cluster load, so the cluster-size law must be the one the
+        # engine draws: the farthest of 1 + Poisson(nbar - 1) nodes
+        link = reference_link(a=a, lambda_g=0.0)
+        scen = Scenario(Ordered(), PoissonSize(nbar))
+        gammas = (0.1, 1.0, 10.0)
+        spec = make_spec(link=link, scenario=scen, trials=40000, seed=9, gammas=gammas,
+                         window=math.inf, workers=1)
+        for gamma, est in zip(gammas, estimate_coverage(spec)):
+            exact = cc.coverage(gamma, scen, link, method=Method.EXACT_INTEGRAL).value
+            assert abs(exact - est.mean) <= 3.0 * est.stderr
+
     def test_farthest_rank_hurts_coverage(self):
         far = estimate_coverage(make_spec(scenario=Scenario(Ordered(), FixedSize(6))))
         near = estimate_coverage(make_spec(scenario=Scenario(Ordered(1), FixedSize(6))))

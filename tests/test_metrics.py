@@ -19,7 +19,7 @@ from clustercov.metrics import (
     noise_power_mw,
     rate_from_threshold,
 )
-from clustercov.params import FixedSize
+from clustercov.params import FixedSize, free_space_eta
 
 from conftest import BASE_DENSITY, reference_link
 
@@ -113,3 +113,29 @@ class TestEe:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             ase_ee(analytic_cov(0.4, 0.1), 6, BASE_DENSITY, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        free_space_eta,
+        noise_power_mw,
+        rate_from_threshold,
+        linear_to_db,
+        mw_to_dbm,
+        db_to_linear,
+        dbm_to_mw,
+        lambda v: ase_ee(analytic_cov(0.4, 0.1), v, BASE_DENSITY, 25.0),
+        lambda v: ase_ee(analytic_cov(0.4, 0.1), 6, v, 25.0),
+        lambda v: ase_ee(analytic_cov(0.4, 0.1), 6, BASE_DENSITY, v),
+        lambda v: analytic_cov(0.4, v),
+    ],
+    ids=["free_space_eta", "noise_power_mw", "rate_from_threshold", "linear_to_db",
+         "mw_to_dbm", "db_to_linear", "dbm_to_mw", "ase_ee.n_nodes", "ase_ee.lambda_g",
+         "ase_ee.p_x", "CoverageResult.gamma_th"],
+)
+def test_non_finite_input_rejected(call, value):
+    # each used to return NaN (or inf) for a non-finite input
+    with pytest.raises(ValueError):
+        call(value)
