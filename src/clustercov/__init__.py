@@ -18,12 +18,7 @@ from .coverage import (
     Unordered,
     coverage,
 )
-from .laplace import (
-    laplace_coexist,
-    laplace_inter_fixed_upper,
-    laplace_inter_random_lower,
-    laplace_intra,
-)
+from .laplace import laplace_coexist, laplace_inter, laplace_intra
 from .mc import (
     InterferenceField,
     McEstimate,
@@ -48,9 +43,9 @@ from .params import (
     PoissonSize,
     free_space_eta,
 )
-from .special import QuadratureSpec, beta_fn, gamma_fn, hyp2f1_1_b, make_quadrature
+from .special import QuadratureSpec, hyp2f1_1_b, make_quadrature
 
 __version__ = "0.1.0"
 
-# Kept because perfbench/run.py reads it and cli writes it into every .meta.json.
+# Kept because perfbench/run.py reads it.
 KERNEL_BACKEND = "python"

@@ -16,14 +16,13 @@ import math
 import os
 import sys
 
-from . import KERNEL_BACKEND, __version__, mc
+from . import __version__, mc
 from .config import (
     ConfigError,
     PRESETS,
     SweepPoint,
     SweepSpec,
     build_sweep,
-    load_config,
     read_config,
 )
 # Unused here (build_sweep resolves every point); perfbench/spans.py wraps them.
@@ -235,7 +234,6 @@ def _metadata(spec: SweepSpec, summary: dict) -> dict:
     }
     return {
         "package_version": __version__,
-        "kernel_backend": KERNEL_BACKEND,
         "settings": settings,
         "resolved": resolved,
         "summary": summary,
@@ -268,7 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _, spec = load_config(args.config, preset=args.preset)
+    _, spec = build_sweep(read_config(args.config), preset=args.preset)
     print(f"config OK: preset={spec.preset} axis={spec.axis} points={len(spec.grid)}")
     print(f"scenarios: {', '.join(s.tag() for s in spec.scenarios)}")
     link = spec.network.link

@@ -36,7 +36,6 @@ __all__ = [
     "SweepPoint",
     "SweepSpec",
     "build_sweep",
-    "load_config",
     "parse_config_text",
     "read_config",
 ]
@@ -431,8 +430,3 @@ def read_config(path) -> dict:
     """The overrides a flat key = value config file sets."""
     with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def load_config(path, preset: str | None = None) -> tuple[dict, SweepSpec]:
-    """Parse and validate a config file (optionally over a preset)."""
-    return build_sweep(read_config(path), preset=preset)

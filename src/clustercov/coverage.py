@@ -24,12 +24,7 @@ from enum import Enum
 import numpy as np
 from scipy import integrate
 
-from .laplace import (
-    laplace_coexist,
-    laplace_inter_fixed_upper,
-    laplace_inter_random_lower,
-    laplace_intra,
-)
+from .laplace import laplace_coexist, laplace_inter, laplace_intra
 from .params import (  # the scenario types are re-exported from here
     ClusterSizeModel,
     FixedSize,
@@ -169,10 +164,6 @@ def coverage(
         raise ValueError(f"int_tol must be positive and finite, got {int_tol}")
     exact = method is Method.EXACT_INTEGRAL
     size = scen.size_model
-    if isinstance(size, FixedSize):
-        inter, nodes = laplace_inter_fixed_upper, size.n
-    else:
-        inter, nodes = laplace_inter_random_lower, size.mean
 
     rho_scale = gamma_th / (p.p_x0 * p.eta)
     beta_scale = gamma_th / p.p_ratio_x
@@ -185,7 +176,7 @@ def coverage(
             _distance_density(u, scen)
             * np.minimum(1.0, intra)
             * np.exp(-s * p.sigma2)
-            * inter(s, nodes, p)
+            * laplace_inter(s, size, p)
             * laplace_coexist(s, p)
         )
 

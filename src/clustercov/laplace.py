@@ -1,11 +1,15 @@
 """Closed-form Laplace transforms of the three interference fields.
 
-The field transforms (cross-cluster bounds and the coexisting PPP) are
+The field transforms (the cross-cluster bound and the coexisting PPP) are
 functions of the variable s at which the coverage integrand needs them (s
 carries units 1/(mW * m^-alpha)); they are elementwise over arrays of s, 1
-at s = 0 and lie in (0, 1].  All three are one PPP form,
+at s = 0 and lie in (0, 1].  Both are one PPP form,
 exp(-pi lambda Gamma(1-delta) K (s P eta)^delta), and differ only in the
-density lambda, the power P and the constant K.
+density lambda, the power P and the constant K.  The cross-cluster
+transform takes the cluster-size model and picks K from it: Gamma(n+delta)
+/ Gamma(n) for n nodes per cluster (an upper bound) and nbar Gamma(1+delta)
+for Poisson(nbar) nodes (a lower bound); the coexisting PPP has
+K = Gamma(1+delta).
 
 The in-cluster transform works in the dimensionless load beta = s p_x eta
 a^-alpha, which along the coverage chain equals u^alpha gamma_th p_x / p_x0
@@ -21,13 +25,12 @@ import math
 
 import numpy as np
 
-from .params import LinkParams, Ordered, PoissonSize, Scenario, require_int
+from .params import ClusterSizeModel, FixedSize, LinkParams, Ordered, PoissonSize, Scenario
 from .special import QuadratureSpec, hyp2f1_1_b
 
 __all__ = [
     "laplace_coexist",
-    "laplace_inter_fixed_upper",
-    "laplace_inter_random_lower",
+    "laplace_inter",
     "laplace_intra",
 ]
 
@@ -149,7 +152,7 @@ def _ppp(s, density: float, power: float, k: float, p: LinkParams):
     """exp(-pi density Gamma(1 - delta) k (s power eta)^delta).
 
     With k = Gamma(1 + delta) this is the exact transform of a PPP of
-    Rayleigh-faded transmitters; the cross-cluster bounds scale k.
+    Rayleigh-faded transmitters; the cross-cluster bound scales k.
     """
     if not _is_finite_nonnegative(s):
         raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
@@ -159,26 +162,22 @@ def _ppp(s, density: float, power: float, k: float, p: LinkParams):
     )
 
 
-def laplace_inter_fixed_upper(s, n: int, p: LinkParams):
-    """Upper bound on the cross-cluster transform, fixed cluster size n.
+def laplace_inter(s, size: ClusterSizeModel, p: LinkParams):
+    """Bound on the cross-cluster transform: upper for a fixed size, lower for Poisson.
 
-    The paper's exponent pi lambda_g (s p_x eta)^delta delta sum_p C(n,p)
-    B(p-delta, n-p+delta) with the sum in closed form: the binomial
-    theorem inside the Beta integral gives delta sum_p C(n,p) B(p-delta,
-    n-p+delta) = Gamma(1-delta) Gamma(n+delta)/Gamma(n).  Tight for small
-    cluster radii, where the node-to-parent distance approximation
-    underlying it is mild; exact at n = 1.
+    For n nodes per cluster this is the paper's exponent pi lambda_g (s p_x
+    eta)^delta delta sum_j C(n,j) B(j-delta, n-j+delta) with the sum in
+    closed form: the binomial theorem inside the Beta integral gives delta
+    sum_j C(n,j) B(j-delta, n-j+delta) = Gamma(1-delta) Gamma(n+delta)/Gamma(n).
+    Tight for small cluster radii, where the node-to-parent distance
+    approximation underlying it is mild; exact at n = 1.  For Poisson(nbar)
+    nodes per cluster the constant is nbar Gamma(1+delta).
     """
-    require_int("cluster size n", n, 1)
-    k = math.exp(math.lgamma(n + p.delta) - math.lgamma(n))
+    if isinstance(size, FixedSize):
+        k = math.exp(math.lgamma(size.n + p.delta) - math.lgamma(size.n))
+    else:
+        k = size.mean * math.gamma(1.0 + p.delta)
     return _ppp(s, p.lambda_g, p.p_x, k, p)
-
-
-def laplace_inter_random_lower(s, nbar: float, p: LinkParams):
-    """Lower bound on the cross-cluster transform, Poisson mean nbar."""
-    if not 0.0 < nbar < math.inf:
-        raise ValueError(f"mean cluster size must be positive and finite, got {nbar}")
-    return _ppp(s, p.lambda_g, p.p_x, nbar * math.gamma(1.0 + p.delta), p)
 
 
 def laplace_coexist(s, p: LinkParams):

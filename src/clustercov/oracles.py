@@ -2,9 +2,10 @@
 
 Every closed form in this package has a brute-force counterpart here built
 on adaptive quadrature of the underlying integral representations, with no
-shared code path: the hypergeometric evaluator, the Beta/Gamma identities
-and the interference transforms are all checked against these routes by
-the test suite and by the ``oracle`` CLI subcommand.
+shared code path: the hypergeometric evaluator, the fixed-size
+cross-cluster bound and the interference transforms are all checked
+against these routes by the test suite and by the ``oracle`` CLI
+subcommand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from . import laplace, mc, special
+from . import config, laplace, mc, special
 from .params import FixedSize, LinkParams, NetworkConfig, Ordered, PoissonSize, Scenario, Unordered
 
 __all__ = [
@@ -247,17 +248,7 @@ class OracleCheck:
 
 
 def _fig2_link() -> LinkParams:
-    from .config import BASE_DENSITY
-    from .metrics import dbm_to_mw, noise_power_mw
-    from .params import free_space_eta
-
-    power = dbm_to_mw(14.0)
-    return LinkParams(
-        p_x0=power, p_x=power, p_z=power,
-        eta=free_space_eta(868e6), alpha=3.5, a=500.0,
-        lambda_g=BASE_DENSITY, lambda_co=BASE_DENSITY,
-        sigma2=noise_power_mw(125e3),
-    )
+    return config.build_sweep({}, preset="fig2")[1].network.link
 
 
 def _check_hyp2f1() -> OracleCheck:
@@ -271,26 +262,20 @@ def _check_hyp2f1() -> OracleCheck:
 
 
 def _check_beta() -> OracleCheck:
+    # the fixed-size cross-cluster bound against the paper's exponent
+    # pi lambda_g (s p_x eta)^delta delta sum_j C(n,j) B(j-delta, n-j+delta)
+    p = _fig2_link()
+    delta = p.delta
     worst = 0.0
-    delta = 2.0 / 3.5
-    for x, y in ((1.0, 1.0), (0.5, 0.5), (1.0 - delta, 5.0 + delta), (2.5, 0.75)):
-        ref = beta_integral(x, y)
-        worst = max(worst, abs(special.beta_fn(x, y) - ref) / ref)
-        gamma_route = special.gamma_fn(x) * special.gamma_fn(y) / special.gamma_fn(x + y)
-        worst = max(worst, abs(special.beta_fn(x, y) - gamma_route) / gamma_route)
-    for delta in (0.1, 2.0 / 3.5, 0.9):
-        lhs = special.gamma_fn(1.0 + delta) * special.gamma_fn(1.0 - delta)
-        rhs = math.pi * delta / math.sin(math.pi * delta)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    # the fixed-size cross-cluster bound's constant: sum_p C(n,p) B(p-delta,
-    # n-p+delta) = Gamma(1-delta) Gamma(n+delta) / (delta Gamma(n))
-    delta = 2.0 / 3.5
     for n in (1, 2, 6, 30):
-        ref = math.fsum(math.comb(n, p) * beta_integral(p - delta, n - p + delta)
-                        for p in range(1, n + 1))
-        closed = math.gamma(1.0 - delta) * math.gamma(n + delta) / (delta * math.gamma(n))
-        worst = max(worst, abs(closed - ref) / ref)
-    return OracleCheck("beta/gamma identities", worst, 1e-10)
+        beta_sum = math.fsum(math.comb(n, j) * beta_integral(j - delta, n - j + delta)
+                             for j in range(1, n + 1))
+        for gamma_th in (0.1, 1.0, 10.0):
+            s = p.a**p.alpha * gamma_th / (p.p_x0 * p.eta)
+            ref = math.exp(-math.pi * p.lambda_g * (s * p.p_x * p.eta) ** delta * delta * beta_sum)
+            got = laplace.laplace_inter(s, FixedSize(n), p)
+            worst = max(worst, abs(got - ref) / ref)
+    return OracleCheck("fixed-size cross-cluster bound vs Beta sum", worst, 1e-10)
 
 
 def _check_laplace() -> OracleCheck:
@@ -326,7 +311,7 @@ def _check_laplace() -> OracleCheck:
         pairs = [
             (laplace.laplace_coexist(s, p),
              inter_pgfl_integral(s * p.p_z * p.eta, p.lambda_co, 0.0, p.alpha, FixedSize(1))),
-            (laplace.laplace_inter_fixed_upper(s, 1, p),
+            (laplace.laplace_inter(s, FixedSize(1), p),
              inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, FixedSize(1))),
         ]
         # the Monte Carlo far factor over the annulus (R0, W]

@@ -2,11 +2,10 @@
 
 The coverage analysis only ever needs the Gauss hypergeometric function in
 one family of shapes, 2F1(1, b; b+1; -z) with b > 0 and z >= 0, together
-with Gamma/Beta values and Gauss-Chebyshev nodes and weights.  The 2F1
-family is scipy's ``hyp2f1`` behind a scalar wrapper that checks its
-domain, with a closed log form for b within 1e-8 of an integer, where
-scipy loses precision at large z (z spans from ~1e-6 up to ~1e10 over a
-typical SINR sweep).
+with Gauss-Chebyshev nodes and weights.  The 2F1 family is scipy's
+``hyp2f1`` behind a scalar wrapper that checks its domain, with a closed
+log form for b within 1e-8 of an integer, where scipy loses precision at
+large z (z spans from ~1e-6 up to ~1e10 over a typical SINR sweep).
 """
 
 from __future__ import annotations
@@ -21,10 +20,7 @@ from .params import require_int
 
 __all__ = [
     "QuadratureSpec",
-    "beta_fn",
-    "gamma_fn",
     "hyp2f1_1_b",
-    "log_beta",
     "make_quadrature",
 ]
 
@@ -64,28 +60,6 @@ def hyp2f1_1_b(b: float, z: float) -> float:
     if z > 0.5 and m >= 1 and abs(b - m) <= 1e-8 * max(1.0, b):
         return _hyp_integer_b(m, z)
     return float(sp.hyp2f1(1.0, b, b + 1.0, -z))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got x={x}")
-    return math.gamma(x)
-
-
-def log_beta(x: float, y: float) -> float:
-    """ln B(x, y) for x, y > 0, computed in log space."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError(
-            f"beta arguments must be positive, got ({x}, {y}); nonpositive "
-            "values arise when the path-loss exponent alpha <= 2"
-        )
-    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-
-
-def beta_fn(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
-    return math.exp(log_beta(x, y))
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ def test_03_laplace_bound_directions(fig_link):
     ok = True
     detail = []
     for j, s in enumerate(s_grid):
-        upper = cc.laplace_inter_fixed_upper(s, 6, fig_link)
-        lower = cc.laplace_inter_random_lower(s, 6.0, fig_link)
+        upper = cc.laplace_inter(s, FixedSize(6), fig_link)
+        lower = cc.laplace_inter(s, PoissonSize(6.0), fig_link)
         exact = cc.laplace_coexist(s, fig_link)
         if not mc_fixed[j].mean <= upper + 3.0 * mc_fixed[j].stderr:
             ok = False

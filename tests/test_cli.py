@@ -13,8 +13,8 @@ from clustercov.config import (
     ConfigError,
     PRESETS,
     build_sweep,
-    load_config,
     parse_config_text,
+    read_config,
 )
 
 TINY_CONFIG = """
@@ -242,7 +242,7 @@ class TestConfigParsing:
 class TestSweep:
     def test_writes_csv_and_metadata(self, tiny_config, tmp_path):
         out = tmp_path / "sweep.csv"
-        _, spec = load_config(tiny_config)
+        _, spec = build_sweep(read_config(tiny_config))
         summary = run_sweep(spec, str(out))
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -251,12 +251,13 @@ class TestSweep:
         # grid x methods x scenarios (one scenario here)
         assert len(data) == 3 * 2
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert set(meta) == {"package_version", "settings", "resolved", "summary"}
         assert meta["settings"]["seed"] == 5
         assert "mc-vs-gc" in summary["coverage_gaps"]
 
     def test_dbm_metadata_roundtrip(self, tiny_config, tmp_path):
         out = tmp_path / "sweep.csv"
-        _, spec = load_config(tiny_config)
+        _, spec = build_sweep(read_config(tiny_config))
         run_sweep(spec, str(out))
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         dbm = meta["settings"]["tx_power_dbm"]
@@ -264,7 +265,7 @@ class TestSweep:
         assert abs(10.0 ** (dbm / 10.0) - mw) <= 1e-9 * mw
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
-        _, spec = load_config(tiny_config)
+        _, spec = build_sweep(read_config(tiny_config))
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         run_sweep(spec, str(first))
@@ -331,7 +332,7 @@ class TestSweep:
 
     def test_mc_rows_carry_stderr(self, tiny_config, tmp_path):
         out = tmp_path / "sweep.csv"
-        _, spec = load_config(tiny_config)
+        _, spec = build_sweep(read_config(tiny_config))
         run_sweep(spec, str(out))
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))

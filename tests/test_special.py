@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercov import oracles
-from clustercov.special import (
-    beta_fn,
-    gamma_fn,
-    hyp2f1_1_b,
-    make_quadrature,
-)
+from clustercov.special import hyp2f1_1_b, make_quadrature
 
 DELTA = 2.0 / 3.5
 
@@ -122,45 +117,6 @@ class TestHyp2f1:
     @pytest.mark.parametrize("b", [DELTA, 1.0, 1.0 + DELTA, 2.0])
     def test_limit_at_infinite_z(self, b):
         assert hyp2f1_1_b(b, math.inf) == 0.0
-
-
-class TestBetaGamma:
-    def test_beta_trivials(self):
-        assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
-
-    def test_beta_frozen_quadrature_value(self):
-        # p=1, n=6 term of the cross-cluster bound at alpha=3.5, computed
-        # beforehand from the defining integral
-        assert beta_fn(1.0 - DELTA, 5.0 + DELTA) == pytest.approx(
-            1.0123276306926245, rel=1e-10
-        )
-
-    @pytest.mark.parametrize(
-        "x,y", [(0.3, 1.7), (1.0 - DELTA, 5.0 + DELTA), (2.0, 3.0), (0.5, 4.5)]
-    )
-    def test_beta_symmetry_and_gamma_identity(self, x, y):
-        assert beta_fn(x, y) == pytest.approx(beta_fn(y, x), rel=1e-14)
-        via_gamma = gamma_fn(x) * gamma_fn(y) / gamma_fn(x + y)
-        assert beta_fn(x, y) == pytest.approx(via_gamma, rel=1e-10)
-
-    def test_beta_domain_error_names_path_loss(self):
-        with pytest.raises(ValueError, match="path-loss"):
-            beta_fn(-0.5, 1.0)
-
-    def test_gamma_trivials(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-2.5)
-
-    @pytest.mark.parametrize("delta", [0.05, 0.3, DELTA, 0.7, 0.95])
-    def test_reflection_formula(self, delta):
-        lhs = gamma_fn(1.0 + delta) * gamma_fn(1.0 - delta)
-        rhs = math.pi * delta / math.sin(math.pi * delta)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestQuadrature:
