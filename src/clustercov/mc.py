@@ -32,9 +32,7 @@ the expectation of the fully sampled window and its variance falls
 (Rao-Blackwellisation), but it holds only while the typical link's fading
 is Rayleigh.  Thresholds share realizations (common random numbers), and
 each summand is nonincreasing in gamma, so the estimated coverage is
-exactly monotone across the grid within one run.  The trace's ``sinr``
-column is the SINR against the drawn near field, so it matches the
-estimate only when W <= R0.
+exactly monotone across the grid within one run.
 
 The per-node power-law accumulation runs through the two NumPy kernels
 ``radial_sums`` and ``inter_sums``; they are module attributes so that
@@ -43,12 +41,12 @@ profilers and tests can wrap them in place.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -132,11 +130,12 @@ class McEstimate:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+    if workers is not None:
+        return workers
+    value = os.environ.get(WORKERS_ENV_VAR, "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def radial_sums(
@@ -194,7 +193,7 @@ def _window_points(rng, density: float, radius: float, n: int):
 
 
 def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
-    """The typical node's own cluster: (r_typ, h_typ, i_intra) per trial.
+    """The typical node's own cluster: (r_typ, i_intra) per trial.
 
     Only radii are drawn (in-cluster interference depends on distance
     alone).  Poisson sizes are the typical node plus Poisson(mean - 1)
@@ -218,10 +217,10 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
         rank = sizes - 1 if k is None else k - 1
         typical = np.lexsort((r, trial_of_node))[seg_start + rank]
 
-    r_typ, h_typ = r[typical], h[typical]
+    r_typ = r[typical]
     h[typical] = 0.0  # the typical node does not interfere with itself
     i_intra = link.p_x * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
-    return r_typ, h_typ, i_intra
+    return r_typ, i_intra
 
 
 def _cross_clusters(rng, scenario: Scenario, link: LinkParams, radius: float, n: int):
@@ -366,53 +365,55 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam)
 
 
-def _simulate_chunk(args: tuple) -> dict:
-    """Simulate one chunk of trials; returns per-chunk accumulators.
+def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one chunk of trials; returns the (sum, sum of squares) per grid point.
 
-    Every trial gives one value exp(-t * x) per grid point t: for coverage
-    t is the SINR threshold and x the typical link's conditional coverage
-    exponent against the near field, and the value carries the far factor
-    exp(-far(s)) from the request's table; for a transform t is the
-    transform variable and x the field's near-disc interference.  The chunk
-    returns their sum and sum of squares per point.
+    Every trial gives one value exp(-t * x - far(t * scale)) per grid point
+    t: for coverage t is the SINR threshold, x the typical link's
+    conditional coverage exponent against the near field and scale =
+    r_typ**alpha / (p_x0 eta), so that t * scale is the far field's s; for
+    a transform t is the transform variable, x the field's near-disc
+    interference and scale = 1.  ``far`` is None where there is no far field.
     """
-    spec, field, index, n, grid, far, want_trace = args
+    spec, field, index, n, grid, far = args
     scenario = spec.scenario
     link = spec.config.link
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+    scale = 1.0
     if field is InterferenceField.INTRA:
-        x = _typical_cluster(rng, scenario, link, n)[2]
+        x = _typical_cluster(rng, scenario, link, n)[1]
     elif field is InterferenceField.INTER:
         x = _cross_clusters(rng, scenario, link, radius, n)
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, radius, n)
     else:
-        r_typ, h_typ, i_intra = _typical_cluster(rng, scenario, link, n)
+        r_typ, i_intra = _typical_cluster(rng, scenario, link, n)
         i_inter = _cross_clusters(rng, scenario, link, radius, n)
         i_co = _coexisting(rng, link, radius, n)
         den = i_intra + i_inter + i_co + link.sigma2
         x = den * r_typ**link.alpha / (link.p_x0 * link.eta)
+        scale = (r_typ**link.alpha / (link.p_x0 * link.eta))[None, :]
     t = np.asarray(grid)[:, None]
     exponent = -t * x[None, :]
     if far is not None:
-        exponent -= far(t * (r_typ**link.alpha / (link.p_x0 * link.eta))[None, :])
+        exponent -= far(t * scale)
     values = np.exp(exponent)
-    out = {"sum": values.sum(axis=1), "sum_sq": (values * values).sum(axis=1)}
-    if want_trace:
-        with np.errstate(divide="ignore"):
-            out["sinr"] = link.p_x0 * link.eta * h_typ * r_typ**-link.alpha / den
-        out["p_covered"] = values[0]
-    return out
+    return values.sum(axis=1), (values * values).sum(axis=1)
 
 
 def _estimate(
-    spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...], trace_path=None
+    spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...]
 ) -> list[McEstimate]:
     """Sample mean and standard error of each trial's value at every grid point t."""
-    far = _far_table(spec) if field is None else None
+    if field is None:
+        far = _far_table(spec)
+    elif field is InterferenceField.INTRA:
+        far = None
+    else:
+        far = partial(_far_exponent, spec, field)
     args = [
-        (spec, field, index, size, grid, far, trace_path is not None)
+        (spec, field, index, size, grid, far)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
@@ -421,11 +422,9 @@ def _estimate(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_simulate_chunk, args))
-    if trace_path is not None:
-        _write_trace(trace_path, chunks)
     n = spec.trials
-    totals = np.sum([c["sum"] for c in chunks], axis=0)
-    totals_sq = np.sum([c["sum_sq"] for c in chunks], axis=0)
+    totals = np.sum([total for total, _ in chunks], axis=0)
+    totals_sq = np.sum([total_sq for _, total_sq in chunks], axis=0)
     out = []
     for total, total_sq in zip(totals, totals_sq):
         var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
@@ -433,31 +432,16 @@ def _estimate(
     return out
 
 
-def estimate_coverage(spec: SimSpec, trace_path=None) -> list[McEstimate]:
+def estimate_coverage(spec: SimSpec) -> list[McEstimate]:
     """Coverage estimates, one per threshold in spec.gamma_grid.
 
     Each trial contributes its conditional coverage probability (see the
     module docstring), and all thresholds share realizations, so the
-    estimates are exactly nonincreasing across the grid.  ``trace_path``
-    optionally writes a per-trial CSV (trial, sinr, p_covered), where
-    ``sinr`` is the realized SINR against the drawn near-disc field, with
-    the typical link's fading drawn, and ``p_covered`` the trial's
-    conditional coverage, far factor included, at the first threshold.
+    estimates are exactly nonincreasing across the grid.
     """
     if not spec.gamma_grid:
         raise ValueError("spec.gamma_grid must contain at least one threshold")
-    return _estimate(spec, None, spec.gamma_grid, trace_path)
-
-
-def _write_trace(path, chunks: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "sinr", "p_covered"])
-        trial = 0
-        for chunk in chunks:
-            for sinr, p_covered in zip(chunk["sinr"], chunk["p_covered"]):
-                writer.writerow([trial, repr(float(sinr)), repr(float(p_covered))])
-                trial += 1
+    return _estimate(spec, None, spec.gamma_grid)
 
 
 def estimate_laplace(
@@ -467,19 +451,12 @@ def estimate_laplace(
 ) -> list[McEstimate]:
     """Transforms E[exp(-s * I_field)], one per grid point.
 
-    The near disc's interference is sampled and the annulus's exact factor
-    exp(-Lambda_far(s)) multiplies each estimate (the in-cluster field has
-    no far part); s = 0 gives exactly 1.
+    Each trial contributes exp(-s I_near - Lambda_far(s)): its sampled
+    near-disc interference and the annulus's exact exponent (the in-cluster
+    field has no far part); s = 0 gives exactly 1.
     """
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")
     if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
         raise ValueError("transform grid points must be finite and nonnegative")
-    estimates = _estimate(spec, interf_field, tuple(s_grid))
-    if interf_field is InterferenceField.INTRA:
-        return estimates
-    far = np.exp(-_far_exponent(spec, interf_field, s_grid))
-    return [
-        McEstimate(mean=float(e.mean * f), stderr=float(e.stderr * f), trials=e.trials)
-        for e, f in zip(estimates, far)
-    ]
+    return _estimate(spec, interf_field, tuple(s_grid))

@@ -31,14 +31,9 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def dbm_to_mw(dbm: float) -> float:
-    return db_to_linear(dbm)
-
-
-def mw_to_dbm(mw: float) -> float:
-    if not 0.0 < mw < math.inf:
-        raise ValueError(f"cannot express power {mw} mW in dBm; it must be positive and finite")
-    return 10.0 * math.log10(mw)
+# dBm is dB relative to 1 mW, so the power conversions are the ratio ones
+dbm_to_mw = db_to_linear
+mw_to_dbm = linear_to_db
 
 
 def noise_power_mw(bandwidth_hz: float) -> float:

@@ -68,9 +68,9 @@ class QuadratureSpec:
 
     The inner sum (order T) approximates the disc averages inside the
     interference transforms; the outer sum (order M) approximates the
-    integral over the typical-link distance.  Nodes psi/nu live on (-1, 1),
-    c/ell are their affine images on (0, 1), and mu/theta are the
-    sqrt(1 - node^2) weights.
+    integral over the typical-link distance.  The inner nodes psi live on
+    (-1, 1), c/ell are the inner/outer nodes' affine images on (0, 1), and
+    mu/theta are their sqrt(1 - node^2) weights.
     """
 
     order_t: int
@@ -80,7 +80,6 @@ class QuadratureSpec:
     c: np.ndarray
     mu: np.ndarray
     omega_m: float
-    nu: np.ndarray
     ell: np.ndarray
     theta: np.ndarray
 
@@ -102,7 +101,7 @@ def make_quadrature(order_t: int, order_m: int) -> QuadratureSpec:
     require_int("quadrature order T", order_t, 1)
     require_int("quadrature order M", order_m, 1)
     psi, c, mu = _chebyshev_nodes(order_t)
-    nu, ell, theta = _chebyshev_nodes(order_m)
+    _, ell, theta = _chebyshev_nodes(order_m)
     return QuadratureSpec(
         order_t=order_t,
         order_m=order_m,
@@ -111,7 +110,6 @@ def make_quadrature(order_t: int, order_m: int) -> QuadratureSpec:
         c=c,
         mu=mu,
         omega_m=math.pi / order_m,
-        nu=nu,
         ell=ell,
         theta=theta,
     )

@@ -1,5 +1,5 @@
-import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,38 +160,22 @@ class TestEngineSampling:
         pmf[hi] = 1.0 - pmf[:hi].sum()
         assert stats.chisquare(observed, pmf * len(sizes)).pvalue > 0.01
 
-    def test_noise_limited_trace_sinr(self, kernel_calls, tmp_path):
-        # one node, no interferers: SINR = p_x0 eta h r^-alpha / sigma2
-        spec = isolated_spec(FixedSize(1), trials=300, seed=21)
-        path = tmp_path / "trace.csv"
-        estimate_coverage(spec, trace_path=path)
+    def test_noise_limited_conditional_coverage(self, kernel_calls):
+        # one node, no interferers: each trial contributes
+        # exp(-gamma r^alpha sigma2 / (p_x0 eta)), and the estimate is the
+        # mean and standard error of those values
+        gamma = 0.1
+        spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
+        (est,) = estimate_coverage(spec)
         assert kernel_calls["inter_sums"] == []
         ((r, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
-        # replay the chunk's stream: radius draws, then fading draws
+        # replay the chunk's stream: the radius draws come first
         rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
         link = spec.config.link
         assert np.array_equal(r, link.a * np.sqrt(rng.uniform(size=300)))
-        h = rng.exponential(1.0, size=300)
-        with open(path, newline="") as fh:
-            sinr = np.array([float(row["sinr"]) for row in csv.DictReader(fh)])
-        expected = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
-        np.testing.assert_allclose(sinr, expected, rtol=1e-14, atol=0.0)
-
-    def test_noise_limited_conditional_coverage(self, tmp_path):
-        # one node, no interferers: each trial contributes
-        # exp(-gamma r^alpha sigma2 / (p_x0 eta)) and the estimate is their mean
-        gamma = 0.1
-        spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
-        path = tmp_path / "trace.csv"
-        (est,) = estimate_coverage(spec, trace_path=path)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
-        link = spec.config.link
-        r = link.a * np.sqrt(rng.uniform(size=300))
-        with open(path, newline="") as fh:
-            p_covered = np.array([float(row["p_covered"]) for row in csv.DictReader(fh)])
-        expected = np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
-        np.testing.assert_allclose(p_covered, expected, rtol=1e-14, atol=0.0)
-        assert est.mean == pytest.approx(p_covered.mean(), rel=1e-14)
+        values = np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
+        assert est.mean == pytest.approx(values.mean(), rel=1e-14)
+        assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(300), rel=1e-12)
 
 
 GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
@@ -411,6 +395,22 @@ class TestCoverageEstimates:
 
 
 class TestLaplaceEstimates:
+    @pytest.mark.parametrize("a", [500.0, 1000.0])
+    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
+    def test_inter_matches_pgfl_oracle(self, size, a):
+        # two-sided: the sampled near disc with the exact annulus against the
+        # cross-cluster field's PGFL over the whole 20 km window, by
+        # quadrature; the paper's bounds sit 3-88 standard errors away
+        link = reference_link(a=a)
+        s_a = a**link.alpha / (link.p_x0 * link.eta)
+        s_grid = (0.1 * s_a, s_a, 10.0 * s_a)
+        spec = make_spec(link=link, scenario=Scenario(Unordered(), size), trials=20000, seed=31)
+        for s, est in zip(s_grid, estimate_laplace(spec, InterferenceField.INTER, s_grid)):
+            exact = oracles.inter_pgfl_integral(
+                s * link.p_x * link.eta, link.lambda_g, a, link.alpha, size, 0.0, 20000.0
+            )
+            assert abs(est.mean - exact) <= 3.0 * est.stderr
+
     def test_unit_at_zero_s(self):
         ests = estimate_laplace(make_spec(trials=500), InterferenceField.INTRA, (0.0,))
         assert ests[0].mean == 1.0
@@ -490,35 +490,6 @@ class TestMetricsEstimates:
             )
 
 
-class TestTrace:
-    def test_trace_file_schema(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        spec = make_spec(trials=300, gammas=(0.1,))
-        (est,) = estimate_coverage(spec, trace_path=path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["trial", "sinr", "p_covered"]
-        assert len(rows) == 301
-        p_covered = np.array([float(row[2]) for row in rows[1:]])
-        assert p_covered.mean() == pytest.approx(est.mean, rel=1e-12)
-
-    def test_indicator_agrees_with_conditional_mean(self, tmp_path):
-        # the 0/1 indicator recomputed from the realized SINR estimates the
-        # same coverage as the conditional column, with a larger variance; the
-        # sinr column sees only the drawn near field, so the window is the
-        # near disc (W = R0 = 10 a) and there is no far factor
-        path = tmp_path / "trace.csv"
-        gamma = 0.1
-        estimate_coverage(make_spec(trials=4000, gammas=(gamma,), window=5000.0), trace_path=path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        indicator = np.array([float(row["sinr"]) >= gamma for row in rows], dtype=float)
-        p_covered = np.array([float(row["p_covered"]) for row in rows])
-        stderr = math.sqrt(indicator.var(ddof=1) / len(rows))
-        assert abs(indicator.mean() - p_covered.mean()) <= 3.0 * stderr
-        assert indicator.var(ddof=1) > p_covered.var(ddof=1)
-
-
 class TestSpecValidation:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
@@ -547,6 +518,14 @@ class TestSpecValidation:
         # or never (seed None drew fresh entropy for every chunk)
         with pytest.raises(ValueError):
             make_spec(**{field: value})
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1", ""])
+    def test_bad_workers_variable_named(self, monkeypatch, value):
+        # "abc" and "2.5" used to fail with int()'s message, which names
+        # neither the variable nor where the value came from
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=f"CLUSTERCOV_WORKERS.*{re.escape(repr(value))}"):
+            estimate_coverage(make_spec(trials=10))
 
     def test_numpy_integers_accepted(self):
         spec = make_spec(trials=np.int64(10), seed=np.int64(3), chunk_trials=np.int32(4))

@@ -66,3 +66,9 @@ def test_node_count_argument_position(kernel, position, name):
     # argument, so reordering the parameters would miscount them silently
     params = list(inspect.signature(getattr(mc, kernel)).parameters)
     assert params[position] == name
+
+
+def test_estimate_coverage_takes_spec_first():
+    # the tracer counts trials and chunks from args[0] or kwargs["spec"]
+    params = list(inspect.signature(mc.estimate_coverage).parameters)
+    assert params[0] == "spec"
