@@ -160,6 +160,29 @@ class TestEngineSampling:
         pmf[hi] = 1.0 - pmf[:hi].sum()
         assert stats.chisquare(observed, pmf * len(sizes)).pvalue > 0.01
 
+    def test_noise_limited_trace_sinr(self, kernel_calls):
+        # one node, no interferers: SINR = p_x0 eta h r^-alpha / sigma2 with r
+        # and h replayed from the chunk's stream; the 0/1 indicator of that
+        # SINR estimates the same coverage, with a larger variance
+        gammas = (0.1, 10.0, 100.0)
+        spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=gammas)
+        ests = estimate_coverage(spec)
+        assert kernel_calls["inter_sums"] == []
+        ((r, h_seen, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
+        # the lone node is the typical one and does not interfere with itself
+        assert not h_seen.any()
+        # replay the chunk's stream: radius draws, then fading draws
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
+        link = spec.config.link
+        assert np.array_equal(r, link.a * np.sqrt(rng.uniform(size=300)))
+        h = rng.exponential(1.0, size=300)
+        sinr = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
+        for gamma, est in zip(gammas, ests):
+            indicator = (sinr >= gamma).astype(float)
+            indicator_stderr = indicator.std(ddof=1) / math.sqrt(300)
+            assert abs(indicator.mean() - est.mean) <= 3.0 * indicator_stderr
+            assert est.stderr < indicator_stderr
+
     def test_noise_limited_conditional_coverage(self, kernel_calls):
         # one node, no interferers: each trial contributes
         # exp(-gamma r^alpha sigma2 / (p_x0 eta)), and the estimate is the
