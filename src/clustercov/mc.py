@@ -67,16 +67,16 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 # Radius of the sampled near disc in cluster radii.  Like chunk_trials it is
 # part of the random-stream layout: changing it changes every estimate on a
 # window wider than the near disc.
-NEAR_RADII = 10.0
+NEAR_RADII = 3.0
 
 # The far-field rule: Gauss-Legendre nodes in u = (R0/x)**(alpha - 2) over
 # the annulus, which maps an infinite window to a finite interval and makes
 # the x**(1 - alpha) tail of the integrand flat, times a polar rule over
 # each cluster disc (Gauss-Legendre in the offset radius, midpoints in the
-# angle).  The disc never covers the origin, since R0 >= 10 a wherever the
+# angle).  The disc never covers the origin, since R0 >= 3 a wherever the
 # annulus is non-empty.
-_RADIAL_NODES = 32
-_DISC_NODES = 5
+_RADIAL_NODES = 48
+_DISC_NODES = 8
 # Coverage needs Lambda_far at a different s per trial and threshold, so it
 # is tabulated once per call on a lattice fixed by the link alone:
 # _TABLE_PER_DECADE points per decade of s / s_a, s_a = a**alpha / (p_x0 eta)
@@ -84,8 +84,8 @@ _DISC_NODES = 5
 # points past the largest s of the request.  The interpolant on an interval
 # depends only on its neighbouring nodes, so a trial's value does not depend
 # on the request's other thresholds.
-_TABLE_PER_DECADE = 20
-_TABLE_FLOOR_DECADES = 6
+_TABLE_PER_DECADE = 40
+_TABLE_FLOOR_DECADES = 3
 
 
 class InterferenceField(Enum):
@@ -265,20 +265,19 @@ def _near_radius(config: NetworkConfig) -> float:
 def _unit_disc_rule():
     """(offset radius, cos(angle / 2), weight) of nodes averaging over the unit disc.
 
-    Gauss-Legendre in the radius with its 2 rho density folded into the
-    weights, midpoints in the angle over [0, pi] (the field is symmetric
-    about the parent's axis).
+    Gauss-Legendre in the radius with its 2 rho density and the angle
+    average folded into the weights, midpoints in the angle over [0, pi]
+    (the field is symmetric about the parent's axis).
     """
     t, w = leggauss(_DISC_NODES)
     rho = 0.5 * (t + 1.0)
     half_angle = 0.5 * math.pi * (np.arange(_DISC_NODES) + 0.5) / _DISC_NODES
-    weight = (w * rho)[:, None] / _DISC_NODES * np.ones(_DISC_NODES)
-    return rho[:, None], np.cos(half_angle)[None, :], weight
+    return rho, np.cos(half_angle), w * rho / _DISC_NODES
 
 
 _RADIAL_RULE = leggauss(_RADIAL_NODES)
 _UNIT_DISC = _unit_disc_rule()
-_POINT = (np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))  # the a = 0 "disc"
+_POINT = (np.zeros(1), np.ones(1), np.ones(1))  # the a = 0 "disc"
 
 
 def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: float,
@@ -300,15 +299,17 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     t, w = _RADIAL_RULE
     u_lo = (inner / outer) ** k
     u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
-    x = (inner * u ** (-1.0 / k))[:, None, None]
+    x = (inner * u ** (-1.0 / k))[:, None]
     # x dx = inner**2 / k * u**(-alpha / k) du
     radial_weight = 0.5 * (1.0 - u_lo) * w * inner**2 / k * u ** (-alpha / k)
     rho, half_cos, disc_weight = _UNIT_DISC if a > 0.0 else _POINT
-    rho = a * rho
-    d_alpha = ((x - rho) ** 2 + 4.0 * x * rho * half_cos * half_cos) ** (0.5 * alpha)
-    load = c[..., None, None, None]
-    # 1 - g, summed directly so that it keeps its relative precision at small c
-    tail = (load / (d_alpha + load) * disc_weight).sum(axis=(-2, -1))
+    load = c[..., None, None]
+    # 1 - g, summed directly so that it keeps its relative precision at small
+    # c, one offset radius at a time so that temporaries stay (c, x, angle)
+    tail = np.zeros(c.shape + u.shape)
+    for rho_i, weight_i in zip(a * rho, disc_weight):
+        d_alpha = ((x - rho_i) ** 2 + 4.0 * x * rho_i * half_cos * half_cos) ** (0.5 * alpha)
+        tail += weight_i * (load / (d_alpha + load)).sum(axis=-1)
     if isinstance(size, FixedSize):
         bracket = -np.expm1(size.n * np.log1p(-np.minimum(tail, 1.0)))
     else:

@@ -130,10 +130,10 @@ class TestEngineSampling:
         spec = make_spec(trials=trials, workers=1)
         estimate_coverage(spec)
         parents = sum(len(args[0]) for args in kernel_calls["inter_sums"])
-        # only the near disc is drawn: lambda_g * pi * R0^2 = 10 for the
-        # reference density at R0 = 10 a = 5 km
+        # only the near disc is drawn: lambda_g * pi * R0^2 = 0.9 for the
+        # reference density at R0 = 3 a = 1.5 km
         near = min(spec.config.window_radius, mc.NEAR_RADII * spec.config.link.a)
-        assert near == 5000.0
+        assert near == 1500.0
         expected = BASE_DENSITY * math.pi * near**2
         stderr = math.sqrt(expected / trials)
         assert abs(parents / trials - expected) <= 3.0 * stderr
@@ -220,10 +220,18 @@ class TestFarField:
         )
         return -math.log(inter) - math.log(coexist)
 
-    @pytest.mark.parametrize("window", [20000.0, math.inf], ids=str)
-    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
-    def test_far_factor_matches_oracle(self, size, window):
-        spec = make_spec(scenario=Scenario(Unordered(), size), gammas=GAMMAS_16, window=window)
+    @pytest.mark.parametrize(
+        "a, size, window",
+        [pytest.param(500.0, size, window, id=f"{size!r}-{window}")
+         for size in (FixedSize(6), PoissonSize(6.0)) for window in (20000.0, math.inf)]
+        # a = 1 km with ten-node clusters (fig3's a1000m, fig7): the annulus
+        # carries the most interference there and the rule is least accurate
+        + [pytest.param(1000.0, size, 20000.0, id=f"a1000m-{size!r}-20000.0")
+           for size in (FixedSize(10), PoissonSize(10.0))],
+    )
+    def test_far_factor_matches_oracle(self, a, size, window):
+        spec = make_spec(link=reference_link(a=a), scenario=Scenario(Unordered(), size),
+                         gammas=GAMMAS_16, window=window)
         link = spec.config.link
         table = mc._far_table(spec)
         # the request's s range: up to gamma = 10 dB at r = a, below the table too
@@ -237,8 +245,8 @@ class TestFarField:
 
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor at all, so the draws and estimates are the
-        # plain simulation's (TestPinnedStreams pins them)
-        spec = make_spec(window=5000.0, gammas=GAMMAS_16)
+        # plain simulation's
+        spec = make_spec(window=1500.0, gammas=GAMMAS_16)
         assert mc._far_table(spec) is None
         for field in (InterferenceField.INTER, InterferenceField.COEXIST):
             assert not mc._far_exponent(spec, field, np.array([1e9, 1e12])).any()
@@ -250,21 +258,24 @@ class TestFarField:
         assert est.stderr == 0.0
 
     @pytest.mark.parametrize(
-        "scenario, seeds",
-        [(Scenario(Unordered(), FixedSize(6)), (21, 22)),
-         (Scenario(Ordered(), PoissonSize(6.0)), (23, 24))],
-        ids=["UF-6", "OP-6"],
+        "scenario, a, trials, seeds",
+        [(Scenario(Unordered(), FixedSize(6)), 500.0, 32768, (21, 22)),
+         (Scenario(Ordered(), PoissonSize(6.0)), 500.0, 32768, (23, 24)),
+         (Scenario(Ordered(), FixedSize(10)), 1000.0, 16384, (27, 28)),
+         (Scenario(Unordered(), PoissonSize(10.0)), 1000.0, 16384, (29, 30))],
+        ids=["UF-6", "OP-6", "OF-10-a1000m", "UP-10-a1000m"],
     )
-    def test_hybrid_matches_plain_simulation(self, monkeypatch, scenario, seeds):
+    def test_hybrid_matches_plain_simulation(self, monkeypatch, scenario, a, trials, seeds):
         # near disc plus exact annulus against drawing the whole 20 km
         # window (R0 = W), at -20, -10 and 0 dB
         gammas = (0.01, 0.1, 1.0)
+        link = reference_link(a=a)
         hybrid = estimate_coverage(
-            make_spec(scenario=scenario, trials=32768, seed=seeds[0], gammas=gammas)
+            make_spec(link=link, scenario=scenario, trials=trials, seed=seeds[0], gammas=gammas)
         )
         monkeypatch.setattr(mc, "NEAR_RADII", math.inf)
         plain = estimate_coverage(
-            make_spec(scenario=scenario, trials=32768, seed=seeds[1], gammas=gammas)
+            make_spec(link=link, scenario=scenario, trials=trials, seed=seeds[1], gammas=gammas)
         )
         for h, p in zip(hybrid, plain):
             assert abs(h.mean - p.mean) <= 3.0 * math.hypot(h.stderr, p.stderr)
@@ -582,31 +593,37 @@ def _pinned_spec(name):
 class TestPinnedStreams:
     """The random-stream layout is part of the reproducibility contract.
 
-    These (mean, stderr) pairs were recorded before the engine was split into
-    one sampler per field.  Any change in what is drawn, or in which order,
+    The in-cluster rows (O2-F4-intra, and UF-6's INTRA transform) were
+    recorded before the engine was split into one sampler per field.  The
+    six rows with other clusters or coexisting nodes (the four coverage
+    cases, UF-6's INTER and COEXIST) were re-recorded when the drawn near
+    disc shrank from 10 a to 3 a: at a = 500 m the 5 km window now extends
+    past R0 = 1.5 km, so those cases draw fewer nodes and take the annulus's
+    exact factor.  They were recorded after the hybrid-vs-plain tests in
+    TestFarField passed.  Any change in what is drawn, or in which order,
     moves them by O(stderr), far past the tolerance.
     """
 
     COVERAGE = {
         "UF-6": [
-            (0.7085497776912203, 0.008710706884528352),
-            (0.3650163520912568, 0.009334198015159853),
-            (0.10614965940490373, 0.006306263447432226),
+            (0.7093819497360326, 0.008664234521575213),
+            (0.36349093680175437, 0.009315419604493082),
+            (0.10664715069264001, 0.006349847603269114),
         ],
         "UP-6": [
-            (0.7171681770951622, 0.008614452696126157),
-            (0.387971525134778, 0.009702837080635128),
-            (0.13224664547847276, 0.007050827982082971),
+            (0.7232484725814362, 0.008591569419500223),
+            (0.3972915840283986, 0.009735379127909711),
+            (0.13519398997825124, 0.007067091394940259),
         ],
         "OF-6": [
-            (0.4954142444247291, 0.008659291300829852),
-            (0.08502695165968671, 0.0037334856030665567),
-            (0.00021451762508967366, 5.186709390643606e-05),
+            (0.49589405420359434, 0.00863095055797222),
+            (0.0840295262896948, 0.0037011781134388346),
+            (0.0002702548182907831, 7.197992165741548e-05),
         ],
         "OP-6": [
-            (0.5108615210654747, 0.009150086216910614),
-            (0.1386169529424814, 0.006011400872959222),
-            (0.01548849947929188, 0.002478632281054396),
+            (0.519445573467403, 0.009127282921578501),
+            (0.14353204532995736, 0.006166220012448902),
+            (0.016911759344121008, 0.0025809338375309683),
         ],
         "O2-F4-intra": [
             (0.8707113807498045, 0.00619371588295934),
@@ -624,15 +641,15 @@ class TestPinnedStreams:
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
-            (0.9997821210840457, 0.00021568324910800345),
-            (0.9976156246133375, 0.0009137248111046843),
-            (0.9454109551311864, 0.004505017033041636),
+            (0.9999989407368236, 3.784607945174104e-07),
+            (0.9990375129138644, 0.0003227578044855932),
+            (0.9454055550818302, 0.004578136550241349),
         ],
         ("UF-6", InterferenceField.COEXIST): [
             (1.0, 0.0),
-            (0.9999979368259487, 1.925920605148828e-06),
-            (0.9992393575836999, 0.0006384375978962385),
-            (0.9885637398732071, 0.0019662480744894358),
+            (0.9999998865250869, 6.131993676030505e-08),
+            (0.9998892816287597, 5.9203928834639494e-05),
+            (0.987502594799027, 0.002118233375154081),
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
