@@ -212,10 +212,14 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
     if isinstance(scenario.ordering, Unordered):
         # nodes are exchangeable, so the first one is a uniform pick
         typical = seg_start
+    elif scenario.ordering.k is None:
+        # the farthest node: the last index attaining its trial's largest
+        # radius, which is the node a stable sort puts last, ties included,
+        # found without the sort (every trial holds at least one node)
+        at_max = r == np.maximum.reduceat(r, seg_start)[trial_of_node]
+        typical = np.maximum.reduceat(np.where(at_max, np.arange(len(r)), -1), seg_start)
     else:
-        k = scenario.ordering.k
-        rank = sizes - 1 if k is None else k - 1
-        typical = np.lexsort((r, trial_of_node))[seg_start + rank]
+        typical = np.lexsort((r, trial_of_node))[seg_start + scenario.ordering.k - 1]
 
     r_typ = r[typical]
     h[typical] = 0.0  # the typical node does not interfere with itself
@@ -305,11 +309,18 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     rho, half_cos, disc_weight = _UNIT_DISC if a > 0.0 else _POINT
     load = c[..., None, None]
     # 1 - g, summed directly so that it keeps its relative precision at small
-    # c, one offset radius at a time so that temporaries stay (c, x, angle)
+    # c, one offset radius at a time so that temporaries stay (c, x, angle).
+    # The load / (d**alpha + load) terms of every offset radius share one
+    # buffer: a fresh (c, x, angle) array per radius is large enough to be
+    # mapped anew each time, and its page faults cost several times the
+    # divide itself.
     tail = np.zeros(c.shape + u.shape)
+    terms = np.empty(c.shape + u.shape + half_cos.shape)
     for rho_i, weight_i in zip(a * rho, disc_weight):
         d_alpha = ((x - rho_i) ** 2 + 4.0 * x * rho_i * half_cos * half_cos) ** (0.5 * alpha)
-        tail += weight_i * (load / (d_alpha + load)).sum(axis=-1)
+        np.add(d_alpha, load, out=terms)
+        np.divide(load, terms, out=terms)
+        tail += weight_i * terms.sum(axis=-1)
     if isinstance(size, FixedSize):
         bracket = -np.expm1(size.n * np.log1p(-np.minimum(tail, 1.0)))
     else:
@@ -339,14 +350,30 @@ class _FarTable:
     A monotone cubic (PCHIP) in log Lambda against log s, and Lambda's
     linear limit below the grid, so the table is nondecreasing in s like
     Lambda itself and the estimate stays monotone in the threshold.
+
+    SciPy builds the PCHIP coefficients; the lookup reads them by lattice
+    arithmetic, since the breakpoints are uniform in log s, instead of by
+    PPoly's per-point interval search, which costs more than a chunk's
+    draws.  Interval choice (x[i] <= log s < x[i + 1], the last interval
+    closed) and the polynomial's evaluation order are PPoly's, so the
+    values are its values bit for bit.
     """
 
     s_lo: float
     lam_lo: float
-    log_lam: PchipInterpolator
+    x: np.ndarray  # breakpoints, log s
+    coef: np.ndarray  # (4, len(x) - 1), highest power first, in powers of log s - x[i]
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        inside = np.exp(self.log_lam(np.log(np.maximum(s, self.s_lo))))
+        x, (c0, c1, c2, c3) = self.x, self.coef
+        last = len(x) - 2
+        log_s = np.log(np.maximum(s, self.s_lo))
+        i = np.clip(((log_s - x[0]) * (last + 1) / (x[-1] - x[0])).astype(np.intp), 0, last)
+        # the lattice is uniform only up to rounding: step to PPoly's interval
+        i = i - ((log_s < x[i]) & (i > 0))
+        i = i + ((log_s >= x[i + 1]) & (i < last))
+        d = log_s - x[i]
+        inside = np.exp(c3[i] + c2[i] * d + c1[i] * (d * d) + c0[i] * (d * d * d))
         return np.where(s < self.s_lo, self.lam_lo * (s / self.s_lo), inside)
 
 
@@ -363,7 +390,7 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     if not lam.any():
         return None
     log_lam = PchipInterpolator(np.log(s), np.log(lam))
-    return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam)
+    return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam.x, log_lam.c)
 
 
 def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:

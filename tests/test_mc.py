@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.interpolate import PchipInterpolator
 
 import clustercov as cc
 import clustercov.mc as mc
@@ -73,6 +74,33 @@ def isolated_spec(size, ordering=None, trials=4000, **kw):
     )
 
 
+class QuarterUniform:
+    """A generator whose uniform draws are rounded to odd eighths: no zero, many ties."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, *args, **kw):
+        return (np.floor(4.0 * self._rng.uniform(*args, **kw)) + 0.5) / 4.0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def stable_sort_farthest(rng, size, link, n):
+    """(r_typ, i_intra) of the farthest node, picked by a stable sort of the same draws."""
+    if isinstance(size, FixedSize):
+        sizes = np.full(n, size.n, dtype=np.int64)
+    else:
+        sizes = 1 + rng.poisson(size.mean - 1.0, size=n)
+    trial = np.repeat(np.arange(n, dtype=np.intp), sizes)
+    r = link.a * np.sqrt(rng.uniform(size=len(trial)))
+    h = rng.exponential(1.0, size=len(r))
+    typical = np.lexsort((r, trial))[np.cumsum(sizes) - 1]
+    h[typical] = 0.0
+    return r[typical], link.p_x * link.eta * mc.radial_sums(r, h, trial, n, -link.alpha)
+
+
 class TestEngineSampling:
     """The engine's draws, observed at the kernel seam."""
 
@@ -111,6 +139,23 @@ class TestEngineSampling:
         r, h, _ = typical_nodes(kernel_calls)
         r, h = r.reshape(-1, 5), h.reshape(-1, 5)
         assert np.array_equal(r[h == 0.0], np.sort(r, axis=1)[:, column])
+
+    @pytest.mark.parametrize(
+        "size",
+        [FixedSize(1), FixedSize(6), PoissonSize(1.0), PoissonSize(6.0), PoissonSize(30.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_farthest_pick_matches_stable_sort(self, size, ties):
+        # the farthest node is the one a stable sort by (trial, radius) puts
+        # last in its trial; uniforms rounded to odd eighths force ties at the top
+        link = reference_link()
+        for seed in range(4):
+            rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
+            r_typ, i_intra = mc._typical_cluster(rngs[0], Scenario(Ordered(), size), link, 512)
+            ref_r_typ, ref_i_intra = stable_sort_farthest(rngs[1], size, link, 512)
+            assert np.array_equal(r_typ, ref_r_typ)
+            assert np.array_equal(i_intra, ref_i_intra)
 
     def test_poisson_typical_cluster_size(self, kernel_calls):
         # one typical node plus Poisson(nbar - 1) in-cluster interferers
@@ -242,6 +287,55 @@ class TestFarField:
             direct = (mc._far_exponent(spec, InterferenceField.INTER, s)
                       + mc._far_exponent(spec, InterferenceField.COEXIST, s))
             assert abs(direct - ref) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "a, size",
+        [(250.0, FixedSize(6)), (500.0, FixedSize(6)), (1000.0, PoissonSize(10.0))],
+        ids=["a250m-FixedSize(6)", "FixedSize(6)", "a1000m-PoissonSize(10.0)"],
+    )
+    def test_lookup_matches_pchip(self, a, size):
+        # the table's lattice-arithmetic lookup against SciPy's PCHIP
+        # evaluation of the same nodes, bit for bit; the lattice's rounding
+        # makes the arithmetic index one too high just below some breakpoints
+        # at a = 250 m (where the wrong interval changes the value) and one
+        # too low at others for every a
+        spec = make_spec(link=reference_link(a=a), scenario=Scenario(Unordered(), size),
+                         gammas=GAMMAS_16)
+        link = spec.config.link
+        table = mc._far_table(spec)
+        s_a = link.a**link.alpha / (link.p_x0 * link.eta)
+        per_decade = mc._TABLE_PER_DECADE
+        k = np.arange(-per_decade * mc._TABLE_FLOOR_DECADES,
+                      math.ceil(per_decade * math.log10(GAMMAS_16[-1])) + 3)
+        lattice = s_a * 10.0 ** (k / per_decade)
+        assert np.array_equal(np.log(lattice), table.x)
+        lam = (mc._far_exponent(spec, InterferenceField.INTER, lattice)
+               + mc._far_exponent(spec, InterferenceField.COEXIST, lattice))
+        pchip = PchipInterpolator(np.log(lattice), np.log(lam))
+        s_lo = lattice[0]
+        lam_lo = np.exp(pchip(np.log(s_lo)))
+
+        def reference(s):
+            inside = np.exp(pchip(np.log(np.maximum(s, s_lo))))
+            return np.where(s < s_lo, lam_lo * (s / s_lo), inside)
+
+        rng = np.random.default_rng(3)
+        # the request's range, r_typ <= a at every threshold, as a (threshold, trial) block
+        spread = np.exp(rng.uniform(np.log(s_lo), np.log(GAMMAS_16[-1] * s_a), size=(10, 100)))
+        # every breakpoint and the s around it down to single ulps of log s
+        ulps = 1.0 + np.arange(-40, 41) * np.finfo(float).eps
+        near = np.concatenate([
+            lattice, np.nextafter(lattice, 0.0), np.nextafter(lattice, np.inf),
+            (lattice[:, None] * ulps).ravel(),
+        ])
+        below = s_lo * np.array([0.0, 1e-9, 1e-3, 0.5, 1.0 - 1e-16])
+        beyond = lattice[-1] * np.array([1.0 + 1e-12, 1.5, 10.0])
+        for s in (spread, near, below, np.nextafter(below, 0.0), beyond):
+            assert np.array_equal(table(s), reference(s))
+        for s in (s_lo, lattice[57], 0.3 * s_lo, GAMMAS_16[-1] * s_a):
+            got = table(np.array(s))
+            assert np.shape(got) == ()
+            assert np.array_equal(got, reference(np.array(s)))
 
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor at all, so the draws and estimates are the
