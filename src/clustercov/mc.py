@@ -46,7 +46,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -401,7 +400,9 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     conditional coverage exponent against the near field and scale =
     r_typ**alpha / (p_x0 eta), so that t * scale is the far field's s; for
     a transform t is the transform variable, x the field's near-disc
-    interference and scale = 1.  ``far`` is None where there is no far field.
+    interference and scale = 1.  ``far`` is None where there is no far field,
+    the coverage table, or for a transform Lambda_far at the grid itself,
+    shape (grid, 1), evaluated once per request.
     """
     spec, field, index, n, grid, far = args
     scenario = spec.scenario
@@ -425,7 +426,7 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(grid)[:, None]
     exponent = -t * x[None, :]
     if far is not None:
-        exponent -= far(t * scale)
+        exponent -= far(t * scale) if callable(far) else far
     values = np.exp(exponent)
     return values.sum(axis=1), (values * values).sum(axis=1)
 
@@ -439,7 +440,7 @@ def _estimate(
     elif field is InterferenceField.INTRA:
         far = None
     else:
-        far = partial(_far_exponent, spec, field)
+        far = _far_exponent(spec, field, np.asarray(grid)[:, None])
     args = [
         (spec, field, index, size, grid, far)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
