@@ -68,6 +68,11 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 # window wider than the near disc.
 NEAR_RADII = 3.0
 
+# Trials per Latin-hypercube replicate (R): consecutive trials of a chunk
+# share the strata of their in-cluster radii.  Part of the stream layout and
+# of the standard error, which comes from the replicate sums.
+REPLICATE_TRIALS = 16
+
 # The far-field rule: Gauss-Legendre nodes in u = (R0/x)**(alpha - 2) over
 # the annulus, which maps an infinite window to a finite interval and makes
 # the x**(1 - alpha) tail of the integrand flat, times a polar rule over
@@ -191,12 +196,40 @@ def _window_points(rng, density: float, radius: float, n: int):
     return trial_of_point, radius * np.sqrt(rng.uniform(size=len(trial_of_point)))
 
 
-def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
+def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
+    """(n, columns) uniforms, Latin-hypercube stratified within each replicate.
+
+    Consecutive rows form replicates of ``replicate`` rows, the last one
+    possibly of k < replicate rows.  In a replicate of k rows each column
+    holds one value in each stratum [i / k, (i + 1) / k): stratum
+    perm[row], with perm an independent uniformly random permutation per
+    (replicate, column), plus a uniform jitter.  Every row on its own is
+    still i.i.d. uniform.  Draws the permutation keys of the full
+    replicates, then those of the partial one, then the jitters.
+    """
+    full = n - n % replicate
+    keys = rng.uniform(size=(full // replicate, columns, replicate))
+    tail_keys = rng.uniform(size=(columns, n - full))
+    u = rng.uniform(size=(n, columns))
+    # in place on the jitter: (stratum + jitter) / k
+    head = u[:full].reshape(-1, replicate, columns)
+    head += np.argsort(keys, axis=-1).transpose(0, 2, 1)
+    head /= replicate
+    if full < n:
+        u[full:] += np.argsort(tail_keys, axis=-1).T
+        u[full:] /= n - full
+    return u
+
+
+def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicate: int):
     """The typical node's own cluster: (r_typ, i_intra) per trial.
 
     Only radii are drawn (in-cluster interference depends on distance
     alone).  Poisson sizes are the typical node plus Poisson(mean - 1)
-    others, the analytical in-cluster interferer count.
+    others, the analytical in-cluster interferer count.  Node j of every
+    trial takes column j of a Latin hypercube over the trials' replicates
+    (a trial without a node j skips its column-j value), so (r / a)**2 is
+    stratified per node column while each trial keeps i.i.d. uniform nodes.
     """
     size_model = scenario.size_model
     if isinstance(size_model, FixedSize):
@@ -204,7 +237,9 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int):
     else:
         sizes = 1 + rng.poisson(size_model.mean - 1.0, size=n)
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
-    r = link.a * np.sqrt(rng.uniform(size=len(trial_of_node)))
+    columns = int(sizes.max())
+    u = _latin_hypercube(rng, n, columns, replicate)[np.arange(columns) < sizes[:, None]]
+    r = link.a * np.sqrt(u)
     h = rng.exponential(1.0, size=len(r))
     seg_start = np.zeros(n, dtype=np.intp)
     np.cumsum(sizes[:-1], out=seg_start[1:])
@@ -392,8 +427,15 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam.x, log_lam.c)
 
 
-def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one chunk of trials; returns the (sum, sum of squares) per grid point.
+def _simulate_chunk(args: tuple) -> tuple:
+    """Simulate one chunk of trials and reduce it to replicate sums.
+
+    Consecutive trials form replicates of ``replicate`` trials, the last
+    one possibly shorter.  With S_j the sum of replicate j's values, k_j
+    its size and c = sum S_j / n the chunk's mean, returns sum S_j,
+    sum (S_j - k_j c)**2 and sum k_j (S_j - k_j c) per grid point, then the
+    number of replicates and sum k_j**2.  Centring on the chunk's own mean
+    keeps the spread's precision where it is tiny next to the mean.
 
     Every trial gives one value exp(-t * x - far(t * scale)) per grid point
     t: for coverage t is the SINR threshold, x the typical link's
@@ -404,20 +446,20 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     the coverage table, or for a transform Lambda_far at the grid itself,
     shape (grid, 1), evaluated once per request.
     """
-    spec, field, index, n, grid, far = args
+    spec, field, index, n, grid, far, replicate = args
     scenario = spec.scenario
     link = spec.config.link
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     scale = 1.0
     if field is InterferenceField.INTRA:
-        x = _typical_cluster(rng, scenario, link, n)[1]
+        x = _typical_cluster(rng, scenario, link, n, replicate)[1]
     elif field is InterferenceField.INTER:
         x = _cross_clusters(rng, scenario, link, radius, n)
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, radius, n)
     else:
-        r_typ, i_intra = _typical_cluster(rng, scenario, link, n)
+        r_typ, i_intra = _typical_cluster(rng, scenario, link, n, replicate)
         i_inter = _cross_clusters(rng, scenario, link, radius, n)
         i_co = _coexisting(rng, link, radius, n)
         den = i_intra + i_inter + i_co + link.sigma2
@@ -428,22 +470,40 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     if far is not None:
         exponent -= far(t * scale) if callable(far) else far
     values = np.exp(exponent)
-    return values.sum(axis=1), (values * values).sum(axis=1)
+    starts = np.arange(0, n, replicate)
+    sizes = np.minimum(n - starts, replicate)
+    sums = np.add.reduceat(values, starts, axis=1)
+    total = sums.sum(axis=1)
+    dev = sums - (total / n)[:, None] * sizes
+    return total, (dev * dev).sum(axis=1), (dev * sizes).sum(axis=1), len(sizes), int(sizes @ sizes)
 
 
 def _estimate(
     spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...]
 ) -> list[McEstimate]:
-    """Sample mean and standard error of each trial's value at every grid point t."""
+    """Mean and standard error of each trial's value at every grid point t.
+
+    With S_j the sum of replicate j (k_j trials), m replicates and n
+    trials, var(mean) = m / (m - 1) * sum (S_j - k_j mean)**2 / n**2:
+    replicates are i.i.d., while trials within one are not.  Each chunk's
+    share of the sum is recentred from its own mean c to the overall one,
+    sum (S_j - k_j c)**2 + 2 (c - mean) sum k_j (S_j - k_j c)
+    + (c - mean)**2 sum k_j**2.  A request of
+    at most REPLICATE_TRIALS trials would form a single replicate, whose
+    spread is unknown, so it is drawn unstratified, in replicates of one
+    trial: its standard error is the i.i.d. one, and 0.0 for one trial.
+    """
     if field is None:
         far = _far_table(spec)
     elif field is InterferenceField.INTRA:
         far = None
     else:
         far = _far_exponent(spec, field, np.asarray(grid)[:, None])
+    replicate = REPLICATE_TRIALS if spec.trials > REPLICATE_TRIALS else 1
+    chunk_sizes = _chunk_sizes(spec.trials, spec.chunk_trials)
     args = [
-        (spec, field, index, size, grid, far)
-        for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
+        (spec, field, index, size, grid, far, replicate)
+        for index, size in enumerate(chunk_sizes)
     ]
     workers = _resolve_workers(spec.workers)
     if workers == 1 or len(args) == 1:
@@ -452,12 +512,16 @@ def _estimate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_simulate_chunk, args))
     n = spec.trials
-    totals = np.sum([total for total, _ in chunks], axis=0)
-    totals_sq = np.sum([total_sq for _, total_sq in chunks], axis=0)
+    totals, squares, cross = (np.array([c[i] for c in chunks]) for i in range(3))
+    sizes_sq = np.array([c[4] for c in chunks], dtype=float)[:, None]
+    m = sum(c[3] for c in chunks)
+    means = totals.sum(axis=0) / n
+    shift = totals / np.array(chunk_sizes, dtype=float)[:, None] - means
+    spreads = (squares + shift * (2.0 * cross + shift * sizes_sq)).sum(axis=0)
     out = []
-    for total, total_sq in zip(totals, totals_sq):
-        var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
-        out.append(McEstimate(mean=float(total / n), stderr=math.sqrt(var / n), trials=n))
+    for mean, spread in zip(means, spreads):
+        var = max(0.0, m / (m - 1) * spread) / (n * n) if m > 1 else 0.0
+        out.append(McEstimate(mean=float(mean), stderr=math.sqrt(var), trials=n))
     return out
 
 

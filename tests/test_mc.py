@@ -87,18 +87,68 @@ class QuarterUniform:
         return getattr(self._rng, name)
 
 
+def replay_latin_hypercube(rng, n, columns, replicate=mc.REPLICATE_TRIALS):
+    """The engine's stratified uniforms, rebuilt one (replicate, column) at a time.
+
+    Same draws in the same order: permutation keys of the full replicates,
+    those of the partial one, then the jitters; a replicate of k rows gives
+    row i of a column (argsort(keys)[i] + jitter) / k.
+    """
+    full = n - n % replicate
+    keys = rng.uniform(size=(full // replicate, columns, replicate))
+    tail_keys = rng.uniform(size=(columns, n - full))
+    jitter = rng.uniform(size=(n, columns))
+    u = np.empty((n, columns))
+    for start in range(0, n, replicate):
+        k = min(replicate, n - start)
+        for j in range(columns):
+            key = keys[start // replicate, j] if k == replicate else tail_keys[j]
+            u[start:start + k, j] = (np.argsort(key) + jitter[start:start + k, j]) / k
+    return u
+
+
+def replicate_stderr(chunks, replicate=mc.REPLICATE_TRIALS):
+    """sqrt(m / (m - 1) * sum (S_j - k_j mean)**2) / n over the replicates of every chunk.
+
+    ``chunks`` holds each chunk's per-trial values; replicates are runs of
+    ``replicate`` consecutive trials that restart at every chunk.  Computed
+    in two passes with exactly rounded sums, as a reference for the
+    engine's one-pass, chunk-centred reduction.
+    """
+    n = sum(len(values) for values in chunks)
+    mean = math.fsum(np.concatenate(chunks)) / n
+    groups = [values[i:i + replicate] for values in chunks for i in range(0, len(values), replicate)]
+    m = len(groups)
+    spread = math.fsum((math.fsum(g) - len(g) * mean) ** 2 for g in groups)
+    return math.sqrt(m / (m - 1) * spread) / n
+
+
+def noise_limited_values(link, r, gamma):
+    """Each lone-node trial's conditional coverage exp(-gamma r^alpha sigma2 / (p_x0 eta))."""
+    return np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
+
+
 def stable_sort_farthest(rng, size, link, n):
-    """(r_typ, i_intra) of the farthest node, picked by a stable sort of the same draws."""
+    """(r_typ, i_intra, tied) of the farthest node, picked by a stable sort of the same draws.
+
+    ``tied`` counts the trials whose largest radius is attained more than once.
+    """
     if isinstance(size, FixedSize):
         sizes = np.full(n, size.n, dtype=np.int64)
     else:
         sizes = 1 + rng.poisson(size.mean - 1.0, size=n)
     trial = np.repeat(np.arange(n, dtype=np.intp), sizes)
-    r = link.a * np.sqrt(rng.uniform(size=len(trial)))
+    u = replay_latin_hypercube(rng, n, int(sizes.max()))
+    r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
     h = rng.exponential(1.0, size=len(r))
-    typical = np.lexsort((r, trial))[np.cumsum(sizes) - 1]
+    order = np.lexsort((r, trial))
+    typical = order[np.cumsum(sizes) - 1]
+    # the node a stable sort puts just before the farthest one, in trials of two or more
+    runner_up = order[np.cumsum(sizes)[sizes > 1] - 2]
+    tied = int(np.count_nonzero(r[runner_up] == r[typical[sizes > 1]]))
     h[typical] = 0.0
-    return r[typical], link.p_x * link.eta * mc.radial_sums(r, h, trial, n, -link.alpha)
+    i_intra = link.p_x * link.eta * mc.radial_sums(r, h, trial, n, -link.alpha)
+    return r[typical], i_intra, tied
 
 
 class TestEngineSampling:
@@ -148,14 +198,23 @@ class TestEngineSampling:
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     def test_farthest_pick_matches_stable_sort(self, size, ties):
         # the farthest node is the one a stable sort by (trial, radius) puts
-        # last in its trial; uniforms rounded to odd eighths force ties at the top
+        # last in its trial; uniforms rounded to odd eighths (jitters and
+        # permutation keys alike) force ties at the top
         link = reference_link()
+        replicate = mc.REPLICATE_TRIALS
+        tied = 0
         for seed in range(4):
             rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
-            r_typ, i_intra = mc._typical_cluster(rngs[0], Scenario(Ordered(), size), link, 512)
-            ref_r_typ, ref_i_intra = stable_sort_farthest(rngs[1], size, link, 512)
+            r_typ, i_intra = mc._typical_cluster(
+                rngs[0], Scenario(Ordered(), size), link, 512, replicate
+            )
+            ref_r_typ, ref_i_intra, ref_tied = stable_sort_farthest(rngs[1], size, link, 512)
             assert np.array_equal(r_typ, ref_r_typ)
             assert np.array_equal(i_intra, ref_i_intra)
+            tied += ref_tied
+        # a lone node cannot tie; every other size must really exercise the tie rule
+        can_tie = ties and size not in (FixedSize(1), PoissonSize(1.0))
+        assert (tied > 0) == can_tie
 
     def test_poisson_typical_cluster_size(self, kernel_calls):
         # one typical node plus Poisson(nbar - 1) in-cluster interferers
@@ -208,7 +267,9 @@ class TestEngineSampling:
     def test_noise_limited_trace_sinr(self, kernel_calls):
         # one node, no interferers: SINR = p_x0 eta h r^-alpha / sigma2 with r
         # and h replayed from the chunk's stream; the 0/1 indicator of that
-        # SINR estimates the same coverage, with a larger variance
+        # SINR estimates the same coverage p, with the larger binomial variance
+        # p (1 - p), taken at the estimate (at -10 dB, p = 0.997, all 300
+        # indicators can be 1 and their sample variance 0)
         gammas = (0.1, 10.0, 100.0)
         spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=gammas)
         ests = estimate_coverage(spec)
@@ -216,34 +277,167 @@ class TestEngineSampling:
         ((r, h_seen, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
         # the lone node is the typical one and does not interfere with itself
         assert not h_seen.any()
-        # replay the chunk's stream: radius draws, then fading draws
+        # replay the chunk's stream: stratified radius draws, then fading draws
         rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
         link = spec.config.link
-        assert np.array_equal(r, link.a * np.sqrt(rng.uniform(size=300)))
+        assert np.array_equal(r, link.a * np.sqrt(replay_latin_hypercube(rng, 300, 1)[:, 0]))
         h = rng.exponential(1.0, size=300)
         sinr = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
         for gamma, est in zip(gammas, ests):
             indicator = (sinr >= gamma).astype(float)
-            indicator_stderr = indicator.std(ddof=1) / math.sqrt(300)
+            indicator_stderr = math.sqrt(est.mean * (1.0 - est.mean) / 300)
             assert abs(indicator.mean() - est.mean) <= 3.0 * indicator_stderr
             assert est.stderr < indicator_stderr
 
     def test_noise_limited_conditional_coverage(self, kernel_calls):
         # one node, no interferers: each trial contributes
         # exp(-gamma r^alpha sigma2 / (p_x0 eta)), and the estimate is the
-        # mean and standard error of those values
+        # mean of those values with the standard error of its replicate sums
         gamma = 0.1
         spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
         (est,) = estimate_coverage(spec)
         assert kernel_calls["inter_sums"] == []
         ((r, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
-        # replay the chunk's stream: the radius draws come first
+        # replay the chunk's stream: the stratified radius draws come first
         rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
         link = spec.config.link
-        assert np.array_equal(r, link.a * np.sqrt(rng.uniform(size=300)))
-        values = np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
+        assert np.array_equal(r, link.a * np.sqrt(replay_latin_hypercube(rng, 300, 1)[:, 0]))
+        values = noise_limited_values(link, r, gamma)
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
-        assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(300), rel=1e-12)
+        assert est.stderr == pytest.approx(replicate_stderr([values]), rel=1e-12)
+
+
+class TestStratification:
+    """Latin-hypercube in-cluster radii and the replicate standard error."""
+
+    @staticmethod
+    def strata_by_replicate(kernel_calls, replicate=mc.REPLICATE_TRIALS):
+        """{(chunk, first trial, column): strata of (r/a)**2 in trial order}, with each width k."""
+        a = reference_link().a
+        out = {}
+        for chunk, (r, _, trial, n, _) in enumerate(kernel_calls["radial_sums"]):
+            sizes = np.bincount(trial, minlength=n)
+            column = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            first = trial - trial % replicate
+            width = np.minimum(n - first, replicate)
+            stratum = np.floor((r / a) ** 2 * width).astype(int)
+            for key in sorted(set(zip(first.tolist(), column.tolist()))):
+                mask = (first == key[0]) & (column == key[1])
+                out[(chunk,) + key] = (stratum[mask], int(width[mask][0]))
+        return out
+
+    def test_every_replicate_column_fills_its_strata(self, kernel_calls):
+        # 100-trial chunks: six full replicates of 16 and a partial one of 4
+        estimate_coverage(isolated_spec(FixedSize(6), trials=1000, chunk_trials=100))
+        groups = self.strata_by_replicate(kernel_calls)
+        assert len(groups) == 10 * 7 * 6
+        widths = [width for _, width in groups.values()]
+        assert widths.count(4) == 10 * 6 and widths.count(16) == 10 * 6 * 6
+        for strata, width in groups.values():
+            assert np.array_equal(np.sort(strata), np.arange(width))
+
+    def test_poisson_columns_use_distinct_strata(self, kernel_calls):
+        # a trial without node j skips its column-j stratum: present nodes
+        # still fall in distinct strata, and column 0 (every trial has it)
+        # fills them all
+        estimate_coverage(isolated_spec(PoissonSize(6.0), Ordered(), trials=1000, chunk_trials=100))
+        groups = self.strata_by_replicate(kernel_calls)
+        skipped = 0
+        for (_, _, column), (strata, width) in groups.items():
+            assert len(np.unique(strata)) == len(strata) <= width
+            if column == 0:
+                assert np.array_equal(np.sort(strata), np.arange(width))
+            skipped += width - len(strata)
+        assert skipped > 0
+
+    def test_stratified_estimates_independent_of_workers(self):
+        # neither trials nor chunk_trials is a multiple of the replicate size
+        for scenario in (Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), PoissonSize(6.0))):
+            kw = dict(scenario=scenario, trials=1000, chunk_trials=100, gammas=(0.05, 0.1, 1.0))
+            serial = estimate_coverage(make_spec(workers=1, **kw))
+            parallel = estimate_coverage(make_spec(workers=2, **kw))
+            assert serial == parallel
+        s_grid = (0.0, 1e6, 1e9)
+        kw = dict(trials=1000, chunk_trials=100)
+        serial = estimate_laplace(make_spec(workers=1, **kw), InterferenceField.INTRA, s_grid)
+        parallel = estimate_laplace(make_spec(workers=2, **kw), InterferenceField.INTRA, s_grid)
+        assert serial == parallel
+
+    def test_chunks_combine_into_replicate_stderr(self):
+        # the chunk-centred sums of ten ragged chunks give the two-pass
+        # replicate formula over all of their replicates
+        gamma, chunk = 10.0, 100
+        spec = isolated_spec(FixedSize(1), trials=1000, seed=5, gammas=(gamma,), chunk_trials=chunk)
+        (est,) = estimate_coverage(spec)
+        link = spec.config.link
+        chunks = []
+        for index in range(10):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(index,)))
+            r = link.a * np.sqrt(replay_latin_hypercube(rng, chunk, 1)[:, 0])
+            chunks.append(noise_limited_values(link, r, gamma))
+        values = np.concatenate(chunks)
+        assert est.mean == pytest.approx(values.mean(), rel=1e-14)
+        assert est.stderr == pytest.approx(replicate_stderr(chunks), rel=1e-12)
+        # a lone node's coverage is monotone in its one stratified radius
+        assert est.stderr < 0.2 * values.std(ddof=1) / math.sqrt(1000)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, mc.REPLICATE_TRIALS, mc.REPLICATE_TRIALS + 1])
+    def test_single_replicate_rule(self, trials):
+        # a request of at most REPLICATE_TRIALS trials is drawn unstratified,
+        # in replicates of one trial, so its standard error is the i.i.d.
+        # one (0.0 for a single trial) and never that of one lone replicate
+        gamma = 10.0
+        spec = isolated_spec(FixedSize(1), trials=trials, seed=8, gammas=(gamma,))
+        (est,) = estimate_coverage(spec)
+        replicate = mc.REPLICATE_TRIALS if trials > mc.REPLICATE_TRIALS else 1
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=(0,)))
+        link = spec.config.link
+        u = replay_latin_hypercube(rng, trials, 1, replicate)[:, 0]
+        values = noise_limited_values(link, link.a * np.sqrt(u), gamma)
+        assert est.mean == pytest.approx(values.mean(), rel=1e-14)
+        if trials == 1:
+            assert est.stderr == 0.0
+        else:
+            assert est.stderr == pytest.approx(replicate_stderr([values], replicate), rel=1e-12)
+        if 2 <= trials <= mc.REPLICATE_TRIALS:
+            assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(trials), rel=1e-12)
+
+
+class TestStderrCalibration:
+    """The replicate standard error is neither optimistic nor pessimistic.
+
+    On a link without other clusters or coexisting nodes the exact integral
+    is the model's coverage, so z = (estimate - exact) / stderr is pure
+    sampling noise.  With m = 16 replicates per 256-trial run, z follows
+    Student's t with m - 1 degrees of freedom (replicate sums near normal),
+    not N(0, 1): E[z**2] = 15 / 13.  Each z is therefore mapped to its
+    normal score through that t law, and the mean square of the scores over
+    the seeds must fall inside the 99.9 % band of chi-square(seeds) / seeds.
+    """
+
+    SEEDS = 400
+    TRIALS = 256
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(Unordered(), FixedSize(6)), Scenario(Unordered(), PoissonSize(6.0)),
+         Scenario(Ordered(), FixedSize(6)), Scenario(Ordered(), PoissonSize(6.0))],
+        ids=["UF-6", "UP-6", "OF-6", "OP-6"],
+    )
+    def test_mean_square_z_in_chi2_band(self, scenario):
+        gamma = 0.1
+        link = reference_link(lambda_g=0.0, lambda_co=0.0)
+        exact = cc.coverage(gamma, scenario, link, method=Method.EXACT_INTEGRAL).value
+        z = []
+        for seed in range(self.SEEDS):
+            spec = make_spec(link=link, scenario=scenario, trials=self.TRIALS, seed=seed,
+                             gammas=(gamma,), workers=1)
+            (est,) = estimate_coverage(spec)
+            z.append((est.mean - exact) / est.stderr)
+        dof = self.TRIALS // mc.REPLICATE_TRIALS - 1
+        scores = stats.norm.ppf(stats.t.cdf(z, dof))
+        lo, hi = stats.chi2.ppf([0.0005, 0.9995], self.SEEDS) / self.SEEDS
+        assert lo <= np.mean(scores**2) <= hi
 
 
 GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
@@ -687,69 +881,72 @@ def _pinned_spec(name):
 class TestPinnedStreams:
     """The random-stream layout is part of the reproducibility contract.
 
-    The in-cluster rows (O2-F4-intra, and UF-6's INTRA transform) were
-    recorded before the engine was split into one sampler per field.  The
-    six rows with other clusters or coexisting nodes (the four coverage
-    cases, UF-6's INTER and COEXIST) were re-recorded when the drawn near
-    disc shrank from 10 a to 3 a: at a = 500 m the 5 km window now extends
-    past R0 = 1.5 km, so those cases draw fewer nodes and take the annulus's
-    exact factor.  They were recorded after the hybrid-vs-plain tests in
-    TestFarField passed.  Any change in what is drawn, or in which order,
-    moves them by O(stderr), far past the tolerance.
+    Every row was re-recorded when the in-cluster radii became Latin-
+    hypercube stratified in replicates of REPLICATE_TRIALS trials and the
+    standard error came to be computed from the replicate sums, after the
+    hybrid-vs-plain tests in TestFarField passed.  Rows that draw the
+    typical cluster (the coverage cases and both INTRA transforms) moved
+    in mean and stderr; UF-6's INTER and COEXIST transforms draw no
+    in-cluster radii, so their means moved by at most one ulp (the sum is
+    now taken replicate by replicate) and only their stderr moved.  Those two rows date from when the drawn near disc shrank from
+    10 a to 3 a: at a = 500 m the 5 km window extends past R0 = 1.5 km, so
+    they draw fewer nodes and take the annulus's exact factor.  Any change
+    in what is drawn, or in which order, moves the rows by O(stderr), far
+    past the tolerance.
     """
 
     COVERAGE = {
         "UF-6": [
-            (0.7093819497360326, 0.008664234521575213),
-            (0.36349093680175437, 0.009315419604493082),
-            (0.10664715069264001, 0.006349847603269114),
+            (0.7093523185021787, 0.005583369632263853),
+            (0.353824677449474, 0.005077189120625609),
+            (0.1056179992639752, 0.0033728351211477583),
         ],
         "UP-6": [
-            (0.7232484725814362, 0.008591569419500223),
-            (0.3972915840283986, 0.009735379127909711),
-            (0.13519398997825124, 0.007067091394940259),
+            (0.7212304734857907, 0.0067710719763365065),
+            (0.3925906838148523, 0.006540287922811476),
+            (0.13159511601045484, 0.004362624335729643),
         ],
         "OF-6": [
-            (0.49589405420359434, 0.00863095055797222),
-            (0.0840295262896948, 0.0037011781134388346),
-            (0.0002702548182907831, 7.197992165741548e-05),
+            (0.4912647466604558, 0.006129636767597539),
+            (0.08052483273075513, 0.003368322244800948),
+            (0.00039980002272022757, 0.0001016840216915208),
         ],
         "OP-6": [
-            (0.519445573467403, 0.009127282921578501),
-            (0.14353204532995736, 0.006166220012448902),
-            (0.016911759344121008, 0.0025809338375309683),
+            (0.524384589285934, 0.0081186771086116),
+            (0.13764834321413263, 0.005668895024805652),
+            (0.015349335799164582, 0.0022849161449069433),
         ],
         "O2-F4-intra": [
-            (0.8707113807498045, 0.00619371588295934),
-            (0.5923700500798145, 0.008161562523053627),
-            (0.12918626002205505, 0.004956042760736328),
+            (0.8702836378539521, 0.00554041284016353),
+            (0.5889815345567337, 0.007634078051235779),
+            (0.12448026720057749, 0.004959354092054005),
         ],
     }
     S_GRID = (0.0, 1e3, 1e6, 1e9)
     LAPLACE = {
         ("UF-6", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.9991954135594016, 0.000672571879574896),
-            (0.9844500209487709, 0.0025998413311689632),
-            (0.5969074636448258, 0.008595927607134304),
+            (0.9999435538465986, 4.147937433476967e-05),
+            (0.989695583269972, 0.001724321520107521),
+            (0.5996936960507606, 0.004594496382208565),
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
-            (0.9999989407368236, 3.784607945174104e-07),
-            (0.9990375129138644, 0.0003227578044855932),
-            (0.9454055550818302, 0.004578136550241349),
+            (0.9999989407368236, 3.7293827899584753e-07),
+            (0.9990375129138644, 0.0003180817689773036),
+            (0.9454055550818302, 0.004006808982848465),
         ],
         ("UF-6", InterferenceField.COEXIST): [
             (1.0, 0.0),
-            (0.9999998865250869, 6.131993676030505e-08),
-            (0.9998892816287597, 5.9203928834639494e-05),
-            (0.987502594799027, 0.002118233375154081),
+            (0.9999998865250869, 6.071230116504025e-08),
+            (0.9998892816287598, 5.860016801601308e-05),
+            (0.987502594799027, 0.0021226570864939834),
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.999868255761066, 8.837523971253311e-05),
-            (0.9889838977967955, 0.002145707426273351),
-            (0.705016707561259, 0.008462498332685),
+            (0.9999119191924175, 6.79633768417192e-05),
+            (0.9924579570205085, 0.0015296300058189227),
+            (0.700460512981707, 0.005555637664795439),
         ],
         # the in-cluster-limited link has no other clusters and no coexisting field
         ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
