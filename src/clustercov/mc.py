@@ -34,6 +34,15 @@ is Rayleigh.  Thresholds share realizations (common random numbers), and
 each summand is nonincreasing in gamma, so the estimated coverage is
 exactly monotone across the grid within one run.
 
+The in-cluster radii are Latin-hypercube stratified: consecutive trials of
+a chunk form replicates of REPLICATE_TRIALS, and within a replicate node j
+of each trial takes a distinct stratum of (r / a)**2, in an independent
+random order per node column.  Every trial on its own still draws the
+model literally (i.i.d. uniform nodes on the disc), so the estimate stays
+unbiased, while the additive part of its variance in those radii cancels
+across the replicate.  Trials within a replicate are dependent, replicates
+are i.i.d., so the standard error comes from the replicate sums.
+
 The per-node power-law accumulation runs through the two NumPy kernels
 ``radial_sums`` and ``inter_sums``; they are module attributes so that
 profilers and tests can wrap them in place.
@@ -128,6 +137,16 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte Carlo mean over ``trials`` trials and its standard error.
+
+    ``stderr`` estimates the standard deviation of ``mean`` from the spread
+    of the i.i.d. replicate sums: sqrt(m / (m - 1) * sum (S_j - k_j mean)**2)
+    / trials over m replicates of k_j trials each (see ``_estimate``).  A
+    request of at most REPLICATE_TRIALS trials is unstratified and uses
+    replicates of one trial, the usual i.i.d. standard error; it is 0.0
+    for a single trial.
+    """
+
     mean: float
     stderr: float
     trials: int
