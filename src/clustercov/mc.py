@@ -505,12 +505,12 @@ def _estimate(
     With S_j the sum of replicate j (k_j trials), m replicates and n
     trials, var(mean) = m / (m - 1) * sum (S_j - k_j mean)**2 / n**2:
     replicates are i.i.d., while trials within one are not.  Each chunk's
-    share of the sum is recentred from its own mean c to the overall one,
+    share of the sum is recentred from its own mean c to the overall one:
     sum (S_j - k_j c)**2 + 2 (c - mean) sum k_j (S_j - k_j c)
-    + (c - mean)**2 sum k_j**2.  A request of
-    at most REPLICATE_TRIALS trials would form a single replicate, whose
-    spread is unknown, so it is drawn unstratified, in replicates of one
-    trial: its standard error is the i.i.d. one, and 0.0 for one trial.
+    + (c - mean)**2 sum k_j**2.  A request of at most REPLICATE_TRIALS
+    trials would form a single replicate, whose spread is unknown, so it is
+    drawn unstratified, in replicates of one trial: its standard error is
+    the i.i.d. one, and 0.0 for one trial.
     """
     if field is None:
         far = _far_table(spec)
@@ -531,12 +531,11 @@ def _estimate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_simulate_chunk, args))
     n = spec.trials
-    totals, squares, cross = (np.array([c[i] for c in chunks]) for i in range(3))
-    sizes_sq = np.array([c[4] for c in chunks], dtype=float)[:, None]
-    m = sum(c[3] for c in chunks)
+    totals, squares, cross, counts, sizes_sq = (np.array(part) for part in zip(*chunks))
+    m = int(counts.sum())
     means = totals.sum(axis=0) / n
-    shift = totals / np.array(chunk_sizes, dtype=float)[:, None] - means
-    spreads = (squares + shift * (2.0 * cross + shift * sizes_sq)).sum(axis=0)
+    shift = totals / np.array(chunk_sizes)[:, None] - means
+    spreads = (squares + shift * (2.0 * cross + shift * sizes_sq[:, None])).sum(axis=0)
     out = []
     for mean, spread in zip(means, spreads):
         var = max(0.0, m / (m - 1) * spread) / (n * n) if m > 1 else 0.0
