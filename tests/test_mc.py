@@ -201,12 +201,11 @@ class TestEngineSampling:
         # last in its trial; uniforms rounded to odd eighths (jitters and
         # permutation keys alike) force ties at the top
         link = reference_link()
-        replicate = mc.REPLICATE_TRIALS
         tied = 0
         for seed in range(4):
             rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
             r_typ, i_intra = mc._typical_cluster(
-                rngs[0], Scenario(Ordered(), size), link, 512, replicate
+                rngs[0], Scenario(Ordered(), size), link, 512, mc.REPLICATE_TRIALS
             )
             ref_r_typ, ref_i_intra, ref_tied = stable_sort_farthest(rngs[1], size, link, 512)
             assert np.array_equal(r_typ, ref_r_typ)
