@@ -144,7 +144,9 @@ class McEstimate:
     / trials over m replicates of k_j trials each (see ``_estimate``).  A
     request of at most REPLICATE_TRIALS trials is unstratified and uses
     replicates of one trial, the usual i.i.d. standard error; it is 0.0
-    for a single trial.
+    for a single trial.  The INTER and COEXIST transforms draw no
+    in-cluster radii, so their trials are i.i.d. and they always use
+    replicates of one trial.
     """
 
     mean: float
@@ -348,6 +350,18 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
     PPP is a = 0 with one node per parent.  c holds the loads s p eta
     (any shape); outer may be infinite.  Exactly 0 at c = 0.
+
+    1 - g = sum_y w_y c / (d_y**alpha + c) is summed directly, so that it
+    keeps its relative precision at small c.  d**alpha is computed once, as
+    an (x node, disc node) array (48 x 64 for a cluster disc, 48 x 1 for the
+    coexisting points), and the loads go through it in blocks of 32: one
+    add, one divide in place, then one weighted reduction over all disc
+    nodes (a matrix-vector product).  The only temporary is one block
+    buffer of at most 32 x 48 x 64 doubles (768 KiB), whatever the number
+    of loads.  Each load's value is computed alone, by the same operations
+    on the same shapes, so it does not depend on the other loads or on its
+    position in a block: a table's lattice value is the same bits for any
+    lattice length.
     """
     c = np.asarray(c, dtype=float)
     if density == 0.0 or inner >= outer:
@@ -356,24 +370,25 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     t, w = _RADIAL_RULE
     u_lo = (inner / outer) ** k
     u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
-    x = (inner * u ** (-1.0 / k))[:, None]
+    x = (inner * u ** (-1.0 / k))[:, None, None]
     # x dx = inner**2 / k * u**(-alpha / k) du
     radial_weight = 0.5 * (1.0 - u_lo) * w * inner**2 / k * u ** (-alpha / k)
     rho, half_cos, disc_weight = _UNIT_DISC if a > 0.0 else _POINT
-    load = c[..., None, None]
-    # 1 - g, summed directly so that it keeps its relative precision at small
-    # c, one offset radius at a time so that temporaries stay (c, x, angle).
-    # The load / (d**alpha + load) terms of every offset radius share one
-    # buffer: a fresh (c, x, angle) array per radius is large enough to be
-    # mapped anew each time, and its page faults cost several times the
-    # divide itself.
-    tail = np.zeros(c.shape + u.shape)
-    terms = np.empty(c.shape + u.shape + half_cos.shape)
-    for rho_i, weight_i in zip(a * rho, disc_weight):
-        d_alpha = ((x - rho_i) ** 2 + 4.0 * x * rho_i * half_cos * half_cos) ** (0.5 * alpha)
+    offset = (a * rho)[:, None]
+    d_alpha = ((x - offset) ** 2 + 4.0 * x * offset * half_cos * half_cos) ** (0.5 * alpha)
+    d_alpha = d_alpha.reshape(len(u), -1)  # (x node, offset radius x half-angle)
+    node_weight = np.repeat(disc_weight, len(half_cos))
+    loads = c.reshape(-1)
+    block = 32
+    tail = np.empty((len(loads), len(u)))
+    buf = np.empty((min(len(loads), block),) + d_alpha.shape)
+    for start in range(0, len(loads), block):
+        load = loads[start:start + block, None, None]
+        terms = buf[:len(load)]
         np.add(d_alpha, load, out=terms)
         np.divide(load, terms, out=terms)
-        tail += weight_i * terms.sum(axis=-1)
+        np.matmul(terms, node_weight, out=tail[start:start + block])
+    tail = tail.reshape(c.shape + u.shape)
     if isinstance(size, FixedSize):
         bracket = -np.expm1(size.n * np.log1p(-np.minimum(tail, 1.0)))
     else:
@@ -510,7 +525,11 @@ def _estimate(
     + (c - mean)**2 sum k_j**2.  A request of at most REPLICATE_TRIALS
     trials would form a single replicate, whose spread is unknown, so it is
     drawn unstratified, in replicates of one trial: its standard error is
-    the i.i.d. one, and 0.0 for one trial.
+    the i.i.d. one, and 0.0 for one trial.  The INTER and COEXIST
+    transforms draw no in-cluster radii, so nothing is stratified and their
+    trials are i.i.d.: they always use replicates of one trial, which gives
+    the standard error n - 1 degrees of freedom instead of
+    n / REPLICATE_TRIALS - 1.
     """
     if field is None:
         far = _far_table(spec)
@@ -518,7 +537,8 @@ def _estimate(
         far = None
     else:
         far = _far_exponent(spec, field, np.asarray(grid)[:, None])
-    replicate = REPLICATE_TRIALS if spec.trials > REPLICATE_TRIALS else 1
+    stratified = field is None or field is InterferenceField.INTRA
+    replicate = REPLICATE_TRIALS if stratified and spec.trials > REPLICATE_TRIALS else 1
     chunk_sizes = _chunk_sizes(spec.trials, spec.chunk_trials)
     args = [
         (spec, field, index, size, grid, far, replicate)

@@ -401,6 +401,28 @@ class TestStratification:
         if 2 <= trials <= mc.REPLICATE_TRIALS:
             assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(trials), rel=1e-12)
 
+    @pytest.mark.parametrize("field", [InterferenceField.INTER, InterferenceField.COEXIST])
+    def test_unstratified_transforms_use_single_trial_replicates(self, field):
+        # INTER and COEXIST draw no in-cluster radii, so their trials are
+        # i.i.d. and the standard error is the usual one over all n trials
+        s_grid, chunk = (0.0, 1e6, 1e9), 100
+        spec = make_spec(trials=3 * chunk, seed=9, chunk_trials=chunk, workers=1)
+        estimates = estimate_laplace(spec, field, s_grid)
+        link, radius = spec.config.link, mc._near_radius(spec.config)
+        near = []
+        for index in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(index,)))
+            if field is InterferenceField.INTER:
+                near.append(mc._cross_clusters(rng, spec.scenario, link, radius, chunk))
+            else:
+                near.append(mc._coexisting(rng, link, radius, chunk))
+        s = np.array(s_grid)[:, None]
+        values = np.exp(-s * np.concatenate(near) - mc._far_exponent(spec, field, s))
+        assert estimates[0].stderr == 0.0
+        for est, row in zip(estimates, values):
+            assert est.mean == pytest.approx(row.mean(), rel=1e-14)
+            assert est.stderr == pytest.approx(row.std(ddof=1) / math.sqrt(3 * chunk), rel=1e-12)
+
 
 class TestStderrCalibration:
     """The replicate standard error is neither optimistic nor pessimistic.
@@ -529,6 +551,39 @@ class TestFarField:
             got = table(np.array(s))
             assert np.shape(got) == ()
             assert np.array_equal(got, reference(np.array(s)))
+
+    @pytest.mark.parametrize("field, size",
+                             [("inter", FixedSize(6)), ("inter", PoissonSize(6.0)),
+                              ("coexist", FixedSize(1))],
+                             ids=["FixedSize(6)", "PoissonSize(6.0)", "coexist"])
+    def test_exponent_independent_of_lattice_length(self, field, size):
+        # the loads go through the kernel in blocks, yet each lattice value is
+        # the same bits whatever the lattice's length and its position in a
+        # block: a 1-threshold and a 16-threshold coverage request build
+        # tables of different lengths and must agree on their shared nodes
+        spec = make_spec(scenario=Scenario(Unordered(), size), gammas=GAMMAS_16)
+        link = spec.config.link
+        s = np.exp(mc._far_table(spec).x)  # the request's lattice, up to rounding
+        if field == "inter":
+            c, density, a = s * link.p_x * link.eta, link.lambda_g, link.a
+        else:
+            c, density, a = s * link.p_z * link.eta, link.lambda_co, 0.0
+        rest = (density, a, size, mc._near_radius(spec.config), spec.config.window_radius,
+                link.alpha)
+        full = mc._annulus_exponent(c, *rest)
+        assert len(c) == 163 and (full > 0.0).all()
+        for m in (1, 31, 32, 33, len(c)):
+            assert np.array_equal(mc._annulus_exponent(c[:m], *rest), full[:m])
+        # shifted against the blocks
+        assert np.array_equal(mc._annulus_exponent(c[17:], *rest), full[17:])
+        for i in (0, 31, 32, 100, len(c) - 1):
+            got = mc._annulus_exponent(c[i], *rest)
+            assert np.shape(got) == () and got == full[i]
+        # a transform request's (grid, 1) shape
+        got = mc._annulus_exponent(c[:40, None], *rest)
+        assert got.shape == (40, 1) and np.array_equal(got[:, 0], full[:40])
+        assert mc._annulus_exponent(0.0, *rest) == 0.0
+        assert not mc._annulus_exponent(np.zeros((3, 1)), *rest).any()
 
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor at all, so the draws and estimates are the
@@ -887,11 +942,14 @@ class TestPinnedStreams:
     typical cluster (the coverage cases and both INTRA transforms) moved
     in mean and stderr; UF-6's INTER and COEXIST transforms draw no
     in-cluster radii, so their means moved by at most one ulp (the sum is
-    now taken replicate by replicate) and only their stderr moved.  Those two rows date from when the drawn near disc shrank from
-    10 a to 3 a: at a = 500 m the 5 km window extends past R0 = 1.5 km, so
-    they draw fewer nodes and take the annulus's exact factor.  Any change
-    in what is drawn, or in which order, moves the rows by O(stderr), far
-    past the tolerance.
+    now taken replicate by replicate) and only their stderr moved.  Their
+    stderr was re-recorded once more, alone, when those two transforms went
+    back to replicates of one trial (their trials are i.i.d.); the means
+    are unchanged.  Those two rows date from when the drawn near disc
+    shrank from 10 a to 3 a: at a = 500 m the 5 km window extends past
+    R0 = 1.5 km, so they draw fewer nodes and take the annulus's exact
+    factor.  Any change in what is drawn, or in which order, moves the
+    rows by O(stderr), far past the tolerance.
     """
 
     COVERAGE = {
@@ -931,15 +989,15 @@ class TestPinnedStreams:
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
-            (0.9999989407368236, 3.7293827899584753e-07),
-            (0.9990375129138644, 0.0003180817689773036),
-            (0.9454055550818302, 0.004006808982848465),
+            (0.9999989407368236, 3.784608621591909e-07),
+            (0.9990375129138644, 0.0003227578044858732),
+            (0.9454055550818302, 0.004578136550241316),
         ],
         ("UF-6", InterferenceField.COEXIST): [
             (1.0, 0.0),
-            (0.9999998865250869, 6.071230116504025e-08),
-            (0.9998892816287598, 5.860016801601308e-05),
-            (0.987502594799027, 0.0021226570864939834),
+            (0.9999998865250869, 6.132056234285086e-08),
+            (0.9998892816287598, 5.9203928834849755e-05),
+            (0.987502594799027, 0.002118233375154157),
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
