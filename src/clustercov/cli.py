@@ -134,66 +134,65 @@ def _row(spec: SweepSpec, axis_value: float, label: str, method: str, metric: Me
 def run_sweep(spec: SweepSpec, out_path: str) -> dict:
     """Execute a sweep and write CSV plus sidecar metadata atomically.
 
-    Returns a summary dict (largest cross-method coverage gaps and, for
-    cluster-size sweeps, the ASE-maximising size per curve).
+    Every (variant, scenario) pair is one curve.  Besides its CSV rows, each
+    curve leaves one record, in sweep order: its summary name and, per
+    method, the (axis value, coverage, ASE) of every grid point.  Returns the
+    summary that ``_summarise`` reads off those records.
     """
     quad = spec.quadrature()
     rows: list[tuple] = []
-    # summary accumulators keyed by curve = (variant, scenario index, method);
-    # the CSV rows keep the accurate per-point scenario tag instead
-    cov_map: dict[tuple, float] = {}
-    ase_map: dict[tuple, list[tuple[float, float]]] = {}
-    curve_names: dict[tuple, str] = {}
+    curves: list[tuple[str, dict[str, list[tuple[float, float, float]]]]] = []
 
     for variant_label, points in spec.variant_points:
         for scen_idx, first_scen in enumerate(points[0].scenarios):
             curve_points = [(point, point.scenarios[scen_idx]) for point in points]
+            by_method = {}
             for method in spec.methods:
-                curve = (variant_label, scen_idx, method)
-                curve_names[curve] = _curve_label(first_scen, variant_label, spec.axis)
+                results = by_method[method] = []
                 covs = _curve(spec, method, curve_points, quad)
                 for (point, scen), cov in zip(curve_points, covs):
                     link = point.network.link
                     metric = ase_ee(cov, _scenario_nodes(scen), link.lambda_g, link.p_x)
                     label = _scenario_label(scen, variant_label)
                     rows.append(_row(spec, point.axis_value, label, method, metric))
-                    cov_map[curve + (point.axis_value,)] = cov.value
-                    ase_map.setdefault(curve, []).append((point.axis_value, metric.ase))
+                    results.append((point.axis_value, cov.value, metric.ase))
+            curves.append((_curve_label(first_scen, variant_label, spec.axis), by_method))
 
-    summary = _summarise(spec, cov_map, ase_map, curve_names)
+    summary = _summarise(spec, curves)
     _write_outputs(spec, out_path, rows, summary)
     return summary
 
 
-def _summarise(spec: SweepSpec, cov_map: dict, ase_map: dict, curve_names: dict) -> dict:
+def _summarise(spec: SweepSpec, curves: list) -> dict:
+    """Largest cross-method coverage gaps and, on a cluster-size axis, n* per curve.
+
+    ``curves`` holds ``run_sweep``'s records in sweep order, and ``max``
+    keeps the first of equal values, so a tie goes to the earliest curve
+    and grid point.
+    """
     summary: dict = {"preset": spec.preset, "axis": spec.axis}
-    # in sweep order, so a tie goes to the first curve whatever the hash seed
-    families = dict.fromkeys((variant, idx) for variant, idx, _ in curve_names)
     gaps = {}
     for first, second in (("mc", "gc"), ("mc", "exact"), ("gc", "exact")):
-        worst = None
-        for variant, idx in families:
-            for axis_value in spec.grid:
-                a = cov_map.get((variant, idx, first, axis_value))
-                b = cov_map.get((variant, idx, second, axis_value))
-                if a is None or b is None:
-                    continue
-                gap = abs(a - b)
-                if worst is None or gap > worst[0]:
-                    worst = (gap, curve_names[(variant, idx, first)], axis_value)
-        if worst is not None:
+        points = [
+            (abs(cov_a - cov_b), name, axis_value)
+            for name, by_method in curves
+            if first in by_method and second in by_method
+            for (axis_value, cov_a, _), (_, cov_b, _) in zip(by_method[first], by_method[second])
+        ]
+        if points:
+            gap, name, axis_value = max(points, key=lambda item: item[0])
             gaps[f"{first}-vs-{second}"] = {
-                "max_gap": worst[0],
-                "scenario": worst[1],
-                "axis_value": worst[2],
+                "max_gap": gap, "scenario": name, "axis_value": axis_value,
             }
     if gaps:
         summary["coverage_gaps"] = gaps
     if spec.axis == "cluster_size":
+        runs = [(name, method, results) for name, by_method in curves
+                for method, results in by_method.items()]
         optima = {}
-        for curve, points in sorted(ase_map.items(), key=lambda kv: curve_names[kv[0]] + kv[0][2]):
-            best = max(points, key=lambda item: item[1])
-            optima[f"{curve_names[curve]}/{curve[2]}"] = {"n_star": best[0], "ase": best[1]}
+        for name, method, results in sorted(runs, key=lambda run: run[0] + run[1]):
+            n_star, _, ase = max(results, key=lambda item: item[2])
+            optima[f"{name}/{method}"] = {"n_star": n_star, "ase": ase}
         summary["ase_optimum"] = optima
     return summary
 
@@ -242,16 +241,11 @@ def _metadata(spec: SweepSpec, summary: dict) -> dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     overrides = read_config(args.config) if args.config else {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for key in ("trials", "seed", "quad_t", "quad_m"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if args.methods is not None:
         overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if args.quad_t is not None:
-        overrides["quad_t"] = args.quad_t
-    if args.quad_m is not None:
-        overrides["quad_m"] = args.quad_m
     _, spec = build_sweep(overrides, preset=args.preset)
     summary = run_sweep(spec, args.out)
     print(f"wrote {args.out} ({spec.preset}, axis={spec.axis}, {len(spec.grid)} points)")

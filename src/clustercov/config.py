@@ -198,13 +198,13 @@ def parse_config_text(text: str) -> dict:
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if "," in value:
-            out[key] = tuple(_parse_scalar(v.strip(), key) for v in value.split(","))
+            out[key] = tuple(_parse_scalar(v.strip()) for v in value.split(","))
         else:
-            out[key] = _parse_scalar(value, key)
+            out[key] = _parse_scalar(value)
     return out
 
 
-def _parse_scalar(token: str, key: str):
+def _parse_scalar(token: str):
     try:
         return int(token)
     except ValueError:

@@ -548,8 +548,10 @@ def _estimate(
     if workers == 1 or len(args) == 1:
         chunks = [_simulate_chunk(a) for a in args]
     else:
+        # about four runs of contiguous chunks per worker: one pickled task
+        # per chunk costs about as much as simulating it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_simulate_chunk, args))
+            chunks = list(pool.map(_simulate_chunk, args, chunksize=-(-len(args) // (4 * workers))))
     n = spec.trials
     totals, squares, cross, counts, sizes_sq = (np.array(part) for part in zip(*chunks))
     m = int(counts.sum())

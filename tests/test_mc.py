@@ -17,6 +17,7 @@ from clustercov.coverage import (
     Scenario,
     Unordered,
 )
+from clustercov.laplace import laplace_intra
 from clustercov.mc import InterferenceField, SimSpec, estimate_coverage, estimate_laplace
 from clustercov.metrics import ase_ee
 from clustercov.params import FixedSize, NetworkConfig, PoissonSize
@@ -644,12 +645,14 @@ class TestDeterminism:
         assert [e.stderr for e in first] == [e.stderr for e in second]
 
     def test_worker_count_invisible(self):
-        base = make_spec(trials=3000, gammas=(0.05, 0.2), chunk_trials=256)
-        serial = estimate_coverage(base)
-        parallel = estimate_coverage(
-            make_spec(trials=3000, gammas=(0.05, 0.2), chunk_trials=256, workers=3)
-        )
-        assert [e.mean for e in serial] == [e.mean for e in parallel]
+        # 12 chunks on 3 workers go one per task; 41 chunks on 2 workers go
+        # in runs of 6, the last chunk ragged
+        for trials, chunk_trials, workers in ((3000, 256, 3), (4050, 100, 2)):
+            kw = dict(trials=trials, gammas=(0.05, 0.2), chunk_trials=chunk_trials)
+            serial = estimate_coverage(make_spec(workers=1, **kw))
+            parallel = estimate_coverage(make_spec(workers=workers, **kw))
+            assert [e.mean for e in serial] == [e.mean for e in parallel]
+            assert [e.stderr for e in serial] == [e.stderr for e in parallel]
 
     def test_worker_count_invisible_for_laplace(self):
         s_grid = (0.0, 1e9, 1e11)
@@ -785,6 +788,21 @@ class TestLaplaceEstimates:
             exact = oracles.inter_pgfl_integral(
                 s * link.p_x * link.eta, link.lambda_g, a, link.alpha, size, 0.0, 20000.0
             )
+            assert abs(est.mean - exact) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
+    def test_intra_matches_closed_form(self, size):
+        # an unordered typical node's in-cluster transform does not depend on
+        # its own distance, so laplace_intra at u = 1 is the unconditional
+        # transform.  Small s (1e3) is left out: there the deficit 1 - L comes
+        # from rare close interferers and the replicate stderr is unreliable
+        link = reference_link()
+        scenario = Scenario(Unordered(), size)
+        s_grid = (1e6, 1e9, 1e10)
+        spec = make_spec(link=link, scenario=scenario, trials=8192, seed=31)
+        for s, est in zip(s_grid, estimate_laplace(spec, InterferenceField.INTRA, s_grid)):
+            beta = s * link.p_x * link.eta / link.a**link.alpha
+            exact = laplace_intra(beta, 1.0, link.alpha, scenario)
             assert abs(est.mean - exact) <= 3.0 * est.stderr
 
     def test_unit_at_zero_s(self):
