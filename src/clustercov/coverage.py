@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from .laplace import laplace_coexist, laplace_inter, laplace_intra
 from .params import (  # the scenario types are re-exported from here
@@ -121,6 +120,10 @@ def _distance_density(u, scenario: Scenario):
 
 
 def _integrate(integrand, int_tol: float) -> float:
+    # imported here: only the exact path needs it, and scipy.integrate pulls
+    # in scipy.optimize and scipy.linalg at a few tenths of a second
+    from scipy import integrate
+
     value, abserr = integrate.quad(
         integrand, 0.0, 1.0, epsabs=1e-13, epsrel=int_tol, limit=200
     )

@@ -58,7 +58,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .params import FixedSize, LinkParams, NetworkConfig, Scenario, Unordered, require_int
 
@@ -411,6 +410,42 @@ def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
     )
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The one-sided three-point end slope of SciPy's ``PchipInterpolator._edge_case``."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``PchipInterpolator(x, y).c`` of SciPy for 1-D data of three or more points.
+
+    The operations and their order are SciPy's ``_find_derivatives``,
+    ``_edge_case`` and ``CubicHermiteSpline``, so the (4, len(x) - 1)
+    coefficients (highest power first, in powers of x - x[i]) are its
+    coefficients bit for bit.  x must be strictly increasing and y finite.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # interior slopes: 0 where a neighbouring secant is flat or the secants
+    # change sign, else the weighted harmonic mean of the two secants
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class _FarTable:
     """Lambda_far(s) of both fields, tabulated for one coverage request.
@@ -419,12 +454,15 @@ class _FarTable:
     linear limit below the grid, so the table is nondecreasing in s like
     Lambda itself and the estimate stays monotone in the threshold.
 
-    SciPy builds the PCHIP coefficients; the lookup reads them by lattice
-    arithmetic, since the breakpoints are uniform in log s, instead of by
-    PPoly's per-point interval search, which costs more than a chunk's
-    draws.  Interval choice (x[i] <= log s < x[i + 1], the last interval
-    closed) and the polynomial's evaluation order are PPoly's, so the
-    values are its values bit for bit.
+    ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit,
+    without importing ``scipy.interpolate`` (whose import pulls in
+    ``scipy.optimize`` and ``scipy.linalg`` and costs more than a short MC
+    request).  The lookup reads them by lattice arithmetic, since the
+    breakpoints are uniform in log s, instead of by PPoly's per-point
+    interval search, which costs more than a chunk's draws.  Interval
+    choice (x[i] <= log s < x[i + 1], the last interval closed) and the
+    polynomial's evaluation order are PPoly's, so the values are SciPy's
+    ``PchipInterpolator`` values bit for bit.
     """
 
     s_lo: float
@@ -457,8 +495,9 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     lam += _far_exponent(spec, InterferenceField.COEXIST, s)
     if not lam.any():
         return None
-    log_lam = PchipInterpolator(np.log(s), np.log(lam))
-    return _FarTable(s[0], float(np.exp(log_lam(np.log(s[0])))), log_lam.x, log_lam.c)
+    log_s, log_lam = np.log(s), np.log(lam)
+    # the interpolant at x[0] is exactly log_lam[0]
+    return _FarTable(s[0], float(np.exp(log_lam[0])), log_s, _pchip_coefficients(log_s, log_lam))
 
 
 def _simulate_chunk(args: tuple) -> tuple:
@@ -587,6 +626,14 @@ def estimate_laplace(
     Each trial contributes exp(-s I_near - Lambda_far(s)): its sampled
     near-disc interference and the annulus's exact exponent (the in-cluster
     field has no far part); s = 0 gives exactly 1.
+
+    At small s the INTRA standard error understates the error: the deficit
+    1 - L then comes from rare in-cluster interferers very close to the
+    receiver, which few trials draw.  On the reference link (beta about
+    7e-9) at 8,192 trials over seeds 0-39, s = 1e3 gave an rms z against
+    ``laplace_intra`` of 4.0 for a fixed size of 6 and 3.0 for a Poisson
+    mean of 6, against about 1 at s = 1e6; this is why
+    ``test_intra_matches_closed_form`` starts at s = 1e6.
     """
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")

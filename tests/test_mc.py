@@ -553,6 +553,40 @@ class TestFarField:
             assert np.shape(got) == ()
             assert np.array_equal(got, reference(np.array(s)))
 
+    LOG_LATTICE = np.log(10.0 ** (np.arange(-120, 81) / 40.0))
+
+    @pytest.mark.parametrize(
+        "x, y, end_slopes",
+        [
+            ([0.0, 0.5, 2.0], [1.0, 2.0, 2.5], None),
+            ([0.0, 1.0, 2.5, 3.0, 4.5, 5.0, 7.0], [0.0, 1.0, 1.0, -2.0, 0.0, 3.0, 2.0], None),
+            # the three-point end slope is -1 against a secant of +1: set to 0
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0], (0.0, 0.0)),
+            # 4 > 3 times the end secant, next to a secant of the other sign: 3 m0
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -4.0, -3.0], (3.0, 3.0)),
+            # strictly increasing and concave in log-log, like the far table
+            (LOG_LATTICE, LOG_LATTICE - 0.5 * np.log1p(np.exp(LOG_LATTICE)), None),
+        ],
+        ids=["3-points-nonuniform", "flat-and-sign-changes", "end-slopes-zeroed",
+             "end-slopes-tripled", "log-log-increasing"],
+    )
+    def test_pchip_coefficients_match_scipy(self, x, y, end_slopes):
+        x, y = np.asarray(x), np.asarray(y)
+        pchip = PchipInterpolator(x, y)
+        assert np.array_equal(mc._pchip_coefficients(x, y), pchip.c)
+        if end_slopes is not None:
+            # the case reaches the end-slope correction it is named after
+            slopes = pchip.derivative()(x[[0, -1]])
+            assert slopes == pytest.approx(end_slopes, abs=1e-12)
+
+    def test_pchip_coefficients_match_scipy_on_random_tables(self):
+        # small-integer values make flat secants and sign changes common
+        rng = np.random.default_rng(5)
+        for n in rng.integers(3, 12, size=300):
+            x = np.cumsum(rng.uniform(0.1, 3.0, size=n))
+            y = rng.integers(-3, 4, size=n).astype(float)
+            assert np.array_equal(mc._pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+
     @pytest.mark.parametrize("field, size",
                              [("inter", FixedSize(6)), ("inter", PoissonSize(6.0)),
                               ("coexist", FixedSize(1))],
