@@ -410,38 +410,26 @@ def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
     )
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """The one-sided three-point end slope of SciPy's ``PchipInterpolator._edge_case``."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
-        return 3.0 * m0
-    return d
-
-
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``PchipInterpolator(x, y).c`` of SciPy for 1-D data of three or more points.
+    """``PchipInterpolator(x, y).c`` of SciPy for three or more strictly increasing points.
 
-    The operations and their order are SciPy's ``_find_derivatives``,
+    Both x and y must strictly increase, as in every far table (Lambda_far
+    strictly increases in s).  Every secant is then positive, so PCHIP's
+    interior slopes are the weighted harmonic means of the neighbouring
+    secants and its end slopes the three-point ones clamped at 0.  The
+    operations and their order are SciPy's ``_find_derivatives``,
     ``_edge_case`` and ``CubicHermiteSpline``, so the (4, len(x) - 1)
     coefficients (highest power first, in powers of x - x[i]) are its
-    coefficients bit for bit.  x must be strictly increasing and y finite.
+    coefficients bit for bit.
     """
     h = np.diff(x)
     m = np.diff(y) / h
-    # interior slopes: 0 where a neighbouring secant is flat or the secants
-    # change sign, else the weighted harmonic mean of the two secants
-    sign = np.sign(m)
-    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d = np.zeros_like(y)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    d = np.empty_like(y)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[0] = max(((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]), 0.0)
+    d[-1] = max(((2 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2]), 0.0)
     t = (d[:-1] + d[1:] - 2 * m) / h
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
@@ -454,15 +442,16 @@ class _FarTable:
     linear limit below the grid, so the table is nondecreasing in s like
     Lambda itself and the estimate stays monotone in the threshold.
 
-    ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit,
-    without importing ``scipy.interpolate`` (whose import pulls in
-    ``scipy.optimize`` and ``scipy.linalg`` and costs more than a short MC
-    request).  The lookup reads them by lattice arithmetic, since the
-    breakpoints are uniform in log s, instead of by PPoly's per-point
-    interval search, which costs more than a chunk's draws.  Interval
-    choice (x[i] <= log s < x[i + 1], the last interval closed) and the
-    polynomial's evaluation order are PPoly's, so the values are SciPy's
-    ``PchipInterpolator`` values bit for bit.
+    ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit
+    for these strictly increasing tables, without importing
+    ``scipy.interpolate`` (whose import pulls in ``scipy.optimize`` and
+    ``scipy.linalg`` and costs more than a short MC request).  The lookup
+    reads them by lattice arithmetic, since the breakpoints are uniform in
+    log s, instead of by PPoly's per-point interval search, which costs
+    more than a chunk's draws.  Interval choice (x[i] <= log s < x[i + 1],
+    the last interval closed) and the polynomial's evaluation order are
+    PPoly's, so the values are SciPy's ``PchipInterpolator`` values bit for
+    bit.
     """
 
     s_lo: float
@@ -510,21 +499,19 @@ def _simulate_chunk(args: tuple) -> tuple:
     number of replicates and sum k_j**2.  Centring on the chunk's own mean
     keeps the spread's precision where it is tiny next to the mean.
 
-    Every trial gives one value exp(-t * x - far(t * scale)) per grid point
-    t: for coverage t is the SINR threshold, x the typical link's
-    conditional coverage exponent against the near field and scale =
-    r_typ**alpha / (p_x0 eta), so that t * scale is the far field's s; for
-    a transform t is the transform variable, x the field's near-disc
-    interference and scale = 1.  ``far`` is None where there is no far field,
-    the coverage table, or for a transform Lambda_far at the grid itself,
-    shape (grid, 1), evaluated once per request.
+    Every trial gives one value per grid point t.  For a transform t is
+    the transform variable and the value exp(-t * x), x the field's
+    near-disc interference.  For coverage t is the SINR threshold and the
+    value exp(-t * x - far(t * scale)), x the typical link's conditional
+    coverage exponent against the near field and scale = r_typ**alpha /
+    (p_x0 eta), so that t * scale is the far field's s; ``far`` is the
+    coverage request's table, or None where there is no far field.
     """
     spec, field, index, n, grid, far, replicate = args
     scenario = spec.scenario
     link = spec.config.link
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
-    scale = 1.0
     if field is InterferenceField.INTRA:
         x = _typical_cluster(rng, scenario, link, n, replicate)[1]
     elif field is InterferenceField.INTER:
@@ -541,7 +528,7 @@ def _simulate_chunk(args: tuple) -> tuple:
     t = np.asarray(grid)[:, None]
     exponent = -t * x[None, :]
     if far is not None:
-        exponent -= far(t * scale) if callable(far) else far
+        exponent -= far(t * scale)
     values = np.exp(exponent)
     starts = np.arange(0, n, replicate)
     sizes = np.minimum(n - starts, replicate)
@@ -568,14 +555,10 @@ def _estimate(
     transforms draw no in-cluster radii, so nothing is stratified and their
     trials are i.i.d.: they always use replicates of one trial, which gives
     the standard error n - 1 degrees of freedom instead of
-    n / REPLICATE_TRIALS - 1.
+    n / REPLICATE_TRIALS - 1.  Only coverage (field None) has a far table;
+    a transform is estimated for its near-disc field alone.
     """
-    if field is None:
-        far = _far_table(spec)
-    elif field is InterferenceField.INTRA:
-        far = None
-    else:
-        far = _far_exponent(spec, field, np.asarray(grid)[:, None])
+    far = _far_table(spec) if field is None else None
     stratified = field is None or field is InterferenceField.INTRA
     replicate = REPLICATE_TRIALS if stratified and spec.trials > REPLICATE_TRIALS else 1
     chunk_sizes = _chunk_sizes(spec.trials, spec.chunk_trials)
@@ -623,9 +606,11 @@ def estimate_laplace(
 ) -> list[McEstimate]:
     """Transforms E[exp(-s * I_field)], one per grid point.
 
-    Each trial contributes exp(-s I_near - Lambda_far(s)): its sampled
-    near-disc interference and the annulus's exact exponent (the in-cluster
-    field has no far part); s = 0 gives exactly 1.
+    Each trial contributes exp(-s I_near), its sampled near-disc
+    interference.  For INTER and COEXIST the annulus's exact factor
+    exp(-Lambda_far(s)) is a constant per grid point, so the estimate's
+    mean and standard error are both multiplied by it (the in-cluster field
+    has no far part); s = 0 gives exactly 1.
 
     At small s the INTRA standard error understates the error: the deficit
     1 - L then comes from rare in-cluster interferers very close to the
@@ -637,6 +622,12 @@ def estimate_laplace(
     """
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")
+    if not isinstance(interf_field, InterferenceField):
+        raise ValueError(f"interf_field must be an InterferenceField member, got {interf_field!r}")
     if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
         raise ValueError("transform grid points must be finite and nonnegative")
-    return _estimate(spec, interf_field, tuple(s_grid))
+    estimates = _estimate(spec, interf_field, tuple(s_grid))
+    if interf_field is InterferenceField.INTRA:
+        return estimates
+    factors = np.exp(-_far_exponent(spec, interf_field, s_grid)).tolist()
+    return [McEstimate(e.mean * f, e.stderr * f, e.trials) for e, f in zip(estimates, factors)]

@@ -296,14 +296,19 @@ class TestIntraLimited:
                     result = coverage(0.1, scen, link, method=method, **kw)
                     assert result.bound_side is BoundSide.EXACT
 
-    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=["fixed", "poisson"])
-    def test_gc_matches_exact(self, size, quad50):
-        scen = Scenario(Unordered(), size)
-        for gamma_db in (-20, -10, 0, 10):
-            gamma = 10.0 ** (gamma_db / 10.0)
-            exact = coverage(gamma, scen, intra_link(), method=EXACT).value
-            approx = coverage(gamma, scen, intra_link(), quad=quad50).value
-            assert abs(exact - approx) <= 1e-3
+    # GC misses the tolerance by 1.5e-5 for ordered-farthest fixed size at
+    # -20 dB (gap 1.015e-3): the open FOUND line in CHANGES.md
+    @pytest.mark.parametrize("gamma_db, scen", [
+        pytest.param(gamma_db, scen, id=f"{gamma_db}-{scen.tag()}", marks=(
+            [pytest.mark.xfail(strict=True, reason="GC-vs-exact gap 1.015e-3 at T = M = 50")]
+            if scen is OF and gamma_db == -20 else []))
+        for gamma_db in (-20, -10, 0, 10) for scen in ALL_SCENARIOS
+    ])
+    def test_gc_matches_exact(self, gamma_db, scen, quad50):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        exact = coverage(gamma, scen, intra_link(), method=EXACT).value
+        approx = coverage(gamma, scen, intra_link(), quad=quad50).value
+        assert abs(exact - approx) <= 1e-3
 
 
 class TestContracts:

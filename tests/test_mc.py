@@ -17,6 +17,7 @@ from clustercov.coverage import (
     Scenario,
     Unordered,
 )
+from clustercov.config import build_sweep
 from clustercov.laplace import laplace_intra
 from clustercov.mc import InterferenceField, SimSpec, estimate_coverage, estimate_laplace
 from clustercov.metrics import ase_ee
@@ -365,21 +366,25 @@ class TestStratification:
 
     def test_chunks_combine_into_replicate_stderr(self):
         # the chunk-centred sums of ten ragged chunks give the two-pass
-        # replicate formula over all of their replicates
-        gamma, chunk = 10.0, 100
-        spec = isolated_spec(FixedSize(1), trials=1000, seed=5, gammas=(gamma,), chunk_trials=chunk)
-        (est,) = estimate_coverage(spec)
-        link = spec.config.link
-        chunks = []
-        for index in range(10):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(index,)))
-            r = link.a * np.sqrt(replay_latin_hypercube(rng, chunk, 1)[:, 0])
-            chunks.append(noise_limited_values(link, r, gamma))
-        values = np.concatenate(chunks)
-        assert est.mean == pytest.approx(values.mean(), rel=1e-14)
-        assert est.stderr == pytest.approx(replicate_stderr(chunks), rel=1e-12)
-        # a lone node's coverage is monotone in its one stratified radius
-        assert est.stderr < 0.2 * values.std(ddof=1) / math.sqrt(1000)
+        # replicate formula over all of their replicates; at gamma = 0.1 the
+        # mean is 0.997, where uncentred sums would lose the spread's digits
+        chunk = 100
+        for gamma in (10.0, 0.1):
+            spec = isolated_spec(FixedSize(1), trials=1000, seed=5, gammas=(gamma,),
+                                 chunk_trials=chunk)
+            (est,) = estimate_coverage(spec)
+            link = spec.config.link
+            chunks = []
+            for index in range(10):
+                seq = np.random.SeedSequence(entropy=5, spawn_key=(index,))
+                rng = np.random.default_rng(seq)
+                r = link.a * np.sqrt(replay_latin_hypercube(rng, chunk, 1)[:, 0])
+                chunks.append(noise_limited_values(link, r, gamma))
+            values = np.concatenate(chunks)
+            assert est.mean == pytest.approx(values.mean(), rel=1e-14)
+            assert est.stderr == pytest.approx(replicate_stderr(chunks), rel=1e-12)
+            # a lone node's coverage is monotone in its one stratified radius
+            assert est.stderr < 0.2 * values.std(ddof=1) / math.sqrt(1000)
 
     @pytest.mark.parametrize("trials", [1, 2, 5, mc.REPLICATE_TRIALS, mc.REPLICATE_TRIALS + 1])
     def test_single_replicate_rule(self, trials):
@@ -559,16 +564,12 @@ class TestFarField:
         "x, y, end_slopes",
         [
             ([0.0, 0.5, 2.0], [1.0, 2.0, 2.5], None),
-            ([0.0, 1.0, 2.5, 3.0, 4.5, 5.0, 7.0], [0.0, 1.0, 1.0, -2.0, 0.0, 3.0, 2.0], None),
             # the three-point end slope is -1 against a secant of +1: set to 0
             ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0], (0.0, 0.0)),
-            # 4 > 3 times the end secant, next to a secant of the other sign: 3 m0
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -4.0, -3.0], (3.0, 3.0)),
             # strictly increasing and concave in log-log, like the far table
             (LOG_LATTICE, LOG_LATTICE - 0.5 * np.log1p(np.exp(LOG_LATTICE)), None),
         ],
-        ids=["3-points-nonuniform", "flat-and-sign-changes", "end-slopes-zeroed",
-             "end-slopes-tripled", "log-log-increasing"],
+        ids=["3-points-nonuniform", "end-slopes-zeroed", "log-log-increasing"],
     )
     def test_pchip_coefficients_match_scipy(self, x, y, end_slopes):
         x, y = np.asarray(x), np.asarray(y)
@@ -580,12 +581,58 @@ class TestFarField:
             assert slopes == pytest.approx(end_slopes, abs=1e-12)
 
     def test_pchip_coefficients_match_scipy_on_random_tables(self):
-        # small-integer values make flat secants and sign changes common
+        # strictly increasing data, the only kind a far table holds; secants
+        # spanning e**6 make the end slope's clamp at 0 common
         rng = np.random.default_rng(5)
+        clamped = 0
         for n in rng.integers(3, 12, size=300):
             x = np.cumsum(rng.uniform(0.1, 3.0, size=n))
-            y = rng.integers(-3, 4, size=n).astype(float)
+            y = np.cumsum(np.exp(rng.uniform(-3.0, 3.0, size=n)))
             assert np.array_equal(mc._pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+            # the numerators of the two three-point end slopes
+            h, m = np.diff(x), np.diff(y) / np.diff(x)
+            ends = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1],
+                    (2 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2])
+            clamped += min(ends) < 0.0
+        assert clamped > 0
+
+    @staticmethod
+    def far_table_specs():
+        """One spec per MC point of fig3, fig4 and fig7, and per extreme link."""
+        for preset in ("fig3", "fig4", "fig7"):
+            _, sweep = build_sweep({}, preset)
+            for _, points in sweep.variant_points:
+                for point in points:
+                    for scenario in point.scenarios:
+                        yield make_spec(link=point.network.link, scenario=scenario,
+                                        gammas=(point.gamma,),
+                                        window=point.network.window_radius)
+        links = [reference_link(alpha=2.2), reference_link(alpha=6.0),
+                 reference_link(a=50.0), reference_link(a=2000.0)]
+        for link in links:
+            for size in (FixedSize(1), FixedSize(10), PoissonSize(10.0)):
+                for window in (20000.0, math.inf):
+                    yield make_spec(link=link, scenario=Scenario(Unordered(), size),
+                                    gammas=GAMMAS_16, window=window)
+
+    def test_far_tables_strictly_increasing(self, monkeypatch):
+        # _pchip_coefficients serves only strictly increasing data: every
+        # far table handed to it has a strictly increasing log Lambda
+        tables = []
+
+        def recorder(x, y, _build=mc._pchip_coefficients):
+            tables.append((x, y))
+            return _build(x, y)
+
+        monkeypatch.setattr(mc, "_pchip_coefficients", recorder)
+        specs = list(self.far_table_specs())
+        for spec in specs:
+            mc._far_table(spec)
+        # every one of these specs has other clusters beyond its near disc
+        assert len(tables) == len(specs)
+        for x, y in tables:
+            assert np.isfinite(y).all()
+            assert (np.diff(x) > 0.0).all() and (np.diff(y) > 0.0).all()
 
     @pytest.mark.parametrize("field, size",
                              [("inter", FixedSize(6)), ("inter", PoissonSize(6.0)),
@@ -863,6 +910,13 @@ class TestLaplaceEstimates:
             estimate_laplace(make_spec(), InterferenceField.INTER, ())
         with pytest.raises(ValueError):
             estimate_laplace(make_spec(), InterferenceField.INTER, (-1.0,))
+
+    @pytest.mark.parametrize("field", ["inter", None, 2], ids=repr)
+    def test_field_must_be_a_member(self, field):
+        # anything else used to run the coverage branch, reading s as SINR
+        # thresholds: at most 1.4e-6 at s = 1e6 where INTER gives 0.999
+        with pytest.raises(ValueError, match="InterferenceField"):
+            estimate_laplace(make_spec(trials=10), field, (1e6,))
 
     @pytest.mark.parametrize("s", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, s):
