@@ -47,11 +47,6 @@ _CSV_HEADER = (
     "quad_m",
 )
 
-_ANALYTIC_METHODS = {
-    "exact": Method.EXACT_INTEGRAL,
-    "gc": Method.GAUSS_CHEBYSHEV,
-}
-
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
@@ -77,7 +72,7 @@ def _curve_label(scen: Scenario, variant: str, axis: str) -> str:
 
 
 def _curve(
-    spec: SweepSpec, method: str, points: list[tuple[SweepPoint, Scenario]], quad
+    spec: SweepSpec, name: str, points: list[tuple[SweepPoint, Scenario]], quad
 ) -> list[CoverageResult]:
     """Coverage of one curve at every grid point; ``points`` hold (point, scenario).
 
@@ -86,12 +81,10 @@ def _curve(
     per point.  Chunk streams depend only on the seed and the chunk index,
     so both routes give the same estimate at the same point.
     """
-    if method != "mc":
+    method = Method(name)
+    if method is not Method.MONTE_CARLO:
         return [
-            coverage(
-                point.gamma, scen, point.network.link,
-                method=_ANALYTIC_METHODS[method], quad=quad,
-            )
+            coverage(point.gamma, scen, point.network.link, method=method, quad=quad)
             for point, scen in points
         ]
     groups = [points] if spec.axis == "gamma_th_db" else [[p] for p in points]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .coverage import Method
 from .metrics import db_to_linear, noise_power_mw
 from .params import (
     FixedSize,
@@ -49,7 +50,6 @@ _AXES = (
     "receiver_density_per_m2",
     "tx_power_dbm",
 )
-_METHODS = ("exact", "gc", "mc")
 
 _DEFAULTS: dict = {
     "preset": "custom",
@@ -394,9 +394,10 @@ def build_sweep(overrides: dict, preset: str | None = None) -> tuple[dict, Sweep
     methods = tuple(methods)
     if not methods:
         raise ConfigError("methods: at least one of exact/gc/mc is required")
+    names = [m.value for m in Method]
     for method in methods:
-        if method not in _METHODS:
-            raise ConfigError(f"methods: must be among {', '.join(_METHODS)}, got {method!r}")
+        if method not in names:
+            raise ConfigError(f"methods: must be among {', '.join(names)}, got {method!r}")
     if len(set(methods)) != len(methods):
         raise ConfigError(f"methods: each method may appear once, got {methods}")
 

@@ -56,9 +56,11 @@ class QuadratureError(RuntimeError):
 
 
 class Method(Enum):
-    EXACT_INTEGRAL = "exact-integral"
-    GAUSS_CHEBYSHEV = "gauss-chebyshev"
-    MONTE_CARLO = "monte-carlo"
+    """How coverage is answered; the values are the sweep's method names."""
+
+    EXACT_INTEGRAL = "exact"
+    GAUSS_CHEBYSHEV = "gc"
+    MONTE_CARLO = "mc"
 
 
 class BoundSide(Enum):
@@ -187,7 +189,7 @@ def coverage(
         value = _integrate(integrand, int_tol)
     else:
         # the nodes ell are the (-1, 1) rule mapped onto (0, 1): half weight
-        value = 0.5 * quad.omega_m * float(np.sum(quad.theta * integrand(quad.ell)))
+        value = 0.5 * (math.pi / len(quad.ell)) * float(np.sum(quad.theta * integrand(quad.ell)))
     return CoverageResult(
         value=min(1.0, max(0.0, value)),
         method=method,

@@ -75,6 +75,7 @@ def _disc_rule(alpha: float, quad: QuadratureSpec | None):
 
         return mean, tail
 
+    omega = math.pi / len(quad.c)
     c_alpha = quad.c**alpha
     mean_weights = quad.mu * quad.c ** (alpha + 1.0)
     tail_weights = quad.mu * quad.c
@@ -82,11 +83,11 @@ def _disc_rule(alpha: float, quad: QuadratureSpec | None):
     def mean(b):
         b = np.asarray(b, dtype=float)
         nodes = mean_weights / (c_alpha + b[..., None])
-        return np.where(b > 0.0, quad.omega_t * nodes.sum(axis=-1), 1.0)
+        return np.where(b > 0.0, omega * nodes.sum(axis=-1), 1.0)
 
     def tail(b):
         b = np.asarray(b, dtype=float)[..., None]
-        return quad.omega_t * (tail_weights * b / (c_alpha + b)).sum(axis=-1)
+        return omega * (tail_weights * b / (c_alpha + b)).sum(axis=-1)
 
     return mean, tail
 

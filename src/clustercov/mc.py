@@ -113,7 +113,8 @@ class SimSpec:
     chunk_trials fixes the trial partition (it is part of the random-stream
     layout, not a performance knob that may silently change results);
     workers only controls execution and never affects estimates (None reads
-    the CLUSTERCOV_WORKERS environment variable, default 1).
+    the CLUSTERCOV_WORKERS environment variable, default 1).  gamma_grid
+    may be any sequence of thresholds and is kept as a tuple of floats.
     """
 
     config: NetworkConfig
@@ -132,6 +133,7 @@ class SimSpec:
             require_int("workers", self.workers, 1)
         if not all(math.isfinite(g) and g > 0.0 for g in self.gamma_grid):
             raise ValueError("SINR thresholds must be positive and finite (linear units)")
+        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
 
 
 @dataclass(frozen=True)
@@ -411,12 +413,15 @@ def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``PchipInterpolator(x, y).c`` of SciPy for three or more strictly increasing points.
+    """``PchipInterpolator(x, y).c`` of SciPy for three or more increasing points.
 
-    Both x and y must strictly increase, as in every far table (Lambda_far
-    strictly increases in s).  Every secant is then positive, so PCHIP's
-    interior slopes are the weighted harmonic means of the neighbouring
-    secants and its end slopes the three-point ones clamped at 0.  The
+    x must strictly increase and y must not decrease.  Lambda_far strictly
+    increases in s, but log Lambda saturates in floating point far out:
+    from thresholds of about 190 dB the table has flat secants (38 of 922
+    at gamma = 1e20 on the reference link).  PCHIP's interior slopes are
+    the weighted harmonic means of the neighbouring secants, 0 next to a
+    flat one (here by a division by zero, which NumPy warns of and SciPy
+    silences), and its end slopes the three-point ones clamped at 0.  The
     operations and their order are SciPy's ``_find_derivatives``,
     ``_edge_case`` and ``CubicHermiteSpline``, so the (4, len(x) - 1)
     coefficients (highest power first, in powers of x - x[i]) are its
@@ -443,15 +448,14 @@ class _FarTable:
     Lambda itself and the estimate stays monotone in the threshold.
 
     ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit
-    for these strictly increasing tables, without importing
-    ``scipy.interpolate`` (whose import pulls in ``scipy.optimize`` and
-    ``scipy.linalg`` and costs more than a short MC request).  The lookup
-    reads them by lattice arithmetic, since the breakpoints are uniform in
-    log s, instead of by PPoly's per-point interval search, which costs
-    more than a chunk's draws.  Interval choice (x[i] <= log s < x[i + 1],
-    the last interval closed) and the polynomial's evaluation order are
-    PPoly's, so the values are SciPy's ``PchipInterpolator`` values bit for
-    bit.
+    for these tables, without importing ``scipy.interpolate`` (whose import
+    pulls in ``scipy.optimize`` and ``scipy.linalg`` and costs more than a
+    short MC request).  The lookup reads them by lattice arithmetic, since
+    the breakpoints are uniform in log s, instead of by PPoly's per-point
+    interval search, which costs more than a chunk's draws.  Interval
+    choice (x[i] <= log s < x[i + 1], the last interval closed) and the
+    polynomial's evaluation order are PPoly's, so the values are SciPy's
+    ``PchipInterpolator`` values bit for bit.
     """
 
     s_lo: float
@@ -479,7 +483,13 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     floor = -_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES
     top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
     k = np.arange(floor, max(top, floor + 2) + 1)
-    s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
+    if not np.isfinite(s).all():
+        raise ValueError(
+            f"SINR threshold {max(spec.gamma_grid)!r} is too large: "
+            "the far-field table's s lattice overflows"
+        )
     lam = _far_exponent(spec, InterferenceField.INTER, s)
     lam += _far_exponent(spec, InterferenceField.COEXIST, s)
     if not lam.any():
@@ -620,13 +630,14 @@ def estimate_laplace(
     mean of 6, against about 1 at s = 1e6; this is why
     ``test_intra_matches_closed_form`` starts at s = 1e6.
     """
+    s_grid = tuple(s_grid)
     if not s_grid:
         raise ValueError("s_grid must contain at least one point")
     if not isinstance(interf_field, InterferenceField):
         raise ValueError(f"interf_field must be an InterferenceField member, got {interf_field!r}")
     if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
         raise ValueError("transform grid points must be finite and nonnegative")
-    estimates = _estimate(spec, interf_field, tuple(s_grid))
+    estimates = _estimate(spec, interf_field, s_grid)
     if interf_field is InterferenceField.INTRA:
         return estimates
     factors = np.exp(-_far_exponent(spec, interf_field, s_grid)).tolist()

@@ -59,11 +59,11 @@ class MetricResult:
 
     The coverage result is kept so the bound direction survives: an ASE
     built on an upper-bound coverage is itself an upper bound.  The stderr
-    fields are None unless the coverage is a Monte Carlo estimate.
+    fields are None unless the coverage is a Monte Carlo estimate.  The
+    per-link rate is not stored: it is rate_from_threshold(coverage.gamma_th).
     """
 
     coverage: CoverageResult
-    rate: float
     ase: float
     ee: float
     ase_stderr: float | None
@@ -87,7 +87,6 @@ def ase_ee(cov: CoverageResult, n_nodes: float, lambda_g: float, p_x: float) -> 
     stderr = cov.stderr
     return MetricResult(
         coverage=cov,
-        rate=rate,
         ase=ase_scale * cov.value,
         ee=rate * cov.value / p_x,
         ase_stderr=None if stderr is None else ase_scale * stderr,

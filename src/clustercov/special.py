@@ -66,25 +66,21 @@ def hyp2f1_1_b(b: float, z: float) -> float:
 class QuadratureSpec:
     """Gauss-Chebyshev nodes and weights for the two nested sums.
 
-    The inner sum (order T) approximates the disc averages inside the
-    interference transforms; the outer sum (order M) approximates the
-    integral over the typical-link distance.  The inner nodes psi live on
-    (-1, 1), c/ell are the inner/outer nodes' affine images on (0, 1), and
-    mu/theta are their sqrt(1 - node^2) weights.
+    The inner sum (T = len(c) nodes) approximates the disc averages inside
+    the interference transforms; the outer sum (M = len(ell) nodes) the
+    integral over the typical-link distance.  c/ell are the Chebyshev nodes
+    mapped from (-1, 1) onto (0, 1) and mu/theta their sqrt(1 - node^2)
+    weights; the sums' factors pi/T and pi/M follow from the lengths.
     """
 
-    order_t: int
-    order_m: int
-    omega_t: float
-    psi: np.ndarray
     c: np.ndarray
     mu: np.ndarray
-    omega_m: float
     ell: np.ndarray
     theta: np.ndarray
 
 
 def _chebyshev_nodes(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, c, mu): the order Chebyshev nodes on (-1, 1), their (0, 1) images and weights."""
     raw = np.cos((2.0 * np.arange(1, order + 1) - 1.0) * np.pi / (2.0 * order))
     # Antisymmetrise so that psi[i] == -psi[order-1-i] holds exactly (and
     # the middle node of an odd order is exactly zero).
@@ -97,19 +93,9 @@ def _chebyshev_nodes(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def make_quadrature(order_t: int, order_m: int) -> QuadratureSpec:
-    """Build the node/weight arrays for inner order T and outer order M."""
+    """Read-only nodes and weights for inner order T = len(c) and outer order M = len(ell)."""
     require_int("quadrature order T", order_t, 1)
     require_int("quadrature order M", order_m, 1)
-    psi, c, mu = _chebyshev_nodes(order_t)
+    _, c, mu = _chebyshev_nodes(order_t)
     _, ell, theta = _chebyshev_nodes(order_m)
-    return QuadratureSpec(
-        order_t=order_t,
-        order_m=order_m,
-        omega_t=math.pi / order_t,
-        psi=psi,
-        c=c,
-        mu=mu,
-        omega_m=math.pi / order_m,
-        ell=ell,
-        theta=theta,
-    )
+    return QuadratureSpec(c=c, mu=mu, ell=ell, theta=theta)

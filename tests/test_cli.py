@@ -8,6 +8,7 @@ import pytest
 
 import clustercov
 from clustercov.cli import main, run_sweep
+from clustercov.coverage import Method
 from clustercov.config import (
     BASE_DENSITY,
     ConfigError,
@@ -316,6 +317,22 @@ class TestSweep:
                 }
         assert len(cells["gamma"]) == 4
         assert cells["gamma"] == cells["size"]
+
+    def test_method_names_are_method_values(self, tmp_path):
+        # Method is the one method vocabulary: every member's value is a
+        # sweep method name, and the CSV's method column writes it back
+        for method in Method:
+            _, spec = build_sweep({"methods": (method.value,)})
+            assert spec.methods == (method.value,)
+        with pytest.raises(ConfigError, match="must be among exact, gc, mc, got 'magic'"):
+            build_sweep({"methods": ("magic",)})
+        _, spec = build_sweep({"methods": ("exact", "gc", "mc"), "axis_grid": (0.0,),
+                               "trials": 20, "seed": 1})
+        out = tmp_path / "methods.csv"
+        run_sweep(spec, str(out))
+        with open(out, newline="") as fh:
+            written = {row["method"] for row in csv.DictReader(fh)}
+        assert written == {method.value for method in Method}
 
     def test_in_cluster_limited_rows_are_exact(self, tmp_path):
         # no other clusters, no coexisting nodes, no noise: nothing is bounded

@@ -646,10 +646,11 @@ class TestFarField:
         spec = make_spec(scenario=Scenario(Unordered(), size), gammas=GAMMAS_16)
         link = spec.config.link
         s = np.exp(mc._far_table(spec).x)  # the request's lattice, up to rounding
+        # the loads as _far_exponent forms them
         if field == "inter":
-            c, density, a = s * link.p_x * link.eta, link.lambda_g, link.a
+            c, density, a = s * (link.p_x * link.eta), link.lambda_g, link.a
         else:
-            c, density, a = s * link.p_z * link.eta, link.lambda_co, 0.0
+            c, density, a = s * (link.p_z * link.eta), link.lambda_co, 0.0
         rest = (density, a, size, mc._near_radius(spec.config), spec.config.window_radius,
                 link.alpha)
         full = mc._annulus_exponent(c, *rest)
@@ -661,11 +662,14 @@ class TestFarField:
         for i in (0, 31, 32, 100, len(c) - 1):
             got = mc._annulus_exponent(c[i], *rest)
             assert np.shape(got) == () and got == full[i]
-        # a transform request's (grid, 1) shape
-        got = mc._annulus_exponent(c[:40, None], *rest)
-        assert got.shape == (40, 1) and np.array_equal(got[:, 0], full[:40])
+        # the shapes the callers pass: a transform request's 1-D s grid (a
+        # tuple, through _far_exponent) and the oracle check's scalar s
+        got = mc._far_exponent(spec, InterferenceField(field), tuple(s[:40]))
+        assert got.shape == (40,) and np.array_equal(got, full[:40])
+        got = mc._far_exponent(spec, InterferenceField(field), float(s[100]))
+        assert np.shape(got) == () and got == full[100]
         assert mc._annulus_exponent(0.0, *rest) == 0.0
-        assert not mc._annulus_exponent(np.zeros((3, 1)), *rest).any()
+        assert not mc._annulus_exponent(np.zeros(3), *rest).any()
 
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor at all, so the draws and estimates are the
@@ -852,6 +856,31 @@ class TestCoverageEstimates:
     def test_empty_gamma_grid_rejected(self):
         with pytest.raises(ValueError):
             estimate_coverage(make_spec(gammas=()))
+
+    def test_overflowing_threshold_rejected(self, monkeypatch):
+        # the far table's s lattice overflows to inf near gamma = 1e297 on
+        # the reference link, which used to give a mean of nan with stderr 0
+        def no_chunk(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(mc, "_simulate_chunk", no_chunk)
+        with pytest.raises(ValueError, match=r"threshold 1e\+300"):
+            estimate_coverage(make_spec(trials=10, gammas=(0.1, 1e300)))
+
+    def test_array_and_list_grids_match_tuple(self):
+        # an array grid used to raise on its truth value
+        gammas = (0.05, 0.1, 0.2)
+        ref = estimate_coverage(make_spec(trials=600, gammas=gammas))
+        for grid in (list(gammas), np.array(gammas)):
+            spec = make_spec(trials=600, gammas=grid)
+            assert spec.gamma_grid == gammas
+            assert estimate_coverage(spec) == ref
+        s_grid = (0.0, 1e9, 1e11)
+        spec = make_spec(trials=600)
+        for field in InterferenceField:
+            ref = estimate_laplace(spec, field, s_grid)
+            for grid in (list(s_grid), np.array(s_grid)):
+                assert estimate_laplace(spec, field, grid) == ref
 
 
 class TestLaplaceEstimates:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercov import oracles
-from clustercov.special import hyp2f1_1_b, make_quadrature
+from clustercov.special import _chebyshev_nodes, hyp2f1_1_b, make_quadrature
 
 DELTA = 2.0 / 3.5
 
@@ -122,45 +122,48 @@ class TestHyp2f1:
 class TestQuadrature:
     def test_single_node(self):
         quad = make_quadrature(1, 1)
-        assert quad.psi[0] == 0.0
+        assert _chebyshev_nodes(1)[0][0] == 0.0
         assert quad.c[0] == 0.5
         assert quad.mu[0] == 1.0
-        assert quad.omega_t == math.pi
+        assert math.pi / len(quad.c) == math.pi
 
     def test_two_nodes(self):
-        quad = make_quadrature(2, 2)
+        psi = _chebyshev_nodes(2)[0]
         root_half = math.sqrt(2.0) / 2.0
-        assert quad.psi[0] == pytest.approx(root_half, abs=1e-15)
-        assert quad.psi[1] == pytest.approx(-root_half, abs=1e-15)
+        assert psi[0] == pytest.approx(root_half, abs=1e-15)
+        assert psi[1] == pytest.approx(-root_half, abs=1e-15)
 
     @pytest.mark.parametrize("order", [1, 2, 7, 30, 51])
     def test_nodes_exactly_antisymmetric(self, order):
         quad = make_quadrature(order, 1)
-        assert np.array_equal(quad.psi, -quad.psi[::-1])
+        psi = _chebyshev_nodes(order)[0]
+        assert np.array_equal(psi, -psi[::-1])
         assert np.all((quad.c > 0.0) & (quad.c < 1.0))
         assert np.all((quad.mu >= 0.0) & (quad.mu <= 1.0))
 
     def test_degree_two_exactness(self):
         # the rule integrates x^2/sqrt(1-x^2) exactly: sum equals pi/2
-        quad = make_quadrature(30, 1)
-        total = quad.omega_t * float(np.sum(quad.psi**2))
+        psi = _chebyshev_nodes(30)[0]
+        total = math.pi / len(psi) * float(np.sum(psi**2))
         assert total == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_weighted_mean_convergence(self):
-        # omega_T sum mu_t c_t -> integral of (x+1)/2 over [-1,1] = 1,
+        # (pi/T) sum mu_t c_t -> integral of (x+1)/2 over [-1,1] = 1,
         # with the characteristic 1/T^2 error of the endpoint weight
-        err30 = abs(make_quadrature(30, 1).omega_t * float(
-            np.sum(make_quadrature(30, 1).mu * make_quadrature(30, 1).c)) - 1.0)
-        err1000 = abs(make_quadrature(1000, 1).omega_t * float(
-            np.sum(make_quadrature(1000, 1).mu * make_quadrature(1000, 1).c)) - 1.0)
+        def error(order):
+            quad = make_quadrature(order, 1)
+            return abs(math.pi / len(quad.c) * float(np.sum(quad.mu * quad.c)) - 1.0)
+
+        err30, err1000 = error(30), error(1000)
         assert err30 <= 1e-3
         assert err1000 <= 1e-6
         assert err1000 < err30
 
     def test_arrays_immutable(self):
         quad = make_quadrature(5, 5)
-        with pytest.raises(ValueError):
-            quad.psi[0] = 0.0
+        for arr in (*_chebyshev_nodes(5), quad.c, quad.mu, quad.ell, quad.theta):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
