@@ -172,6 +172,16 @@ def coverage(
 
     rho_scale = gamma_th / (p.p_x0 * p.eta)
     beta_scale = gamma_th / p.p_ratio_x
+    # s and beta grow with u, so the rim u = 1 bounds every node's values
+    try:
+        s_rim = p.a**p.alpha * rho_scale
+    except OverflowError:  # reported below
+        s_rim = math.inf
+    if not (math.isfinite(s_rim) and math.isfinite(beta_scale)):
+        raise ValueError(
+            f"SINR threshold {gamma_th!r} is too large: "
+            "the transform variables s and beta overflow at the cluster rim"
+        )
     intra_quad = None if exact else quad
 
     def integrand(u):

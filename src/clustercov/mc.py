@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -391,7 +390,10 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
         np.matmul(terms, node_weight, out=tail[start:start + block])
     tail = tail.reshape(c.shape + u.shape)
     if isinstance(size, FixedSize):
-        bracket = -np.expm1(size.n * np.log1p(-np.minimum(tail, 1.0)))
+        # a saturated load gives log1p(-1) = -inf, whose limit is the bracket 1
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-np.minimum(tail, 1.0))
+        bracket = -np.expm1(size.n * log_miss)
     else:
         bracket = -np.expm1(-size.mean * tail)
     return 2.0 * math.pi * density * (bracket * radial_weight).sum(axis=-1)
@@ -420,8 +422,8 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     from thresholds of about 190 dB the table has flat secants (38 of 922
     at gamma = 1e20 on the reference link).  PCHIP's interior slopes are
     the weighted harmonic means of the neighbouring secants, 0 next to a
-    flat one (here by a division by zero, which NumPy warns of and SciPy
-    silences), and its end slopes the three-point ones clamped at 0.  The
+    flat one (here by a division by zero, silenced as SciPy silences
+    it), and its end slopes the three-point ones clamped at 0.  The
     operations and their order are SciPy's ``_find_derivatives``,
     ``_edge_case`` and ``CubicHermiteSpline``, so the (4, len(x) - 1)
     coefficients (highest power first, in powers of x - x[i]) are its
@@ -432,7 +434,8 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     d = np.empty_like(y)
-    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    with np.errstate(divide="ignore"):  # a flat secant gives the slope 0
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
     d[0] = max(((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]), 0.0)
     d[-1] = max(((2 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2]), 0.0)
     t = (d[:-1] + d[1:] - 2 * m) / h
@@ -580,6 +583,10 @@ def _estimate(
     if workers == 1 or len(args) == 1:
         chunks = [_simulate_chunk(a) for a in args]
     else:
+        # imported here: the pool brings in multiprocessing, socket,
+        # subprocess and logging, which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # about four runs of contiguous chunks per worker: one pickled task
         # per chunk costs about as much as simulating it
         with ProcessPoolExecutor(max_workers=workers) as pool:

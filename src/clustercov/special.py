@@ -6,6 +6,10 @@ with Gauss-Chebyshev nodes and weights.  The 2F1 family is scipy's
 ``hyp2f1`` behind a scalar wrapper that checks its domain, with a closed
 log form for b within 1e-8 of an integer, where scipy loses precision at
 large z (z spans from ~1e-6 up to ~1e10 over a typical SINR sweep).
+
+Only the exact integral calls 2F1, so scipy's ``hyp2f1`` is bound on the
+first call that reaches it: importing the package, Gauss-Chebyshev points
+and Monte Carlo estimates load NumPy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .params import require_int
 
@@ -23,6 +26,19 @@ __all__ = [
     "hyp2f1_1_b",
     "make_quadrature",
 ]
+
+
+def _scipy_hyp2f1(a: float, b: float, c: float, z: float):
+    """scipy.special.hyp2f1, imported on the first call and bound in its place.
+
+    ``import scipy.special`` costs about a third of a second, most of it in
+    modules the package never uses, so only the exact path pays for it.
+    """
+    global _scipy_hyp2f1
+    from scipy.special import hyp2f1
+
+    _scipy_hyp2f1 = hyp2f1
+    return hyp2f1(a, b, c, z)
 
 
 def _hyp_integer_b(m: int, z: float) -> float:
@@ -59,7 +75,7 @@ def hyp2f1_1_b(b: float, z: float) -> float:
     m = round(b)
     if z > 0.5 and m >= 1 and abs(b - m) <= 1e-8 * max(1.0, b):
         return _hyp_integer_b(m, z)
-    return float(sp.hyp2f1(1.0, b, b + 1.0, -z))
+    return float(_scipy_hyp2f1(1.0, b, b + 1.0, -z))
 
 
 @dataclass(frozen=True)

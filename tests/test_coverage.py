@@ -1,4 +1,6 @@
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +330,22 @@ class TestContracts:
             coverage(0.0, UF, fig_link, method=EXACT)
         with pytest.raises(ValueError):
             coverage(-0.5, UF, fig_link, method=EXACT)
+
+    @pytest.mark.parametrize("method", [Method.GAUSS_CHEBYSHEV, EXACT])
+    def test_overflowing_threshold_named(self, method, monkeypatch):
+        # s at the cluster rim overflows near gamma = 1e298 on the reference
+        # link; this used to warn of an overflow in the integrand and then
+        # raise with the whole array of s, naming no threshold
+        def no_integrand(*args):
+            raise AssertionError("the integrand ran")
+
+        module = importlib.import_module("clustercov.coverage")
+        monkeypatch.setattr(module, "laplace_intra", no_integrand)
+        for link in (reference_link(), intra_link()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"threshold 1e\+300 is too large"):
+                    coverage(1e300, UF, link, method=method)
 
     def test_monte_carlo_method_rejected(self, fig_link):
         with pytest.raises(ValueError, match="analytical method"):

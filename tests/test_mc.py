@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -866,6 +867,17 @@ class TestCoverageEstimates:
         monkeypatch.setattr(mc, "_simulate_chunk", no_chunk)
         with pytest.raises(ValueError, match=r"threshold 1e\+300"):
             estimate_coverage(make_spec(trials=10, gammas=(0.1, 1e300)))
+
+    @pytest.mark.parametrize("gamma", [1e19, 1e20])
+    def test_saturated_threshold_is_silent(self, gamma):
+        # coverage is 0 to the last bit here; on the way the fixed-size
+        # bracket takes log1p(-1) and the saturated far table's flat secants
+        # enter PCHIP's harmonic means, two divisions by zero that used to warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (est,) = estimate_coverage(make_spec(trials=512, gammas=(gamma,)))
+        assert est.mean == 0.0
+        assert est.stderr == 0.0
 
     def test_array_and_list_grids_match_tuple(self):
         # an array grid used to raise on its truth value

@@ -3,8 +3,8 @@
 ``perfbench/spans.py`` times each layer by swapping these names for
 wrappers; a refactor that renames one would leave its layer untraced (or
 break ``--trace 1``) without any other test noticing.  The import surface
-(which SciPy subpackages a first number loads) is checked here too, since
-it is what the benchmark's set-up time measures.
+(a first number loads nothing of SciPy) is checked here too, since it is
+what the benchmark's set-up time measures.
 """
 
 import importlib
@@ -82,9 +82,14 @@ def test_estimate_coverage_takes_spec_first():
 
 
 IMPORT_SURFACE_SCRIPT = """
-import json, math, sys
+import dataclasses, json, math, sys
 import clustercov as cc
 from clustercov import mc
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("scipy", "multiprocessing")
+                  or name == "concurrent.futures.process")
 
 density = 0.1 / (500.0**2 * math.pi)
 power = cc.dbm_to_mw(14.0)
@@ -97,26 +102,56 @@ spec = cc.SimSpec(config=cc.NetworkConfig(link=link, window_radius=20000.0),
                   scenario=scenario, trials=512, seed=1, gamma_grid=(0.1,), workers=1)
 cc.estimate_coverage(spec)
 cc.estimate_laplace(spec, cc.InterferenceField.INTER, (1e-6,))
-heavy = ["scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.linalg"]
-loaded = [name for name in heavy if name in sys.modules]
+fast_paths = loaded()
 far_table = mc._far_table(spec) is not None
 exact = cc.coverage(0.1, scenario, link, method=cc.Method.EXACT_INTEGRAL).value
-print(json.dumps({"loaded": loaded, "far_table": far_table, "exact": exact,
-                  "integrate_after_exact": "scipy.integrate" in sys.modules}))
+after_exact = sorted(name for name in ("scipy.special", "scipy.integrate") if name in sys.modules)
+# two chunks on two workers take the pool branch, which imports the pool itself
+two_chunks = dataclasses.replace(spec, trials=1024)
+serial = cc.estimate_coverage(two_chunks)
+pooled = cc.estimate_coverage(dataclasses.replace(two_chunks, workers=2))
+print(json.dumps({"fast_paths": fast_paths, "far_table": far_table, "exact": exact,
+                  "after_exact": after_exact, "pool_matches": serial == pooled,
+                  "pool_loaded": "concurrent.futures.process" in sys.modules}))
+"""
+
+HYP2F1_FIRST_SCRIPT = """
+import json
+import clustercov as cc
+
+ours = [cc.hyp2f1_1_b(1.37, z) for z in (0.3, 3.0, 1e6)]
+from scipy.special import hyp2f1
+
+theirs = [float(hyp2f1(1.0, 1.37, 2.37, -z)) for z in (0.3, 3.0, 1e6)]
+print(json.dumps({"ours": ours, "theirs": theirs}))
 """
 
 
-def test_first_numbers_load_numpy_and_scipy_special_only():
-    # a fresh interpreter: import, one GC point, one MC coverage chunk with a
-    # far table and one INTER transform load none of SciPy's heavier
-    # subpackages; the exact path loads scipy.integrate when first called
+def _fresh_interpreter(script: str) -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", IMPORT_SURFACE_SCRIPT], env=env,
+    run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout)
-    assert result["loaded"] == []
+    return json.loads(run.stdout)
+
+
+def test_first_numbers_load_numpy_only():
+    # a fresh interpreter: import, one GC point, one MC coverage chunk with a
+    # far table and one INTER transform load nothing of SciPy and no process
+    # pool; the exact path loads scipy.special and scipy.integrate when first
+    # called, and a pooled estimate equals the serial one
+    result = _fresh_interpreter(IMPORT_SURFACE_SCRIPT)
+    assert result["fast_paths"] == []
     assert result["far_table"]
     assert 0.0 < result["exact"] < 1.0
-    assert result["integrate_after_exact"]
+    assert result["after_exact"] == ["scipy.integrate", "scipy.special"]
+    assert result["pool_matches"]
+    assert result["pool_loaded"]
+
+
+def test_hyp2f1_bound_on_first_call():
+    # 2F1 called before anything else loads SciPy's hyp2f1 and returns its
+    # values exactly, for a non-integer b on both sides of z = 0.5
+    result = _fresh_interpreter(HYP2F1_FIRST_SCRIPT)
+    assert result["ours"] == result["theirs"]
