@@ -182,10 +182,11 @@ class SweepSpec:
 def parse_config_text(text: str) -> dict:
     """Parse a flat key = value document.
 
-    One assignment per line; '#' starts a comment; values are numbers,
-    bare words, or comma-separated number lists.
+    One assignment per line, each key at most once; '#' starts a comment;
+    values are numbers, bare words, or comma-separated number lists.
     """
     out: dict = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -197,6 +198,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if key in key_lines:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {key_lines[key]}")
+        key_lines[key] = lineno
         if "," in value:
             out[key] = tuple(_parse_scalar(v.strip()) for v in value.split(","))
         else:

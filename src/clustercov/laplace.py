@@ -153,14 +153,22 @@ def _ppp(s, density: float, power: float, k: float, p: LinkParams):
     """exp(-pi density Gamma(1 - delta) k (s power eta)^delta).
 
     With k = Gamma(1 + delta) this is the exact transform of a PPP of
-    Rayleigh-faded transmitters; the cross-cluster bound scales k.
+    Rayleigh-faded transmitters; the cross-cluster bound scales k.  Exactly
+    1 for a zero density, at every finite s; a load s power eta past the
+    float range takes its limit exp(-inf) = 0.
     """
-    if not _is_finite_nonnegative(s):
+    lo, hi = _extremes(s)
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError(f"transform variable s must be finite and nonnegative, got {s}")
-    delta = p.delta
-    return np.exp(
-        -math.pi * density * math.gamma(1.0 - delta) * k * (s * power * p.eta) ** delta
-    )
+    if density == 0.0:
+        return np.ones_like(s, dtype=float)[()]
+    exponent = -math.pi * density * math.gamma(1.0 - p.delta) * k
+    # np.errstate costs about as much as a scalar call, so only a load past
+    # the float range (somewhere in s) enters it
+    if float(hi) * power * p.eta < math.inf:
+        return np.exp(exponent * (s * power * p.eta) ** p.delta)
+    with np.errstate(over="ignore"):
+        return np.exp(exponent * (s * power * p.eta) ** p.delta)
 
 
 def laplace_inter(s, size: ClusterSizeModel, p: LinkParams):

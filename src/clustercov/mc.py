@@ -140,13 +140,13 @@ class McEstimate:
     """A Monte Carlo mean over ``trials`` trials and its standard error.
 
     ``stderr`` estimates the standard deviation of ``mean`` from the spread
-    of the i.i.d. replicate sums: sqrt(m / (m - 1) * sum (S_j - k_j mean)**2)
-    / trials over m replicates of k_j trials each (see ``_estimate``).  A
-    request of at most REPLICATE_TRIALS trials is unstratified and uses
-    replicates of one trial, the usual i.i.d. standard error; it is 0.0
-    for a single trial.  The INTER and COEXIST transforms draw no
-    in-cluster radii, so their trials are i.i.d. and they always use
-    replicates of one trial.
+    of the i.i.d. replicate sums: with S_j the sum of replicate j's k_j
+    trials and m replicates, it is sqrt(m / (m - 1) * sum (S_j - k_j
+    mean)**2) / trials, and 0.0 for m = 1.  A request of at most
+    REPLICATE_TRIALS trials is unstratified and uses replicates of one
+    trial, the usual i.i.d. standard error; it is 0.0 for a single trial.
+    The INTER and COEXIST transforms draw no in-cluster radii, so their
+    trials are i.i.d. and they always use replicates of one trial.
     """
 
     mean: float
@@ -502,15 +502,13 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     return _FarTable(s[0], float(np.exp(log_lam[0])), log_s, _pchip_coefficients(log_s, log_lam))
 
 
-def _simulate_chunk(args: tuple) -> tuple:
-    """Simulate one chunk of trials and reduce it to replicate sums.
+def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one chunk of trials: (replicate sums S_j, replicate sizes k_j).
 
     Consecutive trials form replicates of ``replicate`` trials, the last
-    one possibly shorter.  With S_j the sum of replicate j's values, k_j
-    its size and c = sum S_j / n the chunk's mean, returns sum S_j,
-    sum (S_j - k_j c)**2 and sum k_j (S_j - k_j c) per grid point, then the
-    number of replicates and sum k_j**2.  Centring on the chunk's own mean
-    keeps the spread's precision where it is tiny next to the mean.
+    one possibly shorter.  S_j is a (grid, replicates) array, the sum of
+    replicate j's values at every grid point; ``_estimate`` turns the
+    chunks' sums into means and standard errors.
 
     Every trial gives one value per grid point t.  For a transform t is
     the transform variable and the value exp(-t * x), x the field's
@@ -544,40 +542,32 @@ def _simulate_chunk(args: tuple) -> tuple:
         exponent -= far(t * scale)
     values = np.exp(exponent)
     starts = np.arange(0, n, replicate)
-    sizes = np.minimum(n - starts, replicate)
-    sums = np.add.reduceat(values, starts, axis=1)
-    total = sums.sum(axis=1)
-    dev = sums - (total / n)[:, None] * sizes
-    return total, (dev * dev).sum(axis=1), (dev * sizes).sum(axis=1), len(sizes), int(sizes @ sizes)
+    return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, replicate)
 
 
 def _estimate(
     spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...]
 ) -> list[McEstimate]:
-    """Mean and standard error of each trial's value at every grid point t.
+    """Mean and standard error (see ``McEstimate``) of each trial's value at every grid point t.
 
-    With S_j the sum of replicate j (k_j trials), m replicates and n
-    trials, var(mean) = m / (m - 1) * sum (S_j - k_j mean)**2 / n**2:
-    replicates are i.i.d., while trials within one are not.  Each chunk's
-    share of the sum is recentred from its own mean c to the overall one:
-    sum (S_j - k_j c)**2 + 2 (c - mean) sum k_j (S_j - k_j c)
-    + (c - mean)**2 sum k_j**2.  A request of at most REPLICATE_TRIALS
-    trials would form a single replicate, whose spread is unknown, so it is
-    drawn unstratified, in replicates of one trial: its standard error is
-    the i.i.d. one, and 0.0 for one trial.  The INTER and COEXIST
-    transforms draw no in-cluster radii, so nothing is stratified and their
-    trials are i.i.d.: they always use replicates of one trial, which gives
-    the standard error n - 1 degrees of freedom instead of
-    n / REPLICATE_TRIALS - 1.  Only coverage (field None) has a far table;
-    a transform is estimated for its near-disc field alone.
+    The mean is the chunks' totals, summed in chunk order, over n trials.
+    The standard error takes two passes over every chunk's replicate sums
+    in index order: the mean first, then the squared deviations from it.
+    A request of at most REPLICATE_TRIALS trials would form a single
+    replicate, whose spread is unknown, so it is drawn unstratified, in
+    replicates of one trial.  The INTER and COEXIST transforms draw no
+    in-cluster radii, so nothing is stratified and their trials are i.i.d.:
+    replicates of one trial give the standard error n - 1 degrees of
+    freedom instead of n / REPLICATE_TRIALS - 1.  Only coverage (field
+    None) has a far table; a transform is estimated for its near-disc field
+    alone.
     """
     far = _far_table(spec) if field is None else None
     stratified = field is None or field is InterferenceField.INTRA
     replicate = REPLICATE_TRIALS if stratified and spec.trials > REPLICATE_TRIALS else 1
-    chunk_sizes = _chunk_sizes(spec.trials, spec.chunk_trials)
     args = [
         (spec, field, index, size, grid, far, replicate)
-        for index, size in enumerate(chunk_sizes)
+        for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
     if workers == 1 or len(args) == 1:
@@ -592,15 +582,15 @@ def _estimate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_simulate_chunk, args, chunksize=-(-len(args) // (4 * workers))))
     n = spec.trials
-    totals, squares, cross, counts, sizes_sq = (np.array(part) for part in zip(*chunks))
-    m = int(counts.sum())
-    means = totals.sum(axis=0) / n
-    shift = totals / np.array(chunk_sizes)[:, None] - means
-    spreads = (squares + shift * (2.0 * cross + shift * sizes_sq[:, None])).sum(axis=0)
+    means = np.array([part.sum(axis=1) for part, _ in chunks]).sum(axis=0) / n
+    sums = np.concatenate([part for part, _ in chunks], axis=1)
+    sizes = np.concatenate([part for _, part in chunks])
+    m = len(sizes)
+    dev = sums - means[:, None] * sizes
     out = []
-    for mean, spread in zip(means, spreads):
-        var = max(0.0, m / (m - 1) * spread) / (n * n) if m > 1 else 0.0
-        out.append(McEstimate(mean=float(mean), stderr=math.sqrt(var), trials=n))
+    for mean, spread in zip(means, (dev * dev).sum(axis=1)):
+        stderr = math.sqrt(m / (m - 1) * spread) / n if m > 1 else 0.0
+        out.append(McEstimate(mean=float(mean), stderr=stderr, trials=n))
     return out
 
 

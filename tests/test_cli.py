@@ -47,6 +47,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not an assignment")
 
+    def test_repeated_key(self):
+        # the last line used to win silently
+        with pytest.raises(ConfigError, match="line 3: trials is already set on line 1"):
+            parse_config_text("trials = 1000\nseed = 3\ntrials = 5")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             build_sweep({"no_such_key": 1})

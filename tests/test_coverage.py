@@ -335,7 +335,14 @@ class TestContracts:
     def test_overflowing_threshold_named(self, method, monkeypatch):
         # s at the cluster rim overflows near gamma = 1e298 on the reference
         # link; this used to warn of an overflow in the integrand and then
-        # raise with the whole array of s, naming no threshold
+        # raise with the whole array of s, naming no threshold.  Just below
+        # it s p eta overflows in the field transforms, whose limit is 0 (or
+        # 1 for a zero density), so the integrand must stay silent there
+        for link in (reference_link(), reference_link(lambda_g=0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert coverage(1e296, UF, link, method=method).value == 0.0
+
         def no_integrand(*args):
             raise AssertionError("the integrand ran")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -65,10 +66,15 @@ class TestTrivialValues:
 
     def test_unit_with_zero_density(self):
         link = reference_link(lambda_g=0.0, lambda_co=0.0)
-        s = s_at(300.0)
-        assert laplace_inter(s, FixedSize(6), link) == 1.0
-        assert laplace_inter(s, PoissonSize(6.0), link) == 1.0
-        assert laplace_coexist(s, link) == 1.0
+        # s p eta overflows at the two largest s; the transform is still 1
+        huge = np.array([1e307, 1.7e308])
+        for s in (s_at(300.0), 1e307, 1.7e308, huge):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.all(laplace_inter(s, FixedSize(6), link) == 1.0)
+                assert np.all(laplace_inter(s, PoissonSize(6.0), link) == 1.0)
+                assert np.all(laplace_coexist(s, link) == 1.0)
+        assert laplace_coexist(huge, link).shape == huge.shape
 
 
 class TestAgainstIntegralOracles:

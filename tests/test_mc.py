@@ -116,7 +116,7 @@ def replicate_stderr(chunks, replicate=mc.REPLICATE_TRIALS):
     ``chunks`` holds each chunk's per-trial values; replicates are runs of
     ``replicate`` consecutive trials that restart at every chunk.  Computed
     in two passes with exactly rounded sums, as a reference for the
-    engine's one-pass, chunk-centred reduction.
+    engine's two-pass reduction of the chunks' replicate sums.
     """
     n = sum(len(values) for values in chunks)
     mean = math.fsum(np.concatenate(chunks)) / n
@@ -366,9 +366,10 @@ class TestStratification:
         assert serial == parallel
 
     def test_chunks_combine_into_replicate_stderr(self):
-        # the chunk-centred sums of ten ragged chunks give the two-pass
+        # the replicate sums of ten ragged chunks give the two-pass
         # replicate formula over all of their replicates; at gamma = 0.1 the
-        # mean is 0.997, where uncentred sums would lose the spread's digits
+        # mean is 0.997, where a one-pass sum of squares would lose the
+        # spread's digits
         chunk = 100
         for gamma in (10.0, 0.1):
             spec = isolated_spec(FixedSize(1), trials=1000, seed=5, gammas=(gamma,),
