@@ -54,24 +54,31 @@ def _disc_rule(alpha: float, quad: QuadratureSpec | None):
 
     For interferers uniform in a disc of radius rho (in cluster radii),
     mean(b) is the average of 1/(1 + b x^-alpha) over the unit disc and
-    tail(b) = 1 - mean(b) the average of the complementary fraction.  With
+    tail(b) = 1 - mean(b) the average of the complementary fraction.  Both
+    are elementwise over arrays of b (and give floats for scalar b).  With
     quad None they are delta z/(delta+1) 2F1(1, delta+1; delta+2; -z) and
-    2F1(1, delta; delta+1; -z) at z = 1/b, for scalar b; otherwise the T
-    Gauss-Chebyshev nodes of quad, elementwise over arrays of b.
+    2F1(1, delta; delta+1; -z) at z = 1/b, one 2F1 call per array;
+    otherwise the T Gauss-Chebyshev nodes of quad.
     """
     if quad is None:
         delta = 2.0 / alpha
 
+        def inverse(b):
+            # b = 0, and a load so small that 1/b overflows, give z = inf
+            with np.errstate(divide="ignore", over="ignore"):
+                return 1.0 / np.asarray(b, dtype=float)
+
         def mean(b):
-            # b = 0, and a load so small that 1/b overflows, take the b -> 0
-            # limit; the product below would be inf * 0 there
-            z = math.inf if b == 0.0 else 1.0 / b
-            if z == math.inf:
-                return 1.0
-            return z * delta / (delta + 1.0) * hyp2f1_1_b(delta + 1.0, z)
+            # z = inf takes the b -> 0 limit 1; the product below would be
+            # inf * 0 there
+            z = inverse(b)
+            finite = z < math.inf
+            z = np.where(finite, z, 0.0)
+            value = z * delta / (delta + 1.0) * hyp2f1_1_b(delta + 1.0, z)
+            return np.where(finite, value, 1.0)[()]
 
         def tail(b):
-            return 0.0 if b == 0.0 else hyp2f1_1_b(delta, 1.0 / b)
+            return hyp2f1_1_b(delta, inverse(b))
 
         return mean, tail
 
@@ -107,11 +114,11 @@ def laplace_intra(
     posterior P(J) (J + 1) u^(2J), which gives (1 + m u^2 g)/(1 + m u^2)
     exp(-m u^2 (1 - g)) with g the disc mean inside radius u.
 
-    quad None takes the disc averages exactly, for scalar beta and u;
-    otherwise by the T Gauss-Chebyshev nodes of quad, elementwise over
-    arrays (one (len(beta) x T) expression per disc).  The Gauss-Chebyshev
-    form can overshoot 1 by its quadrature error; the coverage composition
-    clips it.
+    Elementwise over arrays of beta and u.  quad None takes the disc
+    averages exactly (one 2F1 call per disc); otherwise by the T
+    Gauss-Chebyshev nodes of quad (one (len(beta) x T) expression per
+    disc).  The Gauss-Chebyshev form can overshoot 1 by its quadrature
+    error; the coverage composition clips it.
     """
     if not _is_finite_nonnegative(beta):
         raise ValueError(f"load beta must be finite and nonnegative, got {beta}")

@@ -12,11 +12,14 @@ from clustercov.coverage import (
     CoverageResult,
     Method,
     Ordered,
+    QuadratureError,
     Scenario,
     Unordered,
     _distance_density,
+    _integrate,
     coverage,
 )
+from clustercov.laplace import laplace_coexist, laplace_inter, laplace_intra
 from clustercov.params import FixedSize, PoissonSize
 
 from conftest import reference_link
@@ -28,6 +31,9 @@ OF = Scenario(Ordered(), FixedSize(6))
 OR = Scenario(Ordered(), PoissonSize(6.0))
 O3F = Scenario(Ordered(3), FixedSize(6))
 ALL_SCENARIOS = (UF, UR, OF, OR)
+# the second closest of six averages its n - k interferers over the annulus
+# (u, 1], whose mean is a 0/0 at the rim
+O2F = Scenario(Ordered(2), FixedSize(6))
 
 # (alpha, scenario, threshold dB, GC value, exact value) on the reference
 # link, recorded with the five scenario-specific coverage functions that
@@ -337,11 +343,19 @@ class TestContracts:
         # link; this used to warn of an overflow in the integrand and then
         # raise with the whole array of s, naming no threshold.  Just below
         # it s p eta overflows in the field transforms, whose limit is 0 (or
-        # 1 for a zero density), so the integrand must stay silent there
-        for link in (reference_link(), reference_link(lambda_g=0.0)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert coverage(1e296, UF, link, method=method).value == 0.0
+        # 1 for a zero density), so the integrand must stay silent there.
+        # At a vanishing threshold the load beta of the nodes near u = 0 is
+        # so small that 1/beta overflows, and the exact disc mean takes its
+        # beta -> 0 limit there, as silently
+        links = (reference_link(), reference_link(lambda_g=0.0),
+                 reference_link(lambda_co=0.0), reference_link(lambda_g=0.0, lambda_co=0.0))
+        for scen in (*ALL_SCENARIOS, O2F):
+            for link in links:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert coverage(1e-300, scen, link, method=method).value >= 1.0 - 1e-12
+                    for gamma in (1e280, 1e296, 1e297):
+                        assert coverage(gamma, scen, link, method=method).value == 0.0
 
         def no_integrand(*args):
             raise AssertionError("the integrand ran")
@@ -420,7 +434,67 @@ class TestContracts:
         with pytest.raises(ValueError, match="int_tol"):
             coverage(0.1, UF, fig_link, method=EXACT, int_tol=int_tol)
 
-    def test_exact_integral_tolerance_respected(self, fig_link):
-        tight = coverage(0.1, UF, fig_link, method=EXACT, int_tol=1e-10)
-        loose = coverage(0.1, UF, fig_link, method=EXACT, int_tol=1e-4)
-        assert tight.value == pytest.approx(loose.value, rel=1e-3)
+    def test_exact_integral_tolerance_respected(self):
+        for scen in (*ALL_SCENARIOS, O2F):
+            for link in (reference_link(), intra_link()):
+                for gamma in (0.01, 0.1, 1.0, 10.0):
+                    ref = scalar_quad_coverage(gamma, scen, link)
+                    for int_tol in (1e-4, 1e-6, 1e-8):
+                        got = coverage(gamma, scen, link, method=EXACT, int_tol=int_tol).value
+                        assert abs(got - ref) <= int_tol * abs(ref), (scen, link, gamma, int_tol)
+
+
+def scalar_quad_coverage(gamma, scen, link):
+    """The coverage integral by scipy's quad at rel 1e-12, one scalar transform call per node."""
+    rho_scale = gamma / (link.p_x0 * link.eta)
+    beta_scale = gamma / link.p_ratio_x
+
+    def integrand(u):
+        s = (u * link.a) ** link.alpha * rho_scale
+        intra = laplace_intra(u**link.alpha * beta_scale, u, link.alpha, scen)
+        return (_distance_density(u, scen) * min(1.0, intra) * math.exp(-s * link.sigma2)
+                * laplace_inter(s, scen.size_model, link) * laplace_coexist(s, link))
+
+    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    return value
+
+
+def counted(fn):
+    """fn and the list of panel counts it is called with (21 nodes per panel)."""
+    panels = []
+
+    def wrapper(u):
+        assert u.ndim == 1 and len(u) % 21 == 0
+        panels.append(len(u) // 21)
+        return fn(u)
+
+    return wrapper, panels
+
+
+class TestIntegrator:
+    """The adaptive Gauss-Kronrod rule behind the exact method."""
+
+    @pytest.mark.parametrize("degree", range(32))
+    def test_polynomial_in_one_call(self, degree):
+        # K21 integrates degree 31 exactly; its error estimate against G10
+        # stays under the tolerance, so the first panel is the answer
+        integrand, panels = counted(lambda u: (degree + 1) * u**degree)
+        assert _integrate(integrand, 1e-4) == pytest.approx(1.0, rel=1e-15)
+        assert panels == [1]
+
+    def test_narrow_peak_bisects_to_closed_form(self):
+        width = 1e-3
+        integrand, panels = counted(lambda u: width / (math.pi * ((u - 0.5) ** 2 + width**2)))
+        ref = 2.0 / math.pi * math.atan(0.5 / width)
+        for int_tol in (1e-6, 1e-10):
+            panels.clear()
+            assert abs(_integrate(integrand, int_tol) - ref) <= int_tol * ref
+            # each round bisects some panels: two new ones per split panel
+            assert len(panels) > 1 and all(n % 2 == 0 for n in panels[1:])
+
+    def test_unresolved_integrand_raises_at_panel_limit(self):
+        # about 8 periods per panel even at 200 panels
+        integrand, panels = counted(lambda u: np.cos(1e4 * u))
+        with pytest.raises(QuadratureError, match="exceeds tolerance"):
+            _integrate(integrand, 1e-10)
+        assert 1 + sum(n // 2 for n in panels[1:]) == 200

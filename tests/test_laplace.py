@@ -64,6 +64,23 @@ class TestTrivialValues:
         assert laplace_intra(1e-310, 1.0, 3.5, UF6) == 1.0
         assert laplace_intra(1e-310, 0.5, 3.5, Scenario(Ordered(3), FixedSize(6))) == 1.0
 
+    def test_exact_elementwise_over_arrays(self):
+        # the exact coverage integrand evaluates a round's nodes in one call;
+        # a zero load, a load whose inverse overflows and the rim u = 1 share
+        # the array with ordinary entries and keep their scalar values
+        beta = np.array([0.0, 1e-310, 1e-3, 0.4, 7.0, 0.4])
+        u = np.array([0.3, 0.5, 0.2, 0.7, 0.9, 1.0])
+        for scenario in (
+            UF6,
+            Scenario(Unordered(), PoissonSize(6.0)),
+            Scenario(Ordered(3), FixedSize(6)),
+            Scenario(Ordered(), FixedSize(6)),
+            Scenario(Ordered(), PoissonSize(6.0)),
+        ):
+            together = laplace_intra(beta, u, 3.5, scenario)
+            one_by_one = [laplace_intra(b, v, 3.5, scenario) for b, v in zip(beta, u)]
+            np.testing.assert_allclose(together, one_by_one, rtol=1e-14, atol=0.0)
+
     def test_unit_with_zero_density(self):
         link = reference_link(lambda_g=0.0, lambda_co=0.0)
         # s p eta overflows at the two largest s; the transform is still 1

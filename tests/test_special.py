@@ -118,6 +118,26 @@ class TestHyp2f1:
     def test_limit_at_infinite_z(self, b):
         assert hyp2f1_1_b(b, math.inf) == 0.0
 
+    @pytest.mark.parametrize("b", [1.37, 2.0 - 1e-9, 2.0 + 1e-9])
+    def test_array_matches_scalar_bitwise(self, b):
+        # b = 2 -+ 1e-9 takes the closed integer form at z > 0.5, which
+        # must not reach z = 0, 0.3, 0.5 or inf of the same array
+        z = [0.0, 0.3, 0.5, 0.6, 3.0, 1e6, math.inf]
+        scalars = [hyp2f1_1_b(b, v) for v in z]
+        assert all(type(v) is float for v in scalars)
+        for shape in ((7,), (7, 1)):
+            got = hyp2f1_1_b(b, np.array(z).reshape(shape))
+            assert got.shape == shape
+            assert got.ravel().tolist() == scalars
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_array_domain_error_matches_scalar(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            hyp2f1_1_b(1.37, bad)
+        with pytest.raises(ValueError) as array:
+            hyp2f1_1_b(1.37, np.array([0.3, bad, 3.0]))
+        assert str(array.value) == str(scalar.value)
+
 
 class TestQuadrature:
     def test_single_node(self):
