@@ -84,6 +84,8 @@ class CoverageResult:
             raise ValueError(f"coverage must lie in [0, 1], got {self.value}")
         if (self.stderr is not None) != (self.method is Method.MONTE_CARLO):
             raise ValueError("stderr is present exactly for Monte Carlo results")
+        if (self.bound_side is BoundSide.ESTIMATE) != (self.method is Method.MONTE_CARLO):
+            raise ValueError("the bound side is an estimate exactly for Monte Carlo results")
         _check_gamma(self.gamma_th)
 
 
@@ -118,8 +120,14 @@ def _distance_density(u, scenario: Scenario):
         return 2.0 * u * (1.0 + m * u**2) * np.exp(-m * (1.0 - u**2))
     n = size.n
     rank = n if ordering.k is None else ordering.k
-    coef = 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank))
-    return coef * u ** (2 * rank - 1) * (1.0 - u**2) ** (n - rank)
+    if rank == n:
+        return 2.0 * math.exp(math.lgamma(n + 1) - math.lgamma(n)) * u ** (2 * n - 1)
+    # in logs: the coefficient alone overflows (from about n = 1100, k = n/2)
+    # where the density, 2u times a Beta(k, n-k+1) density of u^2, is
+    # finite; the log is -inf at u = 0 and u = 1, where the density is 0
+    log_coef = math.log(2.0) + math.lgamma(n + 1) - math.lgamma(n - rank + 1) - math.lgamma(rank)
+    with np.errstate(divide="ignore"):
+        return np.exp(log_coef + (2 * rank - 1) * np.log(u) + (n - rank) * np.log1p(-u**2))
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21; Piessens et al., 1983):

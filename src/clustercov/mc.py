@@ -274,7 +274,9 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicat
         at_max = r == np.maximum.reduceat(r, seg_start)[trial_of_node]
         typical = np.maximum.reduceat(np.where(at_max, np.arange(len(r)), -1), seg_start)
     else:
-        typical = np.lexsort((r, trial_of_node))[seg_start + scenario.ordering.k - 1]
+        # a numeric rank comes with a fixed size, so each trial is one row
+        by_radius = np.argsort(r.reshape(n, -1), axis=1, kind="stable")
+        typical = seg_start + by_radius[:, scenario.ordering.k - 1]
 
     r_typ = r[typical]
     h[typical] = 0.0  # the typical node does not interfere with itself

@@ -8,9 +8,10 @@ that checks its domain, with a closed log form for b within 1e-8 of an
 integer, where scipy loses precision at large z (z spans from ~1e-6 up to
 ~1e10 over a typical SINR sweep).
 
-Only the exact integral calls 2F1, so scipy's ``hyp2f1`` is bound on the
-first call that reaches it: importing the package, Gauss-Chebyshev points
-and Monte Carlo estimates load NumPy and the standard library alone.
+Only the exact integral calls 2F1, and ``import scipy.special`` takes
+about a third of a second, so ``hyp2f1_1_b`` imports scipy's ``hyp2f1``
+when called: importing the package, Gauss-Chebyshev points and Monte Carlo
+estimates load NumPy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -27,19 +28,6 @@ __all__ = [
     "hyp2f1_1_b",
     "make_quadrature",
 ]
-
-
-def _scipy_hyp2f1(a: float, b: float, c: float, z):
-    """scipy.special.hyp2f1, imported on the first call and bound in its place.
-
-    ``import scipy.special`` costs about a third of a second, most of it in
-    modules the package never uses, so only the exact path pays for it.
-    """
-    global _scipy_hyp2f1
-    from scipy.special import hyp2f1
-
-    _scipy_hyp2f1 = hyp2f1
-    return hyp2f1(a, b, c, z)
 
 
 def _hyp_integer_b(m: int, z: np.ndarray) -> np.ndarray:
@@ -76,7 +64,9 @@ def hyp2f1_1_b(b: float, z):
     valid = z >= 0.0
     if not valid.all():
         raise ValueError(f"hyp2f1_1_b requires z >= 0, got z={z[~valid].flat[0]}")
-    value = np.where(z < math.inf, _scipy_hyp2f1(1.0, b, b + 1.0, -z), 0.0)
+    from scipy.special import hyp2f1
+
+    value = np.where(z < math.inf, hyp2f1(1.0, b, b + 1.0, -z), 0.0)
     m = round(b)
     if m >= 1 and abs(b - m) <= 1e-8 * max(1.0, b):
         large = (z > 0.5) & (z < math.inf)

@@ -312,8 +312,10 @@ def test_11_determinism_across_workers(tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         env["CLUSTERCOV_WORKERS"] = workers.split("-")[0]
+        # -W reaches the two-worker pool too, which pyproject's
+        # filterwarnings does not
         proc = subprocess.run(
-            [sys.executable, "-m", "clustercov.cli", "sweep",
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "clustercov.cli", "sweep",
              "--config", str(config), "--out", str(out)],
             env=env, capture_output=True, text=True,
         )

@@ -292,8 +292,8 @@ class TestSweep:
         for hash_seed in ("1", "4"):
             out = tmp_path / f"h{hash_seed}.csv"
             subprocess.run(
-                [sys.executable, "-m", "clustercov.cli", "sweep", "--config", str(cfg),
-                 "--out", str(out)],
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "clustercov.cli",
+                 "sweep", "--config", str(cfg), "--out", str(out)],
                 env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
                 check=True, capture_output=True, timeout=120,
             )
@@ -375,6 +375,18 @@ class TestMainEntry:
         assert code == 0
         assert out.exists()
         assert "max |mc-vs-gc| coverage gap" in capsys.readouterr().out
+
+    def test_sweep_ranked_node_of_large_cluster(self, tmp_path):
+        # validate accepted this config and sweep then exited 1 with an
+        # uncaught OverflowError from the order-statistic coefficient
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text(
+            "size_model = fixed\nordering = ordered\nordered_rank = 550\n"
+            "cluster_size = 1100\nmethods = gc\naxis_grid = -30\n"
+        )
+        out = tmp_path / "large.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_validate_command(self, tiny_config, capsys):
         assert main(["validate", "--config", str(tiny_config)]) == 0

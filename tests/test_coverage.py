@@ -168,6 +168,14 @@ class TestDistanceDensity:
         total, _ = integrate.quad(lambda v: _distance_density(v, scen), 0.0, 1.0)
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n, k", [(6, 3), (200, 100), (1100, 550), (2000, 1000)])
+    def test_ranked_is_beta_density_of_square(self, n, k):
+        # 2u times a Beta(k, n-k+1) density of u^2; the order-statistic
+        # coefficient alone overflows from n = 1100, k = 550
+        u = np.sqrt(np.linspace(0.4, 0.6, 21))
+        expected = 2.0 * u * stats.beta.pdf(u**2, k, n - k + 1)
+        np.testing.assert_allclose(_distance_density(u, ranked(k, n)), expected, rtol=1e-10)
+
     def test_rank_out_of_range(self):
         # the density is reached only through a Scenario, which refuses a
         # rank outside 1..n before any integrand is built
@@ -331,6 +339,16 @@ class TestContracts:
                     result = coverage(0.1, Scenario(ordering, size), link, quad=quad50)
                     assert result.bound_side is side
 
+    def test_ranked_node_of_large_cluster(self):
+        # the order-statistic coefficient of the middle node of 1100 used to
+        # raise a bare OverflowError from both methods
+        scen = ranked(550, 1100)
+        link = reference_link()
+        gc = coverage(1e-3, scen, link).value
+        exact = coverage(1e-3, scen, link, method=EXACT).value
+        assert 0.0 < gc < 1.0 and 0.0 < exact < 1.0
+        assert abs(gc - exact) <= 1e-3
+
     def test_threshold_must_be_positive(self, fig_link):
         with pytest.raises(ValueError):
             coverage(0.0, UF, fig_link, method=EXACT)
@@ -413,6 +431,11 @@ class TestContracts:
             CoverageResult(0.5, Method.GAUSS_CHEBYSHEV, BoundSide.UPPER, 0.1, stderr=0.1)
         with pytest.raises(ValueError):
             CoverageResult(0.5, Method.MONTE_CARLO, BoundSide.ESTIMATE, 0.1)
+        # the bound side follows the method: an estimate exactly for Monte Carlo
+        with pytest.raises(ValueError):
+            CoverageResult(0.5, Method.GAUSS_CHEBYSHEV, BoundSide.ESTIMATE, 0.1)
+        with pytest.raises(ValueError):
+            CoverageResult(0.5, Method.MONTE_CARLO, BoundSide.UPPER, 0.1, stderr=0.01)
 
     def test_scenario_tags(self):
         assert UF.tag() == "unordered/fixed-n6"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clustercov import oracles
 from clustercov.laplace import laplace_coexist, laplace_inter, laplace_intra
-from clustercov.params import FixedSize, Ordered, PoissonSize, Scenario, Unordered
+from clustercov.params import FixedSize, LinkParams, Ordered, PoissonSize, Scenario, Unordered
 from clustercov.special import make_quadrature
 
 from conftest import reference_link
@@ -92,6 +92,19 @@ class TestTrivialValues:
                 assert np.all(laplace_inter(s, PoissonSize(6.0), link) == 1.0)
                 assert np.all(laplace_coexist(s, link) == 1.0)
         assert laplace_coexist(huge, link).shape == huge.shape
+
+    @pytest.mark.parametrize("density", [0.0, 1e-7])
+    def test_unit_at_zero_s_with_huge_powers(self, density):
+        # P^delta eta^delta overflows here, so the product must meet s^delta
+        # = 0 before the power factors or it turns into 0 * inf = nan
+        link = LinkParams(p_x0=1e300, p_x=1e300, p_z=1e300, eta=1e300, alpha=3.5, a=500.0,
+                          lambda_g=density, lambda_co=density, sigma2=0.0)
+        for s in (0.0, np.array([0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert np.all(laplace_inter(s, FixedSize(6), link) == 1.0)
+                assert np.all(laplace_inter(s, PoissonSize(6.0), link) == 1.0)
+                assert np.all(laplace_coexist(s, link) == 1.0)
 
 
 class TestAgainstIntegralOracles:

@@ -131,10 +131,12 @@ def noise_limited_values(link, r, gamma):
     return np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
 
 
-def stable_sort_farthest(rng, size, link, n):
-    """(r_typ, i_intra, tied) of the farthest node, picked by a stable sort of the same draws.
+def stable_sort_pick(rng, size, link, n, rank=None):
+    """(r_typ, i_intra, tied) of the rank-th closest node (None: the farthest) by a stable sort.
 
-    ``tied`` counts the trials whose largest radius is attained more than once.
+    The same draws as the engine, sorted by (trial, radius).  ``tied``
+    counts the trials whose picked radius is also attained by a node the
+    sort puts next to it.
     """
     if isinstance(size, FixedSize):
         sizes = np.full(n, size.n, dtype=np.int64)
@@ -145,10 +147,13 @@ def stable_sort_farthest(rng, size, link, n):
     r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
     h = rng.exponential(1.0, size=len(r))
     order = np.lexsort((r, trial))
-    typical = order[np.cumsum(sizes) - 1]
-    # the node a stable sort puts just before the farthest one, in trials of two or more
-    runner_up = order[np.cumsum(sizes)[sizes > 1] - 2]
-    tied = int(np.count_nonzero(r[runner_up] == r[typical[sizes > 1]]))
+    ends = np.cumsum(sizes)
+    position = ends - 1 if rank is None else ends - sizes + rank - 1
+    typical = order[position]
+    sorted_r = np.append(r[order], np.nan)  # nan: no node after the last one
+    before = (position > ends - sizes) & (sorted_r[position - 1] == sorted_r[position])
+    after = (position < ends - 1) & (sorted_r[position + 1] == sorted_r[position])
+    tied = int(np.count_nonzero(before | after))
     h[typical] = 0.0
     i_intra = link.p_x * link.eta * mc.radial_sums(r, h, trial, n, -link.alpha)
     return r[typical], i_intra, tied
@@ -210,13 +215,38 @@ class TestEngineSampling:
             r_typ, i_intra = mc._typical_cluster(
                 rngs[0], Scenario(Ordered(), size), link, 512, mc.REPLICATE_TRIALS
             )
-            ref_r_typ, ref_i_intra, ref_tied = stable_sort_farthest(rngs[1], size, link, 512)
+            ref_r_typ, ref_i_intra, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
             assert np.array_equal(r_typ, ref_r_typ)
             assert np.array_equal(i_intra, ref_i_intra)
             tied += ref_tied
         # a lone node cannot tie; every other size must really exercise the tie rule
         can_tie = ties and size not in (FixedSize(1), PoissonSize(1.0))
         assert (tied > 0) == can_tie
+
+    @pytest.mark.parametrize(
+        "n, k", [(1, 1), (2, 1), (2, 2), (6, 1), (6, 2), (6, 6), (10, 1), (10, 2), (10, 10)]
+    )
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_ranked_pick_matches_stable_sort(self, n, k, ties):
+        # the k-th closest node is the one a stable sort by (trial, radius)
+        # puts k-th in its trial, ties included, for full and partial
+        # replicates alike
+        link = reference_link()
+        scenario = Scenario(Ordered(k), FixedSize(n))
+        tied = 0
+        for seed in range(2):
+            for trials in (512, 488, 5):
+                rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
+                r_typ, i_intra = mc._typical_cluster(
+                    rngs[0], scenario, link, trials, mc.REPLICATE_TRIALS
+                )
+                ref_r_typ, ref_i_intra, ref_tied = stable_sort_pick(
+                    rngs[1], FixedSize(n), link, trials, k
+                )
+                assert np.array_equal(r_typ, ref_r_typ)
+                assert np.array_equal(i_intra, ref_i_intra)
+                tied += ref_tied
+        assert (tied > 0) == (ties and n > 1)
 
     def test_poisson_typical_cluster_size(self, kernel_calls):
         # one typical node plus Poisson(nbar - 1) in-cluster interferers

@@ -130,7 +130,8 @@ print(json.dumps({"ours": ours, "theirs": theirs}))
 def _fresh_interpreter(script: str) -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
+    # pyproject's filterwarnings does not reach a child interpreter
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
