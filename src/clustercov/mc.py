@@ -7,7 +7,7 @@ many workers execute them.
 
 A coverage trial draws three fields, one sampler each, in this order from
 its chunk's stream (the order is part of the reproducibility contract):
-``_typical_cluster`` (the typical link and the in-cluster interference),
+``_typical_cluster`` (the typical link and the in-cluster loads),
 ``_cross_clusters`` and ``_coexisting`` (the other clusters and the
 coexisting PPP inside the near disc).  A transform request draws only its
 own field, from the start of the stream.  A zero density draws nothing,
@@ -23,16 +23,29 @@ s = gamma r**alpha / (p_x0 eta), integrated by ``_annulus_exponent``
 instead of sampled.  W may be infinite (the whole plane, no truncation
 bias); for W <= R0 the annulus is empty and nothing changes.
 
-Coverage is estimated by conditional Monte Carlo: under Rayleigh fading on
-the typical link, P(SINR >= gamma | everything else) = exp(-gamma x) with
-x = r**alpha (I + sigma2) / (p_x0 eta) and I the drawn near-disc
-interference, so each trial contributes that probability times the far
-factor exp(-Lambda_far(s)) instead of a 0/1 indicator.  The estimate keeps
-the expectation of the fully sampled window and its variance falls
-(Rao-Blackwellisation), but it holds only while the typical link's fading
-is Rayleigh.  Thresholds share realizations (common random numbers), and
-each summand is nonincreasing in gamma, so the estimated coverage is
-exactly monotone across the grid within one run.
+Coverage is estimated by conditional Monte Carlo, over the typical link's
+fading and over the in-cluster interferers' fading.  Under Rayleigh fading
+on the typical link, P(SINR >= gamma | everything else) =
+exp(-gamma x_all) with x_all = r**alpha (I + sigma2) / (p_x0 eta) and I the
+near-disc interference.  The in-cluster part of I is a sum of
+h_j p_x eta rho_j**-alpha over the other nodes of the typical cluster, and
+E[exp(-gamma h b)] = 1 / (1 + gamma b) for exponential h, the identity the
+closed forms use too.  So the in-cluster fading is not drawn: each trial
+contributes exp(-gamma x - Lambda_far(s)) / prod_j (1 + gamma b_j), with
+x = r**alpha (I_inter + I_co + sigma2) / (p_x0 eta) the cross-cluster,
+coexisting and noise part, b_j = (p_x / p_x0) (r / rho_j)**alpha, and the
+far factor exp(-Lambda_far(s)) at s = gamma r**alpha / (p_x0 eta) instead of
+a 0/1 indicator.  The estimate keeps the expectation of the fully sampled
+window and its variance falls (Rao-Blackwellisation); the node positions,
+cluster sizes, ordering, cross clusters and coexisting nodes are all still
+drawn, so Monte Carlo still checks the geometry of the in-cluster
+transform.  It holds only while the fading is Rayleigh.  Thresholds share
+realizations (common random numbers), and each summand is nonincreasing in
+gamma, so the estimated coverage is exactly monotone across the grid
+within one run.  Integrating out the interferers' fading matters most for
+the farthest node at high thresholds: all of its interferers are closer
+than the signal, coverage needs all their fading small at once, and a few
+thousand drawn trials rarely see that event.
 
 The in-cluster radii are Latin-hypercube stratified: consecutive trials of
 a chunk form replicates of REPLICATE_TRIALS, and within a replicate node j
@@ -43,9 +56,11 @@ unbiased, while the additive part of its variance in those radii cancels
 across the replicate.  Trials within a replicate are dependent, replicates
 are i.i.d., so the standard error comes from the replicate sums.
 
-The per-node power-law accumulation runs through the two NumPy kernels
-``radial_sums`` and ``inter_sums``; they are module attributes so that
-profilers and tests can wrap them in place.
+The per-node work runs through three NumPy kernels: ``radial_sums`` and
+``inter_sums`` accumulate the drawn coexisting and cross-cluster
+interference, and ``intra_fading`` divides by each trial's in-cluster
+product.  They are module attributes so that profilers and tests can wrap
+them in place.
 """
 
 from __future__ import annotations
@@ -205,6 +220,27 @@ def inter_sums(
     return np.bincount(trial_of_parent, weights=per_parent, minlength=n_out)
 
 
+def intra_fading(
+    load: np.ndarray,
+    seg_start: np.ndarray,
+    grid: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Divide values[g, i] by prod_j (1 + grid[g] * load[j]) over trial i's nodes, in place.
+
+    ``load`` holds every node's load, trial after trial, ``seg_start`` the
+    index of each trial's first node (every trial holds at least one) and
+    ``values`` the (grid, trials) array, which is returned.  A term or a
+    product past the float range is inf, and the quotient is then 0, the
+    factor's limit, so that overflow is silenced here.
+    """
+    with np.errstate(over="ignore"):
+        terms = np.multiply.outer(grid, load)
+        terms += 1.0
+        values /= np.multiply.reduceat(terms, seg_start, axis=1)
+    return values
+
+
 def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
     full, rest = divmod(trials, chunk_trials)
     return [chunk_trials] * full + ([rest] if rest else [])
@@ -243,14 +279,19 @@ def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
 
 
 def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicate: int):
-    """The typical node's own cluster: (r_typ, i_intra) per trial.
+    """The typical node's own cluster: (r_typ, load, seg_start).
 
-    Only radii are drawn (in-cluster interference depends on distance
-    alone).  Poisson sizes are the typical node plus Poisson(mean - 1)
-    others, the analytical in-cluster interferer count.  Node j of every
-    trial takes column j of a Latin hypercube over the trials' replicates
-    (a trial without a node j skips its column-j value), so (r / a)**2 is
-    stratified per node column while each trial keeps i.i.d. uniform nodes.
+    Only radii are drawn: the in-cluster interferers' fading is integrated
+    out, not sampled (see the module docstring).  ``load`` holds every
+    node's load, trial after trial, and ``seg_start`` the index of each
+    trial's first node: node j at radius rho_j has the load
+    b_j = (p_x / p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it
+    does not interfere with itself).  Poisson sizes are the typical node
+    plus Poisson(mean - 1) others, the analytical in-cluster interferer
+    count.  Node j of every trial takes column j of a Latin hypercube over
+    the trials' replicates (a trial without a node j skips its column-j
+    value), so (r / a)**2 is stratified per node column while each trial
+    keeps i.i.d. uniform nodes.
     """
     size_model = scenario.size_model
     if isinstance(size_model, FixedSize):
@@ -261,7 +302,6 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicat
     columns = int(sizes.max())
     u = _latin_hypercube(rng, n, columns, replicate)[np.arange(columns) < sizes[:, None]]
     r = link.a * np.sqrt(u)
-    h = rng.exponential(1.0, size=len(r))
     seg_start = np.zeros(n, dtype=np.intp)
     np.cumsum(sizes[:-1], out=seg_start[1:])
     if isinstance(scenario.ordering, Unordered):
@@ -279,9 +319,10 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicat
         typical = seg_start + by_radius[:, scenario.ordering.k - 1]
 
     r_typ = r[typical]
-    h[typical] = 0.0  # the typical node does not interfere with itself
-    i_intra = link.p_x * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
-    return r_typ, i_intra
+    load = (r_typ[trial_of_node] / r) ** link.alpha
+    load *= link.p_x / link.p_x0
+    load[typical] = 0.0
+    return r_typ, load, seg_start
 
 
 def _cross_clusters(rng, scenario: Scenario, link: LinkParams, radius: float, n: int):
@@ -512,37 +553,47 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     replicate j's values at every grid point; ``_estimate`` turns the
     chunks' sums into means and standard errors.
 
-    Every trial gives one value per grid point t.  For a transform t is
-    the transform variable and the value exp(-t * x), x the field's
-    near-disc interference.  For coverage t is the SINR threshold and the
-    value exp(-t * x - far(t * scale)), x the typical link's conditional
-    coverage exponent against the near field and scale = r_typ**alpha /
-    (p_x0 eta), so that t * scale is the far field's s; ``far`` is the
-    coverage request's table, or None where there is no far field.
+    Every trial gives one value per grid point t.  For the INTER and
+    COEXIST transforms t is the transform variable and the value
+    exp(-t * x), x the field's near-disc interference; for INTRA it is
+    1 / prod_j (1 + t * p_x eta rho_j**-alpha), the interferers' fading
+    integrated out.  For coverage t is the SINR threshold and the value
+    exp(-t * x - far(t * scale)) / prod_j (1 + t * b_j): x the typical
+    link's conditional coverage exponent against the drawn cross-cluster
+    and coexisting nodes and the noise, scale = r_typ**alpha / (p_x0 eta),
+    so that t * scale is the far field's s, and b_j the in-cluster loads
+    of ``_typical_cluster``; ``far`` is the coverage request's table, or
+    None where there is no far field.
     """
     spec, field, index, n, grid, far, replicate = args
     scenario = spec.scenario
     link = spec.config.link
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+    t = np.asarray(grid)
+    load = None
     if field is InterferenceField.INTRA:
-        x = _typical_cluster(rng, scenario, link, n, replicate)[1]
+        r_typ, load, seg_start = _typical_cluster(rng, scenario, link, n, replicate)
+        # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
+        sizes = np.diff(seg_start, append=len(load))
+        load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
+        x = np.zeros(n)
     elif field is InterferenceField.INTER:
         x = _cross_clusters(rng, scenario, link, radius, n)
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, radius, n)
     else:
-        r_typ, i_intra = _typical_cluster(rng, scenario, link, n, replicate)
+        r_typ, load, seg_start = _typical_cluster(rng, scenario, link, n, replicate)
         i_inter = _cross_clusters(rng, scenario, link, radius, n)
         i_co = _coexisting(rng, link, radius, n)
-        den = i_intra + i_inter + i_co + link.sigma2
-        x = den * r_typ**link.alpha / (link.p_x0 * link.eta)
-        scale = (r_typ**link.alpha / (link.p_x0 * link.eta))[None, :]
-    t = np.asarray(grid)[:, None]
-    exponent = -t * x[None, :]
+        scale = r_typ**link.alpha / (link.p_x0 * link.eta)
+        x = (i_inter + i_co + link.sigma2) * scale
+    exponent = -t[:, None] * x[None, :]
     if far is not None:
-        exponent -= far(t * scale)
+        exponent -= far(t[:, None] * scale[None, :])
     values = np.exp(exponent)
+    if load is not None:
+        intra_fading(load, seg_start, t, values)
     starts = np.arange(0, n, replicate)
     return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, replicate)
 
@@ -615,18 +666,22 @@ def estimate_laplace(
 ) -> list[McEstimate]:
     """Transforms E[exp(-s * I_field)], one per grid point.
 
-    Each trial contributes exp(-s I_near), its sampled near-disc
-    interference.  For INTER and COEXIST the annulus's exact factor
+    For INTER and COEXIST each trial contributes exp(-s I_near), its
+    sampled near-disc interference, and the annulus's exact factor
     exp(-Lambda_far(s)) is a constant per grid point, so the estimate's
-    mean and standard error are both multiplied by it (the in-cluster field
-    has no far part); s = 0 gives exactly 1.
+    mean and standard error are both multiplied by it.  For INTRA (no far
+    part) each trial contributes its drawn radii's transform with the
+    interferers' fading integrated out, 1 / prod_j (1 + s p_x eta
+    rho_j**-alpha).  s = 0 gives exactly 1.
 
     At small s the INTRA standard error understates the error: the deficit
     1 - L then comes from rare in-cluster interferers very close to the
-    receiver, which few trials draw.  On the reference link (beta about
-    7e-9) at 8,192 trials over seeds 0-39, s = 1e3 gave an rms z against
-    ``laplace_intra`` of 4.0 for a fixed size of 6 and 3.0 for a Poisson
-    mean of 6, against about 1 at s = 1e6; this is why
+    receiver, which few trials draw; the tail is in the radii, so
+    integrating out the fading does not mend it.  On the reference link
+    (beta about 7e-9) at 8,192 trials over seeds 0-39, s = 1e3 gives an rms
+    z against ``laplace_intra`` of 3.2 for a fixed size of 6 and 4.2 for a
+    Poisson mean of 6 (max |z| 10 and 15), and 1.3 and 1.6 at s = 1e4,
+    against about 1 from s = 1e5; this is why
     ``test_intra_matches_closed_form`` starts at s = 1e6.
     """
     s_grid = tuple(s_grid)

@@ -44,7 +44,7 @@ def make_spec(link=None, scenario=None, trials=4000, seed=21, gammas=(0.1,), win
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Record every kernel call's arguments, passing through to the kernel."""
-    calls = {"radial_sums": [], "inter_sums": []}
+    calls = {"intra_fading": [], "radial_sums": [], "inter_sums": []}
     for name, log in calls.items():
         def recorder(*args, _kernel=getattr(mc, name), _log=log):
             _log.append(args)
@@ -55,18 +55,45 @@ def kernel_calls(monkeypatch):
 
 
 def typical_nodes(calls):
-    """(radius, weight, trial) of every typical-cluster node, chunks joined.
+    """(load, trial) of every typical-cluster node, chunks joined."""
+    loads, trials, offset = [], [], 0
+    for load, seg_start, *_ in calls["intra_fading"]:
+        sizes = np.diff(seg_start, append=len(load))
+        loads.append(load)
+        trials.append(np.repeat(np.arange(len(seg_start)), sizes) + offset)
+        offset += len(seg_start)
+    return np.concatenate(loads), np.concatenate(trials)
 
-    Valid when the coexisting field is off, so that every radial_sums call
-    is the typical cluster's.
+
+def replayed_radii(spec, calls):
+    """[(radii, seg_start)] of every coverage chunk's typical cluster, replayed from its stream.
+
+    Replays each chunk's draws (Poisson sizes, then the stratified radii)
+    and checks the kernel's loads against those radii bit for bit: 0 at
+    one node per trial, the typical one, and (p_x / p_x0) (r_typ /
+    rho)**alpha at every other node.  Needs one worker, so that the
+    kernel calls come in chunk order.
     """
-    radii, weights, trials, offset = [], [], [], 0
-    for r, h, trial, n_out, _ in calls["radial_sums"]:
-        radii.append(r)
-        weights.append(h)
-        trials.append(trial + offset)
-        offset += n_out
-    return np.concatenate(radii), np.concatenate(weights), np.concatenate(trials)
+    link, size = spec.config.link, spec.scenario.size_model
+    replicate = mc.REPLICATE_TRIALS if spec.trials > mc.REPLICATE_TRIALS else 1
+    out = []
+    for index, (load, seg_start, *_) in enumerate(calls["intra_fading"]):
+        n = len(seg_start)
+        sizes = np.diff(seg_start, append=len(load))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+        if not isinstance(size, FixedSize):
+            assert np.array_equal(1 + rng.poisson(size.mean - 1.0, size=n), sizes)
+        u = replay_latin_hypercube(rng, n, int(sizes.max()), replicate)
+        r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
+        trial = np.repeat(np.arange(n), sizes)
+        typical = np.flatnonzero(load == 0.0)
+        assert np.array_equal(trial[typical], np.arange(n))
+        want = (r[typical][trial] / r) ** link.alpha
+        want *= link.p_x / link.p_x0
+        want[typical] = 0.0
+        assert np.array_equal(load, want)
+        out.append((r, seg_start))
+    return out
 
 
 def isolated_spec(size, ordering=None, trials=4000, **kw):
@@ -132,7 +159,7 @@ def noise_limited_values(link, r, gamma):
 
 
 def stable_sort_pick(rng, size, link, n, rank=None):
-    """(r_typ, i_intra, tied) of the rank-th closest node (None: the farthest) by a stable sort.
+    """(r_typ, load, tied) of the rank-th closest node (None: the farthest) by a stable sort.
 
     The same draws as the engine, sorted by (trial, radius).  ``tied``
     counts the trials whose picked radius is also attained by a node the
@@ -145,7 +172,6 @@ def stable_sort_pick(rng, size, link, n, rank=None):
     trial = np.repeat(np.arange(n, dtype=np.intp), sizes)
     u = replay_latin_hypercube(rng, n, int(sizes.max()))
     r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
-    h = rng.exponential(1.0, size=len(r))
     order = np.lexsort((r, trial))
     ends = np.cumsum(sizes)
     position = ends - 1 if rank is None else ends - sizes + rank - 1
@@ -154,17 +180,19 @@ def stable_sort_pick(rng, size, link, n, rank=None):
     before = (position > ends - sizes) & (sorted_r[position - 1] == sorted_r[position])
     after = (position < ends - 1) & (sorted_r[position + 1] == sorted_r[position])
     tied = int(np.count_nonzero(before | after))
-    h[typical] = 0.0
-    i_intra = link.p_x * link.eta * mc.radial_sums(r, h, trial, n, -link.alpha)
-    return r[typical], i_intra, tied
+    load = (r[typical][trial] / r) ** link.alpha
+    load *= link.p_x / link.p_x0
+    load[typical] = 0.0
+    return r[typical], load, tied
 
 
 class TestEngineSampling:
     """The engine's draws, observed at the kernel seam."""
 
     def test_typical_radii_uniform_on_disc(self, kernel_calls):
-        estimate_coverage(isolated_spec(FixedSize(6)))
-        r, _, _ = typical_nodes(kernel_calls)
+        spec = isolated_spec(FixedSize(6))
+        estimate_coverage(spec)
+        r = np.concatenate([radii for radii, _ in replayed_radii(spec, kernel_calls)])
         a = reference_link().a
         assert len(r) == 6 * 4000
         assert r.max() <= a
@@ -183,20 +211,25 @@ class TestEngineSampling:
         ids=lambda v: repr(v),
     )
     def test_one_typical_node_per_trial(self, kernel_calls, ordering, size):
-        # the typical node enters the in-cluster sum with zero weight
+        # the typical node enters the in-cluster product with zero load
         estimate_coverage(isolated_spec(size, ordering, trials=1500))
-        _, h, trial = typical_nodes(kernel_calls)
-        zeros = np.bincount(trial[h == 0.0], minlength=1500)
+        load, trial = typical_nodes(kernel_calls)
+        zeros = np.bincount(trial[load == 0.0], minlength=1500)
         assert np.all(zeros == 1)
 
     @pytest.mark.parametrize(
         "k, column", [(1, 0), (2, 1), (None, 4)], ids=["k1", "k2", "farthest"]
     )
     def test_ordered_typical_is_kth_closest(self, kernel_calls, k, column):
-        estimate_coverage(isolated_spec(FixedSize(5), Ordered(k), trials=1000))
-        r, h, _ = typical_nodes(kernel_calls)
-        r, h = r.reshape(-1, 5), h.reshape(-1, 5)
-        assert np.array_equal(r[h == 0.0], np.sort(r, axis=1)[:, column])
+        spec = isolated_spec(FixedSize(5), Ordered(k), trials=1000)
+        estimate_coverage(spec)
+        r = np.concatenate([radii for radii, _ in replayed_radii(spec, kernel_calls)])
+        load, _ = typical_nodes(kernel_calls)
+        r, load = r.reshape(-1, 5), load.reshape(-1, 5)
+        assert np.array_equal(r[load == 0.0], np.sort(r, axis=1)[:, column])
+        # the closer nodes' loads exceed p_x / p_x0, the farther ones' do not
+        closer = load > spec.config.link.p_x / spec.config.link.p_x0
+        assert np.array_equal(closer.sum(axis=1), np.full(1000, column))
 
     @pytest.mark.parametrize(
         "size",
@@ -212,12 +245,12 @@ class TestEngineSampling:
         tied = 0
         for seed in range(4):
             rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
-            r_typ, i_intra = mc._typical_cluster(
+            r_typ, load, _ = mc._typical_cluster(
                 rngs[0], Scenario(Ordered(), size), link, 512, mc.REPLICATE_TRIALS
             )
-            ref_r_typ, ref_i_intra, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
+            ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
             assert np.array_equal(r_typ, ref_r_typ)
-            assert np.array_equal(i_intra, ref_i_intra)
+            assert np.array_equal(load, ref_load)
             tied += ref_tied
         # a lone node cannot tie; every other size must really exercise the tie rule
         can_tie = ties and size not in (FixedSize(1), PoissonSize(1.0))
@@ -237,14 +270,14 @@ class TestEngineSampling:
         for seed in range(2):
             for trials in (512, 488, 5):
                 rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
-                r_typ, i_intra = mc._typical_cluster(
+                r_typ, load, _ = mc._typical_cluster(
                     rngs[0], scenario, link, trials, mc.REPLICATE_TRIALS
                 )
-                ref_r_typ, ref_i_intra, ref_tied = stable_sort_pick(
+                ref_r_typ, ref_load, ref_tied = stable_sort_pick(
                     rngs[1], FixedSize(n), link, trials, k
                 )
                 assert np.array_equal(r_typ, ref_r_typ)
-                assert np.array_equal(i_intra, ref_i_intra)
+                assert np.array_equal(load, ref_load)
                 tied += ref_tied
         assert (tied > 0) == (ties and n > 1)
 
@@ -252,7 +285,7 @@ class TestEngineSampling:
         # one typical node plus Poisson(nbar - 1) in-cluster interferers
         trials, nbar = 20000, 3.0
         estimate_coverage(isolated_spec(PoissonSize(nbar), trials=trials))
-        _, _, trial = typical_nodes(kernel_calls)
+        _, trial = typical_nodes(kernel_calls)
         sizes = np.bincount(trial, minlength=trials)
         assert sizes.min() >= 1
         hi = 8
@@ -298,24 +331,23 @@ class TestEngineSampling:
 
     def test_noise_limited_trace_sinr(self, kernel_calls):
         # one node, no interferers: SINR = p_x0 eta h r^-alpha / sigma2 with r
-        # and h replayed from the chunk's stream; the 0/1 indicator of that
-        # SINR estimates the same coverage p, with the larger binomial variance
-        # p (1 - p), taken at the estimate (at -10 dB, p = 0.997, all 300
-        # indicators can be 1 and their sample variance 0)
+        # replayed from the chunk's stream and h an exponential fading draw;
+        # the 0/1 indicator of that SINR estimates the same coverage p, with
+        # the larger binomial variance p (1 - p), taken at the estimate (at
+        # -10 dB, p = 0.997, all 300 indicators can be 1 and their sample
+        # variance 0)
         gammas = (0.1, 10.0, 100.0)
         spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=gammas)
         ests = estimate_coverage(spec)
         assert kernel_calls["inter_sums"] == []
-        ((r, h_seen, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
+        assert kernel_calls["radial_sums"] == []  # no coexistence call either
         # the lone node is the typical one and does not interfere with itself
-        assert not h_seen.any()
-        # replay the chunk's stream: stratified radius draws, then fading draws
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
+        ((r, _),) = replayed_radii(spec, kernel_calls)
         link = spec.config.link
-        assert np.array_equal(r, link.a * np.sqrt(replay_latin_hypercube(rng, 300, 1)[:, 0]))
-        h = rng.exponential(1.0, size=300)
+        h = np.random.default_rng(2021).exponential(1.0, size=300)
         sinr = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
         for gamma, est in zip(gammas, ests):
+            assert est.mean == pytest.approx(noise_limited_values(link, r, gamma).mean(), rel=1e-14)
             indicator = (sinr >= gamma).astype(float)
             indicator_stderr = math.sqrt(est.mean * (1.0 - est.mean) / 300)
             assert abs(indicator.mean() - est.mean) <= 3.0 * indicator_stderr
@@ -329,12 +361,10 @@ class TestEngineSampling:
         spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
         (est,) = estimate_coverage(spec)
         assert kernel_calls["inter_sums"] == []
-        ((r, *_),) = kernel_calls["radial_sums"]  # no coexistence call either
-        # replay the chunk's stream: the stratified radius draws come first
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=21, spawn_key=(0,)))
-        link = spec.config.link
-        assert np.array_equal(r, link.a * np.sqrt(replay_latin_hypercube(rng, 300, 1)[:, 0]))
-        values = noise_limited_values(link, r, gamma)
+        assert kernel_calls["radial_sums"] == []  # no coexistence call either
+        # the stratified radius draws come first in the chunk's stream
+        ((r, _),) = replayed_radii(spec, kernel_calls)
+        values = noise_limited_values(spec.config.link, r, gamma)
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
         assert est.stderr == pytest.approx(replicate_stderr([values]), rel=1e-12)
 
@@ -343,12 +373,14 @@ class TestStratification:
     """Latin-hypercube in-cluster radii and the replicate standard error."""
 
     @staticmethod
-    def strata_by_replicate(kernel_calls, replicate=mc.REPLICATE_TRIALS):
+    def strata_by_replicate(spec, kernel_calls, replicate=mc.REPLICATE_TRIALS):
         """{(chunk, first trial, column): strata of (r/a)**2 in trial order}, with each width k."""
         a = reference_link().a
         out = {}
-        for chunk, (r, _, trial, n, _) in enumerate(kernel_calls["radial_sums"]):
-            sizes = np.bincount(trial, minlength=n)
+        for chunk, (r, seg_start) in enumerate(replayed_radii(spec, kernel_calls)):
+            n = len(seg_start)
+            sizes = np.diff(seg_start, append=len(r))
+            trial = np.repeat(np.arange(n), sizes)
             column = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             first = trial - trial % replicate
             width = np.minimum(n - first, replicate)
@@ -360,8 +392,9 @@ class TestStratification:
 
     def test_every_replicate_column_fills_its_strata(self, kernel_calls):
         # 100-trial chunks: six full replicates of 16 and a partial one of 4
-        estimate_coverage(isolated_spec(FixedSize(6), trials=1000, chunk_trials=100))
-        groups = self.strata_by_replicate(kernel_calls)
+        spec = isolated_spec(FixedSize(6), trials=1000, chunk_trials=100)
+        estimate_coverage(spec)
+        groups = self.strata_by_replicate(spec, kernel_calls)
         assert len(groups) == 10 * 7 * 6
         widths = [width for _, width in groups.values()]
         assert widths.count(4) == 10 * 6 and widths.count(16) == 10 * 6 * 6
@@ -372,8 +405,9 @@ class TestStratification:
         # a trial without node j skips its column-j stratum: present nodes
         # still fall in distinct strata, and column 0 (every trial has it)
         # fills them all
-        estimate_coverage(isolated_spec(PoissonSize(6.0), Ordered(), trials=1000, chunk_trials=100))
-        groups = self.strata_by_replicate(kernel_calls)
+        spec = isolated_spec(PoissonSize(6.0), Ordered(), trials=1000, chunk_trials=100)
+        estimate_coverage(spec)
+        groups = self.strata_by_replicate(spec, kernel_calls)
         skipped = 0
         for (_, _, column), (strata, width) in groups.items():
             assert len(np.unique(strata)) == len(strata) <= width
@@ -500,6 +534,135 @@ class TestStderrCalibration:
 
 
 GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
+
+
+class TestCalibrationScan:
+    """The standard error stays honest into the fading tail.
+
+    On the reference link without other clusters (lambda_g = 0) and with
+    the whole plane as window, the exact integral is the model's coverage,
+    so z = (estimate - exact) / stderr is pure sampling noise at every
+    threshold.  Over 30 seeds of 8,192 trials the mean square of z must stay
+    near 1 and no |z| may be large.  Before the in-cluster interferers'
+    fading was integrated out, OF-6 failed from +4 dB: every interferer of
+    the farthest node is closer to the receiver than the signal, high
+    thresholds need all their fading draws small at once, and a few
+    thousand trials rarely drew that, so the estimates sat far below exact
+    with stderrs that claimed precision (rms z 1.99, 53 and 4,983 and max
+    |z| 7.8, 262 and 26,565 at +4, +8 and +10 dB).  The bounds come from the
+    other cells of that code: rms z 0.87-1.09, max |z| 3.72.
+    """
+
+    SEEDS = 30
+    TRIALS = 8192
+    GAMMAS_DB = (-20, -10, 0, 4, 8, 10)
+    RMS_Z = (0.7, 1.4)
+    MAX_Z = 4.5
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(Unordered(), FixedSize(6)), Scenario(Unordered(), PoissonSize(6.0)),
+         Scenario(Ordered(), FixedSize(6)), Scenario(Ordered(), PoissonSize(6.0))],
+        ids=["UF-6", "UP-6", "OF-6", "OP-6"],
+    )
+    def test_z_scan_against_exact(self, scenario):
+        link = reference_link(lambda_g=0.0)
+        gammas = tuple(10.0 ** (db / 10.0) for db in self.GAMMAS_DB)
+        exact = np.array(
+            [cc.coverage(g, scenario, link, method=Method.EXACT_INTEGRAL).value for g in gammas]
+        )
+        z = []
+        for seed in range(self.SEEDS):
+            spec = make_spec(link=link, scenario=scenario, trials=self.TRIALS, seed=seed,
+                             gammas=gammas, window=math.inf, workers=1)
+            ests = estimate_coverage(spec)
+            z.append((np.array([e.mean for e in ests]) - exact) / [e.stderr for e in ests])
+        z = np.array(z)
+        rms = np.sqrt((z**2).mean(axis=0))
+        worst = np.abs(z).max(axis=0)
+        bad = [
+            f"{db:+d} dB: rms z {cell_rms:.3g}, max |z| {cell_max:.3g}"
+            for db, cell_rms, cell_max in zip(self.GAMMAS_DB, rms, worst)
+            if not (self.RMS_Z[0] <= cell_rms <= self.RMS_Z[1] and cell_max <= self.MAX_Z)
+        ]
+        assert not bad, "; ".join(bad)
+
+
+class TestInClusterFactor:
+    """The in-cluster interferers' fading, integrated out: prod_j 1 / (1 + t b_j)."""
+
+    @pytest.mark.parametrize(
+        "link",
+        [reference_link(), reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)],
+        ids=["reference", "intra-limited"],
+    )
+    def test_extreme_thresholds_silent_and_monotone(self, link):
+        # up to the reference link's far-table limit (about 1.06e297), where
+        # terms and products overflow to inf and the factor goes to its limit 0
+        gammas = (0.1, 1.0, 10.0, 1e10, 1e100, 1e200, 1e296, 1e297)
+        for scenario in (Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), FixedSize(6)),
+                         Scenario(Ordered(), PoissonSize(6.0))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ests = estimate_coverage(make_spec(link=link, scenario=scenario, trials=512,
+                                                   gammas=gammas))
+            means = [e.mean for e in ests]
+            assert all(0.0 <= m <= 1.0 for m in means)
+            assert all(x >= y for x, y in zip(means, means[1:]))
+            assert means[0] > means[-1]
+            # only a lone node without noise (a Poisson cluster on the
+            # intra-limited link) stays covered at any threshold
+            if link.sigma2 > 0.0 or isinstance(scenario.size_model, FixedSize):
+                assert means[-1] == 0.0
+
+    def test_kernel_loads_near_inf(self):
+        # four trials: huge loads, a unit load, a lone node, a tiny load
+        big = np.finfo(float).max
+        load = np.array([0.0, big, 1e300, 0.0, 1.0, 0.0, 0.0, 1e-300])
+        seg_start = np.array([0, 3, 5, 6])
+        grid = np.array([0.0, 1e-300, 1e-10, 1.0, 1e300, big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = mc.intra_fading(load, seg_start, grid, np.ones((len(grid), 4)))
+        assert ((values >= 0.0) & (values <= 1.0)).all()
+        assert (np.diff(values, axis=0) <= 0.0).all()
+        assert (values[0] == 1.0).all()  # t = 0
+        assert (values[:, 2] == 1.0).all()  # the lone node
+        assert (values[3:, 0] == 0.0).all()  # a product past the float range
+        for g, t in enumerate(grid):
+            for i, (lo, hi) in enumerate(zip(seg_start, [3, 5, 6, 8])):
+                want = 1.0 / math.prod(1.0 + float(t) * float(b) for b in load[lo:hi])
+                assert values[g, i] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("size", [FixedSize(1), PoissonSize(1.0)], ids=repr)
+    def test_lone_node_factor_is_one(self, size):
+        # a lone typical node has no interferer: every load is 0 and the
+        # factor exactly 1 at any threshold
+        rng = np.random.default_rng(4)
+        for ordering in (Unordered(), Ordered()):
+            _, load, seg_start = mc._typical_cluster(
+                rng, Scenario(ordering, size), reference_link(), 512, mc.REPLICATE_TRIALS
+            )
+            assert len(load) == 512 and not load.any()
+            values = rng.uniform(size=(len(GAMMAS_16) + 1, 512))
+            grid = np.array(GAMMAS_16 + (1e300,))
+            assert np.array_equal(mc.intra_fading(load, seg_start, grid, values.copy()), values)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), FixedSize(6)),
+         Scenario(Ordered(), PoissonSize(6.0)), Scenario(Unordered(), FixedSize(1))],
+        ids=["UF-6", "OF-6", "OP-6", "UF-1"],
+    )
+    def test_intra_transform_unit_at_zero_s(self, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = estimate_laplace(make_spec(scenario=scenario, trials=1000),
+                                    InterferenceField.INTRA, (0.0, 1e3, 1e300))
+        assert (ests[0].mean, ests[0].stderr) == (1.0, 0.0)
+        assert 1.0 >= ests[1].mean >= ests[2].mean >= 0.0
+
+
 
 
 class TestFarField:
@@ -1116,54 +1279,58 @@ class TestPinnedStreams:
     Every row was re-recorded when the in-cluster radii became Latin-
     hypercube stratified in replicates of REPLICATE_TRIALS trials and the
     standard error came to be computed from the replicate sums, after the
-    hybrid-vs-plain tests in TestFarField passed.  Rows that draw the
-    typical cluster (the coverage cases and both INTRA transforms) moved
-    in mean and stderr; UF-6's INTER and COEXIST transforms draw no
-    in-cluster radii, so their means moved by at most one ulp (the sum is
-    now taken replicate by replicate) and only their stderr moved.  Their
-    stderr was re-recorded once more, alone, when those two transforms went
-    back to replicates of one trial (their trials are i.i.d.); the means
-    are unchanged.  Those two rows date from when the drawn near disc
-    shrank from 10 a to 3 a: at a = 500 m the 5 km window extends past
-    R0 = 1.5 km, so they draw fewer nodes and take the annulus's exact
-    factor.  Any change in what is drawn, or in which order, moves the
-    rows by O(stderr), far past the tolerance.
+    hybrid-vs-plain tests in TestFarField passed.  UF-6's INTER and COEXIST
+    transforms draw no in-cluster radii, so their means moved by at most
+    one ulp (the sum is now taken replicate by replicate) and only their
+    stderr moved.  Their stderr was re-recorded once more, alone, when
+    those two transforms went back to replicates of one trial (their
+    trials are i.i.d.); the means are unchanged.  Those two rows date from
+    when the drawn near disc shrank from 10 a to 3 a: at a = 500 m the 5 km
+    window extends past R0 = 1.5 km, so they draw fewer nodes and take the
+    annulus's exact factor.  The rows that draw the typical cluster (the
+    coverage cases and both INTRA transforms) were re-recorded once more
+    when the in-cluster interferers' fading came to be integrated out
+    instead of drawn, after TestCalibrationScan passed: their draws lost
+    the fading and their values its randomness, while the INTER and
+    COEXIST rows, which draw no typical cluster, kept their bits.  Any
+    change in what is drawn, or in which order, moves the rows by
+    O(stderr), far past the tolerance.
     """
 
     COVERAGE = {
         "UF-6": [
-            (0.7093523185021787, 0.005583369632263853),
-            (0.353824677449474, 0.005077189120625609),
-            (0.1056179992639752, 0.0033728351211477583),
+            (0.7124827224619484, 0.0034648433412583137),
+            (0.35954036258722577, 0.003395627157947304),
+            (0.10634181940699299, 0.0030852518850728117),
         ],
         "UP-6": [
-            (0.7212304734857907, 0.0067710719763365065),
-            (0.3925906838148523, 0.006540287922811476),
-            (0.13159511601045484, 0.004362624335729643),
+            (0.7169224670490774, 0.005758689640299469),
+            (0.3877149071911811, 0.0062729591242134146),
+            (0.12926379459337567, 0.004274118332549086),
         ],
         "OF-6": [
-            (0.4912647466604558, 0.006129636767597539),
-            (0.08052483273075513, 0.003368322244800948),
-            (0.00039980002272022757, 0.0001016840216915208),
+            (0.49746468319716336, 0.0033863883575413352),
+            (0.08313898172574645, 0.001975556042771363),
+            (0.0003320125596669388, 2.2436934049361423e-05),
         ],
         "OP-6": [
-            (0.524384589285934, 0.0081186771086116),
-            (0.13764834321413263, 0.005668895024805652),
-            (0.015349335799164582, 0.0022849161449069433),
+            (0.5173134211630726, 0.0066547955736908785),
+            (0.1376272115843879, 0.005224289998777726),
+            (0.014821759836410611, 0.0020482266249777464),
         ],
         "O2-F4-intra": [
-            (0.8702836378539521, 0.00554041284016353),
-            (0.5889815345567337, 0.007634078051235779),
-            (0.12448026720057749, 0.004959354092054005),
+            (0.8736535090429205, 0.004496051484873816),
+            (0.589830680314984, 0.005193914525771646),
+            (0.12861016155345173, 0.0022369473295366163),
         ],
     }
     S_GRID = (0.0, 1e3, 1e6, 1e9)
     LAPLACE = {
         ("UF-6", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.9999435538465986, 4.147937433476967e-05),
-            (0.989695583269972, 0.001724321520107521),
-            (0.5996936960507606, 0.004594496382208565),
+            (0.999964096561513, 1.754871278976076e-05),
+            (0.9898783680087514, 0.0016235546447803512),
+            (0.600072108454962, 0.002631205457034078),
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
@@ -1179,9 +1346,9 @@ class TestPinnedStreams:
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.9999119191924175, 6.79633768417192e-05),
-            (0.9924579570205085, 0.0015296300058189227),
-            (0.700460512981707, 0.005555637664795439),
+            (0.9998825307481151, 9.978615451537369e-05),
+            (0.9927462037034913, 0.0013952210229889067),
+            (0.7022743102661437, 0.003140929942314456),
         ],
         # the in-cluster-limited link has no other clusters and no coexisting field
         ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
