@@ -65,6 +65,8 @@ them in place.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -104,14 +106,16 @@ REPLICATE_TRIALS = 16
 _RADIAL_NODES = 48
 _DISC_NODES = 8
 # Coverage needs Lambda_far at a different s per trial and threshold, so it
-# is tabulated once per call on a lattice fixed by the link alone:
-# _TABLE_PER_DECADE points per decade of s / s_a, s_a = a**alpha / (p_x0 eta)
-# (s at gamma = 1 and r = a), from 10**-_TABLE_FLOOR_DECADES s_a up to two
-# points past the largest s of the request.  The interpolant on an interval
-# depends only on its neighbouring nodes, so a trial's value does not depend
-# on the request's other thresholds.
+# is tabulated on a lattice fixed by the link alone: _TABLE_PER_DECADE
+# points per decade of s / s_a, s_a = a**alpha / (p_x0 eta) (s at gamma = 1
+# and r = a), from 10**-_TABLE_FLOOR_DECADES s_a up to two points past the
+# largest s of the request.  The interpolant on an interval depends only on
+# its neighbouring nodes, so a trial's value does not depend on the
+# request's other thresholds.  The _FAR_TABLES most recently used tables
+# are kept (see ``_far_table``).
 _TABLE_PER_DECADE = 40
 _TABLE_FLOOR_DECADES = 3
+_FAR_TABLES = 64
 
 
 class InterferenceField(Enum):
@@ -250,7 +254,7 @@ def _window_points(rng, density: float, radius: float, n: int):
     """A PPP in the disc of the given radius, per trial: (trial index, distance) of each point."""
     counts = rng.poisson(density * (math.pi * radius**2), size=n)
     trial_of_point = np.repeat(np.arange(n, dtype=np.intp), counts)
-    return trial_of_point, radius * np.sqrt(rng.uniform(size=len(trial_of_point)))
+    return trial_of_point, radius * np.sqrt(rng.random(len(trial_of_point)))
 
 
 def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
@@ -265,9 +269,9 @@ def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
     replicates, then those of the partial one, then the jitters.
     """
     full = n - n % replicate
-    keys = rng.uniform(size=(full // replicate, columns, replicate))
-    tail_keys = rng.uniform(size=(columns, n - full))
-    u = rng.uniform(size=(n, columns))
+    keys = rng.random((full // replicate, columns, replicate))
+    tail_keys = rng.random((columns, n - full))
+    u = rng.random((n, columns))
     # in place on the jitter: (stratum + jitter) / k
     head = u[:full].reshape(-1, replicate, columns)
     head += np.argsort(keys, axis=-1).transpose(0, 2, 1)
@@ -342,9 +346,9 @@ def _cross_clusters(rng, scenario: Scenario, link: LinkParams, radius: float, n:
         sizes = rng.poisson(size_model.mean, size=len(parent_r))
     cluster_of_node = np.repeat(np.arange(len(parent_r), dtype=np.intp), sizes)
     nodes = len(cluster_of_node)
-    off_r = link.a * np.sqrt(rng.uniform(size=nodes))
-    off_th = rng.uniform(0.0, 2.0 * math.pi, size=nodes)
-    h = rng.exponential(1.0, size=nodes)
+    off_r = link.a * np.sqrt(rng.random(nodes))
+    off_th = rng.random(nodes) * (2.0 * math.pi)
+    h = rng.standard_exponential(nodes)
     return link.p_x * link.eta * inter_sums(
         parent_r, trial_of_cluster, cluster_of_node, off_r, off_th, h, n, -link.alpha
     )
@@ -355,7 +359,7 @@ def _coexisting(rng, link: LinkParams, radius: float, n: int):
     if link.lambda_co == 0.0:
         return np.zeros(n)
     trial_of_node, r = _window_points(rng, link.lambda_co, radius, n)
-    h = rng.exponential(1.0, size=len(r))
+    h = rng.standard_exponential(len(r))
     return link.p_z * link.eta * radial_sums(r, h, trial_of_node, n, -link.alpha)
 
 
@@ -442,19 +446,23 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     return 2.0 * math.pi * density * (bracket * radial_weight).sum(axis=-1)
 
 
-def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
-    """Lambda_far(s): -log of one field's exact transform over the annulus (R0, W]."""
-    link = spec.config.link
-    inner, outer = _near_radius(spec.config), spec.config.window_radius
+def _field_exponent(link: LinkParams, size, inner: float, outer: float,
+                    field: InterferenceField, s) -> np.ndarray:
+    """-log of one field's exact transform over the annulus (inner, outer]."""
     s = np.asarray(s, dtype=float)
     if field is InterferenceField.INTER:
         return _annulus_exponent(
-            s * (link.p_x * link.eta), link.lambda_g, link.a, spec.scenario.size_model,
-            inner, outer, link.alpha,
+            s * (link.p_x * link.eta), link.lambda_g, link.a, size, inner, outer, link.alpha
         )
     return _annulus_exponent(
         s * (link.p_z * link.eta), link.lambda_co, 0.0, FixedSize(1), inner, outer, link.alpha
     )
+
+
+def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
+    """Lambda_far(s): -log of one field's exact transform over the annulus (R0, W]."""
+    return _field_exponent(spec.config.link, spec.scenario.size_model, _near_radius(spec.config),
+                           spec.config.window_radius, field, s)
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,7 +495,7 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FarTable:
-    """Lambda_far(s) of both fields, tabulated for one coverage request.
+    """Lambda_far(s) of both fields, tabulated for one link, annulus and size model.
 
     A monotone cubic (PCHIP) in log Lambda against log s, and Lambda's
     linear limit below the grid, so the table is nondecreasing in s like
@@ -498,46 +506,102 @@ class _FarTable:
     pulls in ``scipy.optimize`` and ``scipy.linalg`` and costs more than a
     short MC request).  The lookup reads them by lattice arithmetic, since
     the breakpoints are uniform in log s, instead of by PPoly's per-point
-    interval search, which costs more than a chunk's draws.  Interval
-    choice (x[i] <= log s < x[i + 1], the last interval closed) and the
-    polynomial's evaluation order are PPoly's, so the values are SciPy's
-    ``PchipInterpolator`` values bit for bit.
+    interval search, which costs more than a chunk's draws.  The lattice is
+    uniform only up to rounding, so the arithmetic index is then moved by
+    at most one step each way, to PPoly's interval x[i] <= log s < x[i + 1]
+    (the last interval closed).  Each step is one ``take`` and one compare
+    against guarded copies of the interval ends, whose first lower end is
+    -inf and last upper end +inf, so no step leaves the table.  The cubic
+    is evaluated in place in PPoly's order and the linear limit is applied
+    to the points below the grid alone, so the values are SciPy's
+    ``PchipInterpolator`` values bit for bit for any finite s.
+
+    Tables are shared between requests (see ``_far_table``), so every
+    array is read-only.
     """
 
     s_lo: float
     lam_lo: float
     x: np.ndarray  # breakpoints, log s
     coef: np.ndarray  # (4, len(x) - 1), highest power first, in powers of log s - x[i]
+    x_lo: np.ndarray = dataclasses.field(init=False, repr=False)  # x[:-1], x_lo[0] = -inf
+    x_hi: np.ndarray = dataclasses.field(init=False, repr=False)  # x[1:], x_hi[-1] = +inf
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        x, (c0, c1, c2, c3) = self.x, self.coef
-        last = len(x) - 2
-        log_s = np.log(np.maximum(s, self.s_lo))
-        i = np.clip(((log_s - x[0]) * (last + 1) / (x[-1] - x[0])).astype(np.intp), 0, last)
-        # the lattice is uniform only up to rounding: step to PPoly's interval
-        i = i - ((log_s < x[i]) & (i > 0))
-        i = i + ((log_s >= x[i + 1]) & (i < last))
-        d = log_s - x[i]
-        inside = np.exp(c3[i] + c2[i] * d + c1[i] * (d * d) + c0[i] * (d * d * d))
-        return np.where(s < self.s_lo, self.lam_lo * (s / self.s_lo), inside)
+    def __post_init__(self) -> None:
+        x_lo, x_hi = self.x[:-1].copy(), self.x[1:].copy()
+        x_lo[0], x_hi[-1] = -math.inf, math.inf
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
+        for array in (self.x, self.coef, x_lo, x_hi):
+            array.flags.writeable = False
+
+    def __call__(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        x = self.x
+        log_s = np.maximum(flat, self.s_lo)
+        np.log(log_s, out=log_s)
+        pos = log_s - x[0]
+        pos *= len(x) - 1
+        pos /= x[-1] - x[0]
+        i = pos.astype(np.intp)  # pos >= 0, since log s >= x[0]
+        np.minimum(i, len(x) - 2, out=i)
+        i -= log_s < self.x_lo.take(i)
+        i += log_s >= self.x_hi.take(i)
+        d = np.subtract(log_s, x.take(i), out=pos)
+        c0, c1, c2, c3 = self.coef
+        # c3 + c2 d + c1 (d d) + c0 ((d d) d), summed left to right
+        value = c2.take(i)
+        value *= d
+        value += c3.take(i)
+        power = d * d
+        term = c1.take(i)
+        term *= power
+        value += term
+        power *= d
+        c0.take(i, out=term)
+        term *= power
+        value += term
+        np.exp(value, out=value)
+        below = flat < self.s_lo
+        if below.any():
+            value[below] = self.lam_lo * (flat[below] / self.s_lo)
+        return value.reshape(s.shape)
 
 
 def _far_table(spec: SimSpec) -> _FarTable | None:
-    """The far factor's table over the request's s range; None if there is no far field."""
-    link = spec.config.link
-    # r_typ <= a, so no trial's s exceeds max(gamma) s_a
+    """The far factor's table over the request's s range; None if there is no far field.
+
+    The table is memoised on what its build reads: the link, R0, W, the
+    size model and the lattice's top point.  So requests that differ only
+    in seed, trial count, ordering or workers, or in thresholds with the
+    same largest lattice point, share one table.
+    """
     floor = -_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES
+    # r_typ <= a, so no trial's s exceeds max(gamma) s_a
     top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
-    k = np.arange(floor, max(top, floor + 2) + 1)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
-    if not np.isfinite(s).all():
+    try:
+        return _build_far_table(spec.config.link, _near_radius(spec.config),
+                                spec.config.window_radius, spec.scenario.size_model,
+                                max(top, floor + 2))
+    except OverflowError:
         raise ValueError(
             f"SINR threshold {max(spec.gamma_grid)!r} is too large: "
             "the far-field table's s lattice overflows"
-        )
-    lam = _far_exponent(spec, InterferenceField.INTER, s)
-    lam += _far_exponent(spec, InterferenceField.COEXIST, s)
+        ) from None
+
+
+@functools.lru_cache(maxsize=_FAR_TABLES)
+def _build_far_table(link: LinkParams, inner: float, outer: float, size,
+                     top: int) -> _FarTable | None:
+    """The table of both fields over the annulus (inner, outer] on lattice points up to top."""
+    k = np.arange(-_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES, top + 1)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
+    if not np.isfinite(s).all():
+        raise OverflowError("the far-field table's s lattice overflows")
+    lam = _field_exponent(link, size, inner, outer, InterferenceField.INTER, s)
+    lam += _field_exponent(link, size, inner, outer, InterferenceField.COEXIST, s)
     if not lam.any():
         return None
     log_s, log_lam = np.log(s), np.log(lam)
@@ -591,7 +655,7 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     exponent = -t[:, None] * x[None, :]
     if far is not None:
         exponent -= far(t[:, None] * scale[None, :])
-    values = np.exp(exponent)
+    values = np.exp(exponent, out=exponent)
     if load is not None:
         intra_fading(load, seg_start, t, values)
     starts = np.arange(0, n, replicate)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -112,6 +113,9 @@ class QuarterUniform:
 
     def uniform(self, *args, **kw):
         return (np.floor(4.0 * self._rng.uniform(*args, **kw)) + 0.5) / 4.0
+
+    def random(self, *args, **kw):
+        return (np.floor(4.0 * self._rng.random(*args, **kw)) + 0.5) / 4.0
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -822,12 +826,80 @@ class TestFarField:
         monkeypatch.setattr(mc, "_pchip_coefficients", recorder)
         specs = list(self.far_table_specs())
         for spec in specs:
+            mc._build_far_table.cache_clear()  # build every table, shared or not
             mc._far_table(spec)
         # every one of these specs has other clusters beyond its near disc
         assert len(tables) == len(specs)
         for x, y in tables:
             assert np.isfinite(y).all()
             assert (np.diff(x) > 0.0).all() and (np.diff(y) > 0.0).all()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A cold table memo and the number of annulus exponents computed since."""
+        count = [0]
+
+        def counter(*args, _exponent=mc._annulus_exponent):
+            count[0] += 1
+            return _exponent(*args)
+
+        monkeypatch.setattr(mc, "_annulus_exponent", counter)
+        mc._build_far_table.cache_clear()
+        return count
+
+    def test_equal_build_inputs_share_one_table(self, builds):
+        # seed, trials, ordering, workers and thresholds under the same
+        # lattice top do not enter the table: one build (two fields) serves all
+        table = mc._far_table(make_spec(gammas=GAMMAS_16))
+        assert builds[0] == 2
+        for spec in (make_spec(gammas=GAMMAS_16, seed=3, trials=100, workers=2),
+                     make_spec(scenario=Scenario(Ordered(), FixedSize(6)), gammas=(0.5, 10.0))):
+            assert mc._far_table(spec) is table
+        poisson = mc._far_table(make_spec(scenario=Scenario(Unordered(), PoissonSize(6))))
+        assert builds[0] == 4
+        same = make_spec(scenario=Scenario(Ordered(), PoissonSize(6.0)), seed=5)
+        assert mc._far_table(same) is poisson
+        assert builds[0] == 4
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"link": reference_link(lambda_g=2.0 * BASE_DENSITY)}, {"link": reference_link(a=400.0)},
+         {"link": dataclasses.replace(reference_link(), p_x0=50.0)}, {"window": math.inf},
+         {"scenario": Scenario(Unordered(), FixedSize(7))},
+         {"scenario": Scenario(Unordered(), PoissonSize(6.0))}, {"gammas": (20.0,)},
+         "near radii"],
+        ids=["lambda_g", "a", "p_x0", "window", "fixed-size", "poisson-size", "top", "near-radii"],
+    )
+    def test_changed_build_input_builds_a_new_table(self, builds, monkeypatch, change):
+        base = mc._far_table(make_spec(gammas=(10.0,)))
+        if change == "near radii":
+            monkeypatch.setattr(mc, "NEAR_RADII", 4.0)
+            change = {}
+        table = mc._far_table(make_spec(**{"gammas": (10.0,), **change}))
+        assert table is not base and builds[0] == 4
+        assert not np.array_equal(table.coef, base.coef)
+
+    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
+    def test_cold_and_warm_memo_give_the_same_bits(self, size):
+        spec = make_spec(scenario=Scenario(Ordered(), size), trials=2048, gammas=GAMMAS_16,
+                         workers=1)
+        mc._build_far_table.cache_clear()
+        cold = estimate_coverage(spec)
+        warm = estimate_coverage(spec)
+        mc._build_far_table.cache_clear()
+        two_workers = estimate_coverage(make_spec(scenario=spec.scenario, trials=2048,
+                                                  gammas=GAMMAS_16, workers=2))
+        assert cold == warm == two_workers
+
+    def test_cached_table_is_read_only(self):
+        table = mc._far_table(make_spec(gammas=GAMMAS_16))
+        # the guarded interval ends of the lookup
+        assert table.x_lo[0] == -math.inf and table.x_hi[-1] == math.inf
+        assert np.array_equal(table.x_lo[1:], table.x[1:-1])
+        assert np.array_equal(table.x_hi[:-1], table.x[1:-1])
+        for array in (table.x, table.coef, table.coef[2], table.x_lo, table.x_hi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     @pytest.mark.parametrize("field, size",
                              [("inter", FixedSize(6)), ("inter", PoissonSize(6.0)),
