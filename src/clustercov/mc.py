@@ -37,12 +37,13 @@ coexisting and noise part, b_j = (p_x / p_x0) (r / rho_j)**alpha, and the
 far factor exp(-Lambda_far(s)) at s = gamma r**alpha / (p_x0 eta) instead of
 a 0/1 indicator.  The estimate keeps the expectation of the fully sampled
 window and its variance falls (Rao-Blackwellisation); the node positions,
-cluster sizes, ordering, cross clusters and coexisting nodes are all still
-drawn, so Monte Carlo still checks the geometry of the in-cluster
-transform.  It holds only while the fading is Rayleigh.  Thresholds share
-realizations (common random numbers), and each summand is nonincreasing in
-gamma, so the estimated coverage is exactly monotone across the grid
-within one run.  Integrating out the interferers' fading matters most for
+cluster sizes (a Poisson one given at least one interferer, below),
+ordering, cross clusters and coexisting nodes are all still drawn, so
+Monte Carlo still checks the geometry of the in-cluster transform.  It
+holds only while the fading is Rayleigh.  Thresholds share realizations
+(common random numbers), and each summand is nonincreasing in gamma, so
+the estimated coverage is exactly monotone across the grid within one
+run.  Integrating out the interferers' fading matters most for
 the farthest node at high thresholds: all of its interferers are closer
 than the signal, coverage needs all their fading small at once, and a few
 thousand drawn trials rarely see that event.
@@ -55,6 +56,23 @@ model literally (i.i.d. uniform nodes on the disc), so the estimate stays
 unbiased, while the additive part of its variance in those radii cancels
 across the replicate.  Trials within a replicate are dependent, replicates
 are i.i.d., so the standard error comes from the replicate sums.
+
+A Poisson typical cluster's size is stratified too, and its rarest
+stratum is not drawn at all.  The cluster holds the typical node and J ~
+Poisson(nbar - 1) in-cluster interferers; the lone node, J = 0, has the
+probability w0 = exp(-(nbar - 1)), and for the farthest node at high
+thresholds it carries most of the coverage while a few thousand trials
+hold few lone nodes or none.  So a trial draws J given J >= 1, from a
+one-column Latin hypercube over its replicate drawn before the radii,
+and contributes (1 - w0) Y + w0 Y_lone: Y its value, Y_lone the value of
+the same trial cut to node 0 alone (no in-cluster product, node 0's
+radius as the typical link, the same cross-cluster and coexisting
+draws).  Each trial keeps the model's expectation and replicates stay
+i.i.d., so the estimate stays unbiased and the replicate standard error
+holds.  Monte Carlo still samples the J >= 1 geometry, and the lone term
+still uses a drawn node-0 radius and drawn fields; only the weight w0
+and J's law given J >= 1 come from the size model exactly.  Fixed sizes
+draw as they did.
 
 The per-node work runs through three NumPy kernels: ``radial_sums`` and
 ``inter_sums`` accumulate the drawn coexisting and cross-cluster
@@ -116,6 +134,8 @@ _DISC_NODES = 8
 _TABLE_PER_DECADE = 40
 _TABLE_FLOOR_DECADES = 3
 _FAR_TABLES = 64
+# Poisson typical-cluster size laws kept, one per mean (see ``_interferer_cdf``).
+_SIZE_TABLES = 64
 
 
 class InterferenceField(Enum):
@@ -282,26 +302,74 @@ def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=_SIZE_TABLES)
+def _interferer_cdf(mean: float) -> np.ndarray:
+    """The CDF of the typical cluster's interferer count J ~ Poisson(mean - 1) at J = 0, 1, ...
+
+    Built from the log pmf, so that neither (mean - 1)**J nor J! overflows
+    and the terms near the mode keep their digits where exp(-(mean - 1))
+    underflows, and cut where the pmf is far below the float resolution:
+    past mean - 1 + 20 sqrt(mean - 1) + 40.  Read-only, since requests
+    share it.
+    """
+    mu = mean - 1.0
+    k = np.arange(math.ceil(mu + 20.0 * math.sqrt(mu)) + 40)
+    log_pmf = k * math.log(mu) - mu
+    log_pmf -= [math.lgamma(j + 1.0) for j in range(len(k))]
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _lone_weight(size_model) -> float:
+    """w0 = P(J = 0) = exp(-(mean - 1)), the lone-node stratum taken exactly; 0 where none is.
+
+    Nothing is forced for a fixed size, for a Poisson mean of 1 (every
+    trial is a lone node, so the drawn trial is already exact) or where w0
+    underflows to 0 (a mean above about 746).
+    """
+    if isinstance(size_model, FixedSize) or size_model.mean == 1.0:
+        return 0.0
+    return float(_interferer_cdf(size_model.mean)[0])
+
+
+def _typical_sizes(rng, size_model, n: int, replicate: int) -> np.ndarray:
+    """Each trial's typical-cluster size: the typical node plus J in-cluster interferers.
+
+    A Poisson size draws J given J >= 1, the lone-node stratum J = 0 being
+    taken exactly (``_lone_weight``): J inverts the Poisson(mean - 1) CDF
+    at w0 + V (1 - w0), searching right, so that a point on cdf[0] = w0
+    gives J = 1.  V is a one-column Latin hypercube over the replicates, so
+    J is stratified across each replicate's trials.  Where w0 underflows
+    to 0 this is the plain CDF's inversion, and a mean of 1 draws nothing.
+    """
+    if isinstance(size_model, FixedSize):
+        return np.full(n, size_model.n, dtype=np.int64)
+    if size_model.mean == 1.0:
+        return np.ones(n, dtype=np.int64)
+    w0 = _lone_weight(size_model)
+    u = _latin_hypercube(rng, n, 1, replicate)[:, 0]
+    u *= 1.0 - w0
+    u += w0
+    return 1 + np.searchsorted(_interferer_cdf(size_model.mean), u, side="right")
+
+
 def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicate: int):
-    """The typical node's own cluster: (r_typ, load, seg_start).
+    """The typical node's own cluster: (r_typ, load, seg_start, r_first).
 
     Only radii are drawn: the in-cluster interferers' fading is integrated
     out, not sampled (see the module docstring).  ``load`` holds every
     node's load, trial after trial, and ``seg_start`` the index of each
     trial's first node: node j at radius rho_j has the load
     b_j = (p_x / p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it
-    does not interfere with itself).  Poisson sizes are the typical node
-    plus Poisson(mean - 1) others, the analytical in-cluster interferer
-    count.  Node j of every trial takes column j of a Latin hypercube over
-    the trials' replicates (a trial without a node j skips its column-j
-    value), so (r / a)**2 is stratified per node column while each trial
-    keeps i.i.d. uniform nodes.
+    does not interfere with itself).  ``r_first`` is each trial's node 0
+    radius, the typical link of the trial cut to node 0 alone.  Sizes come
+    from ``_typical_sizes``, drawn first.  Node j of every trial takes
+    column j of a Latin hypercube over the trials' replicates (a trial
+    without a node j skips its column-j value), so (r / a)**2 is
+    stratified per node column while each trial keeps i.i.d. uniform nodes.
     """
-    size_model = scenario.size_model
-    if isinstance(size_model, FixedSize):
-        sizes = np.full(n, size_model.n, dtype=np.int64)
-    else:
-        sizes = 1 + rng.poisson(size_model.mean - 1.0, size=n)
+    sizes = _typical_sizes(rng, scenario.size_model, n, replicate)
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
     columns = int(sizes.max())
     u = _latin_hypercube(rng, n, columns, replicate)[np.arange(columns) < sizes[:, None]]
@@ -326,7 +394,7 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicat
     load = (r_typ[trial_of_node] / r) ** link.alpha
     load *= link.p_x / link.p_x0
     load[typical] = 0.0
-    return r_typ, load, seg_start
+    return r_typ, load, seg_start, r[seg_start]
 
 
 def _cross_clusters(rng, scenario: Scenario, link: LinkParams, radius: float, n: int):
@@ -609,6 +677,14 @@ def _build_far_table(link: LinkParams, inner: float, outer: float, size,
     return _FarTable(s[0], float(np.exp(log_lam[0])), log_s, _pchip_coefficients(log_s, log_lam))
 
 
+def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:
+    """exp(-t x - far(t scale)) on the (grid, trials) array; far None: no far field."""
+    exponent = -t[:, None] * x[None, :]
+    if far is not None:
+        exponent -= far(t[:, None] * scale[None, :])
+    return np.exp(exponent, out=exponent)
+
+
 def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one chunk of trials: (replicate sums S_j, replicate sizes k_j).
 
@@ -627,7 +703,11 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     and coexisting nodes and the noise, scale = r_typ**alpha / (p_x0 eta),
     so that t * scale is the far field's s, and b_j the in-cluster loads
     of ``_typical_cluster``; ``far`` is the coverage request's table, or
-    None where there is no far field.
+    None where there is no far field.  A Poisson typical cluster with a
+    lone-node weight w0 > 0 (``_lone_weight``) gives (1 - w0) times that
+    value plus w0 times the lone node's: for INTRA exactly 1, for coverage
+    the value without the in-cluster product at node 0's radius, which for
+    the unordered typical node (node 0) is the value before that product.
     """
     spec, field, index, n, grid, far, replicate = args
     scenario = spec.scenario
@@ -635,9 +715,9 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     t = np.asarray(grid)
-    load = None
+    load = scale = None
     if field is InterferenceField.INTRA:
-        r_typ, load, seg_start = _typical_cluster(rng, scenario, link, n, replicate)
+        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, n, replicate)
         # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
         sizes = np.diff(seg_start, append=len(load))
         load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
@@ -647,17 +727,30 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, radius, n)
     else:
-        r_typ, load, seg_start = _typical_cluster(rng, scenario, link, n, replicate)
+        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, n, replicate)
         i_inter = _cross_clusters(rng, scenario, link, radius, n)
         i_co = _coexisting(rng, link, radius, n)
+        near = i_inter + i_co + link.sigma2
         scale = r_typ**link.alpha / (link.p_x0 * link.eta)
-        x = (i_inter + i_co + link.sigma2) * scale
-    exponent = -t[:, None] * x[None, :]
-    if far is not None:
-        exponent -= far(t[:, None] * scale[None, :])
-    values = np.exp(exponent, out=exponent)
+        x = near * scale
+    values = _conditional_values(t, x, scale, far)
+    w0 = 0.0 if load is None else _lone_weight(scenario.size_model)
+    if w0:
+        # w0 times the lone-node stratum's value: the same trial cut to node
+        # 0 alone, so without the in-cluster product and on node 0's link
+        if field is InterferenceField.INTRA:
+            lone = w0
+        elif isinstance(scenario.ordering, Unordered):
+            lone = values * w0  # node 0 is the typical node
+        else:
+            scale = r_first**link.alpha / (link.p_x0 * link.eta)
+            lone = _conditional_values(t, near * scale, scale, far)
+            lone *= w0
     if load is not None:
         intra_fading(load, seg_start, t, values)
+    if w0:
+        values *= 1.0 - w0
+        values += lone
     starts = np.arange(0, n, replicate)
     return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, replicate)
 
@@ -736,7 +829,8 @@ def estimate_laplace(
     mean and standard error are both multiplied by it.  For INTRA (no far
     part) each trial contributes its drawn radii's transform with the
     interferers' fading integrated out, 1 / prod_j (1 + s p_x eta
-    rho_j**-alpha).  s = 0 gives exactly 1.
+    rho_j**-alpha), and with a Poisson size (1 - w0) times that plus w0,
+    the lone node's exact 1.  s = 0 gives exactly 1.
 
     At small s the INTRA standard error understates the error: the deficit
     1 - L then comes from rare in-cluster interferers very close to the

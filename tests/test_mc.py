@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import warnings
@@ -66,14 +67,34 @@ def typical_nodes(calls):
     return np.concatenate(loads), np.concatenate(trials)
 
 
-def replayed_radii(spec, calls):
-    """[(radii, seg_start)] of every coverage chunk's typical cluster, replayed from its stream.
+def replay_sizes(rng, size, n, replicate=mc.REPLICATE_TRIALS):
+    """(sizes, size uniforms V) of the engine's typical clusters, the first draws of a chunk.
 
-    Replays each chunk's draws (Poisson sizes, then the stratified radii)
-    and checks the kernel's loads against those radii bit for bit: 0 at
-    one node per trial, the typical one, and (p_x / p_x0) (r_typ /
-    rho)**alpha at every other node.  Needs one worker, so that the
-    kernel calls come in chunk order.
+    A Poisson size is the typical node plus J ~ Poisson(nbar - 1) given
+    J >= 1: V is one stratified column, and J is the first j whose CDF
+    (SciPy's, not the engine's table) exceeds w0 + V (1 - w0), with
+    w0 = exp(-(nbar - 1)).  A fixed size and nbar = 1 draw nothing (V is
+    None).
+    """
+    if isinstance(size, FixedSize):
+        return np.full(n, size.n, dtype=np.int64), None
+    if size.mean == 1.0:
+        return np.ones(n, dtype=np.int64), None
+    mu = size.mean - 1.0
+    w0 = math.exp(-mu)
+    v = replay_latin_hypercube(rng, n, 1, replicate)[:, 0]
+    cdf = stats.poisson.cdf(np.arange(math.ceil(mu + 20.0 * math.sqrt(mu)) + 40), mu)
+    return 1 + np.searchsorted(cdf, w0 + v * (1.0 - w0), side="right"), v
+
+
+def replayed_radii(spec, calls):
+    """[(radii, seg_start, V)] of every coverage chunk's typical cluster, replayed from its stream.
+
+    Replays each chunk's draws (Poisson sizes, then the stratified radii;
+    V is ``replay_sizes``' size uniforms) and checks the kernel's sizes and
+    loads against them bit for bit: 0 at one node per trial, the typical
+    one, and (p_x / p_x0) (r_typ / rho)**alpha at every other node.  Needs
+    one worker, so that the kernel calls come in chunk order.
     """
     link, size = spec.config.link, spec.scenario.size_model
     replicate = mc.REPLICATE_TRIALS if spec.trials > mc.REPLICATE_TRIALS else 1
@@ -82,8 +103,8 @@ def replayed_radii(spec, calls):
         n = len(seg_start)
         sizes = np.diff(seg_start, append=len(load))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
-        if not isinstance(size, FixedSize):
-            assert np.array_equal(1 + rng.poisson(size.mean - 1.0, size=n), sizes)
+        replayed, v = replay_sizes(rng, size, n, replicate)
+        assert np.array_equal(replayed, sizes)
         u = replay_latin_hypercube(rng, n, int(sizes.max()), replicate)
         r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
         trial = np.repeat(np.arange(n), sizes)
@@ -93,7 +114,7 @@ def replayed_radii(spec, calls):
         want *= link.p_x / link.p_x0
         want[typical] = 0.0
         assert np.array_equal(load, want)
-        out.append((r, seg_start))
+        out.append((r, seg_start, v))
     return out
 
 
@@ -169,10 +190,7 @@ def stable_sort_pick(rng, size, link, n, rank=None):
     counts the trials whose picked radius is also attained by a node the
     sort puts next to it.
     """
-    if isinstance(size, FixedSize):
-        sizes = np.full(n, size.n, dtype=np.int64)
-    else:
-        sizes = 1 + rng.poisson(size.mean - 1.0, size=n)
+    sizes, _ = replay_sizes(rng, size, n)
     trial = np.repeat(np.arange(n, dtype=np.intp), sizes)
     u = replay_latin_hypercube(rng, n, int(sizes.max()))
     r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
@@ -196,7 +214,7 @@ class TestEngineSampling:
     def test_typical_radii_uniform_on_disc(self, kernel_calls):
         spec = isolated_spec(FixedSize(6))
         estimate_coverage(spec)
-        r = np.concatenate([radii for radii, _ in replayed_radii(spec, kernel_calls)])
+        r = np.concatenate([radii for radii, *_ in replayed_radii(spec, kernel_calls)])
         a = reference_link().a
         assert len(r) == 6 * 4000
         assert r.max() <= a
@@ -227,7 +245,7 @@ class TestEngineSampling:
     def test_ordered_typical_is_kth_closest(self, kernel_calls, k, column):
         spec = isolated_spec(FixedSize(5), Ordered(k), trials=1000)
         estimate_coverage(spec)
-        r = np.concatenate([radii for radii, _ in replayed_radii(spec, kernel_calls)])
+        r = np.concatenate([radii for radii, *_ in replayed_radii(spec, kernel_calls)])
         load, _ = typical_nodes(kernel_calls)
         r, load = r.reshape(-1, 5), load.reshape(-1, 5)
         assert np.array_equal(r[load == 0.0], np.sort(r, axis=1)[:, column])
@@ -249,7 +267,7 @@ class TestEngineSampling:
         tied = 0
         for seed in range(4):
             rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
-            r_typ, load, _ = mc._typical_cluster(
+            r_typ, load, *_ = mc._typical_cluster(
                 rngs[0], Scenario(Ordered(), size), link, 512, mc.REPLICATE_TRIALS
             )
             ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
@@ -274,7 +292,7 @@ class TestEngineSampling:
         for seed in range(2):
             for trials in (512, 488, 5):
                 rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
-                r_typ, load, _ = mc._typical_cluster(
+                r_typ, load, *_ = mc._typical_cluster(
                     rngs[0], scenario, link, trials, mc.REPLICATE_TRIALS
                 )
                 ref_r_typ, ref_load, ref_tied = stable_sort_pick(
@@ -286,17 +304,81 @@ class TestEngineSampling:
         assert (tied > 0) == (ties and n > 1)
 
     def test_poisson_typical_cluster_size(self, kernel_calls):
-        # one typical node plus Poisson(nbar - 1) in-cluster interferers
+        # one typical node plus J ~ Poisson(nbar - 1) in-cluster interferers,
+        # drawn given J >= 1: the lone-node stratum J = 0 is taken exactly,
+        # with the weight w0 = P(J = 0)
         trials, nbar = 20000, 3.0
         estimate_coverage(isolated_spec(PoissonSize(nbar), trials=trials))
         _, trial = typical_nodes(kernel_calls)
-        sizes = np.bincount(trial, minlength=trials)
-        assert sizes.min() >= 1
+        interferers = np.bincount(trial, minlength=trials) - 1
+        assert interferers.min() >= 1
         hi = 8
-        observed = np.bincount(np.minimum(sizes - 1, hi), minlength=hi + 1)
-        pmf = stats.poisson.pmf(np.arange(hi + 1), nbar - 1.0)
-        pmf[hi] = 1.0 - pmf[:hi].sum()
-        assert stats.chisquare(observed, pmf * trials).pvalue > 0.01
+        observed = np.bincount(np.minimum(interferers, hi), minlength=hi + 1)[1:]
+        pmf = stats.poisson.pmf(np.arange(1, hi + 1), nbar - 1.0)
+        pmf[-1] = stats.poisson.sf(hi - 1, nbar - 1.0)
+        assert stats.chisquare(observed, pmf / pmf.sum() * trials).pvalue > 0.01
+        w0 = math.exp(-(nbar - 1.0))
+        assert mc._lone_weight(PoissonSize(nbar)) == pytest.approx(w0, rel=1e-15)
+        # without noise or other fields a threshold no interferer lets
+        # through leaves the lone stratum alone: coverage w0, no spread
+        link = reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
+        spec = make_spec(link=link, scenario=Scenario(Unordered(), PoissonSize(nbar)),
+                         trials=512, gammas=(1e250,))
+        (est,) = estimate_coverage(spec)
+        assert est.mean == pytest.approx(w0, rel=1e-14)
+        assert est.stderr <= 1e-14 * w0
+
+    def test_poisson_sizes_fill_their_strata(self, kernel_calls):
+        # 100-trial chunks: six full replicates of 16 and a partial one of 4;
+        # in each, the size uniforms V take one stratum apiece
+        replicate, nbar = mc.REPLICATE_TRIALS, 6.0
+        spec = isolated_spec(PoissonSize(nbar), Ordered(), trials=1000, chunk_trials=100)
+        estimate_coverage(spec)
+        w0 = math.exp(-(nbar - 1.0))
+        groups = 0
+        for r, seg_start, v in replayed_radii(spec, kernel_calls):
+            interferers = np.diff(seg_start, append=len(r)) - 1
+            for start in range(0, len(seg_start), replicate):
+                k = min(replicate, len(seg_start) - start)
+                assert np.array_equal(np.sort(np.floor(v[start:start + k] * k)), np.arange(k))
+                # J does not decrease in V, so the i-th smallest J lies
+                # between the J >= 1 law's quantiles at stratum i's ends
+                quantiles = stats.poisson.ppf(w0 + np.arange(k + 1) / k * (1.0 - w0), nbar - 1.0)
+                j = np.sort(interferers[start:start + k])
+                assert np.all((quantiles[:-1] <= j) & (j <= quantiles[1:]))
+                groups += 1
+        assert groups == 10 * 7
+
+    @pytest.mark.parametrize("mean", [1.0 + 1e-9, 1.5, 6.0, 30.0, 800.0])
+    def test_interferer_law_matches_scipy(self, mean):
+        # the memoised table is the Poisson(mean - 1) CDF, built from logs so
+        # that it keeps its digits where exp(-(mean - 1)) underflows (800)
+        cdf = mc._interferer_cdf(mean)
+        assert mc._interferer_cdf(mean) is cdf
+        assert not cdf.flags.writeable
+        want = stats.poisson.cdf(np.arange(len(cdf)), mean - 1.0)
+        np.testing.assert_allclose(cdf, want, rtol=1e-12, atol=1e-15)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-13)  # the running sum's rounding
+        assert mc._lone_weight(PoissonSize(mean)) == cdf[0]
+
+    def test_size_law_edges(self):
+        # nbar = 1: every typical node is alone, nothing is drawn and no lone
+        # term is mixed in
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        sizes = mc._typical_sizes(rng, PoissonSize(1.0), 512, mc.REPLICATE_TRIALS)
+        assert np.array_equal(sizes, np.ones(512)) and rng.bit_generator.state == state
+        assert mc._lone_weight(PoissonSize(1.0)) == 0.0
+        # past nbar - 1 of about 745, w0 underflows to 0 and the plain CDF is
+        # inverted
+        assert mc._lone_weight(PoissonSize(800.0)) == 0.0
+        sizes = mc._typical_sizes(rng, PoissonSize(800.0), 4096, mc.REPLICATE_TRIALS)
+        assert abs(sizes.mean() - 800.0) <= 4.0 * math.sqrt(799.0 / 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = estimate_coverage(isolated_spec(PoissonSize(800.0), Ordered(), trials=64,
+                                                   gammas=(1e-4, 0.1)))
+        assert 1.0 > ests[0].mean > ests[1].mean > 0.0
 
     def test_parent_count_matches_window_mean(self, kernel_calls):
         trials = 500
@@ -346,7 +428,7 @@ class TestEngineSampling:
         assert kernel_calls["inter_sums"] == []
         assert kernel_calls["radial_sums"] == []  # no coexistence call either
         # the lone node is the typical one and does not interfere with itself
-        ((r, _),) = replayed_radii(spec, kernel_calls)
+        ((r, *_),) = replayed_radii(spec, kernel_calls)
         link = spec.config.link
         h = np.random.default_rng(2021).exponential(1.0, size=300)
         sinr = link.p_x0 * link.eta * h * r**-link.alpha / link.sigma2
@@ -367,7 +449,7 @@ class TestEngineSampling:
         assert kernel_calls["inter_sums"] == []
         assert kernel_calls["radial_sums"] == []  # no coexistence call either
         # the stratified radius draws come first in the chunk's stream
-        ((r, _),) = replayed_radii(spec, kernel_calls)
+        ((r, *_),) = replayed_radii(spec, kernel_calls)
         values = noise_limited_values(spec.config.link, r, gamma)
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
         assert est.stderr == pytest.approx(replicate_stderr([values]), rel=1e-12)
@@ -381,7 +463,7 @@ class TestStratification:
         """{(chunk, first trial, column): strata of (r/a)**2 in trial order}, with each width k."""
         a = reference_link().a
         out = {}
-        for chunk, (r, seg_start) in enumerate(replayed_radii(spec, kernel_calls)):
+        for chunk, (r, seg_start, _) in enumerate(replayed_radii(spec, kernel_calls)):
             n = len(seg_start)
             sizes = np.diff(seg_start, append=len(r))
             trial = np.repeat(np.arange(n), sizes)
@@ -540,6 +622,15 @@ class TestStderrCalibration:
 GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
 
 
+# a lone-node tail cell that forcing J = 0 alone does not mend
+NEXT_STRATA = pytest.mark.xfail(
+    strict=True,
+    reason="only J = 0 is forced; the rest of ROADMAP item 12, forcing J = 1 ... j0 too, "
+    "is not done: each forced stratum costs the farthest node a whole threshold-grid "
+    "evaluation, about +30 % per ordered-Poisson chunk",
+)
+
+
 class TestCalibrationScan:
     """The standard error stays honest into the fading tail.
 
@@ -555,6 +646,17 @@ class TestCalibrationScan:
     with stderrs that claimed precision (rms z 1.99, 53 and 4,983 and max
     |z| 7.8, 262 and 26,565 at +4, +8 and +10 dB).  The bounds come from the
     other cells of that code: rms z 0.87-1.09, max |z| 3.72.
+
+    ``test_lone_node_tail`` scans the farthest node of a Poisson cluster
+    with a mean of 10 at a = 1 km, where most of the high-threshold
+    coverage comes from a lone node (J = 0 interferers, probability
+    e**-9 = 1.2e-4), which 8,192 drawn trials rarely hold.  While every
+    cluster size was drawn, it failed from 0 dB: rms z 1.44, 4.0, 21 and
+    85 (max |z| 4.47, 13.8, 78 and 343) at 0, +4, +8 and +10 dB.  With the
+    lone-node stratum taken exactly it reads rms z 1.28 at 0 dB and 1.89,
+    4.36 and 5.17 at +4, +8 and +10 dB; the rest of that tail comes from
+    the next strata (J = 1, 2, ...), and those three cells are expected
+    failures.
     """
 
     SEEDS = 30
@@ -563,6 +665,33 @@ class TestCalibrationScan:
     RMS_Z = (0.7, 1.4)
     MAX_Z = 4.5
 
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def z_scan(cls, scenario, a):
+        """(rms z, max |z|) per threshold of GAMMAS_DB over the seeds, at cluster radius a."""
+        link = reference_link(a=a, lambda_g=0.0)
+        gammas = tuple(10.0 ** (db / 10.0) for db in cls.GAMMAS_DB)
+        exact = np.array(
+            [cc.coverage(g, scenario, link, method=Method.EXACT_INTEGRAL).value for g in gammas]
+        )
+        z = []
+        for seed in range(cls.SEEDS):
+            spec = make_spec(link=link, scenario=scenario, trials=cls.TRIALS, seed=seed,
+                             gammas=gammas, window=math.inf, workers=1)
+            ests = estimate_coverage(spec)
+            z.append((np.array([e.mean for e in ests]) - exact) / [e.stderr for e in ests])
+        z = np.array(z)
+        return np.sqrt((z**2).mean(axis=0)), np.abs(z).max(axis=0)
+
+    def bad_cells(self, scenario, a, dbs):
+        rms, worst = self.z_scan(scenario, a)
+        return [
+            f"{db:+d} dB: rms z {rms[i]:.3g}, max |z| {worst[i]:.3g}"
+            for i, db in enumerate(self.GAMMAS_DB)
+            if db in dbs
+            and not (self.RMS_Z[0] <= rms[i] <= self.RMS_Z[1] and worst[i] <= self.MAX_Z)
+        ]
+
     @pytest.mark.parametrize(
         "scenario",
         [Scenario(Unordered(), FixedSize(6)), Scenario(Unordered(), PoissonSize(6.0)),
@@ -570,26 +699,17 @@ class TestCalibrationScan:
         ids=["UF-6", "UP-6", "OF-6", "OP-6"],
     )
     def test_z_scan_against_exact(self, scenario):
-        link = reference_link(lambda_g=0.0)
-        gammas = tuple(10.0 ** (db / 10.0) for db in self.GAMMAS_DB)
-        exact = np.array(
-            [cc.coverage(g, scenario, link, method=Method.EXACT_INTEGRAL).value for g in gammas]
-        )
-        z = []
-        for seed in range(self.SEEDS):
-            spec = make_spec(link=link, scenario=scenario, trials=self.TRIALS, seed=seed,
-                             gammas=gammas, window=math.inf, workers=1)
-            ests = estimate_coverage(spec)
-            z.append((np.array([e.mean for e in ests]) - exact) / [e.stderr for e in ests])
-        z = np.array(z)
-        rms = np.sqrt((z**2).mean(axis=0))
-        worst = np.abs(z).max(axis=0)
-        bad = [
-            f"{db:+d} dB: rms z {cell_rms:.3g}, max |z| {cell_max:.3g}"
-            for db, cell_rms, cell_max in zip(self.GAMMAS_DB, rms, worst)
-            if not (self.RMS_Z[0] <= cell_rms <= self.RMS_Z[1] and cell_max <= self.MAX_Z)
-        ]
+        bad = self.bad_cells(scenario, 500.0, self.GAMMAS_DB)
         assert not bad, "; ".join(bad)
+
+    @pytest.mark.parametrize(
+        "db",
+        [-20, -10, 0] + [pytest.param(db, marks=NEXT_STRATA) for db in (4, 8, 10)],
+        ids=lambda db: f"{db:+d}dB",
+    )
+    def test_lone_node_tail(self, db):
+        bad = self.bad_cells(Scenario(Ordered(), PoissonSize(10.0)), 1000.0, (db,))
+        assert not bad, "OP-10 at a = 1 km: " + "; ".join(bad)
 
 
 class TestInClusterFactor:
@@ -644,7 +764,7 @@ class TestInClusterFactor:
         # factor exactly 1 at any threshold
         rng = np.random.default_rng(4)
         for ordering in (Unordered(), Ordered()):
-            _, load, seg_start = mc._typical_cluster(
+            _, load, seg_start, _ = mc._typical_cluster(
                 rng, Scenario(ordering, size), reference_link(), 512, mc.REPLICATE_TRIALS
             )
             assert len(load) == 512 and not load.any()
@@ -1364,7 +1484,11 @@ class TestPinnedStreams:
     when the in-cluster interferers' fading came to be integrated out
     instead of drawn, after TestCalibrationScan passed: their draws lost
     the fading and their values its randomness, while the INTER and
-    COEXIST rows, which draw no typical cluster, kept their bits.  Any
+    COEXIST rows, which draw no typical cluster, kept their bits.  The
+    UP-6 and OP-6 coverage rows were re-recorded once more, alone, when the
+    typical Poisson cluster's size came to be drawn given at least one
+    interferer, stratified per replicate, with the lone-node stratum taken
+    exactly: every other row, all of them fixed-size, kept its bits.  Any
     change in what is drawn, or in which order, moves the rows by
     O(stderr), far past the tolerance.
     """
@@ -1376,9 +1500,9 @@ class TestPinnedStreams:
             (0.10634181940699299, 0.0030852518850728117),
         ],
         "UP-6": [
-            (0.7169224670490774, 0.005758689640299469),
-            (0.3877149071911811, 0.0062729591242134146),
-            (0.12926379459337567, 0.004274118332549086),
+            (0.7189084774664761, 0.005151566552286966),
+            (0.38911563941205396, 0.004216867457992534),
+            (0.13493689628856687, 0.003457918838866033),
         ],
         "OF-6": [
             (0.49746468319716336, 0.0033863883575413352),
@@ -1386,9 +1510,9 @@ class TestPinnedStreams:
             (0.0003320125596669388, 2.2436934049361423e-05),
         ],
         "OP-6": [
-            (0.5173134211630726, 0.0066547955736908785),
-            (0.1376272115843879, 0.005224289998777726),
-            (0.014821759836410611, 0.0020482266249777464),
+            (0.518864470038173, 0.0049158365341589235),
+            (0.1339004005103355, 0.0028361205302760476),
+            (0.012289041106550333, 0.0007262220434996497),
         ],
         "O2-F4-intra": [
             (0.8736535090429205, 0.004496051484873816),
