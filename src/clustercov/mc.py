@@ -134,8 +134,6 @@ _DISC_NODES = 8
 _TABLE_PER_DECADE = 40
 _TABLE_FLOOR_DECADES = 3
 _FAR_TABLES = 64
-# Poisson typical-cluster size laws kept, one per mean (see ``_interferer_cdf``).
-_SIZE_TABLES = 64
 
 
 class InterferenceField(Enum):
@@ -185,7 +183,11 @@ class McEstimate:
     REPLICATE_TRIALS trials is unstratified and uses replicates of one
     trial, the usual i.i.d. standard error; it is 0.0 for a single trial.
     The INTER and COEXIST transforms draw no in-cluster radii, so their
-    trials are i.i.d. and they always use replicates of one trial.
+    trials are i.i.d. and they always use replicates of one trial; their
+    mean and stderr are the near disc's times the annulus's exact factor
+    exp(-Lambda_far(s)).  With a Poisson typical cluster each trial's value
+    already mixes in the lone-node term, so the replicate sums and the
+    stderr include it.
     """
 
     mean: float
@@ -302,59 +304,53 @@ def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=_SIZE_TABLES)
-def _interferer_cdf(mean: float) -> np.ndarray:
-    """The CDF of the typical cluster's interferer count J ~ Poisson(mean - 1) at J = 0, 1, ...
+def _size_law(size_model) -> tuple[float, np.ndarray | None]:
+    """The typical cluster's size law: (w0, cdf), or (0.0, None) where no size is drawn.
 
-    Built from the log pmf, so that neither (mean - 1)**J nor J! overflows
-    and the terms near the mode keep their digits where exp(-(mean - 1))
-    underflows, and cut where the pmf is far below the float resolution:
-    past mean - 1 + 20 sqrt(mean - 1) + 40.  Read-only, since requests
-    share it.
+    The cluster holds the typical node and J ~ Poisson(mean - 1) in-cluster
+    interferers.  cdf is J's CDF at J = 0, 1, ..., built from the log pmf,
+    so that neither (mean - 1)**J nor J! overflows and the terms near the
+    mode keep their digits where exp(-(mean - 1)) underflows, and cut where
+    the pmf is far below the float resolution: past mean - 1 +
+    20 sqrt(mean - 1) + 40.  w0 = cdf[0] = P(J = 0) = exp(-(mean - 1)) is
+    the weight of the lone-node stratum, which is taken exactly; it is 0
+    where it underflows (a mean above about 746), and then nothing is
+    forced.  A fixed size and a Poisson mean of 1 (every trial is a lone
+    node, so the drawn trial is already exact) give (0.0, None).
+    ``_estimate`` builds the law once per request.
     """
-    mu = mean - 1.0
+    if isinstance(size_model, FixedSize) or size_model.mean == 1.0:
+        return 0.0, None
+    mu = size_model.mean - 1.0
     k = np.arange(math.ceil(mu + 20.0 * math.sqrt(mu)) + 40)
     log_pmf = k * math.log(mu) - mu
     log_pmf -= [math.lgamma(j + 1.0) for j in range(len(k))]
     cdf = np.cumsum(np.exp(log_pmf))
-    cdf.flags.writeable = False
-    return cdf
+    return float(cdf[0]), cdf
 
 
-def _lone_weight(size_model) -> float:
-    """w0 = P(J = 0) = exp(-(mean - 1)), the lone-node stratum taken exactly; 0 where none is.
-
-    Nothing is forced for a fixed size, for a Poisson mean of 1 (every
-    trial is a lone node, so the drawn trial is already exact) or where w0
-    underflows to 0 (a mean above about 746).
-    """
-    if isinstance(size_model, FixedSize) or size_model.mean == 1.0:
-        return 0.0
-    return float(_interferer_cdf(size_model.mean)[0])
-
-
-def _typical_sizes(rng, size_model, n: int, replicate: int) -> np.ndarray:
+def _typical_sizes(rng, size_model, law, n: int, replicate: int) -> np.ndarray:
     """Each trial's typical-cluster size: the typical node plus J in-cluster interferers.
 
-    A Poisson size draws J given J >= 1, the lone-node stratum J = 0 being
-    taken exactly (``_lone_weight``): J inverts the Poisson(mean - 1) CDF
-    at w0 + V (1 - w0), searching right, so that a point on cdf[0] = w0
-    gives J = 1.  V is a one-column Latin hypercube over the replicates, so
-    J is stratified across each replicate's trials.  Where w0 underflows
-    to 0 this is the plain CDF's inversion, and a mean of 1 draws nothing.
+    ``law`` is ``_size_law(size_model)``.  A Poisson size draws J given
+    J >= 1, the lone-node stratum J = 0 being taken exactly: J inverts the
+    Poisson(mean - 1) CDF at w0 + V (1 - w0), searching right, so that a
+    point on cdf[0] = w0 gives J = 1.  V is a one-column Latin hypercube
+    over the replicates, so J is stratified across each replicate's trials.
+    Where w0 underflows to 0 this is the plain CDF's inversion.  Without a
+    CDF (a fixed size, or a mean of 1) nothing is drawn.
     """
-    if isinstance(size_model, FixedSize):
-        return np.full(n, size_model.n, dtype=np.int64)
-    if size_model.mean == 1.0:
-        return np.ones(n, dtype=np.int64)
-    w0 = _lone_weight(size_model)
+    w0, cdf = law
+    if cdf is None:
+        size = size_model.n if isinstance(size_model, FixedSize) else 1
+        return np.full(n, size, dtype=np.int64)
     u = _latin_hypercube(rng, n, 1, replicate)[:, 0]
     u *= 1.0 - w0
     u += w0
-    return 1 + np.searchsorted(_interferer_cdf(size_model.mean), u, side="right")
+    return 1 + np.searchsorted(cdf, u, side="right")
 
 
-def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicate: int):
+def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, replicate: int):
     """The typical node's own cluster: (r_typ, load, seg_start, r_first).
 
     Only radii are drawn: the in-cluster interferers' fading is integrated
@@ -364,12 +360,13 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, n: int, replicat
     b_j = (p_x / p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it
     does not interfere with itself).  ``r_first`` is each trial's node 0
     radius, the typical link of the trial cut to node 0 alone.  Sizes come
-    from ``_typical_sizes``, drawn first.  Node j of every trial takes
-    column j of a Latin hypercube over the trials' replicates (a trial
-    without a node j skips its column-j value), so (r / a)**2 is
-    stratified per node column while each trial keeps i.i.d. uniform nodes.
+    from ``_typical_sizes`` under ``law``, the request's ``_size_law``,
+    drawn first.  Node j of every trial takes column j of a Latin
+    hypercube over the trials' replicates (a trial without a node j skips
+    its column-j value), so (r / a)**2 is stratified per node column while
+    each trial keeps i.i.d. uniform nodes.
     """
-    sizes = _typical_sizes(rng, scenario.size_model, n, replicate)
+    sizes = _typical_sizes(rng, scenario.size_model, law, n, replicate)
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
     columns = int(sizes.max())
     u = _latin_hypercube(rng, n, columns, replicate)[np.arange(columns) < sizes[:, None]]
@@ -703,13 +700,16 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     and coexisting nodes and the noise, scale = r_typ**alpha / (p_x0 eta),
     so that t * scale is the far field's s, and b_j the in-cluster loads
     of ``_typical_cluster``; ``far`` is the coverage request's table, or
-    None where there is no far field.  A Poisson typical cluster with a
-    lone-node weight w0 > 0 (``_lone_weight``) gives (1 - w0) times that
-    value plus w0 times the lone node's: for INTRA exactly 1, for coverage
-    the value without the in-cluster product at node 0's radius, which for
-    the unordered typical node (node 0) is the value before that product.
+    None where there is no far field.  ``law`` is the request's
+    ``_size_law``, (0.0, None) where no typical cluster is drawn.  A Poisson
+    typical cluster with a lone-node weight w0 > 0 gives (1 - w0) times
+    that value plus w0 times the lone node's: the value without the
+    in-cluster product at node 0's radius.  For INTRA and for the unordered
+    typical node (node 0) that is the value before the product, which for
+    INTRA is exactly 1.  The transforms' far factor is applied by
+    ``_estimate``.
     """
-    spec, field, index, n, grid, far, replicate = args
+    spec, field, index, n, grid, far, law, replicate = args
     scenario = spec.scenario
     link = spec.config.link
     radius = _near_radius(spec.config)
@@ -717,7 +717,7 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(grid)
     load = scale = None
     if field is InterferenceField.INTRA:
-        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, n, replicate)
+        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, law, n, replicate)
         # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
         sizes = np.diff(seg_start, append=len(load))
         load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
@@ -727,25 +727,23 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, radius, n)
     else:
-        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, n, replicate)
+        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, law, n, replicate)
         i_inter = _cross_clusters(rng, scenario, link, radius, n)
         i_co = _coexisting(rng, link, radius, n)
         near = i_inter + i_co + link.sigma2
         scale = r_typ**link.alpha / (link.p_x0 * link.eta)
         x = near * scale
     values = _conditional_values(t, x, scale, far)
-    w0 = 0.0 if load is None else _lone_weight(scenario.size_model)
+    w0, _ = law
     if w0:
         # w0 times the lone-node stratum's value: the same trial cut to node
         # 0 alone, so without the in-cluster product and on node 0's link
-        if field is InterferenceField.INTRA:
-            lone = w0
-        elif isinstance(scenario.ordering, Unordered):
-            lone = values * w0  # node 0 is the typical node
-        else:
+        if field is None and not isinstance(scenario.ordering, Unordered):
             scale = r_first**link.alpha / (link.p_x0 * link.eta)
             lone = _conditional_values(t, near * scale, scale, far)
             lone *= w0
+        else:
+            lone = values * w0  # node 0 is the typical node, or INTRA's 1
     if load is not None:
         intra_fading(load, seg_start, t, values)
     if w0:
@@ -760,23 +758,28 @@ def _estimate(
 ) -> list[McEstimate]:
     """Mean and standard error (see ``McEstimate``) of each trial's value at every grid point t.
 
-    The mean is the chunks' totals, summed in chunk order, over n trials.
-    The standard error takes two passes over every chunk's replicate sums
-    in index order: the mean first, then the squared deviations from it.
-    A request of at most REPLICATE_TRIALS trials would form a single
-    replicate, whose spread is unknown, so it is drawn unstratified, in
-    replicates of one trial.  The INTER and COEXIST transforms draw no
-    in-cluster radii, so nothing is stratified and their trials are i.i.d.:
-    replicates of one trial give the standard error n - 1 degrees of
-    freedom instead of n / REPLICATE_TRIALS - 1.  Only coverage (field
-    None) has a far table; a transform is estimated for its near-disc field
-    alone.
+    This is where a request is set up, once for all of its chunks: the
+    coverage far table (``_far_table``), the typical cluster's size law
+    (``_size_law``, drawn only by coverage and INTRA) and the replicate
+    length.  The mean is the chunks' totals, summed in chunk order, over n
+    trials.  The standard error takes two passes over every chunk's
+    replicate sums in index order: the mean first, then the squared
+    deviations from it.  A request of at most REPLICATE_TRIALS trials would
+    form a single replicate, whose spread is unknown, so it is drawn
+    unstratified, in replicates of one trial.  The INTER and COEXIST
+    transforms draw no in-cluster radii, so nothing is stratified and their
+    trials are i.i.d.: replicates of one trial give the standard error
+    n - 1 degrees of freedom instead of n / REPLICATE_TRIALS - 1.  Their
+    chunks draw the near-disc field alone, and the annulus's exact factor
+    exp(-Lambda_far(s)), a constant per grid point, multiplies each mean
+    and standard error here.  INTRA has no far part.
     """
     far = _far_table(spec) if field is None else None
     stratified = field is None or field is InterferenceField.INTRA
+    law = _size_law(spec.scenario.size_model) if stratified else (0.0, None)
     replicate = REPLICATE_TRIALS if stratified and spec.trials > REPLICATE_TRIALS else 1
     args = [
-        (spec, field, index, size, grid, far, replicate)
+        (spec, field, index, size, grid, far, law, replicate)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
@@ -797,11 +800,12 @@ def _estimate(
     sizes = np.concatenate([part for _, part in chunks])
     m = len(sizes)
     dev = sums - means[:, None] * sizes
-    out = []
-    for mean, spread in zip(means, (dev * dev).sum(axis=1)):
-        stderr = math.sqrt(m / (m - 1) * spread) / n if m > 1 else 0.0
-        out.append(McEstimate(mean=float(mean), stderr=stderr, trials=n))
-    return out
+    stderr = np.sqrt(m / (m - 1) * (dev * dev).sum(axis=1)) / n if m > 1 else np.zeros_like(means)
+    if field in (InterferenceField.INTER, InterferenceField.COEXIST):
+        factor = np.exp(-_far_exponent(spec, field, grid))
+        means *= factor
+        stderr *= factor
+    return [McEstimate(mean, se, n) for mean, se in zip(means.tolist(), stderr.tolist())]
 
 
 def estimate_coverage(spec: SimSpec) -> list[McEstimate]:
@@ -825,10 +829,10 @@ def estimate_laplace(
 
     For INTER and COEXIST each trial contributes exp(-s I_near), its
     sampled near-disc interference, and the annulus's exact factor
-    exp(-Lambda_far(s)) is a constant per grid point, so the estimate's
-    mean and standard error are both multiplied by it.  For INTRA (no far
-    part) each trial contributes its drawn radii's transform with the
-    interferers' fading integrated out, 1 / prod_j (1 + s p_x eta
+    exp(-Lambda_far(s)) is a constant per grid point, so ``_estimate``
+    multiplies the estimate's mean and standard error by it.  For INTRA
+    (no far part) each trial contributes its drawn radii's transform with
+    the interferers' fading integrated out, 1 / prod_j (1 + s p_x eta
     rho_j**-alpha), and with a Poisson size (1 - w0) times that plus w0,
     the lone node's exact 1.  s = 0 gives exactly 1.
 
@@ -849,8 +853,4 @@ def estimate_laplace(
         raise ValueError(f"interf_field must be an InterferenceField member, got {interf_field!r}")
     if not all(math.isfinite(s) and s >= 0.0 for s in s_grid):
         raise ValueError("transform grid points must be finite and nonnegative")
-    estimates = _estimate(spec, interf_field, s_grid)
-    if interf_field is InterferenceField.INTRA:
-        return estimates
-    factors = np.exp(-_far_exponent(spec, interf_field, s_grid)).tolist()
-    return [McEstimate(e.mean * f, e.stderr * f, e.trials) for e, f in zip(estimates, factors)]
+    return _estimate(spec, interf_field, s_grid)

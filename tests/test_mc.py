@@ -268,7 +268,8 @@ class TestEngineSampling:
         for seed in range(4):
             rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
             r_typ, load, *_ = mc._typical_cluster(
-                rngs[0], Scenario(Ordered(), size), link, 512, mc.REPLICATE_TRIALS
+                rngs[0], Scenario(Ordered(), size), link, mc._size_law(size), 512,
+                mc.REPLICATE_TRIALS,
             )
             ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
             assert np.array_equal(r_typ, ref_r_typ)
@@ -293,7 +294,8 @@ class TestEngineSampling:
             for trials in (512, 488, 5):
                 rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
                 r_typ, load, *_ = mc._typical_cluster(
-                    rngs[0], scenario, link, trials, mc.REPLICATE_TRIALS
+                    rngs[0], scenario, link, mc._size_law(FixedSize(n)), trials,
+                    mc.REPLICATE_TRIALS,
                 )
                 ref_r_typ, ref_load, ref_tied = stable_sort_pick(
                     rngs[1], FixedSize(n), link, trials, k
@@ -318,7 +320,7 @@ class TestEngineSampling:
         pmf[-1] = stats.poisson.sf(hi - 1, nbar - 1.0)
         assert stats.chisquare(observed, pmf / pmf.sum() * trials).pvalue > 0.01
         w0 = math.exp(-(nbar - 1.0))
-        assert mc._lone_weight(PoissonSize(nbar)) == pytest.approx(w0, rel=1e-15)
+        assert mc._size_law(PoissonSize(nbar))[0] == pytest.approx(w0, rel=1e-15)
         # without noise or other fields a threshold no interferer lets
         # through leaves the lone stratum alone: coverage w0, no spread
         link = reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
@@ -351,28 +353,29 @@ class TestEngineSampling:
 
     @pytest.mark.parametrize("mean", [1.0 + 1e-9, 1.5, 6.0, 30.0, 800.0])
     def test_interferer_law_matches_scipy(self, mean):
-        # the memoised table is the Poisson(mean - 1) CDF, built from logs so
-        # that it keeps its digits where exp(-(mean - 1)) underflows (800)
-        cdf = mc._interferer_cdf(mean)
-        assert mc._interferer_cdf(mean) is cdf
-        assert not cdf.flags.writeable
+        # the law's CDF is the Poisson(mean - 1) CDF, built from logs so that
+        # it keeps its digits where exp(-(mean - 1)) underflows (800), and
+        # w0 is its first point, SciPy's P(J = 0)
+        w0, cdf = mc._size_law(PoissonSize(mean))
         want = stats.poisson.cdf(np.arange(len(cdf)), mean - 1.0)
         np.testing.assert_allclose(cdf, want, rtol=1e-12, atol=1e-15)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-13)  # the running sum's rounding
-        assert mc._lone_weight(PoissonSize(mean)) == cdf[0]
+        assert w0 == cdf[0]
+        assert w0 == pytest.approx(stats.poisson.pmf(0, mean - 1.0), rel=1e-12, abs=1e-15)
 
     def test_size_law_edges(self):
         # nbar = 1: every typical node is alone, nothing is drawn and no lone
         # term is mixed in
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        sizes = mc._typical_sizes(rng, PoissonSize(1.0), 512, mc.REPLICATE_TRIALS)
+        assert mc._size_law(FixedSize(6)) == mc._size_law(PoissonSize(1.0)) == (0.0, None)
+        sizes = mc._typical_sizes(rng, PoissonSize(1.0), (0.0, None), 512, mc.REPLICATE_TRIALS)
         assert np.array_equal(sizes, np.ones(512)) and rng.bit_generator.state == state
-        assert mc._lone_weight(PoissonSize(1.0)) == 0.0
         # past nbar - 1 of about 745, w0 underflows to 0 and the plain CDF is
         # inverted
-        assert mc._lone_weight(PoissonSize(800.0)) == 0.0
-        sizes = mc._typical_sizes(rng, PoissonSize(800.0), 4096, mc.REPLICATE_TRIALS)
+        law = mc._size_law(PoissonSize(800.0))
+        assert law[0] == 0.0
+        sizes = mc._typical_sizes(rng, PoissonSize(800.0), law, 4096, mc.REPLICATE_TRIALS)
         assert abs(sizes.mean() - 800.0) <= 4.0 * math.sqrt(799.0 / 4096)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -504,16 +507,19 @@ class TestStratification:
 
     def test_stratified_estimates_independent_of_workers(self):
         # neither trials nor chunk_trials is a multiple of the replicate size
-        for scenario in (Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), PoissonSize(6.0))):
+        scenarios = (Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), PoissonSize(6.0)))
+        for scenario in scenarios:
             kw = dict(scenario=scenario, trials=1000, chunk_trials=100, gammas=(0.05, 0.1, 1.0))
             serial = estimate_coverage(make_spec(workers=1, **kw))
             parallel = estimate_coverage(make_spec(workers=2, **kw))
             assert serial == parallel
+        # the OP-6 transform takes the size law through the worker pool
         s_grid = (0.0, 1e6, 1e9)
-        kw = dict(trials=1000, chunk_trials=100)
-        serial = estimate_laplace(make_spec(workers=1, **kw), InterferenceField.INTRA, s_grid)
-        parallel = estimate_laplace(make_spec(workers=2, **kw), InterferenceField.INTRA, s_grid)
-        assert serial == parallel
+        for scenario in scenarios:
+            kw = dict(scenario=scenario, trials=1000, chunk_trials=100)
+            serial = estimate_laplace(make_spec(workers=1, **kw), InterferenceField.INTRA, s_grid)
+            parallel = estimate_laplace(make_spec(workers=2, **kw), InterferenceField.INTRA, s_grid)
+            assert serial == parallel
 
     def test_chunks_combine_into_replicate_stderr(self):
         # the replicate sums of ten ragged chunks give the two-pass
@@ -765,7 +771,8 @@ class TestInClusterFactor:
         rng = np.random.default_rng(4)
         for ordering in (Unordered(), Ordered()):
             _, load, seg_start, _ = mc._typical_cluster(
-                rng, Scenario(ordering, size), reference_link(), 512, mc.REPLICATE_TRIALS
+                rng, Scenario(ordering, size), reference_link(), mc._size_law(size), 512,
+                mc.REPLICATE_TRIALS,
             )
             assert len(load) == 512 and not load.any()
             values = rng.uniform(size=(len(GAMMAS_16) + 1, 512))
@@ -773,18 +780,28 @@ class TestInClusterFactor:
             assert np.array_equal(mc.intra_fading(load, seg_start, grid, values.copy()), values)
 
     @pytest.mark.parametrize(
-        "scenario",
-        [Scenario(Unordered(), FixedSize(6)), Scenario(Ordered(), FixedSize(6)),
-         Scenario(Ordered(), PoissonSize(6.0)), Scenario(Unordered(), FixedSize(1))],
-        ids=["UF-6", "OF-6", "OP-6", "UF-1"],
+        "scenario, lone",
+        [(Scenario(Unordered(), FixedSize(6)), 0.0), (Scenario(Ordered(), FixedSize(6)), 0.0),
+         (Scenario(Unordered(), PoissonSize(6.0)), math.exp(-5.0)),
+         (Scenario(Ordered(), PoissonSize(6.0)), math.exp(-5.0)),
+         (Scenario(Unordered(), FixedSize(1)), 1.0)],
+        ids=["UF-6", "OF-6", "UP-6", "OP-6", "UF-1"],
     )
-    def test_intra_transform_unit_at_zero_s(self, scenario):
+    def test_intra_transform_unit_at_zero_s(self, scenario, lone):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ests = estimate_laplace(make_spec(scenario=scenario, trials=1000),
                                     InterferenceField.INTRA, (0.0, 1e3, 1e300))
         assert (ests[0].mean, ests[0].stderr) == (1.0, 0.0)
         assert 1.0 >= ests[1].mean >= ests[2].mean >= 0.0
+        # at s = 1e300 every interferer's factor is 0, so only a lone typical
+        # node is left: the Poisson size's exact lone stratum, w0 = e**-5,
+        # with no spread, and nothing for a fixed size above one
+        if lone in (0.0, 1.0):
+            assert (ests[2].mean, ests[2].stderr) == (lone, 0.0)
+        else:
+            assert ests[2].mean == pytest.approx(lone, rel=1e-14)
+            assert ests[2].stderr <= 1e-14 * lone
 
 
 
