@@ -107,22 +107,32 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 
 # Radius of the sampled near disc in cluster radii.  Like chunk_trials it is
 # part of the random-stream layout: changing it changes every estimate on a
-# window wider than the near disc.
-NEAR_RADII = 3.0
+# window wider than the near disc.  The clusters nearest the receiver are
+# drawn (0.4 per trial on a reference link of 0.1 parents per cluster
+# disc), and the ring (2 a, 3 a] goes to the far rule's fine panel, which
+# needs NEAR_RADII >= 2.
+NEAR_RADII = 2.0
 
 # Trials per Latin-hypercube replicate (R): consecutive trials of a chunk
 # share the strata of their in-cluster radii.  Part of the stream layout and
 # of the standard error, which comes from the replicate sums.
 REPLICATE_TRIALS = 16
 
-# The far-field rule: Gauss-Legendre nodes in u = (R0/x)**(alpha - 2) over
-# the annulus, which maps an infinite window to a finite interval and makes
-# the x**(1 - alpha) tail of the integrand flat, times a polar rule over
-# each cluster disc (Gauss-Legendre in the offset radius, midpoints in the
-# angle).  The disc never covers the origin, since R0 >= 3 a wherever the
-# annulus is non-empty.
+# The far-field rule: Gauss-Legendre nodes in u = (inner/x)**(alpha - 2)
+# over a radial panel, which maps an infinite window to a finite interval
+# and makes the x**(1 - alpha) tail of the integrand flat, times a polar rule
+# over each cluster disc (Gauss-Legendre in the offset radius, midpoints in
+# the angle).  The annulus is split at _FINE_RADII a.  A disc whose parent
+# lies inside that radius reaches to within a of the origin, where d**-alpha
+# varies most around its rim, so that panel takes _FINE_ANGLES half-angles
+# (and, over its short span, _DISC_NODES radial nodes); beyond it the
+# coarse rule (_RADIAL_NODES radial nodes, _DISC_NODES x _DISC_NODES per
+# disc) needs no more.  The disc never covers the origin, since R0 >= 2 a
+# wherever the annulus is non-empty.
 _RADIAL_NODES = 48
 _DISC_NODES = 8
+_FINE_RADII = 3.0
+_FINE_ANGLES = 16
 # Coverage needs Lambda_far at a different s per trial and threshold, so it
 # is tabulated on a lattice fixed by the link alone: _TABLE_PER_DECADE
 # points per decade of s / s_a, s_a = a**alpha / (p_x0 eta) (s at gamma = 1
@@ -433,21 +443,24 @@ def _near_radius(config: NetworkConfig) -> float:
     return min(config.window_radius, NEAR_RADII * config.link.a)
 
 
-def _unit_disc_rule():
+def _unit_disc_rule(angles: int):
     """(offset radius, cos(angle / 2), weight) of nodes averaging over the unit disc.
 
-    Gauss-Legendre in the radius with its 2 rho density and the angle
-    average folded into the weights, midpoints in the angle over [0, pi]
-    (the field is symmetric about the parent's axis).
+    _DISC_NODES Gauss-Legendre nodes in the radius with its 2 rho density
+    and the angle average folded into the weights, times ``angles``
+    midpoints in the angle over [0, pi] (the field is symmetric about the
+    parent's axis).
     """
-    t, w = leggauss(_DISC_NODES)
+    t, w = _DISC_RULE
     rho = 0.5 * (t + 1.0)
-    half_angle = 0.5 * math.pi * (np.arange(_DISC_NODES) + 0.5) / _DISC_NODES
-    return rho, np.cos(half_angle), w * rho / _DISC_NODES
+    half_angle = 0.5 * math.pi * (np.arange(angles) + 0.5) / angles
+    return rho, np.cos(half_angle), w * rho / angles
 
 
 _RADIAL_RULE = leggauss(_RADIAL_NODES)
-_UNIT_DISC = _unit_disc_rule()
+_DISC_RULE = leggauss(_DISC_NODES)  # also the fine panel's radial rule
+_UNIT_DISC = _unit_disc_rule(_DISC_NODES)
+_FINE_UNIT_DISC = _unit_disc_rule(_FINE_ANGLES)
 _POINT = (np.zeros(1), np.ones(1), np.ones(1))  # the a = 0 "disc"
 
 
@@ -461,31 +474,55 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     fixed size, exp(-nbar (1 - g)) for a Poisson size, and
     g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
     PPP is a = 0 with one node per parent.  c holds the loads s p eta
-    (any shape); outer may be infinite.  Exactly 0 at c = 0.
+    (any shape); outer may be infinite.  Exactly 0 at c = 0.  Valid for
+    inner >= 2 a.
 
-    1 - g = sum_y w_y c / (d_y**alpha + c) is summed directly, so that it
-    keeps its relative precision at small c.  d**alpha is computed once, as
-    an (x node, disc node) array (48 x 64 for a cluster disc, 48 x 1 for the
-    coexisting points), and the loads go through it in blocks of 32: one
-    add, one divide in place, then one weighted reduction over all disc
-    nodes (a matrix-vector product).  The only temporary is one block
-    buffer of at most 32 x 48 x 64 doubles (768 KiB), whatever the number
-    of loads.  Each load's value is computed alone, by the same operations
-    on the same shapes, so it does not depend on the other loads or on its
-    position in a block: a table's lattice value is the same bits for any
-    lattice length.
+    The part of the annulus inside _FINE_RADII a is one panel on the fine
+    rule (8 radial nodes times 8 offset radii x 16 half-angles), the rest
+    one panel on the coarse rule (48 radial nodes times 8 x 8), and the
+    exponent is their sum.  An annulus that starts at or beyond
+    _FINE_RADII a, and every coexisting one, is the coarse panel alone.
     """
     c = np.asarray(c, dtype=float)
     if density == 0.0 or inner >= outer:
         return np.zeros_like(c)
+    split = min(outer, _FINE_RADII * a)
+    if inner >= split:
+        return _panel_exponent(c, density, a, size, inner, outer, alpha, _RADIAL_RULE,
+                               _UNIT_DISC if a > 0.0 else _POINT)
+    lam = _panel_exponent(c, density, a, size, inner, split, alpha, _DISC_RULE,
+                          _FINE_UNIT_DISC)
+    if split < outer:
+        lam += _panel_exponent(c, density, a, size, split, outer, alpha, _RADIAL_RULE,
+                               _UNIT_DISC)
+    return lam
+
+
+def _panel_exponent(c: np.ndarray, density: float, a: float, size, inner: float,
+                    outer: float, alpha: float, radial_rule, disc) -> np.ndarray:
+    """One radial panel (inner, outer] of ``_annulus_exponent`` on the given rule.
+
+    1 - g = sum_y w_y c / (d_y**alpha + c) is summed directly, so that it
+    keeps its relative precision at small c.  d**alpha is computed once, as
+    an (x node, disc node) array (48 x 64 for a coarse cluster disc,
+    8 x 128 for a fine one, 48 x 1 for the coexisting points), and the
+    loads go through it in blocks of 32: one add, one divide in place,
+    then one weighted reduction over all disc nodes (a matrix-vector
+    product).  The only temporary is one block buffer of at most
+    32 x 48 x 64 doubles (768 KiB), whatever the number of loads.  Each
+    load's value is computed alone, by the same operations on the same
+    shapes, so it does not depend on the other loads or on its position in
+    a block: a table's lattice value is the same bits for any lattice
+    length.
+    """
     k = alpha - 2.0
-    t, w = _RADIAL_RULE
+    t, w = radial_rule
     u_lo = (inner / outer) ** k
     u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
     x = (inner * u ** (-1.0 / k))[:, None, None]
     # x dx = inner**2 / k * u**(-alpha / k) du
     radial_weight = 0.5 * (1.0 - u_lo) * w * inner**2 / k * u ** (-alpha / k)
-    rho, half_cos, disc_weight = _UNIT_DISC if a > 0.0 else _POINT
+    rho, half_cos, disc_weight = disc
     offset = (a * rho)[:, None]
     d_alpha = ((x - offset) ** 2 + 4.0 * x * offset * half_cos * half_cos) ** (0.5 * alpha)
     d_alpha = d_alpha.reshape(len(u), -1)  # (x node, offset radius x half-angle)

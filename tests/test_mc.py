@@ -388,21 +388,27 @@ class TestEngineSampling:
         spec = make_spec(trials=trials, workers=1)
         estimate_coverage(spec)
         parents = sum(len(args[0]) for args in kernel_calls["inter_sums"])
-        # only the near disc is drawn: lambda_g * pi * R0^2 = 0.9 for the
-        # reference density at R0 = 3 a = 1.5 km
-        near = min(spec.config.window_radius, mc.NEAR_RADII * spec.config.link.a)
-        assert near == 1500.0
+        # only the near disc is drawn: lambda_g * pi * R0**2 parents per trial
+        # (0.4 for the reference density at R0 = 2 a = 1 km)
+        near = mc._near_radius(spec.config)
+        assert near < spec.config.window_radius
         expected = BASE_DENSITY * math.pi * near**2
         stderr = math.sqrt(expected / trials)
         assert abs(parents / trials - expected) <= 3.0 * stderr
 
     def test_cross_cluster_support(self, kernel_calls):
+        # parents and coexisting nodes are drawn inside the near disc alone
         spec = make_spec(trials=500, workers=1)
         estimate_coverage(spec)
+        near = mc._near_radius(spec.config)
+        assert near < spec.config.window_radius
+        assert kernel_calls["inter_sums"] and kernel_calls["radial_sums"]
         for parent_r, _, _, off_r, off_th, *_ in kernel_calls["inter_sums"]:
-            assert np.all((parent_r >= 0.0) & (parent_r <= spec.config.window_radius))
+            assert np.all((parent_r >= 0.0) & (parent_r <= near))
             assert np.all((off_r >= 0.0) & (off_r <= spec.config.link.a))
             assert np.all((off_th >= 0.0) & (off_th < 2.0 * math.pi))
+        for r, *_ in kernel_calls["radial_sums"]:
+            assert np.all((r >= 0.0) & (r <= near))
 
     def test_cross_cluster_poisson_sizes(self, kernel_calls):
         # clusters other than the typical one hold Poisson(nbar) nodes
@@ -846,6 +852,35 @@ class TestFarField:
             assert abs(direct - ref) <= 1e-9
 
     @pytest.mark.parametrize(
+        "link, size, window, direct_bound, table_bound",
+        # the links where the rule is weakest; the bounds are the errors of
+        # the 3 a near disc's single coarse panel with a margin (2.3e-8 in
+        # Lambda at alpha = 6, 1.2e-6 in the table at a = 2 km), and W = 2.5 a
+        # (an empty annulus for that disc) runs the fine panel alone
+        [pytest.param(reference_link(alpha=6.0), FixedSize(10), 20000.0, 5e-8, 1e-6,
+                      id="alpha6-FixedSize(10)"),
+         pytest.param(reference_link(a=2000.0), PoissonSize(10.0), math.inf, 1e-8, 2e-6,
+                      id="a2000m-PoissonSize(10.0)-inf"),
+         pytest.param(reference_link(alpha=2.2), PoissonSize(6.0), 20000.0, 1e-9, 1e-6,
+                      id="alpha2.2-PoissonSize(6.0)"),
+         pytest.param(reference_link(), FixedSize(6), 1250.0, 1e-9, 1e-6,
+                      id="window-2.5a-FixedSize(6)")],
+    )
+    def test_far_factor_matches_oracle_at_extreme_links(self, link, size, window,
+                                                        direct_bound, table_bound):
+        spec = make_spec(link=link, scenario=Scenario(Unordered(), size), gammas=GAMMAS_16,
+                         window=window)
+        table = mc._far_table(spec)
+        assert table is not None
+        s_top = GAMMAS_16[-1] * link.a**link.alpha / (link.p_x0 * link.eta)
+        for s in s_top * np.array([1e-8, 1e-4, 0.02, 0.3, 0.77, 1.0]):
+            ref = self.oracle_exponent(spec, s)
+            assert abs(table(np.array(s)) - ref) <= table_bound
+            direct = (mc._far_exponent(spec, InterferenceField.INTER, s)
+                      + mc._far_exponent(spec, InterferenceField.COEXIST, s))
+            assert abs(direct - ref) <= direct_bound
+
+    @pytest.mark.parametrize(
         "a, size",
         [(250.0, FixedSize(6)), (500.0, FixedSize(6)), (1000.0, PoissonSize(10.0))],
         ids=["a250m-FixedSize(6)", "FixedSize(6)", "a1000m-PoissonSize(10.0)"],
@@ -1078,7 +1113,8 @@ class TestFarField:
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor at all, so the draws and estimates are the
         # plain simulation's
-        spec = make_spec(window=1500.0, gammas=GAMMAS_16)
+        near = mc._near_radius(make_spec().config)
+        spec = make_spec(window=near, gammas=GAMMAS_16)
         assert mc._far_table(spec) is None
         for field in (InterferenceField.INTER, InterferenceField.COEXIST):
             assert not mc._far_exponent(spec, field, np.array([1e9, 1e12])).any()
@@ -1505,31 +1541,37 @@ class TestPinnedStreams:
     UP-6 and OP-6 coverage rows were re-recorded once more, alone, when the
     typical Poisson cluster's size came to be drawn given at least one
     interferer, stratified per replicate, with the lone-node stratum taken
-    exactly: every other row, all of them fixed-size, kept its bits.  Any
-    change in what is drawn, or in which order, moves the rows by
-    O(stderr), far past the tolerance.
+    exactly: every other row, all of them fixed-size, kept its bits.  The
+    four -6 coverage rows and UF-6's INTER and COEXIST rows were
+    re-recorded once more when the drawn near disc shrank from 3 a to 2 a
+    (R0 = 1 km of the 5 km window), after TestFarField's oracle and
+    hybrid-vs-plain tests passed: they draw fewer cross-cluster and
+    coexisting nodes, and the ring (2 a, 3 a] joined the exact far factor.
+    The INTRA and O2-F4-intra rows, which draw no near disc, kept their
+    bits.  Any change in what is drawn, or in which order, moves the rows
+    by O(stderr), far past the tolerance.
     """
 
     COVERAGE = {
         "UF-6": [
-            (0.7124827224619484, 0.0034648433412583137),
-            (0.35954036258722577, 0.003395627157947304),
-            (0.10634181940699299, 0.0030852518850728117),
+            (0.7004092686424428, 0.003997928875934541),
+            (0.34949259205914096, 0.004060570983963337),
+            (0.10481901162570091, 0.002921561330214418),
         ],
         "UP-6": [
-            (0.7189084774664761, 0.005151566552286966),
-            (0.38911563941205396, 0.004216867457992534),
-            (0.13493689628856687, 0.003457918838866033),
+            (0.7192124315447224, 0.005170987601007117),
+            (0.38721756325291995, 0.004409663881065362),
+            (0.13343279326750393, 0.0033941986780044015),
         ],
         "OF-6": [
-            (0.49746468319716336, 0.0033863883575413352),
-            (0.08313898172574645, 0.001975556042771363),
-            (0.0003320125596669388, 2.2436934049361423e-05),
+            (0.48334162623420124, 0.003872566935437638),
+            (0.07838121633808338, 0.0019262159921165486),
+            (0.00027810402672360124, 1.9494658685476724e-05),
         ],
         "OP-6": [
-            (0.518864470038173, 0.0049158365341589235),
-            (0.1339004005103355, 0.0028361205302760476),
-            (0.012289041106550333, 0.0007262220434996497),
+            (0.518188003558021, 0.004546441962070326),
+            (0.13622153160828576, 0.0028836395924953387),
+            (0.013376228705141789, 0.0007747243731175906),
         ],
         "O2-F4-intra": [
             (0.8736535090429205, 0.004496051484873816),
@@ -1547,15 +1589,15 @@ class TestPinnedStreams:
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
-            (0.9999989407368236, 3.784608621591909e-07),
-            (0.9990375129138644, 0.0003227578044858732),
-            (0.9454055550818302, 0.004578136550241316),
+            (0.9999943052453478, 4.28402057674538e-06),
+            (0.9982171941604336, 0.0008491633150076839),
+            (0.9428597893763551, 0.0046008308385969),
         ],
         ("UF-6", InterferenceField.COEXIST): [
             (1.0, 0.0),
-            (0.9999998865250869, 6.132056234285086e-08),
-            (0.9998892816287598, 5.9203928834849755e-05),
-            (0.987502594799027, 0.002118233375154157),
+            (0.9999998892613118, 9.048959715120993e-08),
+            (0.999895136069762, 8.47453533250708e-05),
+            (0.9911086593377966, 0.001530386641503033),
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
