@@ -5,48 +5,45 @@ stream derived from (seed, chunk index) and chunks are reduced in index
 order, so estimates are bit-for-bit reproducible and independent of how
 many workers execute them.
 
-A coverage trial draws three fields, one sampler each, in this order from
-its chunk's stream (the order is part of the reproducibility contract):
-``_typical_cluster`` (the typical link and the in-cluster loads),
-``_cross_clusters`` and ``_coexisting`` (the other clusters and the
-coexisting PPP inside the near disc).  A transform request draws only its
-own field, from the start of the stream.  A zero density draws nothing,
-so the in-cluster-interference-limited case (a link with lambda_g =
-lambda_co = sigma2 = 0) draws the typical cluster alone.
-
-Only the near disc of radius R0 = min(W, NEAR_RADII * a) is drawn, with W
-the window radius and a the cluster radius.  Parents form a PPP, so the
-clusters and coexisting nodes of the annulus (R0, W] are independent of
-everything inside R0, and given the typical link their effect is exactly
-a probability generating functional: exp(-Lambda_far(s)) at
-s = gamma r**alpha / (p_x0 eta), integrated by ``_annulus_exponent``
-instead of sampled.  W may be infinite (the whole plane, no truncation
-bias); for W <= R0 the annulus is empty and nothing changes.
+A coverage trial draws one field, the typical node's own cluster
+(``_typical_cluster``: the typical link and the in-cluster loads), from
+the start of its chunk's stream.  The other clusters form a Poisson
+cluster process and the coexisting nodes a PPP, both independent of the
+typical cluster, so given that cluster their effect on coverage is
+exactly a probability generating functional: exp(-Lambda(s)) at
+s = gamma r**alpha / (p_x0 eta), with Lambda the exponent of both fields
+over the whole window (0, W], W the window radius (it may be infinite:
+the whole plane, no truncation bias).  Lambda is integrated by
+``_annulus_exponent`` and read from a per-link table (``_far_table``)
+instead of sampled.  A transform request (INTER or COEXIST) draws its
+own field inside the near disc of radius R0 = min(W, NEAR_RADII * a), a
+the cluster radius, from the start of the stream, and takes the annulus
+(R0, W] exactly; it is the one simulation of those fields.  A zero
+density draws nothing.
 
 Coverage is estimated by conditional Monte Carlo, over the typical link's
-fading and over the in-cluster interferers' fading.  Under Rayleigh fading
-on the typical link, P(SINR >= gamma | everything else) =
-exp(-gamma x_all) with x_all = r**alpha (I + sigma2) / (p_x0 eta) and I the
-near-disc interference.  The in-cluster part of I is a sum of
+fading, over the in-cluster interferers' fading and over the other
+fields.  Under Rayleigh fading on the typical link, P(SINR >= gamma |
+everything else) = exp(-gamma x_all) with x_all = r**alpha (I + sigma2) /
+(p_x0 eta) and I the interference.  The in-cluster part of I is a sum of
 h_j p_x eta rho_j**-alpha over the other nodes of the typical cluster, and
 E[exp(-gamma h b)] = 1 / (1 + gamma b) for exponential h, the identity the
-closed forms use too.  So the in-cluster fading is not drawn: each trial
-contributes exp(-gamma x - Lambda_far(s)) / prod_j (1 + gamma b_j), with
-x = r**alpha (I_inter + I_co + sigma2) / (p_x0 eta) the cross-cluster,
-coexisting and noise part, b_j = (p_x / p_x0) (r / rho_j)**alpha, and the
-far factor exp(-Lambda_far(s)) at s = gamma r**alpha / (p_x0 eta) instead of
-a 0/1 indicator.  The estimate keeps the expectation of the fully sampled
-window and its variance falls (Rao-Blackwellisation); the node positions,
-cluster sizes (a Poisson one given at least one interferer, below),
-ordering, cross clusters and coexisting nodes are all still drawn, so
-Monte Carlo still checks the geometry of the in-cluster transform.  It
-holds only while the fading is Rayleigh.  Thresholds share realizations
-(common random numbers), and each summand is nonincreasing in gamma, so
-the estimated coverage is exactly monotone across the grid within one
-run.  Integrating out the interferers' fading matters most for
-the farthest node at high thresholds: all of its interferers are closer
-than the signal, coverage needs all their fading small at once, and a few
-thousand drawn trials rarely see that event.
+closed forms use too.  So neither that fading nor the other fields are
+drawn: each trial contributes exp(-gamma x - Lambda(s)) /
+prod_j (1 + gamma b_j), with x = r**alpha sigma2 / (p_x0 eta) the noise
+part and b_j = (p_x / p_x0) (r / rho_j)**alpha.  The estimate keeps the
+expectation of the fully sampled window and its variance falls
+(Rao-Blackwellisation).  What Monte Carlo still checks by sampling is the
+typical cluster: its node positions, its size law (a Poisson one given at
+least one interferer, below) and the ordering; the other clusters' PGFL
+is checked by the INTER transform, which draws them, and by the
+nested-quadrature oracle.  It holds only while the fading is Rayleigh.
+Thresholds share realizations (common random numbers), and each summand
+is nonincreasing in gamma, so the estimated coverage is exactly monotone
+across the grid within one run.  Integrating out the interferers' fading
+matters most for the farthest node at high thresholds: all of its
+interferers are closer than the signal, coverage needs all their fading
+small at once, and a few thousand drawn trials rarely see that event.
 
 The in-cluster radii are Latin-hypercube stratified: consecutive trials of
 a chunk form replicates of REPLICATE_TRIALS, and within a replicate node j
@@ -66,16 +63,15 @@ hold few lone nodes or none.  So a trial draws J given J >= 1, from a
 one-column Latin hypercube over its replicate drawn before the radii,
 and contributes (1 - w0) Y + w0 Y_lone: Y its value, Y_lone the value of
 the same trial cut to node 0 alone (no in-cluster product, node 0's
-radius as the typical link, the same cross-cluster and coexisting
-draws).  Each trial keeps the model's expectation and replicates stay
-i.i.d., so the estimate stays unbiased and the replicate standard error
-holds.  Monte Carlo still samples the J >= 1 geometry, and the lone term
-still uses a drawn node-0 radius and drawn fields; only the weight w0
-and J's law given J >= 1 come from the size model exactly.  Fixed sizes
-draw as they did.
+radius as the typical link).  Each trial keeps the model's expectation
+and replicates stay i.i.d., so the estimate stays unbiased and the
+replicate standard error holds.  Monte Carlo still samples the J >= 1
+geometry, and the lone term still uses a drawn node-0 radius; only the
+weight w0 and J's law given J >= 1 come from the size model exactly.
+Fixed sizes draw as they did.
 
 The per-node work runs through three NumPy kernels: ``radial_sums`` and
-``inter_sums`` accumulate the drawn coexisting and cross-cluster
+``inter_sums`` accumulate a transform's drawn coexisting and cross-cluster
 interference, and ``intra_fading`` divides by each trial's in-cluster
 product.  They are module attributes so that profilers and tests can wrap
 them in place.
@@ -105,12 +101,11 @@ __all__ = [
 
 WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 
-# Radius of the sampled near disc in cluster radii.  Like chunk_trials it is
-# part of the random-stream layout: changing it changes every estimate on a
-# window wider than the near disc.  The clusters nearest the receiver are
-# drawn (0.4 per trial on a reference link of 0.1 parents per cluster
-# disc), and the ring (2 a, 3 a] goes to the far rule's fine panel, which
-# needs NEAR_RADII >= 2.
+# Radius, in cluster radii, of the near disc that the INTER and COEXIST
+# transforms draw (coverage draws neither field).  Like chunk_trials it is
+# part of their random-stream layout: changing it changes every transform
+# estimate on a window wider than the near disc.  The ring (2 a, 3 a] goes
+# to the far rule's fine panel, which needs NEAR_RADII >= 2.
 NEAR_RADII = 2.0
 
 # Trials per Latin-hypercube replicate (R): consecutive trials of a chunk
@@ -118,31 +113,45 @@ NEAR_RADII = 2.0
 # of the standard error, which comes from the replicate sums.
 REPLICATE_TRIALS = 16
 
-# The far-field rule: Gauss-Legendre nodes in u = (inner/x)**(alpha - 2)
-# over a radial panel, which maps an infinite window to a finite interval
-# and makes the x**(1 - alpha) tail of the integrand flat, times a polar rule
-# over each cluster disc (Gauss-Legendre in the offset radius, midpoints in
-# the angle).  The annulus is split at _FINE_RADII a.  A disc whose parent
-# lies inside that radius reaches to within a of the origin, where d**-alpha
-# varies most around its rim, so that panel takes _FINE_ANGLES half-angles
-# (and, over its short span, _DISC_NODES radial nodes); beyond it the
-# coarse rule (_RADIAL_NODES radial nodes, _DISC_NODES x _DISC_NODES per
-# disc) needs no more.  The disc never covers the origin, since R0 >= 2 a
-# wherever the annulus is non-empty.
-_RADIAL_NODES = 48
+# The far-field rule.  Beyond 2 a, Gauss-Legendre nodes in
+# u = (inner/x)**(alpha - 2) over a radial panel, which maps an infinite
+# window to a finite interval and makes the x**(1 - alpha) tail of the
+# integrand flat, times a polar rule over each cluster disc (Gauss-Legendre
+# in the offset radius, midpoints in the angle).  That annulus is split at
+# _FINE_RADII a.  A disc whose parent lies inside that radius reaches to
+# within a of the origin, where d**-alpha varies most around its rim, so
+# that panel takes _FINE_ANGLES half-angles (and, over its short span,
+# _DISC_NODES radial nodes); beyond it the coarse rule (_RADIAL_NODES radial
+# nodes, _DISC_NODES x _DISC_NODES per disc) needs no more.  Inside 2 a the
+# disc reaches or covers the origin, and ``_near_exponent`` integrates over
+# circles about the receiver instead (see there): _NEAR_LEVELS geometric
+# panels of _NEAR_NODES parent radii on each side of x = a, _ARC_NODES
+# nodes on each rim arc and _LENS_NODES on the lens of its linear part.
+# No rule's per-block buffer exceeds _BLOCK_BYTES (a table build ran
+# fastest there, and at 768 KiB it took more memory and no less time).
+_RADIAL_NODES = 96
 _DISC_NODES = 8
 _FINE_RADII = 3.0
 _FINE_ANGLES = 16
-# Coverage needs Lambda_far at a different s per trial and threshold, so it
+_NEAR_LEVELS = 4
+_NEAR_NODES = 8
+_ARC_NODES = 64
+_LENS_NODES = 32
+_BLOCK_BYTES = 256 * 1024
+# Coverage needs Lambda(s) at a different s per trial and threshold, so it
 # is tabulated on a lattice fixed by the link alone: _TABLE_PER_DECADE
 # points per decade of s / s_a, s_a = a**alpha / (p_x0 eta) (s at gamma = 1
-# and r = a), from 10**-_TABLE_FLOOR_DECADES s_a up to two points past the
-# largest s of the request.  The interpolant on an interval depends only on
-# its neighbouring nodes, so a trial's value does not depend on the
-# request's other thresholds.  The _FAR_TABLES most recently used tables
-# are kept (see ``_far_table``).
+# and r = a), up to two points past the largest s of the request.  It
+# starts where a node's load term c / (r**alpha + c) is 1/2 at
+# r = _TABLE_FLOOR_SPIKE a for the stronger of the two fields, so the
+# bracket's saturation is small there and the small-s law below the table
+# (see ``_FarTable``) is within about 1e-7 of Lambda: 238 points below s_a
+# at alpha = 3.5.  The interpolant on an interval depends only on its
+# neighbouring nodes, so a trial's value does not depend on the request's
+# other thresholds.  The _FAR_TABLES most recently used tables are kept
+# (see ``_far_table``).
 _TABLE_PER_DECADE = 40
-_TABLE_FLOOR_DECADES = 3
+_TABLE_FLOOR_SPIKE = 0.02
 _FAR_TABLES = 64
 
 
@@ -195,9 +204,10 @@ class McEstimate:
     The INTER and COEXIST transforms draw no in-cluster radii, so their
     trials are i.i.d. and they always use replicates of one trial; their
     mean and stderr are the near disc's times the annulus's exact factor
-    exp(-Lambda_far(s)).  With a Poisson typical cluster each trial's value
-    already mixes in the lone-node term, so the replicate sums and the
-    stderr include it.
+    exp(-Lambda_far(s)).  A coverage trial's value holds the other fields'
+    exact factor exp(-Lambda(s)) at its own s.  With a Poisson typical
+    cluster each trial's value already mixes in the lone-node term, so the
+    replicate sums and the stderr include it.
     """
 
     mean: float
@@ -462,6 +472,192 @@ _DISC_RULE = leggauss(_DISC_NODES)  # also the fine panel's radial rule
 _UNIT_DISC = _unit_disc_rule(_DISC_NODES)
 _FINE_UNIT_DISC = _unit_disc_rule(_FINE_ANGLES)
 _POINT = (np.zeros(1), np.ones(1), np.ones(1))  # the a = 0 "disc"
+_gauss = functools.cache(leggauss)
+
+
+def _disc_mean(w: np.ndarray, alpha: float) -> np.ndarray:
+    """H(w) = int_0^1 2 t / (1 + w t**alpha) dt = 2F1(1, delta; 1 + delta; -w), elementwise.
+
+    w >= 0 may be inf (H = 0).  Up to w = 2 the Pfaff transform's series,
+    H = sum_j j! / (1 + delta)_j zeta**j / (1 + w) with zeta = w / (1 + w)
+    <= 2/3, all of its terms positive; beyond, the whole ray's
+    K w**-delta, K = delta pi / sin(delta pi), minus the part beyond t = 1,
+    2 sum_j (-1)**j w**-(j + 1) / (alpha (j + 1) - 2) with 1 / w < 1/2.
+    Both are summed far past the float resolution.  NumPy only, since
+    ``scipy.special`` costs more to import than a short request.
+    """
+    delta = 2.0 / alpha
+    out = np.empty_like(w)
+    small = w <= 2.0
+    ws = w[small]
+    zeta = ws / (1.0 + ws)
+    term = np.ones_like(ws)
+    total = np.ones_like(ws)
+    for j in range(1, 100):
+        term *= zeta * (j / (j + delta))
+        total += term
+    out[small] = total / (1.0 + ws)
+    with np.errstate(divide="ignore"):  # w = inf: the ray's value is 0
+        v = 1.0 / w[~small]
+    beyond = np.zeros_like(v)
+    for j in range(59, -1, -1):  # Horner's scheme, smallest terms first
+        beyond = v * (2.0 / (alpha * (j + 1) - 2.0) - beyond)
+    out[~small] = _plane_constant(delta) * v**delta - beyond
+    return out
+
+
+def _plane_constant(delta: float) -> float:
+    """K = int_0^inf 2 y / (1 + y**(2 / delta)) dy = delta pi / sin(delta pi)."""
+    return delta * math.pi / math.sin(delta * math.pi)
+
+
+def _disc_integral(radius, c: np.ndarray, alpha: float) -> np.ndarray:
+    """int_0^radius c / (r**alpha + c) 2 pi r dr, elementwise over a finite radius and c.
+
+    The PGFL exponent of a unit-density PPP in that disc, with loads c
+    (0 at c = 0); the whole plane gives pi K c**delta.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0: w = inf, or nan at radius 0
+        w = radius**alpha / c
+    return np.where(c > 0.0, math.pi * radius**2 * _disc_mean(w, alpha), 0.0)
+
+
+def _graded_rule(lo: float, hi: float, toward_hi: bool):
+    """Gauss-Legendre nodes and weights on (lo, hi], graded geometrically toward one end.
+
+    _NEAR_LEVELS panels halve toward that end, and the last one reaches it;
+    each takes _NEAR_NODES nodes.
+    """
+    t, w = _gauss(_NEAR_NODES)
+    span = hi - lo
+    steps = [span * 2.0**-k for k in range(1, _NEAR_LEVELS + 1)]
+    ends = [lo] + ([hi - h for h in steps] if toward_hi else [lo + h for h in steps[::-1]]) + [hi]
+    x = np.concatenate([p + 0.5 * (q - p) * (t + 1.0) for p, q in zip(ends, ends[1:])])
+    weight = np.concatenate([0.5 * (q - p) * w for p, q in zip(ends, ends[1:])])
+    return x, weight
+
+
+def _cosine_rule(lo, hi, nodes: int):
+    """Nodes and weights on [lo, hi] of r = mid - half cos(theta), Gauss-Legendre in theta.
+
+    The map's square-root ends make arc lengths and lens areas, which
+    vanish like a square root (or its 3/2 power) at the ends, smooth in
+    theta.  lo and hi may be arrays (one interval per row).
+    """
+    t, w = _gauss(nodes)
+    theta = 0.5 * math.pi * (t + 1.0)
+    mid = np.asarray(0.5 * (lo + hi))[..., None]
+    half = np.asarray(0.5 * (hi - lo))[..., None]
+    return mid - half * np.cos(theta), half * (np.sin(theta) * (0.5 * math.pi * w))
+
+
+@functools.lru_cache(maxsize=_FAR_TABLES)
+def _lens_rule(a: float, outer: float, alpha: float):
+    """The nodes of ``_linear_exponent``: (inner radius, its area fraction, lens r**alpha, weights).
+
+    A node at distance r from the receiver has its parent uniform in the
+    disc of radius a about it, so the chance that the parent lies within
+    outer is the area of the two discs' overlap over pi a**2: m**2 / a**2
+    (m = min(a, outer)) up to r = |outer - a|, and the lens of the two
+    circles from there to outer + a, on ``_cosine_rule``'s nodes.
+    """
+    lo, hi = abs(outer - a), outer + a
+    r, dr = _cosine_rule(lo, hi, _LENS_NODES)
+    cos_big = np.clip((r * r + outer * outer - a * a) / (2.0 * r * outer), -1.0, 1.0)
+    cos_small = np.clip((r * r + a * a - outer * outer) / (2.0 * r * a), -1.0, 1.0)
+    kite = np.maximum((outer + a - r) * (r + outer - a) * (r - outer + a) * (r + outer + a), 0.0)
+    lens_area = (outer * outer * np.arccos(cos_big) + a * a * np.arccos(cos_small)
+                 - 0.5 * np.sqrt(kite))
+    r_alpha, weight = r**alpha, 2.0 / (a * a) * r * lens_area * dr
+    r_alpha.flags.writeable = weight.flags.writeable = False
+    return lo, min(a, outer) ** 2 / (a * a), r_alpha, weight
+
+
+def _linear_exponent(c: np.ndarray, a: float, outer: float, alpha: float) -> np.ndarray:
+    """The linear part of the exponent over parents in (0, outer], per unit density and node.
+
+    2 pi int_0^outer (1 - g(x)) x dx, integrated over the node first: the
+    node's c / (r**alpha + c) times the chance that its parent lies within
+    outer (``_lens_rule``).  Exact for any load, however narrow the spike
+    of c / (r**alpha + c) at the receiver.  Elementwise over c.
+    """
+    inner_radius, inner_fraction, r_alpha, weight = _lens_rule(a, outer, alpha)
+    loads = c[..., None]
+    terms = loads / (r_alpha + loads)
+    terms *= weight
+    return inner_fraction * _disc_integral(inner_radius, c, alpha) + terms.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=_FAR_TABLES)
+def _near_rule(a: float, outer: float, alpha: float):
+    """The nodes of ``_near_exponent`` for discs of radius a with a parent in (0, outer].
+
+    Returns (x_weight, full_radius, arc): each parent radius node's weight
+    (with its 2 pi x); the radius of the circle about the receiver that
+    lies inside the disc of each node with x < a (the nodes come in
+    increasing x); each node's rim arcs' r**alpha and weights.  Read-only.
+    """
+    x, x_weight = _graded_rule(0.0, min(a, outer), True)
+    if outer > a:
+        x2, weight2 = _graded_rule(a, outer, False)
+        x, x_weight = np.concatenate([x, x2]), np.concatenate([x_weight, weight2])
+    x_weight *= 2.0 * math.pi * x
+    r, dr = _cosine_rule(np.abs(a - x), a + x, _ARC_NODES)
+    xs = x[:, None]
+    cos_half = np.clip((r * r + xs * xs - a * a) / (2.0 * r * xs), -1.0, 1.0)
+    full_radius = a - x[x < a]
+    arc = (r**alpha, 2.0 / (math.pi * a * a) * r * np.arccos(cos_half) * dr)
+    for array in (x_weight, full_radius, *arc):
+        array.flags.writeable = False
+    return x_weight, full_radius, arc
+
+
+def _near_exponent(c: np.ndarray, density: float, a: float, size, outer: float,
+                   alpha: float) -> np.ndarray:
+    """-log of the transform of the clusters with a parent at distance (0, outer], a > 0.
+
+    Here a disc may reach or cover the receiver, so the disc average is
+    taken over circles about the receiver: with f(r) = c / (r**alpha + c),
+    1 - g(x) = [F(max(a - x, 0)) + int f(r) 2 r phi(r) dr] / (pi a**2), the
+    circle of radius r lying inside the disc up to r = a - x and crossing
+    its rim on the arc of half-angle phi = acos((r**2 + x**2 - a**2) /
+    (2 r x)) from |a - x| to a + x, and F(R) = int_0^R f 2 pi r dr in closed
+    form (``_disc_integral``).  The bracket is split as n (1 - g) minus the
+    rest, n (1 - g) - [1 - G] >= 0, which is second order in 1 - g.  The
+    linear part is integrated over the node first (``_linear_exponent``),
+    so that a load whose f is a spike at the receiver far narrower than a
+    (small s) still gets its s**delta law to the last digits; only the
+    rest is integrated over parent radii.  The rest changes fastest near
+    x = a, where the disc's rim crosses the receiver, so the parent radii
+    are graded toward a from both sides.  The arcs' loads go through in
+    blocks, each load alone, like ``_panel_exponent``'s.
+    """
+    x_weight, full_radius, (r_alpha, arc_weight) = _near_rule(a, outer, alpha)
+    loads = c.reshape(-1)
+    miss = np.zeros((len(loads), len(x_weight)))
+    miss[:, :len(full_radius)] = _disc_integral(full_radius, loads[:, None], alpha)
+    miss /= math.pi * a * a
+    block = max(1, _BLOCK_BYTES // (8 * r_alpha.size))
+    buf = np.empty((min(len(loads), block),) + r_alpha.shape)
+    for start in range(0, len(loads), block):
+        load = loads[start:start + block, None, None]
+        terms = buf[:len(load)]
+        np.add(r_alpha, load, out=terms)
+        np.divide(load, terms, out=terms)
+        terms *= arc_weight
+        miss[start:start + block] += terms.sum(axis=-1)
+    if isinstance(size, FixedSize):
+        n = size.n
+        # a saturated load gives log1p(-1) = -inf, whose limit is the bracket 1
+        with np.errstate(divide="ignore"):
+            rest = np.expm1(n * np.log1p(-np.minimum(miss, 1.0)))
+    else:
+        n = size.mean
+        rest = np.expm1(-n * miss)
+    rest += n * miss
+    rest *= x_weight
+    lam = density * (n * _linear_exponent(loads, a, outer, alpha) - rest.sum(axis=-1))
+    return lam.reshape(c.shape)
 
 
 def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: float,
@@ -474,18 +670,39 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     fixed size, exp(-nbar (1 - g)) for a Poisson size, and
     g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
     PPP is a = 0 with one node per parent.  c holds the loads s p eta
-    (any shape); outer may be infinite.  Exactly 0 at c = 0.  Valid for
-    inner >= 2 a.
+    (any shape); outer may be infinite.  Exactly 0 at c = 0.  inner is 0
+    (the whole window, for coverage) or at least 2 a (the annulus beyond a
+    transform's near disc).
 
-    The part of the annulus inside _FINE_RADII a is one panel on the fine
-    rule (8 radial nodes times 8 offset radii x 16 half-angles), the rest
-    one panel on the coarse rule (48 radial nodes times 8 x 8), and the
-    exponent is their sum.  An annulus that starts at or beyond
+    From inner = 0 the coexisting PPP is the closed form
+    density ``_disc_integral(outer, c)`` (density pi K c**delta over the
+    whole plane), and the clusters' exponent is
+    ``_near_exponent`` over (0, min(outer, 2 a)] plus the annulus from 2 a.
+    From 2 a, the part of the annulus inside _FINE_RADII a is one panel on
+    the fine rule (8 radial nodes times 8 offset radii x 16 half-angles),
+    the rest one panel on the coarse rule (96 radial nodes times 8 x 8),
+    and the exponent is their sum.  An annulus that starts at or beyond
     _FINE_RADII a, and every coexisting one, is the coarse panel alone.
     """
     c = np.asarray(c, dtype=float)
     if density == 0.0 or inner >= outer:
         return np.zeros_like(c)
+    if inner > 0.0:
+        return _ring_exponent(c, density, a, size, inner, outer, alpha)
+    if a == 0.0 and outer == math.inf:
+        return density * math.pi * _plane_constant(2.0 / alpha) * c ** (2.0 / alpha)
+    if a == 0.0:
+        return density * _disc_integral(outer, c, alpha)
+    near = min(outer, 2.0 * a)
+    lam = _near_exponent(c, density, a, size, near, alpha)
+    if near < outer:
+        lam += _ring_exponent(c, density, a, size, near, outer, alpha)
+    return lam
+
+
+def _ring_exponent(c: np.ndarray, density: float, a: float, size, inner: float, outer: float,
+                   alpha: float) -> np.ndarray:
+    """``_annulus_exponent`` over (inner, outer] from inner >= 2 a, on the fine and coarse panels."""
     split = min(outer, _FINE_RADII * a)
     if inner >= split:
         return _panel_exponent(c, density, a, size, inner, outer, alpha, _RADIAL_RULE,
@@ -504,16 +721,16 @@ def _panel_exponent(c: np.ndarray, density: float, a: float, size, inner: float,
 
     1 - g = sum_y w_y c / (d_y**alpha + c) is summed directly, so that it
     keeps its relative precision at small c.  d**alpha is computed once, as
-    an (x node, disc node) array (48 x 64 for a coarse cluster disc,
-    8 x 128 for a fine one, 48 x 1 for the coexisting points), and the
-    loads go through it in blocks of 32: one add, one divide in place,
-    then one weighted reduction over all disc nodes (a matrix-vector
-    product).  The only temporary is one block buffer of at most
-    32 x 48 x 64 doubles (768 KiB), whatever the number of loads.  Each
-    load's value is computed alone, by the same operations on the same
-    shapes, so it does not depend on the other loads or on its position in
-    a block: a table's lattice value is the same bits for any lattice
-    length.
+    an (x node, disc node) array (96 x 64 for a coarse cluster disc,
+    8 x 128 for a fine one, 96 x 1 for the coexisting points), and the
+    loads go through it in blocks of at most _BLOCK_BYTES (5 loads on the
+    coarse rule, 32 on the fine one): one add, one divide in place, then
+    one weighted reduction over all disc nodes (a matrix-vector product).
+    The only temporary is one block buffer, whatever the number of loads.
+    Each load's value is computed alone, by the same operations on the
+    same shapes, so it does not depend on the other loads or on its
+    position in a block: a table's lattice value is the same bits for any
+    lattice length.
     """
     k = alpha - 2.0
     t, w = radial_rule
@@ -528,7 +745,7 @@ def _panel_exponent(c: np.ndarray, density: float, a: float, size, inner: float,
     d_alpha = d_alpha.reshape(len(u), -1)  # (x node, offset radius x half-angle)
     node_weight = np.repeat(disc_weight, len(half_cos))
     loads = c.reshape(-1)
-    block = 32
+    block = max(1, _BLOCK_BYTES // (8 * d_alpha.size))
     tail = np.empty((len(loads), len(u)))
     buf = np.empty((min(len(loads), block),) + d_alpha.shape)
     for start in range(0, len(loads), block):
@@ -562,17 +779,23 @@ def _field_exponent(link: LinkParams, size, inner: float, outer: float,
 
 
 def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
-    """Lambda_far(s): -log of one field's exact transform over the annulus (R0, W]."""
+    """Lambda_far(s): -log of one field's exact transform over a transform's annulus (R0, W]."""
     return _field_exponent(spec.config.link, spec.scenario.size_model, _near_radius(spec.config),
+                           spec.config.window_radius, field, s)
+
+
+def _window_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
+    """Lambda(s): -log of one field's exact transform over the whole window (0, W], for coverage."""
+    return _field_exponent(spec.config.link, spec.scenario.size_model, 0.0,
                            spec.config.window_radius, field, s)
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``PchipInterpolator(x, y).c`` of SciPy for three or more increasing points.
 
-    x must strictly increase and y must not decrease.  Lambda_far strictly
+    x must strictly increase and y must not decrease.  Lambda strictly
     increases in s, but log Lambda saturates in floating point far out:
-    from thresholds of about 190 dB the table has flat secants (38 of 922
+    from thresholds of about 190 dB the table has flat secants (38 of 1040
     at gamma = 1e20 on the reference link).  PCHIP's interior slopes are
     the weighted harmonic means of the neighbouring secants, 0 next to a
     flat one (here by a division by zero, silenced as SciPy silences
@@ -597,11 +820,21 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FarTable:
-    """Lambda_far(s) of both fields, tabulated for one link, annulus and size model.
+    """Lambda(s) of both fields over the window, tabulated for one link, window and size model.
 
-    A monotone cubic (PCHIP) in log Lambda against log s, and Lambda's
-    linear limit below the grid, so the table is nondecreasing in s like
-    Lambda itself and the estimate stays monotone in the threshold.
+    A monotone cubic (PCHIP) in log Lambda against log s, and below the
+    grid Lambda's small-s law.  The fields reach the receiver, so there
+    Lambda = z(s) - O(z**2), with z = lead s**delta - slope s (delta =
+    2 / alpha) its linear part in the bracket: ``lead`` the whole plane's
+    coefficient, ``slope`` what a finite window takes off it (0 for
+    W = inf), both exact to first order.  The O(z**2) rest is the
+    bracket's saturation; the table reads z / (1 + gap z) there, with
+    gap = 1 / lam_lo - 1 / z(s_lo), so that it meets the grid at s_lo.  The
+    law rises with z for any gap > -1 / z(s_lo), which lam_lo > 0 ensures;
+    slope is capped so that z itself rises up to s_lo.  It is capped at
+    lam_lo too, so that rounding never lifts it past the grid's first
+    value.  So the table is nondecreasing in s like Lambda itself, and the
+    estimate stays monotone in the threshold.
 
     ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit
     for these tables, without importing ``scipy.interpolate`` (whose import
@@ -614,9 +847,9 @@ class _FarTable:
     (the last interval closed).  Each step is one ``take`` and one compare
     against guarded copies of the interval ends, whose first lower end is
     -inf and last upper end +inf, so no step leaves the table.  The cubic
-    is evaluated in place in PPoly's order and the linear limit is applied
+    is evaluated in place in PPoly's order and the small-s law is applied
     to the points below the grid alone, so the values are SciPy's
-    ``PchipInterpolator`` values bit for bit for any finite s.
+    ``PchipInterpolator`` values bit for bit for any finite s from s_lo.
 
     Tables are shared between requests (see ``_far_table``), so every
     array is read-only.
@@ -624,16 +857,22 @@ class _FarTable:
 
     s_lo: float
     lam_lo: float
+    lead: float
+    slope: float
+    delta: float
     x: np.ndarray  # breakpoints, log s
     coef: np.ndarray  # (4, len(x) - 1), highest power first, in powers of log s - x[i]
     x_lo: np.ndarray = dataclasses.field(init=False, repr=False)  # x[:-1], x_lo[0] = -inf
     x_hi: np.ndarray = dataclasses.field(init=False, repr=False)  # x[1:], x_hi[-1] = +inf
+    gap: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         x_lo, x_hi = self.x[:-1].copy(), self.x[1:].copy()
         x_lo[0], x_hi[-1] = -math.inf, math.inf
         object.__setattr__(self, "x_lo", x_lo)
         object.__setattr__(self, "x_hi", x_hi)
+        z_lo = self.lead * self.s_lo**self.delta - self.slope * self.s_lo
+        object.__setattr__(self, "gap", 1.0 / self.lam_lo - 1.0 / z_lo)
         for array in (self.x, self.coef, x_lo, x_hi):
             array.flags.writeable = False
 
@@ -667,25 +906,32 @@ class _FarTable:
         np.exp(value, out=value)
         below = flat < self.s_lo
         if below.any():
-            value[below] = self.lam_lo * (flat[below] / self.s_lo)
+            low = flat[below]
+            z = self.lead * low**self.delta - self.slope * low
+            value[below] = np.minimum(z / (1.0 + self.gap * z), self.lam_lo)
         return value.reshape(s.shape)
 
 
-def _far_table(spec: SimSpec) -> _FarTable | None:
-    """The far factor's table over the request's s range; None if there is no far field.
+def _table_floor(link: LinkParams) -> int:
+    """The lattice index of the table's first point (see _TABLE_FLOOR_SPIKE)."""
+    spike = _TABLE_FLOOR_SPIKE**link.alpha * link.p_x0 / max(link.p_x, link.p_z)
+    return math.floor(_TABLE_PER_DECADE * math.log10(spike))
 
-    The table is memoised on what its build reads: the link, R0, W, the
-    size model and the lattice's top point.  So requests that differ only
-    in seed, trial count, ordering or workers, or in thresholds with the
-    same largest lattice point, share one table.
+
+def _far_table(spec: SimSpec) -> _FarTable | None:
+    """The coverage table of Lambda over the request's s range; None if there is no field.
+
+    The table is memoised on what its build reads: the link, W, the size
+    model and the lattice's top point.  So requests that differ only in
+    seed, trial count, ordering or workers, or in thresholds with the same
+    largest lattice point, share one table.
     """
-    floor = -_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES
+    floor = _table_floor(spec.config.link)
     # r_typ <= a, so no trial's s exceeds max(gamma) s_a
     top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
     try:
-        return _build_far_table(spec.config.link, _near_radius(spec.config),
-                                spec.config.window_radius, spec.scenario.size_model,
-                                max(top, floor + 2))
+        return _build_far_table(spec.config.link, spec.config.window_radius,
+                                spec.scenario.size_model, max(top, floor + 2))
     except OverflowError:
         raise ValueError(
             f"SINR threshold {max(spec.gamma_grid)!r} is too large: "
@@ -693,26 +939,56 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
         ) from None
 
 
+def _small_s_law(link: LinkParams, outer: float, size, s: float) -> tuple[float, float]:
+    """(lead, slope): Lambda's linear part in the bracket is lead s**delta - slope s + O(s**2).
+
+    The bracket 1 - G is n (1 - g) to first order (nbar for a Poisson
+    size), and n (1 - g) integrated over the parents in (0, outer] is one
+    node's c / (r**alpha + c) integrated against the chance that its parent
+    lies within outer (``_linear_exponent``; the coexisting PPP's own
+    exponent).  Over the plane that is pi K c**delta, K = delta pi /
+    sin(delta pi), which gives lead; the window's edge takes off a part
+    linear in c while c**(1 / alpha) is far below outer, and slope is read
+    off the exact linear part at s.  slope is capped at delta lead
+    s**(delta - 1), so that the linear part's law rises up to s.
+    """
+    delta = link.delta
+    n = size.n if isinstance(size, FixedSize) else size.mean
+    weight = (link.lambda_g * n * (link.p_x * link.eta) ** delta
+              + link.lambda_co * (link.p_z * link.eta) ** delta)
+    lead = math.pi * _plane_constant(delta) * weight
+    if outer == math.inf:
+        return lead, 0.0
+    linear = link.lambda_co * float(_disc_integral(outer, np.array(s * link.p_z * link.eta),
+                                                  link.alpha))
+    if link.lambda_g:
+        linear += link.lambda_g * n * float(
+            _linear_exponent(np.array(s * link.p_x * link.eta), link.a, outer, link.alpha)
+        )
+    slope = (lead * s**delta - linear) / s
+    return lead, min(slope, delta * lead * s ** (delta - 1.0))
+
+
 @functools.lru_cache(maxsize=_FAR_TABLES)
-def _build_far_table(link: LinkParams, inner: float, outer: float, size,
-                     top: int) -> _FarTable | None:
-    """The table of both fields over the annulus (inner, outer] on lattice points up to top."""
-    k = np.arange(-_TABLE_PER_DECADE * _TABLE_FLOOR_DECADES, top + 1)
+def _build_far_table(link: LinkParams, outer: float, size, top: int) -> _FarTable | None:
+    """The table of both fields over the window (0, outer] on lattice points up to top."""
+    k = np.arange(_table_floor(link), top + 1)
     with np.errstate(over="ignore"):  # an overflow is reported below
         s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
     if not np.isfinite(s).all():
         raise OverflowError("the far-field table's s lattice overflows")
-    lam = _field_exponent(link, size, inner, outer, InterferenceField.INTER, s)
-    lam += _field_exponent(link, size, inner, outer, InterferenceField.COEXIST, s)
+    lam = _field_exponent(link, size, 0.0, outer, InterferenceField.INTER, s)
+    lam += _field_exponent(link, size, 0.0, outer, InterferenceField.COEXIST, s)
     if not lam.any():
         return None
     log_s, log_lam = np.log(s), np.log(lam)
     # the interpolant at x[0] is exactly log_lam[0]
-    return _FarTable(s[0], float(np.exp(log_lam[0])), log_s, _pchip_coefficients(log_s, log_lam))
+    return _FarTable(s[0], float(np.exp(log_lam[0])), *_small_s_law(link, outer, size, s[0]),
+                     link.delta, log_s, _pchip_coefficients(log_s, log_lam))
 
 
 def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:
-    """exp(-t x - far(t scale)) on the (grid, trials) array; far None: no far field."""
+    """exp(-t x - far(t scale)) on the (grid, trials) array; far None: no other field."""
     exponent = -t[:, None] * x[None, :]
     if far is not None:
         exponent -= far(t[:, None] * scale[None, :])
@@ -732,12 +1008,12 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     exp(-t * x), x the field's near-disc interference; for INTRA it is
     1 / prod_j (1 + t * p_x eta rho_j**-alpha), the interferers' fading
     integrated out.  For coverage t is the SINR threshold and the value
-    exp(-t * x - far(t * scale)) / prod_j (1 + t * b_j): x the typical
-    link's conditional coverage exponent against the drawn cross-cluster
-    and coexisting nodes and the noise, scale = r_typ**alpha / (p_x0 eta),
-    so that t * scale is the far field's s, and b_j the in-cluster loads
-    of ``_typical_cluster``; ``far`` is the coverage request's table, or
-    None where there is no far field.  ``law`` is the request's
+    exp(-t * sigma2 * scale - far(t * scale)) / prod_j (1 + t * b_j):
+    scale = r_typ**alpha / (p_x0 eta), so that t * scale is the fields'
+    s, and b_j the in-cluster loads of ``_typical_cluster``, the only
+    field drawn; ``far`` is the coverage request's table of
+    Lambda_(0, W], or None where there are no other clusters and no
+    coexisting nodes.  ``law`` is the request's
     ``_size_law``, (0.0, None) where no typical cluster is drawn.  A Poisson
     typical cluster with a lone-node weight w0 > 0 gives (1 - w0) times
     that value plus w0 times the lone node's: the value without the
@@ -749,7 +1025,6 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     spec, field, index, n, grid, far, law, replicate = args
     scenario = spec.scenario
     link = spec.config.link
-    radius = _near_radius(spec.config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     t = np.asarray(grid)
     load = scale = None
@@ -760,16 +1035,13 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
         load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
         x = np.zeros(n)
     elif field is InterferenceField.INTER:
-        x = _cross_clusters(rng, scenario, link, radius, n)
+        x = _cross_clusters(rng, scenario, link, _near_radius(spec.config), n)
     elif field is InterferenceField.COEXIST:
-        x = _coexisting(rng, link, radius, n)
+        x = _coexisting(rng, link, _near_radius(spec.config), n)
     else:
         r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, law, n, replicate)
-        i_inter = _cross_clusters(rng, scenario, link, radius, n)
-        i_co = _coexisting(rng, link, radius, n)
-        near = i_inter + i_co + link.sigma2
         scale = r_typ**link.alpha / (link.p_x0 * link.eta)
-        x = near * scale
+        x = link.sigma2 * scale
     values = _conditional_values(t, x, scale, far)
     w0, _ = law
     if w0:
@@ -777,7 +1049,7 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
         # 0 alone, so without the in-cluster product and on node 0's link
         if field is None and not isinstance(scenario.ordering, Unordered):
             scale = r_first**link.alpha / (link.p_x0 * link.eta)
-            lone = _conditional_values(t, near * scale, scale, far)
+            lone = _conditional_values(t, link.sigma2 * scale, scale, far)
             lone *= w0
         else:
             lone = values * w0  # node 0 is the typical node, or INTRA's 1
@@ -796,7 +1068,8 @@ def _estimate(
     """Mean and standard error (see ``McEstimate``) of each trial's value at every grid point t.
 
     This is where a request is set up, once for all of its chunks: the
-    coverage far table (``_far_table``), the typical cluster's size law
+    coverage table of Lambda over the window (``_far_table``), the typical
+    cluster's size law
     (``_size_law``, drawn only by coverage and INTRA) and the replicate
     length.  The mean is the chunks' totals, summed in chunk order, over n
     trials.  The standard error takes two passes over every chunk's

@@ -27,6 +27,7 @@ __all__ = [
     "intra_random_integral",
     "intra_ordered_fixed_integral",
     "intra_ordered_random_integral",
+    "disc_mean_integral",
     "inter_pgfl_integral",
     "noise_only_coverage_integral",
     "run_checks",
@@ -154,6 +155,52 @@ def intra_ordered_random_integral(s: float, nbar: float, r_n: float, p: LinkPara
     return math.fsum(weights * disc**j) / math.fsum(weights)
 
 
+def disc_mean_integral(load: float, a: float, alpha: float, x: float) -> float:
+    """Mean of load / (d**alpha + load) over a disc of radius a centred x from the origin.
+
+    d is a point's distance to the origin, and the disc mean is taken over
+    circles about the origin, since the integrand depends on d alone: the
+    circle of radius d lies inside the disc up to d = a - x (where x < a,
+    so that the disc covers the origin) and crosses the disc's rim from
+    |a - x| to a + x on an arc of half-angle acos((d**2 + x**2 - a**2) /
+    (2 d x)).  Each is one adaptive quadrature, with a break where the
+    term reaches 1/2.  a = 0 is the term at d = x.
+    """
+    def term(d: float) -> float:
+        return load / (d**alpha + load)
+
+    if a == 0.0:
+        return term(x)
+    knee = load ** (1.0 / alpha)
+    # the disc mean is at least the term at the disc's far rim
+    floor = 1e-13 * term(x + a)
+    total = 0.0
+    if x < a:
+        total, _ = integrate.quad(
+            lambda d: term(d) * 2.0 * d / a**2, 0.0, a - x,
+            points=[knee] if knee < (1.0 - 1e-9) * (a - x) else None, epsabs=floor,
+            epsrel=1e-12, limit=200,
+        )
+
+    # the arc in u = d - x, where its half-angle
+    # acos(1 - (a**2 - u**2) / (2 d x)) = 2 asin(sqrt((a**2 - u**2) / (4 d x)))
+    # keeps its digits however far out the disc lies
+    def arc(u: float) -> float:
+        d = x + u
+        half = math.asin(min(1.0, math.sqrt(max(0.0, (a - u) * (a + u)) / (4.0 * d * x))))
+        return term(d) * 4.0 * d * half / (math.pi * a**2)
+
+    lo = abs(a - x) - x
+    # breaks at the knee and where the arc, which opens from the circle of
+    # radius |a - x|, has opened; none within rounding of an end, which
+    # would make a degenerate panel
+    breaks = [u for u in (knee - x, lo + 2.0 * abs(a - x)) if lo + 1e-9 * a < u < a - 1e-9 * a]
+    value, _ = integrate.quad(
+        arc, lo, a, points=sorted(breaks) or None, epsabs=floor, epsrel=1e-12, limit=200,
+    )
+    return total + value
+
+
 def inter_pgfl_integral(
     load: float,
     density: float,
@@ -170,41 +217,25 @@ def inter_pgfl_integral(
     uniform in a disc of radius a around its parent.  With load = s p eta
     the PGFL gives exp(-2 pi density int [1 - G(x)] x dx), where
     G = g**n (fixed) or exp(-nbar (1 - g)) (Poisson) and 1 - g(x) is the
-    disc mean of load / (d**alpha + load), d the node's distance to the
-    origin; for x < a the disc covers the origin.  a = 0 is a plain PPP.
+    disc mean of load / (d**alpha + load) (``disc_mean_integral``), d the
+    node's distance to the origin.  a = 0 is a plain PPP.
     """
     if load == 0.0 or density == 0.0 or r_lo >= r_hi:
         return 1.0
 
-    def ring(x: float, rho: float) -> float:
-        # mean over the angle of load / (d**alpha + load), d**2 by the law of
-        # cosines in half-angle form
-        value, _ = integrate.quad(
-            lambda phi: load / (
-                ((x - rho) ** 2 + 4.0 * x * rho * math.cos(0.5 * phi) ** 2) ** (0.5 * alpha) + load
-            ),
-            0.0, math.pi, epsabs=1e-15, epsrel=1e-12, limit=200,
-        )
-        return value / math.pi
-
-    def tail(x: float) -> float:
-        if a == 0.0:
-            return load / (x**alpha + load)
-        value, _ = integrate.quad(
-            lambda rho: ring(x, rho) * 2.0 * rho / a**2, 0.0, a,
-            points=[x] if 0.0 < x < a else None, epsabs=1e-15, epsrel=1e-12, limit=200,
-        )
-        return value
-
     def integrand(x: float) -> float:
-        q = tail(x)
+        q = disc_mean_integral(load, a, alpha, x)
         if isinstance(size, FixedSize):
-            return -math.expm1(size.n * math.log1p(-q)) * x
+            # a saturated term (q = 1 in floating point) leaves the bracket 1
+            return (-math.expm1(size.n * math.log1p(-q)) if q < 1.0 else 1.0) * x
         return -math.expm1(-size.mean * q) * x
 
     # panels end at the disc rim crossing the origin and at the radius where
-    # a node's load term reaches 1
-    breaks = sorted({r_lo, r_hi} | {v for v in (a, load ** (1.0 / alpha)) if r_lo < v < r_hi})
+    # a node's load term reaches 1/2, but not within rounding of another end
+    breaks = [r_lo]
+    for v in sorted({v for v in (a, load ** (1.0 / alpha)) if r_lo < v < r_hi} | {r_hi}):
+        if v == r_hi or v - breaks[-1] > 1e-9 * v:
+            breaks.append(v)
     total = 0.0
     for lo, hi in zip(breaks, breaks[1:]):
         if hi < math.inf:
@@ -314,7 +345,8 @@ def _check_laplace() -> OracleCheck:
             (laplace.laplace_inter(s, FixedSize(1), p),
              inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, FixedSize(1))),
         ]
-        # the Monte Carlo far factor over the annulus (R0, W]
+        # the Monte Carlo factors: a transform's annulus (R0, W] and
+        # coverage's whole window (0, W], where the fields reach the receiver
         for size in (fixed, poisson):
             spec = mc.SimSpec(NetworkConfig(p, 20000.0), Scenario(Unordered(), size), 1, 0)
             inner = mc._near_radius(spec.config)
@@ -323,6 +355,16 @@ def _check_laplace() -> OracleCheck:
                 inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
                                     inner, 20000.0),
             ))
+            pairs.append((
+                math.exp(-mc._window_exponent(spec, mc.InterferenceField.INTER, s)),
+                inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
+                                    0.0, 20000.0),
+            ))
+        pairs.append((
+            math.exp(-mc._window_exponent(spec, mc.InterferenceField.COEXIST, s)),
+            inter_pgfl_integral(s * p.p_z * p.eta, p.lambda_co, 0.0, p.alpha, FixedSize(1),
+                                0.0, 20000.0),
+        ))
         for got, ref in pairs:
             worst = max(worst, abs(got - ref) / abs(ref))
     return OracleCheck("interference transforms vs integrals", worst, 1e-6)

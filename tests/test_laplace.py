@@ -205,6 +205,40 @@ class TestFixedBoundConstant:
             )
 
 
+class TestDiscMeanOracle:
+    """The oracle's disc mean over circles about the receiver against the parent-centred form."""
+
+    @staticmethod
+    def parent_polar(load, a, alpha, x):
+        """The disc mean in polar coordinates about the parent: offset radius, then angle."""
+        from scipy import integrate
+
+        def ring(rho):
+            value, _ = integrate.quad(
+                lambda phi: load / (
+                    ((x - rho) ** 2 + 4.0 * x * rho * math.cos(0.5 * phi) ** 2) ** (0.5 * alpha)
+                    + load
+                ),
+                0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            return value / math.pi
+
+        value, _ = integrate.quad(lambda rho: ring(rho) * 2.0 * rho / a**2, 0.0, a,
+                                  points=[x] if x < a else None, epsabs=0.0, epsrel=1e-12,
+                                  limit=200)
+        return value
+
+    @pytest.mark.parametrize("spike", [0.2, 2.0])
+    @pytest.mark.parametrize("x", [0.3, 0.9, 1.0, 1.1, 2.5, 40.0])
+    def test_matches_parent_centred_form(self, x, spike):
+        # the disc covers the receiver (x < a), touches it (x = a) or lies
+        # clear of it; the load puts the term's knee at spike * a
+        a, alpha = 500.0, 3.5
+        load = (spike * a) ** alpha
+        got = oracles.disc_mean_integral(load, a, alpha, x * a)
+        assert got == pytest.approx(self.parent_polar(load, a, alpha, x * a), rel=1e-10)
+
+
 class TestInterBoundSides:
     """The cross-cluster bounds against the exact whole-plane transform (PGFL oracle)."""
 
