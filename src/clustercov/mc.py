@@ -45,30 +45,41 @@ matters most for the farthest node at high thresholds: all of its
 interferers are closer than the signal, coverage needs all their fading
 small at once, and a few thousand drawn trials rarely see that event.
 
-The in-cluster radii are Latin-hypercube stratified: consecutive trials of
-a chunk form replicates of REPLICATE_TRIALS, and within a replicate node j
-of each trial takes a distinct stratum of (r / a)**2, in an independent
-random order per node column.  Every trial on its own still draws the
-model literally (i.i.d. uniform nodes on the disc), so the estimate stays
-unbiased, while the additive part of its variance in those radii cancels
-across the replicate.  Trials within a replicate are dependent, replicates
-are i.i.d., so the standard error comes from the replicate sums.
+The typical cluster is drawn by randomised quasi-Monte Carlo (Owen 1997;
+L'Ecuyer and Lemieux 2000).  Consecutive trials of a chunk form replicates
+of N trials, and each replicate is one scrambled Sobol' net of N points
+(``_net_dims``): trial i of the replicate is the net's point i, and the
+net's dimensions give its draws.  Every dimension of every replicate
+takes an independent random linear scramble and digital shift, so each
+trial on its own still draws the model literally (i.i.d. uniform nodes
+on the disc) and the estimate stays unbiased, while across a replicate
+the points fill the net's strata jointly in every dimension, so the part
+of the variance that is smooth in the draws, not only its additive part,
+cancels.  Replicates are independent, so the standard error comes from
+the replicate sums, with about n / N - 1 degrees of freedom.  N is the
+largest power of two up to NET_POINTS, chunk_trials and trials /
+MIN_REPLICATES (``_net_points``), and N = 1 draws i.i.d. uniforms; a
+chunk's last replicate of k < N trials takes its net's first k points.
 
-A Poisson typical cluster's size is stratified too, and its rarest
+A Poisson typical cluster's size is drawn by the same net, and its rarest
 stratum is not drawn at all.  The cluster holds the typical node and J ~
 Poisson(nbar - 1) in-cluster interferers; the lone node, J = 0, has the
 probability w0 = exp(-(nbar - 1)), and for the farthest node at high
 thresholds it carries most of the coverage while a few thousand trials
-hold few lone nodes or none.  So a trial draws J given J >= 1, from a
-one-column Latin hypercube over its replicate drawn before the radii,
-and contributes (1 - w0) Y + w0 Y_lone: Y its value, Y_lone the value of
-the same trial cut to node 0 alone (no in-cluster product, node 0's
-radius as the typical link).  Each trial keeps the model's expectation
-and replicates stay i.i.d., so the estimate stays unbiased and the
-replicate standard error holds.  Monte Carlo still samples the J >= 1
-geometry, and the lone term still uses a drawn node-0 radius; only the
-weight w0 and J's law given J >= 1 come from the size model exactly.
-Fixed sizes draw as they did.
+hold few lone nodes or none.  So a trial draws J given J >= 1, from the
+net's dimension 0, and node j takes dimension j + 1 (with a fixed size,
+node j takes dimension j).  A chunk's stream holds the scramble words of
+every replicate's net, all 64 tabled dimensions, first, in one draw;
+the node dimensions are built up to the chunk's largest cluster (a trial
+without a node j pads: it skips its point's value there), and any node
+dimension past the table draws plain uniforms next.  The trial
+contributes (1 - w0) Y + w0 Y_lone: Y its value, Y_lone the value of the
+same trial cut to node 0 alone (no in-cluster product, node 0's radius
+as the typical link).  Each trial keeps the model's expectation and
+replicates stay i.i.d., so the estimate stays unbiased and the replicate
+standard error holds.  Monte Carlo still samples the J >= 1 geometry, and
+the lone term still uses a drawn node-0 radius; only the weight w0 and
+J's law given J >= 1 come from the size model exactly.
 
 The per-node work runs through three NumPy kernels: ``radial_sums`` and
 ``inter_sums`` accumulate a transform's drawn coexisting and cross-cluster
@@ -108,10 +119,67 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 # to the far rule's fine panel, which needs NEAR_RADII >= 2.
 NEAR_RADII = 2.0
 
-# Trials per Latin-hypercube replicate (R): consecutive trials of a chunk
-# share the strata of their in-cluster radii.  Part of the stream layout and
-# of the standard error, which comes from the replicate sums.
-REPLICATE_TRIALS = 16
+# The typical cluster's replicates: consecutive trials of a chunk form one
+# scrambled Sobol' net of N points, N the largest power of two up to
+# NET_POINTS, chunk_trials and trials / MIN_REPLICATES (``_net_points``), so
+# that a request keeps at least MIN_REPLICATES replicates for its standard
+# error, and from 4,096 trials on at least 64.  Larger nets cancel more
+# variance but leave fewer replicates: capped at 256 points (32 replicates
+# of an 8,192-trial request), TestCalibrationScan's gate failed on 10 of 20
+# blocks of 30 held-out seeds, against 5 of 20 capped at 64 and under the
+# 16-trial Latin hypercube, which the nets replaced.  Both are part of the
+# stream layout.
+NET_POINTS = 64
+MIN_REPLICATES = 16
+# Sobol' direction numbers m_(d, k) of the first 64 dimensions, k < 8: the
+# net's generator column k in dimension d is the binary fraction
+# m_(d, k) 2**-(k + 1), enough for nets of up to 2**8 points.  Joe and Kuo's
+# new-joe-kuo-6.21201 table as SciPy ships it (scipy/stats/
+# _sobol_direction_numbers.npz), with m_(d, k) for k past the primitive
+# polynomial's degree s from its recurrence (coefficient a_i is bit s - i of
+# the polynomial); dimension 0 is van der Corput's.  Dimensions past the
+# table draw plain uniforms.
+_SOBOL_M = np.array([
+    (1, 1, 1, 1, 1, 1, 1, 1), (1, 3, 5, 15, 17, 51, 85, 255),
+    (1, 3, 3, 9, 29, 23, 71, 197), (1, 3, 1, 5, 31, 29, 81, 147),
+    (1, 1, 1, 11, 31, 55, 61, 157), (1, 1, 3, 3, 25, 9, 43, 251),
+    (1, 3, 5, 13, 11, 37, 31, 227), (1, 1, 5, 5, 17, 9, 9, 45),
+    (1, 1, 5, 5, 5, 53, 53, 113), (1, 1, 7, 11, 19, 37, 69, 91),
+    (1, 1, 5, 1, 1, 27, 79, 35), (1, 1, 1, 3, 11, 43, 75, 43),
+    (1, 3, 5, 5, 31, 35, 113, 51), (1, 3, 3, 9, 7, 49, 33, 163),
+    (1, 1, 1, 15, 21, 21, 77, 157), (1, 3, 1, 13, 27, 49, 35, 133),
+    (1, 1, 1, 15, 7, 5, 123, 103), (1, 3, 1, 15, 13, 25, 27, 109),
+    (1, 1, 5, 5, 19, 61, 87, 187), (1, 3, 7, 11, 23, 15, 103, 65),
+    (1, 3, 7, 13, 13, 15, 69, 81), (1, 1, 3, 13, 7, 35, 63, 113),
+    (1, 3, 5, 9, 1, 25, 53, 137), (1, 3, 1, 13, 9, 35, 107, 57),
+    (1, 3, 1, 5, 27, 61, 31, 149), (1, 1, 5, 11, 19, 41, 61, 213),
+    (1, 3, 5, 3, 3, 13, 69, 157), (1, 1, 7, 13, 1, 19, 1, 181),
+    (1, 3, 7, 5, 13, 19, 59, 247), (1, 1, 3, 9, 25, 29, 41, 3),
+    (1, 3, 5, 13, 23, 1, 55, 151), (1, 3, 7, 3, 13, 59, 17, 43),
+    (1, 3, 1, 3, 5, 53, 69, 255), (1, 1, 5, 5, 23, 33, 13, 175),
+    (1, 1, 7, 7, 1, 61, 123, 139), (1, 1, 7, 9, 13, 61, 49, 223),
+    (1, 3, 3, 5, 3, 55, 33, 55), (1, 3, 1, 15, 31, 13, 49, 245),
+    (1, 3, 5, 15, 31, 59, 63, 97), (1, 3, 1, 11, 11, 11, 77, 249),
+    (1, 3, 1, 11, 27, 43, 71, 9), (1, 1, 7, 15, 21, 11, 81, 45),
+    (1, 3, 7, 3, 25, 31, 65, 79), (1, 3, 1, 1, 19, 11, 3, 205),
+    (1, 1, 5, 9, 19, 21, 29, 157), (1, 3, 7, 11, 1, 33, 89, 185),
+    (1, 3, 3, 3, 15, 9, 79, 71), (1, 3, 7, 11, 15, 39, 119, 27),
+    (1, 1, 3, 1, 11, 31, 97, 225), (1, 1, 1, 3, 23, 43, 57, 177),
+    (1, 3, 7, 7, 17, 17, 37, 71), (1, 3, 1, 5, 27, 63, 123, 213),
+    (1, 1, 3, 5, 11, 43, 53, 133), (1, 3, 5, 5, 29, 17, 47, 173),
+    (1, 3, 3, 11, 3, 1, 109, 9), (1, 1, 1, 5, 17, 39, 23, 5),
+    (1, 3, 1, 5, 25, 15, 31, 103), (1, 1, 1, 11, 11, 17, 63, 105),
+    (1, 1, 5, 11, 9, 29, 97, 231), (1, 1, 5, 15, 19, 45, 41, 7),
+    (1, 3, 7, 7, 31, 19, 83, 137), (1, 1, 1, 3, 23, 15, 111, 223),
+    (1, 1, 5, 13, 31, 15, 55, 25), (1, 1, 3, 13, 25, 47, 39, 87),
+])
+# Net coordinates carry _NET_BITS binary digits; _NET_DIAGONAL[k] is digit k
+# alone (0 the most significant) and _NET_BELOW[k] the digits below it.
+# _NET_DIGITS[d, k, i] is digit i of generator column k in dimension d.
+_NET_BITS = 52
+_NET_DIAGONAL = np.array([1 << (_NET_BITS - 1 - k) for k in range(8)], dtype=np.uint64)
+_NET_BELOW = _NET_DIAGONAL - np.uint64(1)
+_NET_DIGITS = ((_SOBOL_M << (7 - np.arange(8)))[:, :, None] >> (7 - np.arange(8)) & 1).astype(bool)
 
 # The far-field rule.  Beyond 2 a, Gauss-Legendre nodes in
 # u = (inner/x)**(alpha - 2) over a radial panel, which maps an infinite
@@ -198,12 +266,15 @@ class McEstimate:
     ``stderr`` estimates the standard deviation of ``mean`` from the spread
     of the i.i.d. replicate sums: with S_j the sum of replicate j's k_j
     trials and m replicates, it is sqrt(m / (m - 1) * sum (S_j - k_j
-    mean)**2) / trials, and 0.0 for m = 1.  A request of at most
-    REPLICATE_TRIALS trials is unstratified and uses replicates of one
-    trial, the usual i.i.d. standard error; it is 0.0 for a single trial.
-    The INTER and COEXIST transforms draw no in-cluster radii, so their
-    trials are i.i.d. and they always use replicates of one trial; their
-    mean and stderr are the near disc's times the annulus's exact factor
+    mean)**2) / trials, and 0.0 for m = 1.  Coverage and the INTRA
+    transform draw each replicate as one scrambled net of N points (see
+    the module docstring), N the largest power of two up to NET_POINTS,
+    chunk_trials and trials / MIN_REPLICATES, so m is at least about
+    MIN_REPLICATES; below 2 MIN_REPLICATES trials N = 1 and the standard
+    error is the usual i.i.d. one, 0.0 for a single trial.  The INTER and
+    COEXIST transforms draw no typical cluster, so their trials are i.i.d.
+    and they always use replicates of one trial; their mean and stderr
+    are the near disc's times the annulus's exact factor
     exp(-Lambda_far(s)).  A coverage trial's value holds the other fields'
     exact factor exp(-Lambda(s)) at its own s.  With a Poisson typical
     cluster each trial's value already mixes in the lone-node term, so the
@@ -299,28 +370,69 @@ def _window_points(rng, density: float, radius: float, n: int):
     return trial_of_point, radius * np.sqrt(rng.random(len(trial_of_point)))
 
 
-def _latin_hypercube(rng, n: int, columns: int, replicate: int) -> np.ndarray:
-    """(n, columns) uniforms, Latin-hypercube stratified within each replicate.
+def _net_points(spec: SimSpec) -> int:
+    """N, the points of each replicate's net: the largest power of two up to
+    NET_POINTS, chunk_trials and trials / MIN_REPLICATES, and 1 (i.i.d.
+    trials) where trials / MIN_REPLICATES is below 1."""
+    cap = int(min(NET_POINTS, spec.chunk_trials, spec.trials // MIN_REPLICATES))
+    return 1 << max(cap.bit_length() - 1, 0)
 
-    Consecutive rows form replicates of ``replicate`` rows, the last one
-    possibly of k < replicate rows.  In a replicate of k rows each column
-    holds one value in each stratum [i / k, (i + 1) / k): stratum
-    perm[row], with perm an independent uniformly random permutation per
-    (replicate, column), plus a uniform jitter.  Every row on its own is
-    still i.i.d. uniform.  Draws the permutation keys of the full
-    replicates, then those of the partial one, then the jitters.
+
+def _net_words(rng, n: int, points: int) -> np.ndarray:
+    """The scramble words of a chunk's nets: (64 tabled dimensions, replicates, m + 1) uint64.
+
+    Consecutive trials form replicates of ``points`` = 2**m trials, the
+    last one possibly shorter, and each replicate is one net.  Each
+    dimension of each replicate draws m + 1 words of _NET_BITS random
+    bits: its digital shift, then its linear scramble's columns 0, ...,
+    m - 1 (see ``_net_dims``).  All of them come from one ``integers``
+    call, dimension by dimension, each dimension's replicates in order,
+    before any point is built, so the words never depend on the cluster
+    sizes drawn from them.
     """
-    full = n - n % replicate
-    keys = rng.random((full // replicate, columns, replicate))
-    tail_keys = rng.random((columns, n - full))
-    u = rng.random((n, columns))
-    # in place on the jitter: (stratum + jitter) / k
-    head = u[:full].reshape(-1, replicate, columns)
-    head += np.argsort(keys, axis=-1).transpose(0, 2, 1)
-    head /= replicate
-    if full < n:
-        u[full:] += np.argsort(tail_keys, axis=-1).T
-        u[full:] /= n - full
+    m = points.bit_length() - 1
+    size = (len(_SOBOL_M), -(-n // points), m + 1)
+    return rng.integers(0, 1 << _NET_BITS, size=size, dtype=np.uint64)
+
+
+def _net_dims(words: np.ndarray, n: int, points: int, first: int, count: int,
+              rng=None) -> np.ndarray:
+    """(n, count) uniforms: dimensions first, ... of each replicate's scrambled Sobol' net.
+
+    Row i is point i % points of replicate i // points, whose scramble
+    words are ``words`` (``_net_words``); a short last replicate of k rows
+    takes its net's first k points.  Every dimension of every replicate
+    has an independent random linear matrix scramble (a lower-triangular
+    binary matrix with unit diagonal, applied to the generator columns'
+    digits: only its first m columns reach them, and column k is digit k
+    and the word's digits below it) and then an independent digital shift
+    (an XOR with _NET_BITS random bits), as
+    ``scipy.stats.qmc.Sobol(scramble=True)`` does.  So every row on its
+    own is uniform on the _NET_BITS-digit grid of [0, 1), replicates are
+    independent, and a replicate's points keep the net's strata: one point
+    in each interval [i / 2**m, (i + 1) / 2**m) of a dimension, and one in
+    each elementary box of area 2**-m of dimensions 0 and 1.  Point i is
+    the XOR of the shift and the scrambled columns of i's set bits, built
+    in binary order by doubling.  With points = 1 (m = 0) each row is its
+    shift alone: i.i.d. uniforms.  Dimensions past the table are plain
+    uniforms, (n, untabled) from one ``random`` call on ``rng``.
+    """
+    m = points.bit_length() - 1
+    tabled = min(count, max(len(words) - first, 0))
+    words = words[first:first + tabled]  # (dimension, replicate, word)
+    # the scramble's column k: digit k set, the digits above it cleared
+    scramble = words[..., 1:] & _NET_BELOW[:m]
+    scramble |= _NET_DIAGONAL[:m]
+    # scrambled generator column j: the XOR of the scramble's columns at its digits
+    digits = _NET_DIGITS[first:first + tabled, None, :m, :m]
+    columns = np.bitwise_xor.reduce(np.where(digits, scramble[:, :, None, :], 0), axis=-1)
+    x = np.empty((points,) + words.shape[:2], dtype=np.uint64)  # (point, dimension, replicate)
+    x[0] = words[..., 0]
+    for k in range(m):
+        np.bitwise_xor(x[:1 << k], columns[..., k], out=x[1 << k:2 << k])
+    u = np.multiply(x.transpose(2, 0, 1), 2.0**-_NET_BITS).reshape(-1, tabled)[:n]
+    if tabled < count:
+        u = np.hstack([u, rng.random((n, count - tabled))])
     return u
 
 
@@ -349,28 +461,30 @@ def _size_law(size_model) -> tuple[float, np.ndarray | None]:
     return float(cdf[0]), cdf
 
 
-def _typical_sizes(rng, size_model, law, n: int, replicate: int) -> np.ndarray:
+def _typical_sizes(words, size_model, law, n: int, points: int) -> np.ndarray:
     """Each trial's typical-cluster size: the typical node plus J in-cluster interferers.
 
     ``law`` is ``_size_law(size_model)``.  A Poisson size draws J given
     J >= 1, the lone-node stratum J = 0 being taken exactly: J inverts the
     Poisson(mean - 1) CDF at w0 + V (1 - w0), searching right, so that a
-    point on cdf[0] = w0 gives J = 1.  V is a one-column Latin hypercube
-    over the replicates, so J is stratified across each replicate's trials.
-    Where w0 underflows to 0 this is the plain CDF's inversion.  Without a
-    CDF (a fixed size, or a mean of 1) nothing is drawn.
+    point on cdf[0] = w0 gives J = 1.  V is dimension 0 of the trial's
+    replicate net (``_net_dims`` on the chunk's ``words``), so J is
+    stratified across each replicate's trials jointly with the node radii,
+    which take the net's next dimensions.  Where w0 underflows to 0 this is
+    the plain CDF's inversion.  Without a CDF (a fixed size, or a mean of
+    1) there is no J.
     """
     w0, cdf = law
     if cdf is None:
         size = size_model.n if isinstance(size_model, FixedSize) else 1
         return np.full(n, size, dtype=np.int64)
-    u = _latin_hypercube(rng, n, 1, replicate)[:, 0]
+    u = _net_dims(words, n, points, 0, 1)[:, 0]
     u *= 1.0 - w0
     u += w0
     return 1 + np.searchsorted(cdf, u, side="right")
 
 
-def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, replicate: int):
+def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, points: int):
     """The typical node's own cluster: (r_typ, load, seg_start, r_first).
 
     Only radii are drawn: the in-cluster interferers' fading is integrated
@@ -380,16 +494,22 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, rep
     b_j = (p_x / p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it
     does not interfere with itself).  ``r_first`` is each trial's node 0
     radius, the typical link of the trial cut to node 0 alone.  Sizes come
-    from ``_typical_sizes`` under ``law``, the request's ``_size_law``,
-    drawn first.  Node j of every trial takes column j of a Latin
-    hypercube over the trials' replicates (a trial without a node j skips
-    its column-j value), so (r / a)**2 is stratified per node column while
-    each trial keeps i.i.d. uniform nodes.
+    from ``_typical_sizes`` under ``law``, the request's ``_size_law``.
+    The chunk's stream holds the scramble words of one Sobol' net per
+    replicate of ``points`` trials (``_net_words``), drawn first.  A drawn
+    size J is the net's dimension 0; node j of every trial then takes
+    (r / a)**2 from the net's next dimension, j + 1 where a size is drawn
+    and j otherwise, up to the chunk's largest cluster (a trial without a
+    node j skips its value there), and dimensions past the table draw
+    plain uniforms next.  So the radii are stratified jointly with J across
+    a replicate's trials, while each trial keeps i.i.d. uniform nodes.
     """
-    sizes = _typical_sizes(rng, scenario.size_model, law, n, replicate)
+    words = _net_words(rng, n, points)
+    sizes = _typical_sizes(words, scenario.size_model, law, n, points)
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
     columns = int(sizes.max())
-    u = _latin_hypercube(rng, n, columns, replicate)[np.arange(columns) < sizes[:, None]]
+    first = 0 if law[1] is None else 1
+    u = _net_dims(words, n, points, first, columns, rng)[np.arange(columns) < sizes[:, None]]
     r = link.a * np.sqrt(u)
     seg_start = np.zeros(n, dtype=np.intp)
     np.cumsum(sizes[:-1], out=seg_start[1:])
@@ -998,10 +1118,10 @@ def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:
 def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one chunk of trials: (replicate sums S_j, replicate sizes k_j).
 
-    Consecutive trials form replicates of ``replicate`` trials, the last
-    one possibly shorter.  S_j is a (grid, replicates) array, the sum of
-    replicate j's values at every grid point; ``_estimate`` turns the
-    chunks' sums into means and standard errors.
+    Consecutive trials form replicates of ``points`` trials, one scrambled
+    net each, the last one possibly shorter.  S_j is a (grid, replicates)
+    array, the sum of replicate j's values at every grid point;
+    ``_estimate`` turns the chunks' sums into means and standard errors.
 
     Every trial gives one value per grid point t.  For the INTER and
     COEXIST transforms t is the transform variable and the value
@@ -1022,14 +1142,14 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     INTRA is exactly 1.  The transforms' far factor is applied by
     ``_estimate``.
     """
-    spec, field, index, n, grid, far, law, replicate = args
+    spec, field, index, n, grid, far, law, points = args
     scenario = spec.scenario
     link = spec.config.link
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
     t = np.asarray(grid)
     load = scale = None
     if field is InterferenceField.INTRA:
-        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, law, n, replicate)
+        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, law, n, points)
         # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
         sizes = np.diff(seg_start, append=len(load))
         load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
@@ -1039,7 +1159,7 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     elif field is InterferenceField.COEXIST:
         x = _coexisting(rng, link, _near_radius(spec.config), n)
     else:
-        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, law, n, replicate)
+        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, law, n, points)
         scale = r_typ**link.alpha / (link.p_x0 * link.eta)
         x = link.sigma2 * scale
     values = _conditional_values(t, x, scale, far)
@@ -1058,8 +1178,8 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     if w0:
         values *= 1.0 - w0
         values += lone
-    starts = np.arange(0, n, replicate)
-    return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, replicate)
+    starts = np.arange(0, n, points)
+    return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, points)
 
 
 def _estimate(
@@ -1069,27 +1189,29 @@ def _estimate(
 
     This is where a request is set up, once for all of its chunks: the
     coverage table of Lambda over the window (``_far_table``), the typical
-    cluster's size law
-    (``_size_law``, drawn only by coverage and INTRA) and the replicate
-    length.  The mean is the chunks' totals, summed in chunk order, over n
-    trials.  The standard error takes two passes over every chunk's
-    replicate sums in index order: the mean first, then the squared
-    deviations from it.  A request of at most REPLICATE_TRIALS trials would
-    form a single replicate, whose spread is unknown, so it is drawn
-    unstratified, in replicates of one trial.  The INTER and COEXIST
-    transforms draw no in-cluster radii, so nothing is stratified and their
-    trials are i.i.d.: replicates of one trial give the standard error
-    n - 1 degrees of freedom instead of n / REPLICATE_TRIALS - 1.  Their
-    chunks draw the near-disc field alone, and the annulus's exact factor
-    exp(-Lambda_far(s)), a constant per grid point, multiplies each mean
-    and standard error here.  INTRA has no far part.
+    cluster's size law (``_size_law``, drawn only by coverage and INTRA)
+    and N, the points of each replicate's net (``_net_points``: the largest power of two up to
+    NET_POINTS, chunk_trials and trials / MIN_REPLICATES).  The mean is the
+    chunks' totals, summed in chunk order, over n trials.  The standard
+    error takes two passes over every chunk's replicate sums in index
+    order: the mean first, then the squared deviations from it.  Its
+    degrees of freedom are the replicates' count less one, n / N - 1 where
+    N divides chunk_trials and n (a chunk's short last replicate adds one),
+    so N keeps at least MIN_REPLICATES replicates, and below
+    2 MIN_REPLICATES trials N = 1 draws i.i.d. trials.  The INTER and
+    COEXIST transforms draw no typical cluster, so nothing is stratified
+    and their trials are i.i.d.: replicates of one trial give the standard
+    error n - 1 degrees of freedom.  Their chunks draw the near-disc field
+    alone, and the annulus's exact factor exp(-Lambda_far(s)), a constant
+    per grid point, multiplies each mean and standard error here.  INTRA
+    has no far part.
     """
     far = _far_table(spec) if field is None else None
     stratified = field is None or field is InterferenceField.INTRA
     law = _size_law(spec.scenario.size_model) if stratified else (0.0, None)
-    replicate = REPLICATE_TRIALS if stratified and spec.trials > REPLICATE_TRIALS else 1
+    points = _net_points(spec) if stratified else 1
     args = [
-        (spec, field, index, size, grid, far, law, replicate)
+        (spec, field, index, size, grid, far, law, points)
         for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
     ]
     workers = _resolve_workers(spec.workers)
@@ -1149,12 +1271,14 @@ def estimate_laplace(
     At small s the INTRA standard error understates the error: the deficit
     1 - L then comes from rare in-cluster interferers very close to the
     receiver, which few trials draw; the tail is in the radii, so
-    integrating out the fading does not mend it.  On the reference link
-    (beta about 7e-9) at 8,192 trials over seeds 0-39, s = 1e3 gives an rms
-    z against ``laplace_intra`` of 3.2 for a fixed size of 6 and 4.2 for a
-    Poisson mean of 6 (max |z| 10 and 15), and 1.3 and 1.6 at s = 1e4,
-    against about 1 from s = 1e5; this is why
-    ``test_intra_matches_closed_form`` starts at s = 1e6.
+    integrating out the fading does not mend it, and stratifying the radii
+    does not either.  On the reference link (beta about 7e-9) at 8,192
+    trials over seeds 0-39, s = 1e3 gives an rms z against
+    ``laplace_intra`` of 4.4 for a fixed size of 6 and 4.6 for a Poisson
+    mean of 6 (max |z| 14 and 16), and 1.8 and 1.7 at s = 1e4, against
+    1.1-1.3 from s = 1e5.  Over seeds 1000-1599 the share of |z| > 3 at
+    s = 1e3 is 14 % and 17 %, the 16-trial hypercube's 16 % and 15 %;
+    this is why ``test_intra_matches_closed_form`` starts at s = 1e6.
     """
     s_grid = tuple(s_grid)
     if not s_grid:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.stats import qmc
 
 import clustercov as cc
 import clustercov.mc as mc
@@ -68,13 +69,22 @@ def typical_nodes(calls):
     return np.concatenate(loads), np.concatenate(trials)
 
 
-def replay_sizes(rng, size, n, replicate=mc.REPLICATE_TRIALS):
-    """(sizes, size uniforms V) of the engine's typical clusters, the first draws of a chunk.
+def net_points(trials, chunk_trials):
+    """The engine's replicate length N: the largest power of two up to 64, chunk_trials and
+    trials / 16, or 1 where trials / 16 is below 1."""
+    n = 1
+    while 2 * n <= min(64, chunk_trials, trials / 16):
+        n *= 2
+    return n
+
+
+def replay_sizes(words, size, n, points):
+    """(sizes, size uniforms V) of the engine's typical clusters, from a chunk's net words.
 
     A Poisson size is the typical node plus J ~ Poisson(nbar - 1) given
-    J >= 1: V is one stratified column, and J is the first j whose CDF
-    (SciPy's, not the engine's table) exceeds w0 + V (1 - w0), with
-    w0 = exp(-(nbar - 1)).  A fixed size and nbar = 1 draw nothing (V is
+    J >= 1: V is dimension 0 of each replicate's net, and J is the first j
+    whose CDF (SciPy's, not the engine's table) exceeds w0 + V (1 - w0),
+    with w0 = exp(-(nbar - 1)).  A fixed size and nbar = 1 have no J (V is
     None).
     """
     if isinstance(size, FixedSize):
@@ -83,30 +93,43 @@ def replay_sizes(rng, size, n, replicate=mc.REPLICATE_TRIALS):
         return np.ones(n, dtype=np.int64), None
     mu = size.mean - 1.0
     w0 = math.exp(-mu)
-    v = replay_latin_hypercube(rng, n, 1, replicate)[:, 0]
+    v = replay_net_dims(words, n, points, 0, 1)[:, 0]
     cdf = stats.poisson.cdf(np.arange(math.ceil(mu + 20.0 * math.sqrt(mu)) + 40), mu)
     return 1 + np.searchsorted(cdf, w0 + v * (1.0 - w0), side="right"), v
 
 
-def replayed_radii(spec, calls):
-    """[(radii, seg_start, V)] of every coverage chunk's typical cluster, replayed from its stream.
+def replay_cluster(rng, size, n, points):
+    """(sizes, V, node uniforms) of a chunk's typical clusters, replayed from its stream.
 
-    Replays each chunk's draws (Poisson sizes, then the stratified radii;
-    V is ``replay_sizes``' size uniforms) and checks the kernel's sizes and
-    loads against them bit for bit: 0 at one node per trial, the typical
-    one, and (p_x / p_x0) (r_typ / rho)**alpha at every other node.  Needs
-    one worker, so that the kernel calls come in chunk order.
+    The stream holds the nets' scramble words first (``replay_words``),
+    then plain uniforms for node dimensions past the table.  The node
+    uniforms are the (n, largest size) net dimensions after J's: column j
+    is node j's (r / a)**2, where the trial has a node j.
+    """
+    words = replay_words(rng, n, points)
+    sizes, v = replay_sizes(words, size, n, points)
+    first = 0 if v is None else 1
+    return sizes, v, replay_net_dims(words, n, points, first, int(sizes.max()), rng)
+
+
+def replayed_radii(spec, calls):
+    """[(radii, seg_start, V, node uniforms)] of every coverage chunk's typical cluster.
+
+    Replays each chunk's draws (``replay_cluster``) and checks the
+    kernel's sizes and loads against them bit for bit: 0 at one node per
+    trial, the typical one, and (p_x / p_x0) (r_typ / rho)**alpha at every
+    other node.  Needs one worker, so that the kernel calls come in chunk
+    order.
     """
     link, size = spec.config.link, spec.scenario.size_model
-    replicate = mc.REPLICATE_TRIALS if spec.trials > mc.REPLICATE_TRIALS else 1
+    points = net_points(spec.trials, spec.chunk_trials)
     out = []
     for index, (load, seg_start, *_) in enumerate(calls["intra_fading"]):
         n = len(seg_start)
         sizes = np.diff(seg_start, append=len(load))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
-        replayed, v = replay_sizes(rng, size, n, replicate)
+        replayed, v, u = replay_cluster(rng, size, n, points)
         assert np.array_equal(replayed, sizes)
-        u = replay_latin_hypercube(rng, n, int(sizes.max()), replicate)
         r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
         trial = np.repeat(np.arange(n), sizes)
         typical = np.flatnonzero(load == 0.0)
@@ -115,7 +138,7 @@ def replayed_radii(spec, calls):
         want *= link.p_x / link.p_x0
         want[typical] = 0.0
         assert np.array_equal(load, want)
-        out.append((r, seg_start, v))
+        out.append((r, seg_start, v, u))
     return out
 
 
@@ -127,14 +150,24 @@ def isolated_spec(size, ordering=None, trials=4000, **kw):
     )
 
 
-class QuarterUniform:
-    """A generator whose uniform draws are rounded to odd eighths: no zero, many ties."""
+class CoarseDraws:
+    """A generator whose draws are coarse: no zero, many ties.
+
+    Net words keep their top four binary digits, and a shift (a row's
+    first word) also takes digit 4, so that a net of up to 16 points holds
+    odd multiples of 1/32 alone; plain uniforms are rounded to odd
+    eighths.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def uniform(self, *args, **kw):
-        return (np.floor(4.0 * self._rng.uniform(*args, **kw)) + 0.5) / 4.0
+    def integers(self, *args, **kw):
+        words = self._rng.integers(*args, **kw)
+        words >>= np.uint64(48)
+        words <<= np.uint64(48)
+        words[..., 0] |= np.uint64(1 << 47)
+        return words
 
     def random(self, *args, **kw):
         return (np.floor(4.0 * self._rng.random(*args, **kw)) + 0.5) / 4.0
@@ -143,27 +176,65 @@ class QuarterUniform:
         return getattr(self._rng, name)
 
 
-def replay_latin_hypercube(rng, n, columns, replicate=mc.REPLICATE_TRIALS):
-    """The engine's stratified uniforms, rebuilt one (replicate, column) at a time.
+NET_BITS = 52
 
-    Same draws in the same order: permutation keys of the full replicates,
-    those of the partial one, then the jitters; a replicate of k rows gives
-    row i of a column (argsort(keys)[i] + jitter) / k.
+
+def replay_words(rng, n, points):
+    """A chunk's net scramble words, drawn as the engine draws them: one ``integers`` call of
+    52-bit words, per tabled dimension (64) and replicate the digital shift and then the
+    m = log2(points) scramble columns."""
+    m = points.bit_length() - 1
+    size = (64, -(-n // points), m + 1)
+    return rng.integers(0, 1 << NET_BITS, size=size, dtype=np.uint64)
+
+
+def replay_net_dims(words, n, points, first, count, rng=None):
+    """The engine's scrambled-net uniforms, rebuilt one dimension at a time over GF(2).
+
+    The generator matrix C (digit i of column k of m_(d, k) 2**-(k + 1))
+    is multiplied by the lower-triangular unit-diagonal matrix L whose
+    column k takes word k's digits below the diagonal, and point i's
+    digits are (L C bits(i) + shift) mod 2, read as a binary fraction.
+    Dimensions past the 64 tabled ones are plain uniforms from ``rng``.
     """
-    full = n - n % replicate
-    keys = rng.uniform(size=(full // replicate, columns, replicate))
-    tail_keys = rng.uniform(size=(columns, n - full))
-    jitter = rng.uniform(size=(n, columns))
-    u = np.empty((n, columns))
-    for start in range(0, n, replicate):
-        k = min(replicate, n - start)
-        for j in range(columns):
-            key = keys[start // replicate, j] if k == replicate else tail_keys[j]
-            u[start:start + k, j] = (np.argsort(key) + jitter[start:start + k, j]) / k
+    m = points.bit_length() - 1
+    replicates = words.shape[1]
+    tabled = min(count, max(64 - first, 0))
+    place = np.arange(NET_BITS - 1, -1, -1, dtype=np.uint64)
+    digits = ((words[..., None] >> place) & np.uint64(1)).astype(np.int64)  # MSB first
+    index_bits = (np.arange(points)[:, None] >> np.arange(m)) & 1  # (point, k)
+    weights = 2.0 ** -np.arange(1, NET_BITS + 1)
+    u = np.empty((replicates * points, count))
+    for j in range(tabled):
+        d = first + j
+        direction = [int(v) for v in mc._SOBOL_M[d, :m]]
+        gen = np.array([[(direction[k] >> (k - i)) & 1 if i <= k else 0 for k in range(m)]
+                        for i in range(NET_BITS)], dtype=np.int64)
+        lower = np.zeros((replicates, NET_BITS, m), dtype=np.int64)
+        for k in range(m):
+            lower[:, k, k] = 1
+            lower[:, k + 1:, k] = digits[d, :, k + 1, k + 1:]
+        scrambled = lower @ gen[:m] % 2  # (replicate, digit, column)
+        point_digits = (index_bits @ scrambled.transpose(0, 2, 1) + digits[d, :, None, 0]) % 2
+        u[:, j] = (point_digits @ weights).reshape(-1)
+    u = u[:n]
+    if tabled < count:
+        u[:, tabled:] = rng.random((n, count - tabled))
     return u
 
 
-def replicate_stderr(chunks, replicate=mc.REPLICATE_TRIALS):
+def is_net(x, y):
+    """Whether the 2**m points (x, y) hold one point in each elementary box of area 2**-m."""
+    k = len(x)
+    m = k.bit_length() - 1
+    assert k == 1 << m
+    return all(
+        len(set(zip(np.floor(x * 2**a).tolist(), np.floor(y * 2 ** (m - a)).tolist()))) == k
+        for a in range(m + 1)
+    )
+
+
+def replicate_stderr(chunks, replicate):
     """sqrt(m / (m - 1) * sum (S_j - k_j mean)**2) / n over the replicates of every chunk.
 
     ``chunks`` holds each chunk's per-trial values; replicates are runs of
@@ -184,16 +255,15 @@ def noise_limited_values(link, r, gamma):
     return np.exp(-gamma * r**link.alpha * link.sigma2 / (link.p_x0 * link.eta))
 
 
-def stable_sort_pick(rng, size, link, n, rank=None):
+def stable_sort_pick(rng, size, link, n, points, rank=None):
     """(r_typ, load, tied) of the rank-th closest node (None: the farthest) by a stable sort.
 
     The same draws as the engine, sorted by (trial, radius).  ``tied``
     counts the trials whose picked radius is also attained by a node the
     sort puts next to it.
     """
-    sizes, _ = replay_sizes(rng, size, n)
+    sizes, _, u = replay_cluster(rng, size, n, points)
     trial = np.repeat(np.arange(n, dtype=np.intp), sizes)
-    u = replay_latin_hypercube(rng, n, int(sizes.max()))
     r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
     order = np.lexsort((r, trial))
     ends = np.cumsum(sizes)
@@ -262,17 +332,16 @@ class TestEngineSampling:
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     def test_farthest_pick_matches_stable_sort(self, size, ties):
         # the farthest node is the one a stable sort by (trial, radius) puts
-        # last in its trial; uniforms rounded to odd eighths (jitters and
-        # permutation keys alike) force ties at the top
+        # last in its trial; coarse net words (a few digits per point)
+        # force ties at the top
         link = reference_link()
         tied = 0
         for seed in range(4):
-            rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
+            rngs = [(CoarseDraws if ties else np.random.default_rng)(seed) for _ in range(2)]
             r_typ, load, *_ = mc._typical_cluster(
-                rngs[0], Scenario(Ordered(), size), link, mc._size_law(size), 512,
-                mc.REPLICATE_TRIALS,
+                rngs[0], Scenario(Ordered(), size), link, mc._size_law(size), 512, 16,
             )
-            ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512)
+            ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512, 16)
             assert np.array_equal(r_typ, ref_r_typ)
             assert np.array_equal(load, ref_load)
             tied += ref_tied
@@ -286,20 +355,19 @@ class TestEngineSampling:
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     def test_ranked_pick_matches_stable_sort(self, n, k, ties):
         # the k-th closest node is the one a stable sort by (trial, radius)
-        # puts k-th in its trial, ties included, for full and partial
+        # puts k-th in its trial, ties included, for full and short
         # replicates alike
         link = reference_link()
         scenario = Scenario(Ordered(k), FixedSize(n))
         tied = 0
         for seed in range(2):
             for trials in (512, 488, 5):
-                rngs = [(QuarterUniform if ties else np.random.default_rng)(seed) for _ in range(2)]
+                rngs = [(CoarseDraws if ties else np.random.default_rng)(seed) for _ in range(2)]
                 r_typ, load, *_ = mc._typical_cluster(
-                    rngs[0], scenario, link, mc._size_law(FixedSize(n)), trials,
-                    mc.REPLICATE_TRIALS,
+                    rngs[0], scenario, link, mc._size_law(FixedSize(n)), trials, 16,
                 )
                 ref_r_typ, ref_load, ref_tied = stable_sort_pick(
-                    rngs[1], FixedSize(n), link, trials, k
+                    rngs[1], FixedSize(n), link, trials, 16, k
                 )
                 assert np.array_equal(r_typ, ref_r_typ)
                 assert np.array_equal(load, ref_load)
@@ -332,25 +400,31 @@ class TestEngineSampling:
         assert est.stderr <= 1e-14 * w0
 
     def test_poisson_sizes_fill_their_strata(self, kernel_calls):
-        # 100-trial chunks: six full replicates of 16 and a partial one of 4;
-        # in each, the size uniforms V take one stratum apiece
-        replicate, nbar = mc.REPLICATE_TRIALS, 6.0
+        # 100-trial chunks of 1,000 trials: nets of 32 points, so three full
+        # replicates and a short one of 4, the first 4 points of its net; in
+        # each, the size uniforms V take one stratum apiece, and (V, node
+        # 0's uniform) is a two-dimensional net: J is dimension 0 of the
+        # net whose dimension 1 is node 0, not a copy of node 0's digits
+        nbar = 6.0
         spec = isolated_spec(PoissonSize(nbar), Ordered(), trials=1000, chunk_trials=100)
+        points = net_points(1000, 100)
+        assert points == mc._net_points(spec) == 32
         estimate_coverage(spec)
         w0 = math.exp(-(nbar - 1.0))
         groups = 0
-        for r, seg_start, v in replayed_radii(spec, kernel_calls):
+        for r, seg_start, v, u in replayed_radii(spec, kernel_calls):
             interferers = np.diff(seg_start, append=len(r)) - 1
-            for start in range(0, len(seg_start), replicate):
-                k = min(replicate, len(seg_start) - start)
+            for start in range(0, len(seg_start), points):
+                k = min(points, len(seg_start) - start)
                 assert np.array_equal(np.sort(np.floor(v[start:start + k] * k)), np.arange(k))
+                assert is_net(v[start:start + k], u[start:start + k, 0])
                 # J does not decrease in V, so the i-th smallest J lies
                 # between the J >= 1 law's quantiles at stratum i's ends
                 quantiles = stats.poisson.ppf(w0 + np.arange(k + 1) / k * (1.0 - w0), nbar - 1.0)
                 j = np.sort(interferers[start:start + k])
                 assert np.all((quantiles[:-1] <= j) & (j <= quantiles[1:]))
                 groups += 1
-        assert groups == 10 * 7
+        assert groups == 10 * 4
 
     @pytest.mark.parametrize("mean", [1.0 + 1e-9, 1.5, 6.0, 30.0, 800.0])
     def test_interferer_law_matches_scipy(self, mean):
@@ -365,18 +439,17 @@ class TestEngineSampling:
         assert w0 == pytest.approx(stats.poisson.pmf(0, mean - 1.0), rel=1e-12, abs=1e-15)
 
     def test_size_law_edges(self):
-        # nbar = 1: every typical node is alone, nothing is drawn and no lone
-        # term is mixed in
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
+        # nbar = 1: every typical node is alone, no J is read from the net
+        # (its words are not even looked at) and no lone term is mixed in
         assert mc._size_law(FixedSize(6)) == mc._size_law(PoissonSize(1.0)) == (0.0, None)
-        sizes = mc._typical_sizes(rng, PoissonSize(1.0), (0.0, None), 512, mc.REPLICATE_TRIALS)
-        assert np.array_equal(sizes, np.ones(512)) and rng.bit_generator.state == state
+        sizes = mc._typical_sizes(None, PoissonSize(1.0), (0.0, None), 512, 32)
+        assert np.array_equal(sizes, np.ones(512))
         # past nbar - 1 of about 745, w0 underflows to 0 and the plain CDF is
         # inverted
         law = mc._size_law(PoissonSize(800.0))
         assert law[0] == 0.0
-        sizes = mc._typical_sizes(rng, PoissonSize(800.0), law, 4096, mc.REPLICATE_TRIALS)
+        words = mc._net_words(np.random.default_rng(3), 4096, 256)
+        sizes = mc._typical_sizes(words, PoissonSize(800.0), law, 4096, 256)
         assert abs(sizes.mean() - 800.0) <= 4.0 * math.sqrt(799.0 / 4096)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -464,47 +537,139 @@ class TestEngineSampling:
         # one node, no interferers: each trial contributes
         # exp(-gamma r^alpha sigma2 / (p_x0 eta)), and the estimate is the
         # mean of those values with the standard error of its replicate sums
+        # (300 trials: nets of 16 points)
         gamma = 0.1
         spec = isolated_spec(FixedSize(1), trials=300, seed=21, gammas=(gamma,))
         (est,) = estimate_coverage(spec)
         assert kernel_calls["inter_sums"] == []
         assert kernel_calls["radial_sums"] == []  # no coexistence call either
-        # the stratified radius draws come first in the chunk's stream
+        # the net's radius draws come first in the chunk's stream
         ((r, *_),) = replayed_radii(spec, kernel_calls)
         values = noise_limited_values(spec.config.link, r, gamma)
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
-        assert est.stderr == pytest.approx(replicate_stderr([values]), rel=1e-12)
+        assert est.stderr == pytest.approx(replicate_stderr([values], 16), rel=1e-12)
+
+
+class TestScrambledNet:
+    """The typical cluster's generator: one scrambled Sobol' net per replicate."""
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_unscrambled_net_matches_scipy(self, m):
+        # every tabled dimension's first 2**m points, as a point set, against
+        # SciPy's unscrambled Sobol' net (its direction numbers are the
+        # source of the table): zero words are the identity scramble and no
+        # shift
+        dims = len(mc._SOBOL_M)
+        assert dims == 64
+        words = np.zeros((dims, 1, m + 1), dtype=np.uint64)
+        u = mc._net_dims(words, 1 << m, 1 << m, 0, dims)
+        want = qmc.Sobol(dims, scramble=False).random_base2(m)
+        assert np.array_equal(u[np.lexsort(u.T[::-1])], want[np.lexsort(want.T[::-1])])
+
+    @pytest.mark.parametrize("points", [1, 2, 16, 256])
+    @pytest.mark.parametrize("first, count", [(0, 6), (1, 15), (60, 7)])
+    def test_matches_gf2_replay(self, points, first, count):
+        # the engine's words and XOR doubling against the digit-by-digit
+        # matrix product, bit for bit, full and short replicates, past the
+        # table too (and the same stream left behind)
+        n = 3 * points + points // 2 + 1
+        rngs = [np.random.default_rng(7) for _ in range(2)]
+        u = mc._net_dims(mc._net_words(rngs[0], n, points), n, points, first, count, rngs[0])
+        want = replay_net_dims(replay_words(rngs[1], n, points), n, points, first, count, rngs[1])
+        assert np.array_equal(u, want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize(
+        "size, calls",
+        [(FixedSize(6), ["integers"]), (PoissonSize(6.0), ["integers"]),
+         (PoissonSize(1.0), ["integers"]), (PoissonSize(80.0), ["integers", "random"])],
+        ids=repr,
+    )
+    def test_words_come_first_in_one_draw(self, size, calls):
+        # a chunk draws every net word in one call before any point is
+        # built, so J (dimension 0) and the nodes share one net; only node
+        # dimensions past the table (about 80 nodes) draw uniforms after it
+        log = []
+
+        class Logged:
+            def __init__(self):
+                self._rng = np.random.default_rng(2)
+
+            def __getattr__(self, name):
+                log.append(name)
+                return getattr(self._rng, name)
+
+        mc._typical_cluster(Logged(), Scenario(Ordered(), size), reference_link(),
+                            mc._size_law(size), 512, 256)
+        assert log == calls
+
+    @pytest.mark.parametrize("points", [16, 256])
+    def test_replicates_are_nets(self, points):
+        # one point in each 1 / N stratum of every tabled dimension, and in
+        # every elementary box of area 1 / N on dimensions (0, 1)
+        replicates, dims, n = 40, 12, 40 * points
+        words = mc._net_words(np.random.default_rng(11), n, points)
+        u = mc._net_dims(words, n, points, 0, dims)
+        for rep in u.reshape(replicates, points, dims):
+            strata = np.sort(np.floor(rep * points), axis=0)
+            assert (strata == np.arange(points)[:, None]).all()
+            assert is_net(rep[:, 0], rep[:, 1])
+
+    def test_points_are_uniform_and_replicates_independent(self):
+        # each point on its own is uniform: its net position carries no
+        # information across 4,000 replicates (12 KS tests at a family-wise
+        # level of 1e-3), and replicates do not share their scramble (their
+        # point sets differ)
+        points, replicates = 16, 4000
+        n = points * replicates
+        u = mc._net_dims(mc._net_words(np.random.default_rng(5), n, points), n, points, 0, 3)
+        u = u.reshape(replicates, points, 3)
+        pvalues = [stats.kstest(u[:, i, d], "uniform").pvalue for i in (0, 1, 7, 15)
+                   for d in range(3)]
+        assert min(pvalues) > 1e-3 / len(pvalues)
+        assert len({rep.tobytes() for rep in np.sort(u[:, :, 0], axis=1)}) == replicates
+
+    @pytest.mark.parametrize(
+        "trials, chunk_trials, points",
+        [(1, 512, 1), (31, 512, 1), (32, 512, 2), (256, 512, 16), (1024, 512, 64),
+         (4096, 512, 64), (1000, 100, 32), (100000, 40, 32), (100000, 3, 2)],
+    )
+    def test_net_points_rule(self, trials, chunk_trials, points):
+        # the largest power of two up to 64, chunk_trials and trials / 16
+        spec = make_spec(trials=trials, chunk_trials=chunk_trials)
+        assert mc._net_points(spec) == net_points(trials, chunk_trials) == points
 
 
 class TestStratification:
-    """Latin-hypercube in-cluster radii and the replicate standard error."""
+    """Scrambled-net in-cluster radii and the replicate standard error."""
 
     @staticmethod
-    def strata_by_replicate(spec, kernel_calls, replicate=mc.REPLICATE_TRIALS):
-        """{(chunk, first trial, column): strata of (r/a)**2 in trial order}, with each width k."""
-        a = reference_link().a
+    def strata_by_replicate(spec, kernel_calls):
+        """{(chunk, first trial, column): (strata of node uniforms in trial order, width k)}."""
+        points = net_points(spec.trials, spec.chunk_trials)
         out = {}
-        for chunk, (r, seg_start, _) in enumerate(replayed_radii(spec, kernel_calls)):
+        for chunk, (r, seg_start, _, u) in enumerate(replayed_radii(spec, kernel_calls)):
             n = len(seg_start)
             sizes = np.diff(seg_start, append=len(r))
             trial = np.repeat(np.arange(n), sizes)
             column = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            first = trial - trial % replicate
-            width = np.minimum(n - first, replicate)
-            stratum = np.floor((r / a) ** 2 * width).astype(int)
+            first = trial - trial % points
+            width = np.minimum(n - first, points)
+            stratum = np.floor(u[trial, column] * width).astype(int)
             for key in sorted(set(zip(first.tolist(), column.tolist()))):
                 mask = (first == key[0]) & (column == key[1])
                 out[(chunk,) + key] = (stratum[mask], int(width[mask][0]))
         return out
 
     def test_every_replicate_column_fills_its_strata(self, kernel_calls):
-        # 100-trial chunks: six full replicates of 16 and a partial one of 4
+        # 100-trial chunks of 1,000 trials: nets of 32 points, so three full
+        # replicates and a short one of 4 (its net's first 4 points)
         spec = isolated_spec(FixedSize(6), trials=1000, chunk_trials=100)
         estimate_coverage(spec)
         groups = self.strata_by_replicate(spec, kernel_calls)
-        assert len(groups) == 10 * 7 * 6
+        assert len(groups) == 10 * 4 * 6
         widths = [width for _, width in groups.values()]
-        assert widths.count(4) == 10 * 6 and widths.count(16) == 10 * 6 * 6
+        assert widths.count(4) == 10 * 6 and widths.count(32) == 10 * 3 * 6
         for strata, width in groups.values():
             assert np.array_equal(np.sort(strata), np.arange(width))
 
@@ -540,7 +705,8 @@ class TestStratification:
             assert serial == parallel
 
     def test_chunks_combine_into_replicate_stderr(self):
-        # the replicate sums of ten ragged chunks give the two-pass
+        # the replicate sums of ten ragged chunks (nets of 32 points: three
+        # full replicates and a short one of 4 per chunk) give the two-pass
         # replicate formula over all of their replicates; at gamma = 0.1 the
         # mean is 0.997, where a one-pass sum of squares would lose the
         # spread's digits
@@ -554,33 +720,36 @@ class TestStratification:
             for index in range(10):
                 seq = np.random.SeedSequence(entropy=5, spawn_key=(index,))
                 rng = np.random.default_rng(seq)
-                r = link.a * np.sqrt(replay_latin_hypercube(rng, chunk, 1)[:, 0])
+                r = link.a * np.sqrt(replay_cluster(rng, FixedSize(1), chunk, 32)[2][:, 0])
                 chunks.append(noise_limited_values(link, r, gamma))
             values = np.concatenate(chunks)
             assert est.mean == pytest.approx(values.mean(), rel=1e-14)
-            assert est.stderr == pytest.approx(replicate_stderr(chunks), rel=1e-12)
+            assert est.stderr == pytest.approx(replicate_stderr(chunks, 32), rel=1e-12)
             # a lone node's coverage is monotone in its one stratified radius
             assert est.stderr < 0.2 * values.std(ddof=1) / math.sqrt(1000)
 
-    @pytest.mark.parametrize("trials", [1, 2, 5, mc.REPLICATE_TRIALS, mc.REPLICATE_TRIALS + 1])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 16, 17, 31, 32])
     def test_single_replicate_rule(self, trials):
-        # a request of at most REPLICATE_TRIALS trials is drawn unstratified,
-        # in replicates of one trial, so its standard error is the i.i.d.
-        # one (0.0 for a single trial) and never that of one lone replicate
+        # a request of fewer than 32 trials would keep fewer than 16
+        # replicates of two or more points, so it is drawn i.i.d., in
+        # replicates of one trial (N = 1): its standard error is the usual
+        # one (0.0 for a single trial) and never that of a few replicates;
+        # 32 trials form 16 nets of 2 points
         gamma = 10.0
         spec = isolated_spec(FixedSize(1), trials=trials, seed=8, gammas=(gamma,))
         (est,) = estimate_coverage(spec)
-        replicate = mc.REPLICATE_TRIALS if trials > mc.REPLICATE_TRIALS else 1
+        points = net_points(trials, spec.chunk_trials)
+        assert points == (2 if trials == 32 else 1)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=(0,)))
         link = spec.config.link
-        u = replay_latin_hypercube(rng, trials, 1, replicate)[:, 0]
+        u = replay_cluster(rng, FixedSize(1), trials, points)[2][:, 0]
         values = noise_limited_values(link, link.a * np.sqrt(u), gamma)
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
         if trials == 1:
             assert est.stderr == 0.0
         else:
-            assert est.stderr == pytest.approx(replicate_stderr([values], replicate), rel=1e-12)
-        if 2 <= trials <= mc.REPLICATE_TRIALS:
+            assert est.stderr == pytest.approx(replicate_stderr([values], points), rel=1e-12)
+        if 2 <= trials < 32:
             assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(trials), rel=1e-12)
 
     @pytest.mark.parametrize("field", [InterferenceField.INTER, InterferenceField.COEXIST])
@@ -637,7 +806,8 @@ class TestStderrCalibration:
                              gammas=(gamma,), workers=1)
             (est,) = estimate_coverage(spec)
             z.append((est.mean - exact) / est.stderr)
-        dof = self.TRIALS // mc.REPLICATE_TRIALS - 1
+        dof = self.TRIALS // mc._net_points(spec) - 1
+        assert dof == 15
         scores = stats.norm.ppf(stats.t.cdf(z, dof))
         lo, hi = stats.chi2.ppf([0.0005, 0.9995], self.SEEDS) / self.SEEDS
         assert lo <= np.mean(scores**2) <= hi
@@ -696,9 +866,9 @@ GAMMAS_16 = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
 # a lone-node tail cell that forcing J = 0 alone does not mend
 NEXT_STRATA = pytest.mark.xfail(
     strict=True,
-    reason="only J = 0 is forced; the rest of ROADMAP item 12, forcing J = 1 ... j0 too, "
-    "is not done: each forced stratum costs the farthest node a whole threshold-grid "
-    "evaluation, about +30 % per ordered-Poisson chunk",
+    reason="only J = 0 is forced (rms z 1.53, 3.62 and 8.91 at +4, +8 and +10 dB); the rest "
+    "of ROADMAP item 12, forcing J = 1 ... j0 too, is not done: each forced stratum costs the "
+    "farthest node a whole threshold-grid evaluation, about +30 % per ordered-Poisson chunk",
 )
 
 
@@ -724,9 +894,17 @@ class TestCalibrationScan:
     e**-9 = 1.2e-4), which 8,192 drawn trials rarely hold.  While every
     cluster size was drawn, it failed from 0 dB: rms z 1.44, 4.0, 21 and
     85 (max |z| 4.47, 13.8, 78 and 343) at 0, +4, +8 and +10 dB.  With the
-    lone-node stratum taken exactly it reads rms z 1.28 at 0 dB and 1.89,
-    4.36 and 5.17 at +4, +8 and +10 dB; the rest of that tail comes from
-    the next strata (J = 1, 2, ...), and those three cells are expected
+    lone-node stratum taken exactly it read rms z 1.28 at 0 dB and 1.89,
+    4.36 and 5.17 at +4, +8 and +10 dB under the 16-trial Latin hypercube.
+    Under one scrambled Sobol' net per replicate (128 replicates of 64
+    trials here, so the stderr has 127 degrees of freedom where the
+    hypercube's had 511) it reads rms z 0.96, 0.94 and 1.09 (max |z| 2.16,
+    2.58 and 3.37) at -20, -10 and 0 dB, and 1.53, 3.62 and 8.91 (max |z|
+    4.76, 9.68 and 23.9) at +4, +8 and +10 dB.  Over 600 other seeds
+    (1000-1599) the share of |z| > 3 at +4, +8 and +10 dB is 9 %, 25 % and
+    36 % under the nets and 9 %, 25 % and 37 % under the hypercube: the
+    rest of that tail comes from the next strata (J = 1, 2, ...), which few
+    trials hold whatever draws them, and those three cells are expected
     failures.
     """
 
@@ -860,8 +1038,7 @@ class TestInClusterFactor:
         rng = np.random.default_rng(4)
         for ordering in (Unordered(), Ordered()):
             _, load, seg_start, _ = mc._typical_cluster(
-                rng, Scenario(ordering, size), reference_link(), mc._size_law(size), 512,
-                mc.REPLICATE_TRIALS,
+                rng, Scenario(ordering, size), reference_link(), mc._size_law(size), 512, 32,
             )
             assert len(load) == 512 and not load.any()
             values = rng.uniform(size=(len(GAMMAS_16) + 1, 512))
@@ -1617,7 +1794,7 @@ class TestPinnedStreams:
     """The random-stream layout is part of the reproducibility contract.
 
     Every row was re-recorded when the in-cluster radii became Latin-
-    hypercube stratified in replicates of REPLICATE_TRIALS trials and the
+    hypercube stratified in replicates of 16 trials and the
     standard error came to be computed from the replicate sums, after the
     hybrid-vs-plain tests in TestFarField passed.  UF-6's INTER and COEXIST
     transforms draw no in-cluster radii, so their means moved by at most
@@ -1650,44 +1827,49 @@ class TestPinnedStreams:
     TestCalibrationScan's two-sided scan against the model's coverage on
     the reference link passed.  The transform rows (they still draw their
     near disc) kept their bits, the coarse far-field panel's 96 radial
-    nodes included.  Any change in what is drawn, or in which order, moves
-    the rows by O(stderr), far past the tolerance.
+    nodes included.  Every row that draws the typical cluster (the five
+    coverage rows and the two INTRA rows) was re-recorded once more when
+    the 16-trial Latin hypercube gave way to one scrambled Sobol' net per
+    replicate (64 points at these 1,500 trials), after TestCalibrationScan
+    and TestStderrCalibration passed; the INTER and COEXIST rows, which
+    draw no typical cluster, kept their bits.  Any change in what is drawn,
+    or in which order, moves the rows by O(stderr), far past the tolerance.
     """
 
     COVERAGE = {
         "UF-6": [
-            (0.7075417924831154, 0.0028857187207404263),
-            (0.35530719008885836, 0.003174757220662138),
-            (0.1056612134961148, 0.002741754780014787),
+            (0.7101155188228767, 0.0015125314655496892),
+            (0.35286809177574135, 0.0019882560169239634),
+            (0.10724319711432521, 0.0014730535400935248),
         ],
         "UP-6": [
-            (0.7217029522258096, 0.004012026058711952),
-            (0.38767969105298805, 0.0034594511389072348),
-            (0.1337602991976368, 0.003016629633824572),
+            (0.715395629248437, 0.0022295413737549318),
+            (0.3843908494586811, 0.0024854706706600956),
+            (0.12980022064132404, 0.0025258526853482108),
         ],
         "OF-6": [
-            (0.4920947021281272, 0.0025610526936083295),
-            (0.08111038931160314, 0.0015412912202143936),
-            (0.00030400960868309844, 1.6245867754872062e-05),
+            (0.49383764163375643, 0.0016314923412834598),
+            (0.08299323813685482, 0.0008694411037070463),
+            (0.0003121979451336154, 1.2858789973496133e-05),
         ],
         "OP-6": [
-            (0.5207331412267682, 0.003694441756715609),
-            (0.13453682242273812, 0.0021446229700277557),
-            (0.012562553777195055, 0.0005925738179536712),
+            (0.5148394279104656, 0.00261853592340538),
+            (0.13416981444069048, 0.0016597121479767687),
+            (0.013803254714417335, 0.00046148087092022836),
         ],
         "O2-F4-intra": [
-            (0.8736535090429205, 0.004496051484873816),
-            (0.589830680314984, 0.005193914525771646),
-            (0.12861016155345173, 0.0022369473295366163),
+            (0.8694535207681711, 0.0028413289226323466),
+            (0.5798565478587793, 0.0037115254892603395),
+            (0.12206385713659011, 0.001671262826325424),
         ],
     }
     S_GRID = (0.0, 1e3, 1e6, 1e9)
     LAPLACE = {
         ("UF-6", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.999964096561513, 1.754871278976076e-05),
-            (0.9898783680087514, 0.0016235546447803512),
-            (0.600072108454962, 0.002631205457034078),
+            (0.999596081420396, 0.00029494675017466374),
+            (0.991988463022527, 0.001445816931662833),
+            (0.601051725343569, 0.0017637424657124274),
         ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
@@ -1703,9 +1885,9 @@ class TestPinnedStreams:
         ],
         ("O2-F4-intra", InterferenceField.INTRA): [
             (1.0, 0.0),
-            (0.9998825307481151, 9.978615451537369e-05),
-            (0.9927462037034913, 0.0013952210229889067),
-            (0.7022743102661437, 0.003140929942314456),
+            (0.9997535858295228, 0.00023702944063668164),
+            (0.9936076919200603, 0.0009143722000392662),
+            (0.6970054247876504, 0.001471628339470444),
         ],
         # the in-cluster-limited link has no other clusters and no coexisting field
         ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
