@@ -115,8 +115,7 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 # Radius, in cluster radii, of the near disc that the INTER and COEXIST
 # transforms draw (coverage draws neither field).  Like chunk_trials it is
 # part of their random-stream layout: changing it changes every transform
-# estimate on a window wider than the near disc.  The ring (2 a, 3 a] goes
-# to the far rule's fine panel, which needs NEAR_RADII >= 2.
+# estimate on a window wider than the near disc.
 NEAR_RADII = 2.0
 
 # The typical cluster's replicates: consecutive trials of a chunk form one
@@ -181,26 +180,17 @@ _NET_DIAGONAL = np.array([1 << (_NET_BITS - 1 - k) for k in range(8)], dtype=np.
 _NET_BELOW = _NET_DIAGONAL - np.uint64(1)
 _NET_DIGITS = ((_SOBOL_M << (7 - np.arange(8)))[:, :, None] >> (7 - np.arange(8)) & 1).astype(bool)
 
-# The far-field rule.  Beyond 2 a, Gauss-Legendre nodes in
-# u = (inner/x)**(alpha - 2) over a radial panel, which maps an infinite
-# window to a finite interval and makes the x**(1 - alpha) tail of the
-# integrand flat, times a polar rule over each cluster disc (Gauss-Legendre
-# in the offset radius, midpoints in the angle).  That annulus is split at
-# _FINE_RADII a.  A disc whose parent lies inside that radius reaches to
-# within a of the origin, where d**-alpha varies most around its rim, so
-# that panel takes _FINE_ANGLES half-angles (and, over its short span,
-# _DISC_NODES radial nodes); beyond it the coarse rule (_RADIAL_NODES radial
-# nodes, _DISC_NODES x _DISC_NODES per disc) needs no more.  Inside 2 a the
-# disc reaches or covers the origin, and ``_near_exponent`` integrates over
-# circles about the receiver instead (see there): _NEAR_LEVELS geometric
-# panels of _NEAR_NODES parent radii on each side of x = a, _ARC_NODES
-# nodes on each rim arc and _LENS_NODES on the lens of its linear part.
-# No rule's per-block buffer exceeds _BLOCK_BYTES (a table build ran
-# fastest there, and at 768 KiB it took more memory and no less time).
-_RADIAL_NODES = 96
-_DISC_NODES = 8
-_FINE_RADII = 3.0
-_FINE_ANGLES = 16
+# The clusters' exponent rule (``_near_exponent``): each cluster disc is
+# averaged over circles about the receiver, _ARC_NODES nodes on each rim
+# arc, and the linear part of the bracket over the lens of its parent's
+# disc, _LENS_NODES nodes.  Parent radii: _NEAR_LEVELS geometric panels of
+# _NEAR_NODES on each side of x = a, where the disc's rim crosses the
+# receiver, and beyond 2 a one panel of _FAR_NODES Gauss-Legendre nodes in
+# u = (2 a / x)**(alpha - 2), which maps an infinite window to a finite
+# interval and makes the tail of the integrand smooth.  The per-block
+# buffer never exceeds _BLOCK_BYTES (a table build ran fastest there, and
+# at 768 KiB it took more memory and no less time).
+_FAR_NODES = 64
 _NEAR_LEVELS = 4
 _NEAR_NODES = 8
 _ARC_NODES = 64
@@ -573,25 +563,6 @@ def _near_radius(config: NetworkConfig) -> float:
     return min(config.window_radius, NEAR_RADII * config.link.a)
 
 
-def _unit_disc_rule(angles: int):
-    """(offset radius, cos(angle / 2), weight) of nodes averaging over the unit disc.
-
-    _DISC_NODES Gauss-Legendre nodes in the radius with its 2 rho density
-    and the angle average folded into the weights, times ``angles``
-    midpoints in the angle over [0, pi] (the field is symmetric about the
-    parent's axis).
-    """
-    t, w = _DISC_RULE
-    rho = 0.5 * (t + 1.0)
-    half_angle = 0.5 * math.pi * (np.arange(angles) + 0.5) / angles
-    return rho, np.cos(half_angle), w * rho / angles
-
-
-_RADIAL_RULE = leggauss(_RADIAL_NODES)
-_DISC_RULE = leggauss(_DISC_NODES)  # also the fine panel's radial rule
-_UNIT_DISC = _unit_disc_rule(_DISC_NODES)
-_FINE_UNIT_DISC = _unit_disc_rule(_FINE_ANGLES)
-_POINT = (np.zeros(1), np.ones(1), np.ones(1))  # the a = 0 "disc"
 _gauss = functools.cache(leggauss)
 
 
@@ -699,8 +670,14 @@ def _linear_exponent(c: np.ndarray, a: float, outer: float, alpha: float) -> np.
     2 pi int_0^outer (1 - g(x)) x dx, integrated over the node first: the
     node's c / (r**alpha + c) times the chance that its parent lies within
     outer (``_lens_rule``).  Exact for any load, however narrow the spike
-    of c / (r**alpha + c) at the receiver.  Elementwise over c.
+    of c / (r**alpha + c) at the receiver.  Elementwise over c.  The whole
+    plane (outer = inf) is the closed form pi K c**delta, and a point
+    cluster (a = 0) is its node alone, the disc's closed form.
     """
+    if outer == math.inf:
+        return math.pi * _plane_constant(2.0 / alpha) * c ** (2.0 / alpha)
+    if a == 0.0:
+        return _disc_integral(outer, c, alpha)
     inner_radius, inner_fraction, r_alpha, weight = _lens_rule(a, outer, alpha)
     loads = c[..., None]
     terms = loads / (r_alpha + loads)
@@ -712,16 +689,31 @@ def _linear_exponent(c: np.ndarray, a: float, outer: float, alpha: float) -> np.
 def _near_rule(a: float, outer: float, alpha: float):
     """The nodes of ``_near_exponent`` for discs of radius a with a parent in (0, outer].
 
-    Returns (x_weight, full_radius, arc): each parent radius node's weight
-    (with its 2 pi x); the radius of the circle about the receiver that
-    lies inside the disc of each node with x < a (the nodes come in
-    increasing x); each node's rim arcs' r**alpha and weights.  Read-only.
+    Parent radii take graded panels on (0, a] and (a, 2 a]
+    (``_graded_rule``) and beyond 2 a one panel of _FAR_NODES
+    Gauss-Legendre nodes in u = (2 a / x)**(alpha - 2), with
+    x dx = (2 a)**2 / (alpha - 2) u**(-alpha / (alpha - 2)) du; outer may
+    be infinite (u from 0).  Returns (x_weight, full_radius, arc): each
+    parent radius node's weight (with its 2 pi x); the radius of the
+    circle about the receiver that lies inside the disc of each node with
+    x < a (those nodes come first, in increasing x); each node's rim arcs'
+    r**alpha and weights.  Read-only.
     """
+    near = 2.0 * a
     x, x_weight = _graded_rule(0.0, min(a, outer), True)
     if outer > a:
-        x2, weight2 = _graded_rule(a, outer, False)
+        x2, weight2 = _graded_rule(a, min(outer, near), False)
         x, x_weight = np.concatenate([x, x2]), np.concatenate([x_weight, weight2])
     x_weight *= 2.0 * math.pi * x
+    if outer > near:
+        k = alpha - 2.0
+        t, w = _gauss(_FAR_NODES)
+        u_lo = (near / outer) ** k
+        u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
+        x = np.concatenate([x, near * u ** (-1.0 / k)])
+        # 2 pi x dx, with the panel's half-width (1 - u_lo) / 2 in u
+        far_weight = math.pi * (1.0 - u_lo) * near**2 / k * w * u ** (-alpha / k)
+        x_weight = np.concatenate([x_weight, far_weight])
     r, dr = _cosine_rule(np.abs(a - x), a + x, _ARC_NODES)
     xs = x[:, None]
     cos_half = np.clip((r * r + xs * xs - a * a) / (2.0 * r * xs), -1.0, 1.0)
@@ -736,21 +728,27 @@ def _near_exponent(c: np.ndarray, density: float, a: float, size, outer: float,
                    alpha: float) -> np.ndarray:
     """-log of the transform of the clusters with a parent at distance (0, outer], a > 0.
 
-    Here a disc may reach or cover the receiver, so the disc average is
-    taken over circles about the receiver: with f(r) = c / (r**alpha + c),
-    1 - g(x) = [F(max(a - x, 0)) + int f(r) 2 r phi(r) dr] / (pi a**2), the
-    circle of radius r lying inside the disc up to r = a - x and crossing
-    its rim on the arc of half-angle phi = acos((r**2 + x**2 - a**2) /
-    (2 r x)) from |a - x| to a + x, and F(R) = int_0^R f 2 pi r dr in closed
-    form (``_disc_integral``).  The bracket is split as n (1 - g) minus the
-    rest, n (1 - g) - [1 - G] >= 0, which is second order in 1 - g.  The
-    linear part is integrated over the node first (``_linear_exponent``),
-    so that a load whose f is a spike at the receiver far narrower than a
-    (small s) still gets its s**delta law to the last digits; only the
-    rest is integrated over parent radii.  The rest changes fastest near
-    x = a, where the disc's rim crosses the receiver, so the parent radii
-    are graded toward a from both sides.  The arcs' loads go through in
-    blocks, each load alone, like ``_panel_exponent``'s.
+    A disc near the receiver may reach or cover it, so every disc average
+    is taken over circles about the receiver: with f(r) = c / (r**alpha +
+    c), 1 - g(x) = [F(max(a - x, 0)) + int f(r) 2 r phi(r) dr] / (pi a**2),
+    the circle of radius r lying inside the disc up to r = a - x and
+    crossing its rim on the arc of half-angle phi = acos((r**2 + x**2 -
+    a**2) / (2 r x)) from |a - x| to a + x, and F(R) = int_0^R f 2 pi r dr
+    in closed form (``_disc_integral``).  The bracket is split as
+    n (1 - g) minus the rest, n (1 - g) - [1 - G] >= 0, which is second
+    order in 1 - g.  The linear part is integrated over the node first
+    (``_linear_exponent``), so that a load whose f is a spike at the
+    receiver far narrower than a (small s) still gets its s**delta law to
+    the last digits; only the rest is integrated over parent radii
+    (``_near_rule``).  The rest changes fastest near x = a, where the
+    disc's rim crosses the receiver, so the parent radii are graded toward
+    a from both sides.  The arcs' r**alpha is computed once per rule, as
+    a (parent radius, arc node) array, and the loads go through it in
+    blocks of at most _BLOCK_BYTES: one add, one divide in place, one
+    weighted sum.  Each load's value is computed alone, by the same
+    operations on the same shapes, so it does not depend on the other
+    loads or on its position in a block: a table's lattice value is the
+    same bits for any lattice length.
     """
     x_weight, full_radius, (r_alpha, arc_weight) = _near_rule(a, outer, alpha)
     loads = c.reshape(-1)
@@ -791,98 +789,27 @@ def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: fl
     g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
     PPP is a = 0 with one node per parent.  c holds the loads s p eta
     (any shape); outer may be infinite.  Exactly 0 at c = 0.  inner is 0
-    (the whole window, for coverage) or at least 2 a (the annulus beyond a
+    (the whole window, for coverage) or R0 (the annulus beyond a
     transform's near disc).
 
-    From inner = 0 the coexisting PPP is the closed form
-    density ``_disc_integral(outer, c)`` (density pi K c**delta over the
-    whole plane), and the clusters' exponent is
-    ``_near_exponent`` over (0, min(outer, 2 a)] plus the annulus from 2 a.
-    From 2 a, the part of the annulus inside _FINE_RADII a is one panel on
-    the fine rule (8 radial nodes times 8 offset radii x 16 half-angles),
-    the rest one panel on the coarse rule (96 radial nodes times 8 x 8),
-    and the exponent is their sum.  An annulus that starts at or beyond
-    _FINE_RADII a, and every coexisting one, is the coarse panel alone.
+    One rule serves every annulus: the exponent over (0, outer] less the
+    one over (0, inner].  The clusters' is ``_near_exponent``'s, and the
+    coexisting PPP's the closed form density ``_disc_integral`` (density
+    pi K c**delta over the whole plane, see ``_linear_exponent``).
     """
     c = np.asarray(c, dtype=float)
     if density == 0.0 or inner >= outer:
         return np.zeros_like(c)
+
+    def exponent(radius):
+        if a == 0.0:
+            return density * _linear_exponent(c, 0.0, radius, alpha)
+        return _near_exponent(c, density, a, size, radius, alpha)
+
+    lam = exponent(outer)
     if inner > 0.0:
-        return _ring_exponent(c, density, a, size, inner, outer, alpha)
-    if a == 0.0 and outer == math.inf:
-        return density * math.pi * _plane_constant(2.0 / alpha) * c ** (2.0 / alpha)
-    if a == 0.0:
-        return density * _disc_integral(outer, c, alpha)
-    near = min(outer, 2.0 * a)
-    lam = _near_exponent(c, density, a, size, near, alpha)
-    if near < outer:
-        lam += _ring_exponent(c, density, a, size, near, outer, alpha)
+        lam = lam - exponent(inner)
     return lam
-
-
-def _ring_exponent(c: np.ndarray, density: float, a: float, size, inner: float, outer: float,
-                   alpha: float) -> np.ndarray:
-    """``_annulus_exponent`` over (inner, outer] from inner >= 2 a, on the fine and coarse panels."""
-    split = min(outer, _FINE_RADII * a)
-    if inner >= split:
-        return _panel_exponent(c, density, a, size, inner, outer, alpha, _RADIAL_RULE,
-                               _UNIT_DISC if a > 0.0 else _POINT)
-    lam = _panel_exponent(c, density, a, size, inner, split, alpha, _DISC_RULE,
-                          _FINE_UNIT_DISC)
-    if split < outer:
-        lam += _panel_exponent(c, density, a, size, split, outer, alpha, _RADIAL_RULE,
-                               _UNIT_DISC)
-    return lam
-
-
-def _panel_exponent(c: np.ndarray, density: float, a: float, size, inner: float,
-                    outer: float, alpha: float, radial_rule, disc) -> np.ndarray:
-    """One radial panel (inner, outer] of ``_annulus_exponent`` on the given rule.
-
-    1 - g = sum_y w_y c / (d_y**alpha + c) is summed directly, so that it
-    keeps its relative precision at small c.  d**alpha is computed once, as
-    an (x node, disc node) array (96 x 64 for a coarse cluster disc,
-    8 x 128 for a fine one, 96 x 1 for the coexisting points), and the
-    loads go through it in blocks of at most _BLOCK_BYTES (5 loads on the
-    coarse rule, 32 on the fine one): one add, one divide in place, then
-    one weighted reduction over all disc nodes (a matrix-vector product).
-    The only temporary is one block buffer, whatever the number of loads.
-    Each load's value is computed alone, by the same operations on the
-    same shapes, so it does not depend on the other loads or on its
-    position in a block: a table's lattice value is the same bits for any
-    lattice length.
-    """
-    k = alpha - 2.0
-    t, w = radial_rule
-    u_lo = (inner / outer) ** k
-    u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
-    x = (inner * u ** (-1.0 / k))[:, None, None]
-    # x dx = inner**2 / k * u**(-alpha / k) du
-    radial_weight = 0.5 * (1.0 - u_lo) * w * inner**2 / k * u ** (-alpha / k)
-    rho, half_cos, disc_weight = disc
-    offset = (a * rho)[:, None]
-    d_alpha = ((x - offset) ** 2 + 4.0 * x * offset * half_cos * half_cos) ** (0.5 * alpha)
-    d_alpha = d_alpha.reshape(len(u), -1)  # (x node, offset radius x half-angle)
-    node_weight = np.repeat(disc_weight, len(half_cos))
-    loads = c.reshape(-1)
-    block = max(1, _BLOCK_BYTES // (8 * d_alpha.size))
-    tail = np.empty((len(loads), len(u)))
-    buf = np.empty((min(len(loads), block),) + d_alpha.shape)
-    for start in range(0, len(loads), block):
-        load = loads[start:start + block, None, None]
-        terms = buf[:len(load)]
-        np.add(d_alpha, load, out=terms)
-        np.divide(load, terms, out=terms)
-        np.matmul(terms, node_weight, out=tail[start:start + block])
-    tail = tail.reshape(c.shape + u.shape)
-    if isinstance(size, FixedSize):
-        # a saturated load gives log1p(-1) = -inf, whose limit is the bracket 1
-        with np.errstate(divide="ignore"):
-            log_miss = np.log1p(-np.minimum(tail, 1.0))
-        bracket = -np.expm1(size.n * log_miss)
-    else:
-        bracket = -np.expm1(-size.mean * tail)
-    return 2.0 * math.pi * density * (bracket * radial_weight).sum(axis=-1)
 
 
 def _field_exponent(link: LinkParams, size, inner: float, outer: float,
@@ -914,16 +841,16 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``PchipInterpolator(x, y).c`` of SciPy for three or more increasing points.
 
     x must strictly increase and y must not decrease.  Lambda strictly
-    increases in s, but log Lambda saturates in floating point far out:
-    from thresholds of about 190 dB the table has flat secants (38 of 1040
-    at gamma = 1e20 on the reference link).  PCHIP's interior slopes are
-    the weighted harmonic means of the neighbouring secants, 0 next to a
-    flat one (here by a division by zero, silenced as SciPy silences
-    it), and its end slopes the three-point ones clamped at 0.  The
-    operations and their order are SciPy's ``_find_derivatives``,
-    ``_edge_case`` and ``CubicHermiteSpline``, so the (4, len(x) - 1)
-    coefficients (highest power first, in powers of x - x[i]) are its
-    coefficients bit for bit.
+    increases in s, but it saturates in floating point far out: from
+    thresholds of about 186 dB the table (a running maximum of the rule's
+    values) has flat secants (43 of 1040 at gamma = 1e20 on the reference
+    link).  PCHIP's interior slopes are the weighted harmonic means of the
+    neighbouring secants, 0 next to a flat one (here by a division by zero,
+    silenced as SciPy silences it), and its end slopes the three-point
+    ones clamped at 0.  The operations and their order are SciPy's
+    ``_find_derivatives``, ``_edge_case`` and ``CubicHermiteSpline``, so
+    the (4, len(x) - 1) coefficients (highest power first, in powers of
+    x - x[i]) are its coefficients bit for bit.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -1101,6 +1028,9 @@ def _build_far_table(link: LinkParams, outer: float, size, top: int) -> _FarTabl
     lam += _field_exponent(link, size, 0.0, outer, InterferenceField.COEXIST, s)
     if not lam.any():
         return None
+    # Lambda never decreases in s, but where it saturates, near
+    # (lambda_g + lambda_co) pi W**2, the rule's value wobbles by an ulp
+    np.maximum.accumulate(lam, out=lam)
     log_s, log_lam = np.log(s), np.log(lam)
     # the interpolant at x[0] is exactly log_lam[0]
     return _FarTable(s[0], float(np.exp(log_lam[0])), *_small_s_law(link, outer, size, s[0]),

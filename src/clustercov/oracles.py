@@ -367,7 +367,7 @@ def _check_laplace() -> OracleCheck:
         ))
         for got, ref in pairs:
             worst = max(worst, abs(got - ref) / abs(ref))
-    return OracleCheck("interference transforms vs integrals", worst, 1e-6)
+    return OracleCheck("interference transforms vs integrals", worst, 1e-9)
 
 
 def run_checks(which: str = "all") -> list[OracleCheck]:
