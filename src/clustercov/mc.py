@@ -68,11 +68,12 @@ probability w0 = exp(-(nbar - 1)), and for the farthest node at high
 thresholds it carries most of the coverage while a few thousand trials
 hold few lone nodes or none.  So a trial draws J given J >= 1, from the
 net's dimension 0, and node j takes dimension j + 1 (with a fixed size,
-node j takes dimension j).  A chunk's stream holds the scramble words of
-every replicate's net, all 64 tabled dimensions, first, in one draw;
-the node dimensions are built up to the chunk's largest cluster (a trial
-without a node j pads: it skips its point's value there), and any node
-dimension past the table draws plain uniforms next.  The trial
+node j takes dimension j).  A chunk's stream starts with the scramble
+words of every replicate's net for the dimensions it reads: dimension 0
+first where J is drawn, then the node dimensions up to the chunk's
+largest cluster, at most the 64 tabled ones (a trial without a node j
+pads: it skips its point's value there), and any node dimension past the
+table draws plain uniforms next.  The trial
 contributes (1 - w0) Y + w0 Y_lone: Y its value, Y_lone the value of the
 same trial cut to node 0 alone (no in-cluster product, node 0's radius
 as the typical link).  Each trial keeps the model's expectation and
@@ -368,20 +369,20 @@ def _net_points(spec: SimSpec) -> int:
     return 1 << max(cap.bit_length() - 1, 0)
 
 
-def _net_words(rng, n: int, points: int) -> np.ndarray:
-    """The scramble words of a chunk's nets: (64 tabled dimensions, replicates, m + 1) uint64.
+def _net_words(rng, n: int, points: int, dims: int) -> np.ndarray:
+    """The scramble words of ``dims`` net dimensions of a chunk: (dims, replicates, m + 1) uint64.
 
     Consecutive trials form replicates of ``points`` = 2**m trials, the
     last one possibly shorter, and each replicate is one net.  Each
     dimension of each replicate draws m + 1 words of _NET_BITS random
     bits: its digital shift, then its linear scramble's columns 0, ...,
-    m - 1 (see ``_net_dims``).  All of them come from one ``integers``
-    call, dimension by dimension, each dimension's replicates in order,
-    before any point is built, so the words never depend on the cluster
-    sizes drawn from them.
+    m - 1 (see ``_net_dims``).  They come from one ``integers`` call,
+    dimension by dimension, each dimension's replicates in order, and each
+    word takes one 64-bit draw, so calls for dimensions 0, ..., j - 1 and
+    then j, ... draw the words of one call for them all.
     """
     m = points.bit_length() - 1
-    size = (len(_SOBOL_M), -(-n // points), m + 1)
+    size = (dims, -(-n // points), m + 1)
     return rng.integers(0, 1 << _NET_BITS, size=size, dtype=np.uint64)
 
 
@@ -408,7 +409,7 @@ def _net_dims(words: np.ndarray, n: int, points: int, first: int, count: int,
     uniforms, (n, untabled) from one ``random`` call on ``rng``.
     """
     m = points.bit_length() - 1
-    tabled = min(count, max(len(words) - first, 0))
+    tabled = min(count, max(len(_SOBOL_M) - first, 0))
     words = words[first:first + tabled]  # (dimension, replicate, word)
     # the scramble's column k: digit k set, the digits above it cleared
     scramble = words[..., 1:] & _NET_BELOW[:m]
@@ -486,19 +487,23 @@ def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, poi
     radius, the typical link of the trial cut to node 0 alone.  Sizes come
     from ``_typical_sizes`` under ``law``, the request's ``_size_law``.
     The chunk's stream holds the scramble words of one Sobol' net per
-    replicate of ``points`` trials (``_net_words``), drawn first.  A drawn
-    size J is the net's dimension 0; node j of every trial then takes
+    replicate of ``points`` trials (``_net_words``), drawn first and only
+    for the dimensions the chunk reads.  A drawn size J is the net's
+    dimension 0, whose words come first; node j of every trial then takes
     (r / a)**2 from the net's next dimension, j + 1 where a size is drawn
     and j otherwise, up to the chunk's largest cluster (a trial without a
-    node j skips its value there), and dimensions past the table draw
-    plain uniforms next.  So the radii are stratified jointly with J across
-    a replicate's trials, while each trial keeps i.i.d. uniform nodes.
+    node j skips its value there), so the node dimensions' words follow up
+    to that cluster, and dimensions past the table draw plain uniforms
+    next.  So the radii are stratified jointly with J across a replicate's
+    trials, while each trial keeps i.i.d. uniform nodes.
     """
-    words = _net_words(rng, n, points)
+    first = 0 if law[1] is None else 1
+    words = _net_words(rng, n, points, 1) if first else None
     sizes = _typical_sizes(words, scenario.size_model, law, n, points)
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
     columns = int(sizes.max())
-    first = 0 if law[1] is None else 1
+    nodes = _net_words(rng, n, points, min(first + columns, len(_SOBOL_M)) - first)
+    words = nodes if words is None else np.concatenate([words, nodes])
     u = _net_dims(words, n, points, first, columns, rng)[np.arange(columns) < sizes[:, None]]
     r = link.a * np.sqrt(u)
     seg_start = np.zeros(n, dtype=np.intp)
@@ -869,13 +874,13 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _FarTable:
     """Lambda(s) of both fields over the window, tabulated for one link, window and size model.
 
-    A monotone cubic (PCHIP) in log Lambda against log s, and below the
-    grid Lambda's small-s law.  The fields reach the receiver, so there
-    Lambda = z(s) - O(z**2), with z = lead s**delta - slope s (delta =
-    2 / alpha) its linear part in the bracket: ``lead`` the whole plane's
-    coefficient, ``slope`` what a finite window takes off it (0 for
-    W = inf), both exact to first order.  The O(z**2) rest is the
-    bracket's saturation; the table reads z / (1 + gap z) there, with
+    A monotone cubic (PCHIP) in log Lambda against the lattice index k = 0,
+    ..., K, and below the grid Lambda's small-s law.  The fields reach the
+    receiver, so there Lambda = z(s) - O(z**2), with z = lead s**delta -
+    slope s (delta = 2 / alpha) its linear part in the bracket: ``lead``
+    the whole plane's coefficient, ``slope`` what a finite window takes
+    off it (0 for W = inf), both exact to first order.  The O(z**2) rest is
+    the bracket's saturation; the table reads z / (1 + gap z) there, with
     gap = 1 / lam_lo - 1 / z(s_lo), so that it meets the grid at s_lo.  The
     law rises with z for any gap > -1 / z(s_lo), which lam_lo > 0 ensures;
     slope is capped so that z itself rises up to s_lo.  It is capped at
@@ -886,17 +891,17 @@ class _FarTable:
     ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit
     for these tables, without importing ``scipy.interpolate`` (whose import
     pulls in ``scipy.optimize`` and ``scipy.linalg`` and costs more than a
-    short MC request).  The lookup reads them by lattice arithmetic, since
-    the breakpoints are uniform in log s, instead of by PPoly's per-point
-    interval search, which costs more than a chunk's draws.  The lattice is
-    uniform only up to rounding, so the arithmetic index is then moved by
-    at most one step each way, to PPoly's interval x[i] <= log s < x[i + 1]
-    (the last interval closed).  Each step is one ``take`` and one compare
-    against guarded copies of the interval ends, whose first lower end is
-    -inf and last upper end +inf, so no step leaves the table.  The cubic
-    is evaluated in place in PPoly's order and the small-s law is applied
-    to the points below the grid alone, so the values are SciPy's
-    ``PchipInterpolator`` values bit for bit for any finite s from s_lo.
+    short MC request).  The lattice is uniform in log s and PCHIP commutes
+    with an affine map of its abscissa (Fritsch and Carlson 1980), so on
+    the integer nodes it is the interpolant in log s up to rounding, and
+    it is read without PPoly's per-point interval search, which costs
+    more than a chunk's draws: s sits at the position p = (log max(s,
+    s_lo) - x[0]) _TABLE_PER_DECADE / ln 10, on the interval floor(p) (the
+    last one beyond the lattice) at d = p - floor(p).  The cubic is
+    evaluated in place in PPoly's order and the small-s law is applied to
+    the points below the grid alone, so the values are SciPy's
+    ``PchipInterpolator(np.arange(K + 1), log Lambda)`` at p bit for bit
+    for any finite s from s_lo.
 
     Tables are shared between requests (see ``_far_table``), so every
     array is read-only.
@@ -907,36 +912,26 @@ class _FarTable:
     lead: float
     slope: float
     delta: float
-    x: np.ndarray  # breakpoints, log s
-    coef: np.ndarray  # (4, len(x) - 1), highest power first, in powers of log s - x[i]
-    x_lo: np.ndarray = dataclasses.field(init=False, repr=False)  # x[:-1], x_lo[0] = -inf
-    x_hi: np.ndarray = dataclasses.field(init=False, repr=False)  # x[1:], x_hi[-1] = +inf
+    x: np.ndarray  # log s at the lattice points k = 0, ..., K
+    coef: np.ndarray  # (4, K), highest power first, in powers of k - i on interval i
     gap: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        x_lo, x_hi = self.x[:-1].copy(), self.x[1:].copy()
-        x_lo[0], x_hi[-1] = -math.inf, math.inf
-        object.__setattr__(self, "x_lo", x_lo)
-        object.__setattr__(self, "x_hi", x_hi)
         z_lo = self.lead * self.s_lo**self.delta - self.slope * self.s_lo
         object.__setattr__(self, "gap", 1.0 / self.lam_lo - 1.0 / z_lo)
-        for array in (self.x, self.coef, x_lo, x_hi):
+        for array in (self.x, self.coef):
             array.flags.writeable = False
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         flat = s.reshape(-1)
-        x = self.x
-        log_s = np.maximum(flat, self.s_lo)
-        np.log(log_s, out=log_s)
-        pos = log_s - x[0]
-        pos *= len(x) - 1
-        pos /= x[-1] - x[0]
-        i = pos.astype(np.intp)  # pos >= 0, since log s >= x[0]
-        np.minimum(i, len(x) - 2, out=i)
-        i -= log_s < self.x_lo.take(i)
-        i += log_s >= self.x_hi.take(i)
-        d = np.subtract(log_s, x.take(i), out=pos)
+        pos = np.maximum(flat, self.s_lo)
+        np.log(pos, out=pos)
+        pos -= self.x[0]
+        pos *= _TABLE_PER_DECADE / math.log(10.0)
+        i = pos.astype(np.intp)  # floor(pos), since log s >= x[0]
+        np.minimum(i, self.coef.shape[1] - 1, out=i)
+        d = np.subtract(pos, i, out=pos)
         c0, c1, c2, c3 = self.coef
         # c3 + c2 d + c1 (d d) + c0 ((d d) d), summed left to right
         value = c2.take(i)
@@ -1031,10 +1026,11 @@ def _build_far_table(link: LinkParams, outer: float, size, top: int) -> _FarTabl
     # Lambda never decreases in s, but where it saturates, near
     # (lambda_g + lambda_co) pi W**2, the rule's value wobbles by an ulp
     np.maximum.accumulate(lam, out=lam)
-    log_s, log_lam = np.log(s), np.log(lam)
-    # the interpolant at x[0] is exactly log_lam[0]
+    log_lam = np.log(lam)
+    # the interpolant at k = 0 is exactly log_lam[0]
+    coef = _pchip_coefficients(np.arange(len(s), dtype=float), log_lam)
     return _FarTable(s[0], float(np.exp(log_lam[0])), *_small_s_law(link, outer, size, s[0]),
-                     link.delta, log_s, _pchip_coefficients(log_s, log_lam))
+                     link.delta, np.log(s), coef)
 
 
 def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:

@@ -448,7 +448,7 @@ class TestEngineSampling:
         # inverted
         law = mc._size_law(PoissonSize(800.0))
         assert law[0] == 0.0
-        words = mc._net_words(np.random.default_rng(3), 4096, 256)
+        words = mc._net_words(np.random.default_rng(3), 4096, 256, 1)
         sizes = mc._typical_sizes(words, PoissonSize(800.0), law, 4096, 256)
         assert abs(sizes.mean() - 800.0) <= 4.0 * math.sqrt(799.0 / 4096)
         with warnings.catch_warnings():
@@ -574,21 +574,16 @@ class TestScrambledNet:
         # table too (and the same stream left behind)
         n = 3 * points + points // 2 + 1
         rngs = [np.random.default_rng(7) for _ in range(2)]
-        u = mc._net_dims(mc._net_words(rngs[0], n, points), n, points, first, count, rngs[0])
+        words = mc._net_words(rngs[0], n, points, len(mc._SOBOL_M))
+        u = mc._net_dims(words, n, points, first, count, rngs[0])
         want = replay_net_dims(replay_words(rngs[1], n, points), n, points, first, count, rngs[1])
         assert np.array_equal(u, want)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
-    @pytest.mark.parametrize(
-        "size, calls",
-        [(FixedSize(6), ["integers"]), (PoissonSize(6.0), ["integers"]),
-         (PoissonSize(1.0), ["integers"]), (PoissonSize(80.0), ["integers", "random"])],
-        ids=repr,
-    )
-    def test_words_come_first_in_one_draw(self, size, calls):
-        # a chunk draws every net word in one call before any point is
-        # built, so J (dimension 0) and the nodes share one net; only node
-        # dimensions past the table (about 80 nodes) draw uniforms after it
+    @staticmethod
+    def logged_draws(size, n=512, points=256):
+        """The typical cluster's draws, in order: (method, shape drawn) per call, and the
+        cluster sizes."""
         log = []
 
         class Logged:
@@ -596,19 +591,58 @@ class TestScrambledNet:
                 self._rng = np.random.default_rng(2)
 
             def __getattr__(self, name):
-                log.append(name)
-                return getattr(self._rng, name)
+                draw = getattr(self._rng, name)
 
-        mc._typical_cluster(Logged(), Scenario(Ordered(), size), reference_link(),
-                            mc._size_law(size), 512, 256)
-        assert log == calls
+                def logged(*args, **kw):
+                    out = draw(*args, **kw)
+                    log.append((name, out.shape))
+                    return out
+                return logged
+
+        _, load, seg_start, _ = mc._typical_cluster(Logged(), Scenario(Ordered(), size),
+                                                    reference_link(), mc._size_law(size), n,
+                                                    points)
+        return log, np.diff(seg_start, append=len(load))
+
+    @pytest.mark.parametrize(
+        "size, calls",
+        [(FixedSize(6), ["integers"]), (PoissonSize(1.0), ["integers"]),
+         (FixedSize(70), ["integers", "random"])],
+        ids=repr,
+    )
+    def test_words_come_first_in_one_draw(self, size, calls):
+        # without a drawn size a chunk draws its net words in one call
+        # before any point is built, for the node dimensions alone: 6, or
+        # the whole table's 64, past which 70 nodes draw uniforms after it
+        log, sizes = self.logged_draws(size)
+        assert [name for name, _ in log] == calls
+        assert log[0][1] == (min(sizes.max(), 64), 2, 9)
+        if len(calls) == 2:
+            assert log[1][1] == (512, sizes.max() - 64)
+
+    @pytest.mark.parametrize("size", [PoissonSize(6.0), PoissonSize(80.0)], ids=repr)
+    def test_size_words_come_before_the_node_words(self, size):
+        # a drawn size J reads the net's dimension 0, so its words come
+        # first, then the node dimensions' words up to the chunk's largest
+        # cluster (15 nodes here at a mean of 6), at most the table's other
+        # 63; only node dimensions past the table (about 80 nodes) draw
+        # uniforms after them.  The words are those of one call for all
+        # of these dimensions, as the pinned streams' Poisson rows show
+        log, sizes = self.logged_draws(size)
+        largest = int(sizes.max())
+        past = largest + 1 > 64
+        assert [name for name, _ in log] == ["integers"] * 2 + ["random"] * past
+        assert log[0][1] == (1, 2, 9)
+        assert log[1][1] == (min(largest, 63), 2, 9)
+        if past:
+            assert log[2][1] == (512, largest - 63)
 
     @pytest.mark.parametrize("points", [16, 256])
     def test_replicates_are_nets(self, points):
         # one point in each 1 / N stratum of every tabled dimension, and in
         # every elementary box of area 1 / N on dimensions (0, 1)
         replicates, dims, n = 40, 12, 40 * points
-        words = mc._net_words(np.random.default_rng(11), n, points)
+        words = mc._net_words(np.random.default_rng(11), n, points, dims)
         u = mc._net_dims(words, n, points, 0, dims)
         for rep in u.reshape(replicates, points, dims):
             strata = np.sort(np.floor(rep * points), axis=0)
@@ -622,7 +656,7 @@ class TestScrambledNet:
         # point sets differ)
         points, replicates = 16, 4000
         n = points * replicates
-        u = mc._net_dims(mc._net_words(np.random.default_rng(5), n, points), n, points, 0, 3)
+        u = mc._net_dims(mc._net_words(np.random.default_rng(5), n, points, 3), n, points, 0, 3)
         u = u.reshape(replicates, points, 3)
         pvalues = [stats.kstest(u[:, i, d], "uniform").pvalue for i in (0, 1, 7, 15)
                    for d in range(3)]
@@ -1169,11 +1203,10 @@ class TestFarField:
         ids=["a250m-FixedSize(6)", "FixedSize(6)", "a1000m-PoissonSize(10.0)"],
     )
     def test_lookup_matches_pchip(self, a, size):
-        # the table's lattice-arithmetic lookup against SciPy's PCHIP
-        # evaluation of the same nodes, bit for bit; the lattice's rounding
-        # makes the arithmetic index one too high just below some breakpoints
-        # at a = 250 m (where the wrong interval changes the value) and one
-        # too low at others for every a
+        # the table's lookup by lattice position against SciPy's PCHIP on
+        # the lattice index, evaluated at the table's own position, bit for
+        # bit; and, since PCHIP commutes with the affine map from log s to
+        # the position, within rounding of SciPy's PCHIP in log s
         spec = make_spec(link=reference_link(a=a), scenario=Scenario(Unordered(), size),
                          gammas=GAMMAS_16)
         link = spec.config.link
@@ -1188,9 +1221,13 @@ class TestFarField:
         assert np.array_equal(np.log(lattice), table.x)
         lam = (mc._window_exponent(spec, InterferenceField.INTER, lattice)
                + mc._window_exponent(spec, InterferenceField.COEXIST, lattice))
-        pchip = PchipInterpolator(np.log(lattice), np.log(lam))
+        pchip = PchipInterpolator(np.arange(len(k)), np.log(lam))
         s_lo = lattice[0]
-        lam_lo = np.exp(pchip(np.log(s_lo)))
+        lam_lo = np.exp(pchip(0.0))
+
+        def position(s):
+            return (np.log(np.maximum(s, s_lo)) - table.x[0]) * (per_decade / math.log(10.0))
+
         # below the lattice: the linear part z = lead s**delta - slope s
         # over 1 + gap z, which meets the lattice at s_lo; lead is the whole
         # plane's pi K sum_fields density n (p eta)**delta
@@ -1205,19 +1242,29 @@ class TestFarField:
         gap = 1.0 / lam_lo - 1.0 / z_lo
 
         def reference(s):
-            inside = np.exp(pchip(np.log(np.maximum(s, s_lo))))
+            inside = np.exp(pchip(position(s)))
             z = table.lead * s**delta - table.slope * s
             return np.where(s < s_lo, np.minimum(z / (1.0 + gap * z), lam_lo), inside)
 
         rng = np.random.default_rng(3)
         # the request's range, r_typ <= a at every threshold, as a (threshold, trial) block
         spread = np.exp(rng.uniform(np.log(s_lo), np.log(GAMMAS_16[-1] * s_a), size=(10, 100)))
-        # every breakpoint and the s around it down to single ulps of log s
+        # the s around every lattice point down to single ulps: their
+        # positions fall within 2e-13 on both sides of every node (the ulp
+        # of log s sets the step), and on about a third of the nodes exactly
         ulps = 1.0 + np.arange(-40, 41) * np.finfo(float).eps
-        near = np.concatenate([
-            lattice, np.nextafter(lattice, 0.0), np.nextafter(lattice, np.inf),
-            (lattice[:, None] * ulps).ravel(),
-        ])
+        near = np.concatenate([np.nextafter(lattice, 0.0), np.nextafter(lattice, np.inf),
+                               (lattice[:, None] * ulps).ravel()])
+        pos = position(near)
+        for j in range(1, len(k)):
+            assert ((j - 2e-13 <= pos) & (pos < j)).any()
+            assert ((j <= pos) & (pos <= j + 2e-13)).any()
+        assert np.isin(np.arange(len(k)), pos).mean() > 0.25
+        # the PCHIP in log s, the same interpolant up to rounding: within
+        # 1e-13 at the nodes and between them (at worst 4.1e-15 here)
+        in_log_s = PchipInterpolator(np.log(lattice), np.log(lam))
+        s = np.concatenate([lattice, np.exp(rng.uniform(table.x[0], table.x[-1], 4000))])
+        np.testing.assert_allclose(table(s), np.exp(in_log_s(np.log(s))), rtol=1e-13, atol=0.0)
         below = s_lo * np.array([0.0, 1e-9, 1e-3, 0.5, 1.0 - 1e-16])
         beyond = lattice[-1] * np.array([1.0 + 1e-12, 1.5, 10.0])
         for s in (spread, near, below, np.nextafter(below, 0.0), beyond):
@@ -1367,11 +1414,7 @@ class TestFarField:
 
     def test_cached_table_is_read_only(self):
         table = mc._far_table(make_spec(gammas=GAMMAS_16))
-        # the guarded interval ends of the lookup
-        assert table.x_lo[0] == -math.inf and table.x_hi[-1] == math.inf
-        assert np.array_equal(table.x_lo[1:], table.x[1:-1])
-        assert np.array_equal(table.x_hi[:-1], table.x[1:-1])
-        for array in (table.x, table.coef, table.coef[2], table.x_lo, table.x_hi):
+        for array in (table.x, table.coef, table.coef[2]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -1796,6 +1839,8 @@ PINNED = {
     "UP-6": (Scenario(Unordered(), PoissonSize(6.0)), reference_link()),
     "OF-6": (Scenario(Ordered(), FixedSize(6)), reference_link()),
     "OP-6": (Scenario(Ordered(), PoissonSize(6.0)), reference_link()),
+    # 70 nodes: the node dimensions run past the net's 64 tabled ones
+    "UF-70": (Scenario(Unordered(), FixedSize(70)), reference_link()),
     "O2-F4-intra": (
         Scenario(Ordered(2), FixedSize(4)),
         reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0),
@@ -1859,8 +1904,11 @@ class TestPinnedStreams:
     receiver came to take that exponent over the whole window in place of
     the polar disc panels beyond 2 a: they moved by at most 2.3e-10
     relative, nothing was drawn differently, and every other row kept its
-    bits.  Any change in what is drawn,
-    or in which order, moves the rows by O(stderr), far past the tolerance.
+    bits.  The UF-70 row was added, recorded before a chunk came to draw
+    the scramble words of only the net dimensions it reads; its 70 nodes
+    take every tabled dimension and then plain uniforms.  Any change in
+    what is drawn, or in which order, moves the rows by O(stderr), far
+    past the tolerance.
     """
 
     COVERAGE = {
@@ -1883,6 +1931,11 @@ class TestPinnedStreams:
             (0.5148394279077181, 0.002618535923397436),
             (0.13416981443477322, 0.001659712147937092),
             (0.013803254712262578, 0.00046148087087822566),
+        ],
+        "UF-70": [
+            (0.10529460040773209, 0.0028853555660425297),
+            (0.026586223702966323, 0.0014557517147178053),
+            (0.00707305596284586, 0.0010451507980071314),
         ],
         "O2-F4-intra": [
             (0.8694535207681711, 0.0028413289226323466),
