@@ -3,7 +3,13 @@
 Trials are partitioned into fixed-size chunks; every chunk owns an RNG
 stream derived from (seed, chunk index) and chunks are reduced in index
 order, so estimates are bit-for-bit reproducible and independent of how
-many workers execute them.
+many workers execute them.  Contiguous chunks are simulated in runs of at
+most RUN_TRIALS trials, one vectorised pass per run (``_simulate_run``):
+each chunk draws from its own stream in the order it would alone, and all
+the work after the draws is elementwise, per trial or per replicate, so a
+chunk's output is the same bits in any run.  A run saves the fixed NumPy
+and Python cost of a pass per chunk; its cap bounds its arrays (see
+RUN_TRIALS).
 
 A coverage trial draws one field, the typical node's own cluster
 (``_typical_cluster``: the typical link and the in-cluster loads), from
@@ -119,6 +125,28 @@ WORKERS_ENV_VAR = "CLUSTERCOV_WORKERS"
 # estimate on a window wider than the near disc.
 NEAR_RADII = 2.0
 
+# The most trials of one run of contiguous chunks, simulated in one
+# vectorised pass (``_simulate_run``): four default chunks.  It is not part
+# of the stream layout (a chunk's output does not depend on its run).  A
+# run saves each chunk's fixed NumPy and Python cost, but its typical
+# clusters' arrays grow with it.  On the reference network (2-core VM), a
+# one-threshold 98,304-trial request took 0.79 times as long in runs of
+# 2,048 trials as with one pass per chunk, within 5 % of that in runs of
+# 4,096 and 8,192, and 1.12 times as long in runs of 32,768, whose arrays
+# no longer fit the cache; its peak traced allocation was 0.33 MiB in
+# chunks, 1.06 MiB in runs of 2,048, 2.06 at 4,096, 4.05 at 8,192 and 16.0
+# at 32,768.
+RUN_TRIALS = 2048
+# The most values in one block of a run's value pass (``_simulate_run``):
+# a block takes as many grid rows as fit, so that its arrays are no larger
+# than one default chunk's at 16 thresholds.  The whole 16 x 2,048 grid at
+# once took 0.65 us per trial, against 0.33 in blocks of 4 x 2,048 and
+# 0.40 for a 512-trial chunk.  In a loop like the benchmark's, which runs
+# NumPy work between requests, the whole grid raised the process's peak
+# RSS by 3.5 MB, and blocks of 256 or 512 KiB brought 850-900 page faults
+# per request, as the heap grew and was trimmed again.
+_VALUE_BLOCK = 16 * 512
+
 # The typical cluster's replicates: consecutive trials of a chunk form one
 # scrambled Sobol' net of N points, N the largest power of two up to
 # NET_POINTS, chunk_trials and trials / MIN_REPLICATES (``_net_points``), so
@@ -227,8 +255,10 @@ class SimSpec:
     chunk_trials fixes the trial partition (it is part of the random-stream
     layout, not a performance knob that may silently change results);
     workers only controls execution and never affects estimates (None reads
-    the CLUSTERCOV_WORKERS environment variable, default 1).  gamma_grid
-    may be any sequence of thresholds and is kept as a tuple of floats.
+    the CLUSTERCOV_WORKERS environment variable, default 1), and neither
+    do the runs of at most RUN_TRIALS trials in which chunks are simulated
+    (see ``_estimate``).  gamma_grid may be any sequence of thresholds and
+    is kept as a tuple of floats.
     """
 
     config: NetworkConfig
@@ -386,44 +416,50 @@ def _net_words(rng, n: int, points: int, dims: int) -> np.ndarray:
     return rng.integers(0, 1 << _NET_BITS, size=size, dtype=np.uint64)
 
 
-def _net_dims(words: np.ndarray, n: int, points: int, first: int, count: int,
-              rng=None) -> np.ndarray:
-    """(n, count) uniforms: dimensions first, ... of each replicate's scrambled Sobol' net.
+def _replicate_lengths(n: int, points: int) -> np.ndarray:
+    """The trials k_j of an n-trial chunk's replicates: points each, the last possibly fewer."""
+    return np.minimum(n - np.arange(0, n, points), points)
 
-    Row i is point i % points of replicate i // points, whose scramble
-    words are ``words`` (``_net_words``); a short last replicate of k rows
-    takes its net's first k points.  Every dimension of every replicate
-    has an independent random linear matrix scramble (a lower-triangular
-    binary matrix with unit diagonal, applied to the generator columns'
-    digits: only its first m columns reach them, and column k is digit k
-    and the word's digits below it) and then an independent digital shift
-    (an XOR with _NET_BITS random bits), as
-    ``scipy.stats.qmc.Sobol(scramble=True)`` does.  So every row on its
-    own is uniform on the _NET_BITS-digit grid of [0, 1), replicates are
-    independent, and a replicate's points keep the net's strata: one point
-    in each interval [i / 2**m, (i + 1) / 2**m) of a dimension, and one in
-    each elementary box of area 2**-m of dimensions 0 and 1.  Point i is
-    the XOR of the shift and the scrambled columns of i's set bits, built
-    in binary order by doubling.  With points = 1 (m = 0) each row is its
-    shift alone: i.i.d. uniforms.  Dimensions past the table are plain
-    uniforms, (n, untabled) from one ``random`` call on ``rng``.
+
+def _net_dims(words: np.ndarray, lengths: np.ndarray, first: int) -> np.ndarray:
+    """(trials, dims) uniforms: dimensions first, ..., of each replicate's scrambled Sobol' net.
+
+    ``words`` holds the scramble words (``_net_words``) of dims tabled
+    dimensions, from ``first`` on, and of each replicate, and ``lengths``
+    each replicate's trials: replicate j's rows are its net's first
+    lengths[j] points, so a short replicate takes a prefix of its net.
+    Every dimension of every replicate has an independent random linear
+    matrix scramble (a lower-triangular binary matrix with unit diagonal,
+    applied to the generator columns' digits: only its first m columns
+    reach them, and column k is digit k and the word's digits below it)
+    and then an independent digital shift (an XOR with _NET_BITS random
+    bits), as ``scipy.stats.qmc.Sobol(scramble=True)`` does.  So every row
+    on its own is uniform on the _NET_BITS-digit grid of [0, 1),
+    replicates are independent, and a replicate's points keep the net's
+    strata: one point in each interval [i / 2**m, (i + 1) / 2**m) of a
+    dimension, and one in each elementary box of area 2**-m of dimensions
+    0 and 1.  Point i is the XOR of the shift and the scrambled columns of
+    i's set bits, built in binary order by doubling.  With 2**m = 1 each
+    row is its shift alone: i.i.d. uniforms.  Each value depends on its
+    own replicate's words alone, so replicates of several chunks decode in
+    one call to the bits they get alone.
     """
-    m = points.bit_length() - 1
-    tabled = min(count, max(len(_SOBOL_M) - first, 0))
-    words = words[first:first + tabled]  # (dimension, replicate, word)
+    m = words.shape[2] - 1
+    points = 1 << m
+    dims = len(words)
     # the scramble's column k: digit k set, the digits above it cleared
     scramble = words[..., 1:] & _NET_BELOW[:m]
     scramble |= _NET_DIAGONAL[:m]
     # scrambled generator column j: the XOR of the scramble's columns at its digits
-    digits = _NET_DIGITS[first:first + tabled, None, :m, :m]
+    digits = _NET_DIGITS[first:first + dims, None, :m, :m]
     columns = np.bitwise_xor.reduce(np.where(digits, scramble[:, :, None, :], 0), axis=-1)
     x = np.empty((points,) + words.shape[:2], dtype=np.uint64)  # (point, dimension, replicate)
     x[0] = words[..., 0]
     for k in range(m):
         np.bitwise_xor(x[:1 << k], columns[..., k], out=x[1 << k:2 << k])
-    u = np.multiply(x.transpose(2, 0, 1), 2.0**-_NET_BITS).reshape(-1, tabled)[:n]
-    if tabled < count:
-        u = np.hstack([u, rng.random((n, count - tabled))])
+    u = np.multiply(x.transpose(2, 0, 1), 2.0**-_NET_BITS).reshape(-1, dims)
+    if lengths.min() < points:
+        u = u[(np.arange(points) < lengths[:, None]).reshape(-1)]
     return u
 
 
@@ -452,14 +488,15 @@ def _size_law(size_model) -> tuple[float, np.ndarray | None]:
     return float(cdf[0]), cdf
 
 
-def _typical_sizes(words, size_model, law, n: int, points: int) -> np.ndarray:
+def _typical_sizes(words, size_model, law, lengths: np.ndarray) -> np.ndarray:
     """Each trial's typical-cluster size: the typical node plus J in-cluster interferers.
 
-    ``law`` is ``_size_law(size_model)``.  A Poisson size draws J given
+    ``law`` is ``_size_law(size_model)`` and ``lengths`` the trials of
+    each replicate (``_replicate_lengths``).  A Poisson size draws J given
     J >= 1, the lone-node stratum J = 0 being taken exactly: J inverts the
     Poisson(mean - 1) CDF at w0 + V (1 - w0), searching right, so that a
     point on cdf[0] = w0 gives J = 1.  V is dimension 0 of the trial's
-    replicate net (``_net_dims`` on the chunk's ``words``), so J is
+    replicate net (``_net_dims`` on the replicates' ``words``), so J is
     stratified across each replicate's trials jointly with the node radii,
     which take the net's next dimensions.  Where w0 underflows to 0 this is
     the plain CDF's inversion.  Without a CDF (a fixed size, or a mean of
@@ -468,43 +505,67 @@ def _typical_sizes(words, size_model, law, n: int, points: int) -> np.ndarray:
     w0, cdf = law
     if cdf is None:
         size = size_model.n if isinstance(size_model, FixedSize) else 1
-        return np.full(n, size, dtype=np.int64)
-    u = _net_dims(words, n, points, 0, 1)[:, 0]
+        return np.full(int(lengths.sum()), size, dtype=np.int64)
+    u = _net_dims(words, lengths, 0)[:, 0]
     u *= 1.0 - w0
     u += w0
     return 1 + np.searchsorted(cdf, u, side="right")
 
 
-def _typical_cluster(rng, scenario: Scenario, link: LinkParams, law, n: int, points: int):
-    """The typical node's own cluster: (r_typ, load, seg_start, r_first).
+def _typical_cluster(rngs, scenario: Scenario, link: LinkParams, law, ns, points: int):
+    """The typical node's own cluster in a run of chunks: (r_typ, load, seg_start, r_first).
 
-    Only radii are drawn: the in-cluster interferers' fading is integrated
-    out, not sampled (see the module docstring).  ``load`` holds every
-    node's load, trial after trial, and ``seg_start`` the index of each
-    trial's first node: node j at radius rho_j has the load
-    b_j = (p_x / p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it
-    does not interfere with itself).  ``r_first`` is each trial's node 0
-    radius, the typical link of the trial cut to node 0 alone.  Sizes come
-    from ``_typical_sizes`` under ``law``, the request's ``_size_law``.
-    The chunk's stream holds the scramble words of one Sobol' net per
-    replicate of ``points`` trials (``_net_words``), drawn first and only
-    for the dimensions the chunk reads.  A drawn size J is the net's
-    dimension 0, whose words come first; node j of every trial then takes
-    (r / a)**2 from the net's next dimension, j + 1 where a size is drawn
-    and j otherwise, up to the chunk's largest cluster (a trial without a
-    node j skips its value there), so the node dimensions' words follow up
-    to that cluster, and dimensions past the table draw plain uniforms
-    next.  So the radii are stratified jointly with J across a replicate's
-    trials, while each trial keeps i.i.d. uniform nodes.
+    Chunk c of the run holds ns[c] trials and draws from its own stream
+    rngs[c]; the outputs are the chunks', joined in order, and each
+    chunk's values are the bits it gets alone.  Only radii are drawn: the
+    in-cluster interferers' fading is integrated out, not sampled (see the
+    module docstring).  ``load`` holds every node's load, trial after
+    trial, and ``seg_start`` the index of each trial's first node: node j
+    at radius rho_j has the load b_j = (p_x / p_x0) (r_typ / rho_j)**alpha,
+    and the typical node 0 (it does not interfere with itself).
+    ``r_first`` is each trial's node 0 radius, the typical link of the
+    trial cut to node 0 alone.  Sizes come from ``_typical_sizes`` under
+    ``law``, the request's ``_size_law``.  A chunk's stream holds the
+    scramble words of one Sobol' net per replicate of ``points`` trials
+    (``_net_words``), drawn first and only for the dimensions the chunk
+    reads.  A drawn size J is the net's dimension 0, whose words come
+    first; node j of every trial then takes (r / a)**2 from the net's next
+    dimension, j + 1 where a size is drawn and j otherwise, up to the
+    chunk's largest cluster (a trial without a node j skips its value
+    there), so the node dimensions' words follow up to that cluster, and
+    dimensions past the table draw plain uniforms next.  The run decodes
+    every chunk's words at once, each chunk's word block padded with
+    unread zero dimensions up to the run's largest cluster.  So the radii
+    are stratified jointly with J across a replicate's trials, while each
+    trial keeps i.i.d. uniform nodes.
     """
     first = 0 if law[1] is None else 1
-    words = _net_words(rng, n, points, 1) if first else None
-    sizes = _typical_sizes(words, scenario.size_model, law, n, points)
+    lengths = np.concatenate([_replicate_lengths(n, points) for n in ns])
+    words = None
+    if first:
+        words = np.concatenate([_net_words(rng, n, points, 1) for rng, n in zip(rngs, ns)], axis=1)
+    sizes = _typical_sizes(words, scenario.size_model, law, lengths)
+    n = len(sizes)
+    ends = np.cumsum(ns)
+    largest = np.maximum.reduceat(sizes, ends - ns)  # each chunk's largest cluster
+    columns = int(largest.max())
+    tabled = min(columns, len(_SOBOL_M) - first)
+    words = np.zeros((tabled, len(lengths), points.bit_length()), dtype=np.uint64)
+    past = np.zeros((n, columns - tabled))  # node dimensions past the table
+    replicate = 0
+    for rng, end, chunk_n, chunk_columns in zip(rngs, ends.tolist(), ns, largest.tolist()):
+        dims = min(chunk_columns, tabled)
+        block = _net_words(rng, chunk_n, points, dims)
+        words[:dims, replicate:replicate + block.shape[1]] = block
+        replicate += block.shape[1]
+        if chunk_columns > dims:
+            untabled = chunk_columns - dims
+            past[end - chunk_n:end, :untabled] = rng.random((chunk_n, untabled))
+    u = _net_dims(words, lengths, first)
+    if columns > tabled:
+        u = np.hstack([u, past])
+    u = u[np.arange(columns) < sizes[:, None]]
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
-    columns = int(sizes.max())
-    nodes = _net_words(rng, n, points, min(first + columns, len(_SOBOL_M)) - first)
-    words = nodes if words is None else np.concatenate([words, nodes])
-    u = _net_dims(words, n, points, first, columns, rng)[np.arange(columns) < sizes[:, None]]
     r = link.a * np.sqrt(u)
     seg_start = np.zeros(n, dtype=np.intp)
     np.cumsum(sizes[:-1], out=seg_start[1:])
@@ -1041,13 +1102,18 @@ def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:
     return np.exp(exponent, out=exponent)
 
 
-def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one chunk of trials: (replicate sums S_j, replicate sizes k_j).
+def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Simulate contiguous chunks in one pass: each chunk's (replicate sums S_j, sizes k_j).
 
-    Consecutive trials form replicates of ``points`` trials, one scrambled
-    net each, the last one possibly shorter.  S_j is a (grid, replicates)
-    array, the sum of replicate j's values at every grid point;
-    ``_estimate`` turns the chunks' sums into means and standard errors.
+    Chunk i of the request, of ``ns[i - first]`` trials, draws from its
+    own stream, default_rng(SeedSequence(seed, spawn_key=(i,))), in the
+    order it would alone, and everything after the draws is elementwise
+    or per trial or per replicate, so each chunk's output is the same
+    bits whatever run it is simulated in.  Consecutive trials of a chunk
+    form replicates of ``points`` trials, one scrambled net each, the
+    last one possibly shorter.  S_j is a (grid, replicates) array, the sum
+    of replicate j's values at every grid point; ``_estimate`` turns the
+    chunks' sums into means and standard errors.
 
     Every trial gives one value per grid point t.  For the INTER and
     COEXIST transforms t is the transform variable and the value
@@ -1066,46 +1132,62 @@ def _simulate_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     in-cluster product at node 0's radius.  For INTRA and for the unordered
     typical node (node 0) that is the value before the product, which for
     INTRA is exactly 1.  The transforms' far factor is applied by
-    ``_estimate``.
+    ``_estimate``.  Values are formed and summed a few grid rows at a
+    time, at most _VALUE_BLOCK values per block.
     """
-    spec, field, index, n, grid, far, law, points = args
+    spec, field, first, ns, grid, far, law, points = args
     scenario = spec.scenario
     link = spec.config.link
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
+            for index in range(first, first + len(ns))]
     t = np.asarray(grid)
     load = scale = None
     if field is InterferenceField.INTRA:
-        r_typ, load, seg_start, _ = _typical_cluster(rng, scenario, link, law, n, points)
+        r_typ, load, seg_start, _ = _typical_cluster(rngs, scenario, link, law, ns, points)
         # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
         sizes = np.diff(seg_start, append=len(load))
         load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
-        x = np.zeros(n)
+        x = np.zeros(sum(ns))
     elif field is InterferenceField.INTER:
-        x = _cross_clusters(rng, scenario, link, _near_radius(spec.config), n)
+        radius = _near_radius(spec.config)
+        x = np.concatenate([_cross_clusters(rng, scenario, link, radius, n)
+                            for rng, n in zip(rngs, ns)])
     elif field is InterferenceField.COEXIST:
-        x = _coexisting(rng, link, _near_radius(spec.config), n)
+        radius = _near_radius(spec.config)
+        x = np.concatenate([_coexisting(rng, link, radius, n) for rng, n in zip(rngs, ns)])
     else:
-        r_typ, load, seg_start, r_first = _typical_cluster(rng, scenario, link, law, n, points)
+        r_typ, load, seg_start, r_first = _typical_cluster(rngs, scenario, link, law, ns, points)
         scale = r_typ**link.alpha / (link.p_x0 * link.eta)
         x = link.sigma2 * scale
-    values = _conditional_values(t, x, scale, far)
     w0, _ = law
-    if w0:
-        # w0 times the lone-node stratum's value: the same trial cut to node
-        # 0 alone, so without the in-cluster product and on node 0's link
-        if field is None and not isinstance(scenario.ordering, Unordered):
-            scale = r_first**link.alpha / (link.p_x0 * link.eta)
-            lone = _conditional_values(t, link.sigma2 * scale, scale, far)
-            lone *= w0
-        else:
-            lone = values * w0  # node 0 is the typical node, or INTRA's 1
-    if load is not None:
-        intra_fading(load, seg_start, t, values)
-    if w0:
-        values *= 1.0 - w0
-        values += lone
-    starts = np.arange(0, n, points)
-    return np.add.reduceat(values, starts, axis=1), np.minimum(n - starts, points)
+    lone_scale = None
+    if w0 and field is None and not isinstance(scenario.ordering, Unordered):
+        lone_scale = r_first**link.alpha / (link.p_x0 * link.eta)
+        lone_x = link.sigma2 * lone_scale
+    lengths = [_replicate_lengths(n, points) for n in ns]
+    starts = np.zeros(sum(map(len, lengths)), dtype=np.intp)
+    np.cumsum(np.concatenate(lengths)[:-1], out=starts[1:])
+    sums = np.empty((len(t), len(starts)))
+    # a few grid rows at a time, at most _VALUE_BLOCK values
+    rows = max(1, _VALUE_BLOCK // len(x))
+    for lo in range(0, len(t), rows):
+        block = t[lo:lo + rows]
+        values = _conditional_values(block, x, scale, far)
+        if w0:
+            # w0 times the lone-node stratum's value: the same trial cut to
+            # node 0 alone, so without the in-cluster product and on node 0's link
+            if lone_scale is not None:
+                lone = _conditional_values(block, lone_x, lone_scale, far)
+                lone *= w0
+            else:
+                lone = values * w0  # node 0 is the typical node, or INTRA's 1
+        if load is not None:
+            intra_fading(load, seg_start, block, values)
+        if w0:
+            values *= 1.0 - w0
+            values += lone
+        np.add.reduceat(values, starts, axis=1, out=sums[lo:lo + rows])
+    return list(zip(np.split(sums, np.cumsum([len(k) for k in lengths[:-1]]), axis=1), lengths))
 
 
 def _estimate(
@@ -1117,8 +1199,13 @@ def _estimate(
     coverage table of Lambda over the window (``_far_table``), the typical
     cluster's size law (``_size_law``, drawn only by coverage and INTRA)
     and N, the points of each replicate's net (``_net_points``: the largest power of two up to
-    NET_POINTS, chunk_trials and trials / MIN_REPLICATES).  The mean is the
-    chunks' totals, summed in chunk order, over n trials.  The standard
+    NET_POINTS, chunk_trials and trials / MIN_REPLICATES).  Contiguous
+    chunks are simulated in runs of at most RUN_TRIALS trials (at least
+    one chunk), one vectorised pass each (``_simulate_run``); with w
+    workers a run also holds at most ceil(chunks / (4 w)) chunks, and a
+    pool task at most ceil(runs / (4 w)) runs, so that each worker takes
+    about four tasks.  A chunk's output does not depend on its run.  The mean is the chunks'
+    totals, summed in chunk order, over n trials.  The standard
     error takes two passes over every chunk's replicate sums in index
     order: the mean first, then the squared deviations from it.  Its
     degrees of freedom are the replicates' count less one, n / N - 1 where
@@ -1136,22 +1223,28 @@ def _estimate(
     stratified = field is None or field is InterferenceField.INTRA
     law = _size_law(spec.scenario.size_model) if stratified else (0.0, None)
     points = _net_points(spec) if stratified else 1
-    args = [
-        (spec, field, index, size, grid, far, law, points)
-        for index, size in enumerate(_chunk_sizes(spec.trials, spec.chunk_trials))
-    ]
+    ns = _chunk_sizes(spec.trials, spec.chunk_trials)
     workers = _resolve_workers(spec.workers)
-    if workers == 1 or len(args) == 1:
-        chunks = [_simulate_chunk(a) for a in args]
+    per_run = max(1, RUN_TRIALS // spec.chunk_trials)
+    if workers > 1:
+        per_run = min(per_run, -(-len(ns) // (4 * workers)))
+    runs = [(spec, field, first, ns[first:first + per_run], grid, far, law, points)
+            for first in range(0, len(ns), per_run)]
+    if workers == 1 or len(runs) == 1:
+        chunks = [chunk for run in runs for chunk in _simulate_run(run)]
     else:
         # imported here: the pool brings in multiprocessing, socket,
         # subprocess and logging, which a one-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # about four runs of contiguous chunks per worker: one pickled task
-        # per chunk costs about as much as simulating it
+        # about four tasks per worker: a pickled task (the spec and the far
+        # table) costs about as much as a short run, and one task per run
+        # made a one-threshold 400k-trial request on two workers take
+        # 0.23-0.27 s against 0.14 s
+        per_task = -(-len(runs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_simulate_chunk, args, chunksize=-(-len(args) // (4 * workers))))
+            chunks = [chunk for run in pool.map(_simulate_run, runs, chunksize=per_task)
+                      for chunk in run]
     n = spec.trials
     means = np.array([part.sum(axis=1) for part, _ in chunks]).sum(axis=0) / n
     sums = np.concatenate([part for part, _ in chunks], axis=1)

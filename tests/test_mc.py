@@ -58,10 +58,23 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def run_clusters(calls):
+    """(load, seg_start) of each run's typical clusters, from its ``intra_fading`` calls.
+
+    A run's value pass calls the kernel once per block of grid rows, every
+    time with the same load array.
+    """
+    runs = []
+    for load, seg_start, *_ in calls["intra_fading"]:
+        if not runs or load is not runs[-1][0]:
+            runs.append((load, seg_start))
+    return runs
+
+
 def typical_nodes(calls):
     """(load, trial) of every typical-cluster node, chunks joined."""
     loads, trials, offset = [], [], 0
-    for load, seg_start, *_ in calls["intra_fading"]:
+    for load, seg_start in run_clusters(calls):
         sizes = np.diff(seg_start, append=len(load))
         loads.append(load)
         trials.append(np.repeat(np.arange(len(seg_start)), sizes) + offset)
@@ -115,30 +128,41 @@ def replay_cluster(rng, size, n, points):
 def replayed_radii(spec, calls):
     """[(radii, seg_start, V, node uniforms)] of every coverage chunk's typical cluster.
 
-    Replays each chunk's draws (``replay_cluster``) and checks the
-    kernel's sizes and loads against them bit for bit: 0 at one node per
-    trial, the typical one, and (p_x / p_x0) (r_typ / rho)**alpha at every
-    other node.  Needs one worker, so that the kernel calls come in chunk
-    order.
+    The kernel sees a run of contiguous chunks at once (``run_clusters``);
+    each run is split into its chunks by ``_chunk_sizes``, and each
+    chunk's draws are replayed from its own stream (``replay_cluster``)
+    and checked against the kernel's sizes and loads bit for bit: 0 at one
+    node per trial, the typical one, and (p_x / p_x0) (r_typ / rho)**alpha
+    at every other node.  Needs one worker, so that the kernel calls come
+    in chunk order.
     """
     link, size = spec.config.link, spec.scenario.size_model
     points = net_points(spec.trials, spec.chunk_trials)
+    chunks = enumerate(mc._chunk_sizes(spec.trials, spec.chunk_trials))
     out = []
-    for index, (load, seg_start, *_) in enumerate(calls["intra_fading"]):
-        n = len(seg_start)
-        sizes = np.diff(seg_start, append=len(load))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
-        replayed, v, u = replay_cluster(rng, size, n, points)
-        assert np.array_equal(replayed, sizes)
-        r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
-        trial = np.repeat(np.arange(n), sizes)
-        typical = np.flatnonzero(load == 0.0)
-        assert np.array_equal(trial[typical], np.arange(n))
-        want = (r[typical][trial] / r) ** link.alpha
-        want *= link.p_x / link.p_x0
-        want[typical] = 0.0
-        assert np.array_equal(load, want)
-        out.append((r, seg_start, v, u))
+    for run_load, run_seg_start in run_clusters(calls):
+        node_ends = np.append(run_seg_start, len(run_load))
+        start = 0
+        while start < len(run_seg_start):
+            index, n = next(chunks)
+            lo, hi = node_ends[start], node_ends[start + n]
+            load, seg_start = run_load[lo:hi], run_seg_start[start:start + n] - lo
+            start += n
+            sizes = np.diff(seg_start, append=len(load))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
+                                                               spawn_key=(index,)))
+            replayed, v, u = replay_cluster(rng, size, n, points)
+            assert np.array_equal(replayed, sizes)
+            r = link.a * np.sqrt(np.concatenate([u[t, :k] for t, k in enumerate(sizes)]))
+            trial = np.repeat(np.arange(n), sizes)
+            typical = np.flatnonzero(load == 0.0)
+            assert np.array_equal(trial[typical], np.arange(n))
+            want = (r[typical][trial] / r) ** link.alpha
+            want *= link.p_x / link.p_x0
+            want[typical] = 0.0
+            assert np.array_equal(load, want)
+            out.append((r, seg_start, v, u))
+    assert next(chunks, None) is None
     return out
 
 
@@ -326,20 +350,22 @@ class TestEngineSampling:
 
     @pytest.mark.parametrize(
         "size",
-        [FixedSize(1), FixedSize(6), PoissonSize(1.0), PoissonSize(6.0), PoissonSize(30.0)],
+        [FixedSize(1), FixedSize(6), FixedSize(70), PoissonSize(1.0), PoissonSize(6.0),
+         PoissonSize(30.0), PoissonSize(80.0)],
         ids=repr,
     )
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     def test_farthest_pick_matches_stable_sort(self, size, ties):
         # the farthest node is the one a stable sort by (trial, radius) puts
         # last in its trial; coarse net words (a few digits per point)
-        # force ties at the top
+        # force ties at the top.  70 nodes, and a Poisson mean of 80, reach
+        # past the 64 tabled net dimensions into plain uniforms
         link = reference_link()
         tied = 0
         for seed in range(4):
             rngs = [(CoarseDraws if ties else np.random.default_rng)(seed) for _ in range(2)]
             r_typ, load, *_ = mc._typical_cluster(
-                rngs[0], Scenario(Ordered(), size), link, mc._size_law(size), 512, 16,
+                [rngs[0]], Scenario(Ordered(), size), link, mc._size_law(size), [512], 16,
             )
             ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512, 16)
             assert np.array_equal(r_typ, ref_r_typ)
@@ -364,7 +390,7 @@ class TestEngineSampling:
             for trials in (512, 488, 5):
                 rngs = [(CoarseDraws if ties else np.random.default_rng)(seed) for _ in range(2)]
                 r_typ, load, *_ = mc._typical_cluster(
-                    rngs[0], scenario, link, mc._size_law(FixedSize(n)), trials, 16,
+                    [rngs[0]], scenario, link, mc._size_law(FixedSize(n)), [trials], 16,
                 )
                 ref_r_typ, ref_load, ref_tied = stable_sort_pick(
                     rngs[1], FixedSize(n), link, trials, 16, k
@@ -442,14 +468,15 @@ class TestEngineSampling:
         # nbar = 1: every typical node is alone, no J is read from the net
         # (its words are not even looked at) and no lone term is mixed in
         assert mc._size_law(FixedSize(6)) == mc._size_law(PoissonSize(1.0)) == (0.0, None)
-        sizes = mc._typical_sizes(None, PoissonSize(1.0), (0.0, None), 512, 32)
+        sizes = mc._typical_sizes(None, PoissonSize(1.0), (0.0, None),
+                                  mc._replicate_lengths(512, 32))
         assert np.array_equal(sizes, np.ones(512))
         # past nbar - 1 of about 745, w0 underflows to 0 and the plain CDF is
         # inverted
         law = mc._size_law(PoissonSize(800.0))
         assert law[0] == 0.0
         words = mc._net_words(np.random.default_rng(3), 4096, 256, 1)
-        sizes = mc._typical_sizes(words, PoissonSize(800.0), law, 4096, 256)
+        sizes = mc._typical_sizes(words, PoissonSize(800.0), law, mc._replicate_lengths(4096, 256))
         assert abs(sizes.mean() - 800.0) <= 4.0 * math.sqrt(799.0 / 4096)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -562,7 +589,7 @@ class TestScrambledNet:
         dims = len(mc._SOBOL_M)
         assert dims == 64
         words = np.zeros((dims, 1, m + 1), dtype=np.uint64)
-        u = mc._net_dims(words, 1 << m, 1 << m, 0, dims)
+        u = mc._net_dims(words, np.array([1 << m]), 0)
         want = qmc.Sobol(dims, scramble=False).random_base2(m)
         assert np.array_equal(u[np.lexsort(u.T[::-1])], want[np.lexsort(want.T[::-1])])
 
@@ -570,15 +597,16 @@ class TestScrambledNet:
     @pytest.mark.parametrize("first, count", [(0, 6), (1, 15), (60, 7)])
     def test_matches_gf2_replay(self, points, first, count):
         # the engine's words and XOR doubling against the digit-by-digit
-        # matrix product, bit for bit, full and short replicates, past the
-        # table too (and the same stream left behind)
+        # matrix product, bit for bit, full and short replicates, up to the
+        # table's last dimension (``_typical_cluster`` draws the dimensions
+        # past it as plain uniforms: see test_farthest_pick_matches_stable_sort)
         n = 3 * points + points // 2 + 1
-        rngs = [np.random.default_rng(7) for _ in range(2)]
-        words = mc._net_words(rngs[0], n, points, len(mc._SOBOL_M))
-        u = mc._net_dims(words, n, points, first, count, rngs[0])
-        want = replay_net_dims(replay_words(rngs[1], n, points), n, points, first, count, rngs[1])
+        tabled = min(count, 64 - first)
+        words = mc._net_words(np.random.default_rng(7), n, points, len(mc._SOBOL_M))
+        u = mc._net_dims(words[first:first + tabled], mc._replicate_lengths(n, points), first)
+        want = replay_net_dims(replay_words(np.random.default_rng(7), n, points), n, points,
+                               first, tabled)
         assert np.array_equal(u, want)
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     @staticmethod
     def logged_draws(size, n=512, points=256):
@@ -599,8 +627,8 @@ class TestScrambledNet:
                     return out
                 return logged
 
-        _, load, seg_start, _ = mc._typical_cluster(Logged(), Scenario(Ordered(), size),
-                                                    reference_link(), mc._size_law(size), n,
+        _, load, seg_start, _ = mc._typical_cluster([Logged()], Scenario(Ordered(), size),
+                                                    reference_link(), mc._size_law(size), [n],
                                                     points)
         return log, np.diff(seg_start, append=len(load))
 
@@ -643,7 +671,7 @@ class TestScrambledNet:
         # every elementary box of area 1 / N on dimensions (0, 1)
         replicates, dims, n = 40, 12, 40 * points
         words = mc._net_words(np.random.default_rng(11), n, points, dims)
-        u = mc._net_dims(words, n, points, 0, dims)
+        u = mc._net_dims(words, mc._replicate_lengths(n, points), 0)
         for rep in u.reshape(replicates, points, dims):
             strata = np.sort(np.floor(rep * points), axis=0)
             assert (strata == np.arange(points)[:, None]).all()
@@ -656,7 +684,8 @@ class TestScrambledNet:
         # point sets differ)
         points, replicates = 16, 4000
         n = points * replicates
-        u = mc._net_dims(mc._net_words(np.random.default_rng(5), n, points, 3), n, points, 0, 3)
+        words = mc._net_words(np.random.default_rng(5), n, points, 3)
+        u = mc._net_dims(words, mc._replicate_lengths(n, points), 0)
         u = u.reshape(replicates, points, 3)
         pvalues = [stats.kstest(u[:, i, d], "uniform").pvalue for i in (0, 1, 7, 15)
                    for d in range(3)]
@@ -1072,7 +1101,7 @@ class TestInClusterFactor:
         rng = np.random.default_rng(4)
         for ordering in (Unordered(), Ordered()):
             _, load, seg_start, _ = mc._typical_cluster(
-                rng, Scenario(ordering, size), reference_link(), mc._size_law(size), 512, 32,
+                [rng], Scenario(ordering, size), reference_link(), mc._size_law(size), [512], 32,
             )
             assert len(load) == 512 and not load.any()
             values = rng.uniform(size=(len(GAMMAS_16) + 1, 512))
@@ -1536,6 +1565,112 @@ class TestDeterminism:
         assert est.stderr == 0.0
 
 
+class TestRuns:
+    """Contiguous chunks simulated in one pass: a chunk's output does not depend on its run."""
+
+    @staticmethod
+    def simulate(spec, field, grid, first, ns):
+        """``_simulate_run`` on chunks first, ... of ns, set up as ``_estimate`` sets it up."""
+        stratified = field is None or field is InterferenceField.INTRA
+        far = mc._far_table(spec) if field is None else None
+        law = mc._size_law(spec.scenario.size_model) if stratified else (0.0, None)
+        points = mc._net_points(spec) if stratified else 1
+        return mc._simulate_run((spec, field, first, ns, grid, far, law, points))
+
+    def check_runs(self, spec, field, grid):
+        """Every run of contiguous chunks against its one-chunk runs joined, bit for bit."""
+        ns = mc._chunk_sizes(spec.trials, spec.chunk_trials)
+        alone = [self.simulate(spec, field, grid, i, [n]) for i, n in enumerate(ns)]
+        assert all(len(run) == 1 for run in alone)
+        for first in range(len(ns) - 1):
+            for last in range(first + 2, len(ns) + 1):
+                run = self.simulate(spec, field, grid, first, ns[first:last])
+                assert len(run) == last - first
+                for (sums, sizes), ((want_sums, want_sizes),) in zip(run, alone[first:last]):
+                    assert np.array_equal(sums, want_sums)
+                    assert np.array_equal(sizes, want_sizes)
+
+    @staticmethod
+    def largest_clusters(calls):
+        """Each one-chunk run's largest typical cluster, from its kernel call."""
+        return [int(np.diff(seg_start, append=len(load)).max())
+                for load, seg_start in run_clusters(calls)]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(o, s) for o in (Unordered(), Ordered()) for s in (FixedSize(6), PoissonSize(6.0))]
+        + [Scenario(Ordered(2), FixedSize(6))],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("trials, chunk_trials", [(1700, 512), (1400, 300)])
+    def test_coverage_chunks_keep_their_bits(self, kernel_calls, scenario, trials, chunk_trials):
+        # the reference network's 16 thresholds with its far table; 1,700
+        # trials end in a short chunk of 164, and chunks of 300 each end in
+        # a short replicate (64-point nets: 4 of 64 and one of 44), the last
+        # chunk of 200 too
+        spec = make_spec(scenario=scenario, trials=trials, chunk_trials=chunk_trials,
+                         gammas=GAMMAS_16, workers=1)
+        assert trials % chunk_trials and mc._net_points(spec) == 64
+        self.check_runs(spec, None, GAMMAS_16)
+        if isinstance(scenario.size_model, PoissonSize):
+            kernel_calls["intra_fading"].clear()
+            for i, n in enumerate(mc._chunk_sizes(trials, chunk_trials)):
+                self.simulate(spec, None, GAMMAS_16, i, [n])
+            assert len(set(self.largest_clusters(kernel_calls))) > 1
+
+    @pytest.mark.parametrize("size", [FixedSize(70), PoissonSize(46.0)], ids=repr)
+    def test_chunks_past_the_table_keep_their_bits(self, kernel_calls, size):
+        # 70 nodes take every tabled net dimension and then plain uniforms
+        # from each chunk's own stream; at a Poisson mean of 46 some chunks'
+        # largest clusters stay within the table's 63 node dimensions (its
+        # dimension 0 draws the size) and others reach past it, so a run
+        # pads both its words and its plain uniforms
+        spec = make_spec(scenario=Scenario(Ordered(), size), trials=1000, chunk_trials=100,
+                         gammas=(0.1, 10.0), workers=1)
+        self.check_runs(spec, None, (0.1, 10.0))
+        if isinstance(size, PoissonSize):
+            kernel_calls["intra_fading"].clear()
+            for i, n in enumerate(mc._chunk_sizes(1000, 100)):
+                self.simulate(spec, None, (0.1, 10.0), i, [n])
+            largest = self.largest_clusters(kernel_calls)
+            assert min(largest) <= 63 < max(largest)
+
+    @pytest.mark.parametrize("field", list(InterferenceField), ids=lambda f: f.value)
+    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
+    def test_transform_chunks_keep_their_bits(self, field, size):
+        spec = make_spec(scenario=Scenario(Unordered(), size), trials=1300, chunk_trials=300,
+                         window=5000.0, workers=1)
+        self.check_runs(spec, field, (0.0, 1e6, 1e9, 1e12))
+
+    def test_value_blocks_share_the_run_draws(self, kernel_calls):
+        # 4,096 trials at 16 thresholds: two runs of 2,048 trials, each
+        # valued in blocks of 4 thresholds (_VALUE_BLOCK values), and every
+        # chunk's typical cluster replayed from its own stream
+        spec = isolated_spec(PoissonSize(6.0), Ordered(), trials=4096, gammas=GAMMAS_16)
+        estimate_coverage(spec)
+        assert len(kernel_calls["intra_fading"]) == 2 * 16 // (mc._VALUE_BLOCK // 2048)
+        assert [len(seg_start) for _, seg_start in run_clusters(kernel_calls)] == [2048, 2048]
+        assert len(replayed_radii(spec, kernel_calls)) == 8
+
+    def test_runs_hold_at_most_run_trials(self, monkeypatch):
+        # one worker: runs of RUN_TRIALS // chunk_trials chunks; two
+        # workers: at most a 4 workers-th of the chunks per run
+        seen = []
+
+        def logged(args, _simulate_run=mc._simulate_run):
+            seen.append((args[2], list(args[3])))
+            return _simulate_run(args)
+
+        monkeypatch.setattr(mc, "_simulate_run", logged)
+        estimate_coverage(make_spec(trials=9000, chunk_trials=300, workers=1))
+        assert [first for first, _ in seen] == list(range(0, 30, 6))
+        assert all(sum(ns) <= mc.RUN_TRIALS for _, ns in seen)
+        assert mc.RUN_TRIALS // 300 == 6
+        seen.clear()
+        estimate_coverage(make_spec(trials=5000, chunk_trials=1000, workers=1))
+        assert seen == [(0, [1000, 1000]), (2, [1000, 1000]), (4, [1000])]
+
+
 class TestCoverageEstimates:
     def test_shared_realizations_give_monotone_curve(self):
         gammas = tuple(10.0 ** (db / 10.0) for db in range(-20, 11, 2))
@@ -1639,7 +1774,7 @@ class TestCoverageEstimates:
         def no_chunk(args):
             raise AssertionError("a chunk ran")
 
-        monkeypatch.setattr(mc, "_simulate_chunk", no_chunk)
+        monkeypatch.setattr(mc, "_simulate_run", no_chunk)
         with pytest.raises(ValueError, match=r"threshold 1e\+300"):
             estimate_coverage(make_spec(trials=10, gammas=(0.1, 1e300)))
 

@@ -106,12 +106,16 @@ fast_paths = loaded()
 far_table = mc._far_table(spec) is not None
 exact = cc.coverage(0.1, scenario, link, method=cc.Method.EXACT_INTEGRAL).value
 after_exact = sorted(name for name in ("scipy.special", "scipy.integrate") if name in sys.modules)
+# one worker runs a request of several runs of chunks in this process
+cc.estimate_coverage(dataclasses.replace(spec, trials=8192))
+runs_loaded = sorted(name for name in loaded() if not name.startswith("scipy"))
 # two chunks on two workers take the pool branch, which imports the pool itself
 two_chunks = dataclasses.replace(spec, trials=1024)
 serial = cc.estimate_coverage(two_chunks)
 pooled = cc.estimate_coverage(dataclasses.replace(two_chunks, workers=2))
 print(json.dumps({"fast_paths": fast_paths, "far_table": far_table, "exact": exact,
-                  "after_exact": after_exact, "pool_matches": serial == pooled,
+                  "after_exact": after_exact, "runs_loaded": runs_loaded,
+                  "pool_matches": serial == pooled,
                   "pool_loaded": "concurrent.futures.process" in sys.modules}))
 """
 
@@ -141,12 +145,15 @@ def test_first_numbers_load_numpy_only():
     # a fresh interpreter: import, one GC point, one MC coverage chunk with a
     # far table and one INTER transform load nothing of SciPy and no process
     # pool; the exact path loads scipy.special alone when first called (its
-    # quadrature is in-repo), and a pooled estimate equals the serial one
+    # quadrature is in-repo); one worker runs a request of four runs of
+    # chunks without the pool either, and a pooled estimate equals the
+    # serial one
     result = _fresh_interpreter(IMPORT_SURFACE_SCRIPT)
     assert result["fast_paths"] == []
     assert result["far_table"]
     assert 0.0 < result["exact"] < 1.0
     assert result["after_exact"] == ["scipy.special"]
+    assert result["runs_loaded"] == []
     assert result["pool_matches"]
     assert result["pool_loaded"]
 
