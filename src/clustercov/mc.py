@@ -13,17 +13,13 @@ RUN_TRIALS).
 
 A coverage trial draws one field, the typical node's own cluster
 (``_typical_cluster``: the typical link and the in-cluster loads), from
-the start of its chunk's stream.  The other clusters form a Poisson
-cluster process and the coexisting nodes a PPP, both independent of the
-typical cluster, so given that cluster their effect on coverage is
-exactly a probability generating functional: exp(-Lambda(s)) at
-s = gamma r**alpha / (p_x0 eta), with Lambda the exponent of both fields
-over the whole window (0, W], W the window radius (it may be infinite:
-the whole plane, no truncation bias).  Lambda is integrated by
-``_annulus_exponent`` and read from a per-link table (``_far_table``)
-instead of sampled.  A transform request (INTER or COEXIST) draws its
-own field inside the near disc of radius R0 = min(W, NEAR_RADII * a), a
-the cluster radius, from the start of the stream, and takes the annulus
+the start of its chunk's stream.  The other clusters and the coexisting
+nodes are independent of it, so they enter by their exact transform
+exp(-Lambda(s)) over the window (0, W], s = gamma r**alpha / (p_x0 eta),
+read from the request's table (``_far_table``; Lambda and its table are
+``field``'s).  A transform request (INTER or COEXIST) draws its own field
+inside the near disc of radius R0 = min(W, NEAR_RADII * a), a the
+cluster radius, from the start of the stream, and takes the annulus
 (R0, W] exactly; it is the one simulation of those fields.  A zero
 density draws nothing.
 
@@ -97,16 +93,14 @@ them in place.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from . import field
 from .params import FixedSize, LinkParams, NetworkConfig, Scenario, Unordered, require_int
 
 __all__ = [
@@ -209,41 +203,8 @@ _NET_DIAGONAL = np.array([1 << (_NET_BITS - 1 - k) for k in range(8)], dtype=np.
 _NET_BELOW = _NET_DIAGONAL - np.uint64(1)
 _NET_DIGITS = ((_SOBOL_M << (7 - np.arange(8)))[:, :, None] >> (7 - np.arange(8)) & 1).astype(bool)
 
-# The clusters' exponent rule (``_near_exponent``): each cluster disc is
-# averaged over circles about the receiver, _ARC_NODES nodes on each rim
-# arc, and the linear part of the bracket over the lens of its parent's
-# disc, _LENS_NODES nodes.  Parent radii: _NEAR_LEVELS geometric panels of
-# _NEAR_NODES on each side of x = a, where the disc's rim crosses the
-# receiver, and beyond 2 a one panel of _FAR_NODES Gauss-Legendre nodes in
-# u = (2 a / x)**(alpha - 2), which maps an infinite window to a finite
-# interval and makes the tail of the integrand smooth.  The per-block
-# buffer never exceeds _BLOCK_BYTES (a table build ran fastest there, and
-# at 768 KiB it took more memory and no less time).
-_FAR_NODES = 64
-_NEAR_LEVELS = 4
-_NEAR_NODES = 8
-_ARC_NODES = 64
-_LENS_NODES = 32
-_BLOCK_BYTES = 256 * 1024
-# Coverage needs Lambda(s) at a different s per trial and threshold, so it
-# is tabulated on a lattice fixed by the link alone: _TABLE_PER_DECADE
-# points per decade of s / s_a, s_a = a**alpha / (p_x0 eta) (s at gamma = 1
-# and r = a), up to two points past the largest s of the request.  It
-# starts where a node's load term c / (r**alpha + c) is 1/2 at
-# r = _TABLE_FLOOR_SPIKE a for the stronger of the two fields, so the
-# bracket's saturation is small there and the small-s law below the table
-# (see ``_FarTable``) is within about 1e-7 of Lambda: 238 points below s_a
-# at alpha = 3.5.  The interpolant on an interval depends only on its
-# neighbouring nodes, so a trial's value does not depend on the request's
-# other thresholds.  The _FAR_TABLES most recently used tables are kept
-# (see ``_far_table``).
-_TABLE_PER_DECADE = 40
-_TABLE_FLOOR_SPIKE = 0.02
-_FAR_TABLES = 64
-
 
 class InterferenceField(Enum):
-    INTRA = "intra"
     INTER = "inter"
     COEXIST = "coexist"
 
@@ -287,11 +248,11 @@ class McEstimate:
     ``stderr`` estimates the standard deviation of ``mean`` from the spread
     of the i.i.d. replicate sums: with S_j the sum of replicate j's k_j
     trials and m replicates, it is sqrt(m / (m - 1) * sum (S_j - k_j
-    mean)**2) / trials, and 0.0 for m = 1.  Coverage and the INTRA
-    transform draw each replicate as one scrambled net of N points (see
-    the module docstring), N the largest power of two up to NET_POINTS,
-    chunk_trials and trials / MIN_REPLICATES, so m is at least about
-    MIN_REPLICATES; below 2 MIN_REPLICATES trials N = 1 and the standard
+    mean)**2) / trials, and 0.0 for m = 1.  Coverage draws each
+    replicate as one scrambled net of N points (see the module
+    docstring), N the largest power of two up to NET_POINTS, chunk_trials
+    and trials / MIN_REPLICATES, so m is at least about MIN_REPLICATES;
+    below 2 MIN_REPLICATES trials N = 1 and the standard
     error is the usual i.i.d. one, 0.0 for a single trial.  The INTER and
     COEXIST transforms draw no typical cluster, so their trials are i.i.d.
     and they always use replicates of one trial; their mean and stderr
@@ -629,399 +590,7 @@ def _near_radius(config: NetworkConfig) -> float:
     return min(config.window_radius, NEAR_RADII * config.link.a)
 
 
-_gauss = functools.cache(leggauss)
-
-
-def _disc_mean(w: np.ndarray, alpha: float) -> np.ndarray:
-    """H(w) = int_0^1 2 t / (1 + w t**alpha) dt = 2F1(1, delta; 1 + delta; -w), elementwise.
-
-    w >= 0 may be inf (H = 0).  Up to w = 2 the Pfaff transform's series,
-    H = sum_j j! / (1 + delta)_j zeta**j / (1 + w) with zeta = w / (1 + w)
-    <= 2/3, all of its terms positive; beyond, the whole ray's
-    K w**-delta, K = delta pi / sin(delta pi), minus the part beyond t = 1,
-    2 sum_j (-1)**j w**-(j + 1) / (alpha (j + 1) - 2) with 1 / w < 1/2.
-    Both are summed far past the float resolution.  NumPy only, since
-    ``scipy.special`` costs more to import than a short request.
-    """
-    delta = 2.0 / alpha
-    out = np.empty_like(w)
-    small = w <= 2.0
-    ws = w[small]
-    zeta = ws / (1.0 + ws)
-    term = np.ones_like(ws)
-    total = np.ones_like(ws)
-    for j in range(1, 100):
-        term *= zeta * (j / (j + delta))
-        total += term
-    out[small] = total / (1.0 + ws)
-    with np.errstate(divide="ignore"):  # w = inf: the ray's value is 0
-        v = 1.0 / w[~small]
-    beyond = np.zeros_like(v)
-    for j in range(59, -1, -1):  # Horner's scheme, smallest terms first
-        beyond = v * (2.0 / (alpha * (j + 1) - 2.0) - beyond)
-    out[~small] = _plane_constant(delta) * v**delta - beyond
-    return out
-
-
-def _plane_constant(delta: float) -> float:
-    """K = int_0^inf 2 y / (1 + y**(2 / delta)) dy = delta pi / sin(delta pi)."""
-    return delta * math.pi / math.sin(delta * math.pi)
-
-
-def _disc_integral(radius, c: np.ndarray, alpha: float) -> np.ndarray:
-    """int_0^radius c / (r**alpha + c) 2 pi r dr, elementwise over a finite radius and c.
-
-    The PGFL exponent of a unit-density PPP in that disc, with loads c
-    (0 at c = 0); the whole plane gives pi K c**delta.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0: w = inf, or nan at radius 0
-        w = radius**alpha / c
-    return np.where(c > 0.0, math.pi * radius**2 * _disc_mean(w, alpha), 0.0)
-
-
-def _graded_rule(lo: float, hi: float, toward_hi: bool):
-    """Gauss-Legendre nodes and weights on (lo, hi], graded geometrically toward one end.
-
-    _NEAR_LEVELS panels halve toward that end, and the last one reaches it;
-    each takes _NEAR_NODES nodes.
-    """
-    t, w = _gauss(_NEAR_NODES)
-    span = hi - lo
-    steps = [span * 2.0**-k for k in range(1, _NEAR_LEVELS + 1)]
-    ends = [lo] + ([hi - h for h in steps] if toward_hi else [lo + h for h in steps[::-1]]) + [hi]
-    x = np.concatenate([p + 0.5 * (q - p) * (t + 1.0) for p, q in zip(ends, ends[1:])])
-    weight = np.concatenate([0.5 * (q - p) * w for p, q in zip(ends, ends[1:])])
-    return x, weight
-
-
-def _cosine_rule(lo, hi, nodes: int):
-    """Nodes and weights on [lo, hi] of r = mid - half cos(theta), Gauss-Legendre in theta.
-
-    The map's square-root ends make arc lengths and lens areas, which
-    vanish like a square root (or its 3/2 power) at the ends, smooth in
-    theta.  lo and hi may be arrays (one interval per row).
-    """
-    t, w = _gauss(nodes)
-    theta = 0.5 * math.pi * (t + 1.0)
-    mid = np.asarray(0.5 * (lo + hi))[..., None]
-    half = np.asarray(0.5 * (hi - lo))[..., None]
-    return mid - half * np.cos(theta), half * (np.sin(theta) * (0.5 * math.pi * w))
-
-
-@functools.lru_cache(maxsize=_FAR_TABLES)
-def _lens_rule(a: float, outer: float, alpha: float):
-    """The nodes of ``_linear_exponent``: (inner radius, its area fraction, lens r**alpha, weights).
-
-    A node at distance r from the receiver has its parent uniform in the
-    disc of radius a about it, so the chance that the parent lies within
-    outer is the area of the two discs' overlap over pi a**2: m**2 / a**2
-    (m = min(a, outer)) up to r = |outer - a|, and the lens of the two
-    circles from there to outer + a, on ``_cosine_rule``'s nodes.
-    """
-    lo, hi = abs(outer - a), outer + a
-    r, dr = _cosine_rule(lo, hi, _LENS_NODES)
-    cos_big = np.clip((r * r + outer * outer - a * a) / (2.0 * r * outer), -1.0, 1.0)
-    cos_small = np.clip((r * r + a * a - outer * outer) / (2.0 * r * a), -1.0, 1.0)
-    kite = np.maximum((outer + a - r) * (r + outer - a) * (r - outer + a) * (r + outer + a), 0.0)
-    lens_area = (outer * outer * np.arccos(cos_big) + a * a * np.arccos(cos_small)
-                 - 0.5 * np.sqrt(kite))
-    r_alpha, weight = r**alpha, 2.0 / (a * a) * r * lens_area * dr
-    r_alpha.flags.writeable = weight.flags.writeable = False
-    return lo, min(a, outer) ** 2 / (a * a), r_alpha, weight
-
-
-def _linear_exponent(c: np.ndarray, a: float, outer: float, alpha: float) -> np.ndarray:
-    """The linear part of the exponent over parents in (0, outer], per unit density and node.
-
-    2 pi int_0^outer (1 - g(x)) x dx, integrated over the node first: the
-    node's c / (r**alpha + c) times the chance that its parent lies within
-    outer (``_lens_rule``).  Exact for any load, however narrow the spike
-    of c / (r**alpha + c) at the receiver.  Elementwise over c.  The whole
-    plane (outer = inf) is the closed form pi K c**delta, and a point
-    cluster (a = 0) is its node alone, the disc's closed form.
-    """
-    if outer == math.inf:
-        return math.pi * _plane_constant(2.0 / alpha) * c ** (2.0 / alpha)
-    if a == 0.0:
-        return _disc_integral(outer, c, alpha)
-    inner_radius, inner_fraction, r_alpha, weight = _lens_rule(a, outer, alpha)
-    loads = c[..., None]
-    terms = loads / (r_alpha + loads)
-    terms *= weight
-    return inner_fraction * _disc_integral(inner_radius, c, alpha) + terms.sum(axis=-1)
-
-
-@functools.lru_cache(maxsize=_FAR_TABLES)
-def _near_rule(a: float, outer: float, alpha: float):
-    """The nodes of ``_near_exponent`` for discs of radius a with a parent in (0, outer].
-
-    Parent radii take graded panels on (0, a] and (a, 2 a]
-    (``_graded_rule``) and beyond 2 a one panel of _FAR_NODES
-    Gauss-Legendre nodes in u = (2 a / x)**(alpha - 2), with
-    x dx = (2 a)**2 / (alpha - 2) u**(-alpha / (alpha - 2)) du; outer may
-    be infinite (u from 0).  Returns (x_weight, full_radius, arc): each
-    parent radius node's weight (with its 2 pi x); the radius of the
-    circle about the receiver that lies inside the disc of each node with
-    x < a (those nodes come first, in increasing x); each node's rim arcs'
-    r**alpha and weights.  Read-only.
-    """
-    near = 2.0 * a
-    x, x_weight = _graded_rule(0.0, min(a, outer), True)
-    if outer > a:
-        x2, weight2 = _graded_rule(a, min(outer, near), False)
-        x, x_weight = np.concatenate([x, x2]), np.concatenate([x_weight, weight2])
-    x_weight *= 2.0 * math.pi * x
-    if outer > near:
-        k = alpha - 2.0
-        t, w = _gauss(_FAR_NODES)
-        u_lo = (near / outer) ** k
-        u = u_lo + 0.5 * (1.0 - u_lo) * (t + 1.0)
-        x = np.concatenate([x, near * u ** (-1.0 / k)])
-        # 2 pi x dx, with the panel's half-width (1 - u_lo) / 2 in u
-        far_weight = math.pi * (1.0 - u_lo) * near**2 / k * w * u ** (-alpha / k)
-        x_weight = np.concatenate([x_weight, far_weight])
-    r, dr = _cosine_rule(np.abs(a - x), a + x, _ARC_NODES)
-    xs = x[:, None]
-    cos_half = np.clip((r * r + xs * xs - a * a) / (2.0 * r * xs), -1.0, 1.0)
-    full_radius = a - x[x < a]
-    arc = (r**alpha, 2.0 / (math.pi * a * a) * r * np.arccos(cos_half) * dr)
-    for array in (x_weight, full_radius, *arc):
-        array.flags.writeable = False
-    return x_weight, full_radius, arc
-
-
-def _near_exponent(c: np.ndarray, density: float, a: float, size, outer: float,
-                   alpha: float) -> np.ndarray:
-    """-log of the transform of the clusters with a parent at distance (0, outer], a > 0.
-
-    A disc near the receiver may reach or cover it, so every disc average
-    is taken over circles about the receiver: with f(r) = c / (r**alpha +
-    c), 1 - g(x) = [F(max(a - x, 0)) + int f(r) 2 r phi(r) dr] / (pi a**2),
-    the circle of radius r lying inside the disc up to r = a - x and
-    crossing its rim on the arc of half-angle phi = acos((r**2 + x**2 -
-    a**2) / (2 r x)) from |a - x| to a + x, and F(R) = int_0^R f 2 pi r dr
-    in closed form (``_disc_integral``).  The bracket is split as
-    n (1 - g) minus the rest, n (1 - g) - [1 - G] >= 0, which is second
-    order in 1 - g.  The linear part is integrated over the node first
-    (``_linear_exponent``), so that a load whose f is a spike at the
-    receiver far narrower than a (small s) still gets its s**delta law to
-    the last digits; only the rest is integrated over parent radii
-    (``_near_rule``).  The rest changes fastest near x = a, where the
-    disc's rim crosses the receiver, so the parent radii are graded toward
-    a from both sides.  The arcs' r**alpha is computed once per rule, as
-    a (parent radius, arc node) array, and the loads go through it in
-    blocks of at most _BLOCK_BYTES: one add, one divide in place, one
-    weighted sum.  Each load's value is computed alone, by the same
-    operations on the same shapes, so it does not depend on the other
-    loads or on its position in a block: a table's lattice value is the
-    same bits for any lattice length.
-    """
-    x_weight, full_radius, (r_alpha, arc_weight) = _near_rule(a, outer, alpha)
-    loads = c.reshape(-1)
-    miss = np.zeros((len(loads), len(x_weight)))
-    miss[:, :len(full_radius)] = _disc_integral(full_radius, loads[:, None], alpha)
-    miss /= math.pi * a * a
-    block = max(1, _BLOCK_BYTES // (8 * r_alpha.size))
-    buf = np.empty((min(len(loads), block),) + r_alpha.shape)
-    for start in range(0, len(loads), block):
-        load = loads[start:start + block, None, None]
-        terms = buf[:len(load)]
-        np.add(r_alpha, load, out=terms)
-        np.divide(load, terms, out=terms)
-        terms *= arc_weight
-        miss[start:start + block] += terms.sum(axis=-1)
-    if isinstance(size, FixedSize):
-        n = size.n
-        # a saturated load gives log1p(-1) = -inf, whose limit is the bracket 1
-        with np.errstate(divide="ignore"):
-            rest = np.expm1(n * np.log1p(-np.minimum(miss, 1.0)))
-    else:
-        n = size.mean
-        rest = np.expm1(-n * miss)
-    rest += n * miss
-    rest *= x_weight
-    lam = density * (n * _linear_exponent(loads, a, outer, alpha) - rest.sum(axis=-1))
-    return lam.reshape(c.shape)
-
-
-def _annulus_exponent(c, density: float, a: float, size, inner: float, outer: float,
-                      alpha: float) -> np.ndarray:
-    """-log of the transform of the clusters with a parent at distance (inner, outer].
-
-    Parents form a PPP of the given density and each cluster holds size
-    nodes uniform in a disc of radius a around its parent, so by the PGFL
-    the exponent is 2 pi density int [1 - G(x)] x dx, with G = g**n for a
-    fixed size, exp(-nbar (1 - g)) for a Poisson size, and
-    g(x) = E_y[1 / (1 + c |x + y|**-alpha)] over the disc.  The coexisting
-    PPP is a = 0 with one node per parent.  c holds the loads s p eta
-    (any shape); outer may be infinite.  Exactly 0 at c = 0.  inner is 0
-    (the whole window, for coverage) or R0 (the annulus beyond a
-    transform's near disc).
-
-    One rule serves every annulus: the exponent over (0, outer] less the
-    one over (0, inner].  The clusters' is ``_near_exponent``'s, and the
-    coexisting PPP's the closed form density ``_disc_integral`` (density
-    pi K c**delta over the whole plane, see ``_linear_exponent``).
-    """
-    c = np.asarray(c, dtype=float)
-    if density == 0.0 or inner >= outer:
-        return np.zeros_like(c)
-
-    def exponent(radius):
-        if a == 0.0:
-            return density * _linear_exponent(c, 0.0, radius, alpha)
-        return _near_exponent(c, density, a, size, radius, alpha)
-
-    lam = exponent(outer)
-    if inner > 0.0:
-        lam = lam - exponent(inner)
-    return lam
-
-
-def _field_exponent(link: LinkParams, size, inner: float, outer: float,
-                    field: InterferenceField, s) -> np.ndarray:
-    """-log of one field's exact transform over the annulus (inner, outer]."""
-    s = np.asarray(s, dtype=float)
-    if field is InterferenceField.INTER:
-        return _annulus_exponent(
-            s * (link.p_x * link.eta), link.lambda_g, link.a, size, inner, outer, link.alpha
-        )
-    return _annulus_exponent(
-        s * (link.p_z * link.eta), link.lambda_co, 0.0, FixedSize(1), inner, outer, link.alpha
-    )
-
-
-def _far_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
-    """Lambda_far(s): -log of one field's exact transform over a transform's annulus (R0, W]."""
-    return _field_exponent(spec.config.link, spec.scenario.size_model, _near_radius(spec.config),
-                           spec.config.window_radius, field, s)
-
-
-def _window_exponent(spec: SimSpec, field: InterferenceField, s) -> np.ndarray:
-    """Lambda(s): -log of one field's exact transform over the whole window (0, W], for coverage."""
-    return _field_exponent(spec.config.link, spec.scenario.size_model, 0.0,
-                           spec.config.window_radius, field, s)
-
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``PchipInterpolator(x, y).c`` of SciPy for three or more increasing points.
-
-    x must strictly increase and y must not decrease.  Lambda strictly
-    increases in s, but it saturates in floating point far out: from
-    thresholds of about 186 dB the table (a running maximum of the rule's
-    values) has flat secants (43 of 1040 at gamma = 1e20 on the reference
-    link).  PCHIP's interior slopes are the weighted harmonic means of the
-    neighbouring secants, 0 next to a flat one (here by a division by zero,
-    silenced as SciPy silences it), and its end slopes the three-point
-    ones clamped at 0.  The operations and their order are SciPy's
-    ``_find_derivatives``, ``_edge_case`` and ``CubicHermiteSpline``, so
-    the (4, len(x) - 1) coefficients (highest power first, in powers of
-    x - x[i]) are its coefficients bit for bit.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore"):  # a flat secant gives the slope 0
-        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d[0] = max(((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]), 0.0)
-    d[-1] = max(((2 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2]), 0.0)
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
-@dataclass(frozen=True)
-class _FarTable:
-    """Lambda(s) of both fields over the window, tabulated for one link, window and size model.
-
-    A monotone cubic (PCHIP) in log Lambda against the lattice index k = 0,
-    ..., K, and below the grid Lambda's small-s law.  The fields reach the
-    receiver, so there Lambda = z(s) - O(z**2), with z = lead s**delta -
-    slope s (delta = 2 / alpha) its linear part in the bracket: ``lead``
-    the whole plane's coefficient, ``slope`` what a finite window takes
-    off it (0 for W = inf), both exact to first order.  The O(z**2) rest is
-    the bracket's saturation; the table reads z / (1 + gap z) there, with
-    gap = 1 / lam_lo - 1 / z(s_lo), so that it meets the grid at s_lo.  The
-    law rises with z for any gap > -1 / z(s_lo), which lam_lo > 0 ensures;
-    slope is capped so that z itself rises up to s_lo.  It is capped at
-    lam_lo too, so that rounding never lifts it past the grid's first
-    value.  So the table is nondecreasing in s like Lambda itself, and the
-    estimate stays monotone in the threshold.
-
-    ``_pchip_coefficients`` builds SciPy's PCHIP coefficients bit for bit
-    for these tables, without importing ``scipy.interpolate`` (whose import
-    pulls in ``scipy.optimize`` and ``scipy.linalg`` and costs more than a
-    short MC request).  The lattice is uniform in log s and PCHIP commutes
-    with an affine map of its abscissa (Fritsch and Carlson 1980), so on
-    the integer nodes it is the interpolant in log s up to rounding, and
-    it is read without PPoly's per-point interval search, which costs
-    more than a chunk's draws: s sits at the position p = (log max(s,
-    s_lo) - x[0]) _TABLE_PER_DECADE / ln 10, on the interval floor(p) (the
-    last one beyond the lattice) at d = p - floor(p).  The cubic is
-    evaluated in place in PPoly's order and the small-s law is applied to
-    the points below the grid alone, so the values are SciPy's
-    ``PchipInterpolator(np.arange(K + 1), log Lambda)`` at p bit for bit
-    for any finite s from s_lo.
-
-    Tables are shared between requests (see ``_far_table``), so every
-    array is read-only.
-    """
-
-    s_lo: float
-    lam_lo: float
-    lead: float
-    slope: float
-    delta: float
-    x: np.ndarray  # log s at the lattice points k = 0, ..., K
-    coef: np.ndarray  # (4, K), highest power first, in powers of k - i on interval i
-    gap: float = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        z_lo = self.lead * self.s_lo**self.delta - self.slope * self.s_lo
-        object.__setattr__(self, "gap", 1.0 / self.lam_lo - 1.0 / z_lo)
-        for array in (self.x, self.coef):
-            array.flags.writeable = False
-
-    def __call__(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        flat = s.reshape(-1)
-        pos = np.maximum(flat, self.s_lo)
-        np.log(pos, out=pos)
-        pos -= self.x[0]
-        pos *= _TABLE_PER_DECADE / math.log(10.0)
-        i = pos.astype(np.intp)  # floor(pos), since log s >= x[0]
-        np.minimum(i, self.coef.shape[1] - 1, out=i)
-        d = np.subtract(pos, i, out=pos)
-        c0, c1, c2, c3 = self.coef
-        # c3 + c2 d + c1 (d d) + c0 ((d d) d), summed left to right
-        value = c2.take(i)
-        value *= d
-        value += c3.take(i)
-        power = d * d
-        term = c1.take(i)
-        term *= power
-        value += term
-        power *= d
-        c0.take(i, out=term)
-        term *= power
-        value += term
-        np.exp(value, out=value)
-        below = flat < self.s_lo
-        if below.any():
-            low = flat[below]
-            z = self.lead * low**self.delta - self.slope * low
-            value[below] = np.minimum(z / (1.0 + self.gap * z), self.lam_lo)
-        return value.reshape(s.shape)
-
-
-def _table_floor(link: LinkParams) -> int:
-    """The lattice index of the table's first point (see _TABLE_FLOOR_SPIKE)."""
-    spike = _TABLE_FLOOR_SPIKE**link.alpha * link.p_x0 / max(link.p_x, link.p_z)
-    return math.floor(_TABLE_PER_DECADE * math.log10(spike))
-
-
-def _far_table(spec: SimSpec) -> _FarTable | None:
+def _far_table(spec: SimSpec) -> field.FarTable | None:
     """The coverage table of Lambda over the request's s range; None if there is no field.
 
     The table is memoised on what its build reads: the link, W, the size
@@ -1029,69 +598,17 @@ def _far_table(spec: SimSpec) -> _FarTable | None:
     seed, trial count, ordering or workers, or in thresholds with the same
     largest lattice point, share one table.
     """
-    floor = _table_floor(spec.config.link)
+    floor = field.table_floor(spec.config.link)
     # r_typ <= a, so no trial's s exceeds max(gamma) s_a
-    top = math.ceil(_TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
+    top = math.ceil(field.TABLE_PER_DECADE * math.log10(max(spec.gamma_grid))) + 2
     try:
-        return _build_far_table(spec.config.link, spec.config.window_radius,
-                                spec.scenario.size_model, max(top, floor + 2))
+        return field.far_table(spec.config.link, spec.config.window_radius,
+                               spec.scenario.size_model, max(top, floor + 2))
     except OverflowError:
         raise ValueError(
             f"SINR threshold {max(spec.gamma_grid)!r} is too large: "
             "the far-field table's s lattice overflows"
         ) from None
-
-
-def _small_s_law(link: LinkParams, outer: float, size, s: float) -> tuple[float, float]:
-    """(lead, slope): Lambda's linear part in the bracket is lead s**delta - slope s + O(s**2).
-
-    The bracket 1 - G is n (1 - g) to first order (nbar for a Poisson
-    size), and n (1 - g) integrated over the parents in (0, outer] is one
-    node's c / (r**alpha + c) integrated against the chance that its parent
-    lies within outer (``_linear_exponent``; the coexisting PPP's own
-    exponent).  Over the plane that is pi K c**delta, K = delta pi /
-    sin(delta pi), which gives lead; the window's edge takes off a part
-    linear in c while c**(1 / alpha) is far below outer, and slope is read
-    off the exact linear part at s.  slope is capped at delta lead
-    s**(delta - 1), so that the linear part's law rises up to s.
-    """
-    delta = link.delta
-    n = size.n if isinstance(size, FixedSize) else size.mean
-    weight = (link.lambda_g * n * (link.p_x * link.eta) ** delta
-              + link.lambda_co * (link.p_z * link.eta) ** delta)
-    lead = math.pi * _plane_constant(delta) * weight
-    if outer == math.inf:
-        return lead, 0.0
-    linear = link.lambda_co * float(_disc_integral(outer, np.array(s * link.p_z * link.eta),
-                                                  link.alpha))
-    if link.lambda_g:
-        linear += link.lambda_g * n * float(
-            _linear_exponent(np.array(s * link.p_x * link.eta), link.a, outer, link.alpha)
-        )
-    slope = (lead * s**delta - linear) / s
-    return lead, min(slope, delta * lead * s ** (delta - 1.0))
-
-
-@functools.lru_cache(maxsize=_FAR_TABLES)
-def _build_far_table(link: LinkParams, outer: float, size, top: int) -> _FarTable | None:
-    """The table of both fields over the window (0, outer] on lattice points up to top."""
-    k = np.arange(_table_floor(link), top + 1)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        s = link.a**link.alpha / (link.p_x0 * link.eta) * 10.0 ** (k / _TABLE_PER_DECADE)
-    if not np.isfinite(s).all():
-        raise OverflowError("the far-field table's s lattice overflows")
-    lam = _field_exponent(link, size, 0.0, outer, InterferenceField.INTER, s)
-    lam += _field_exponent(link, size, 0.0, outer, InterferenceField.COEXIST, s)
-    if not lam.any():
-        return None
-    # Lambda never decreases in s, but where it saturates, near
-    # (lambda_g + lambda_co) pi W**2, the rule's value wobbles by an ulp
-    np.maximum.accumulate(lam, out=lam)
-    log_lam = np.log(lam)
-    # the interpolant at k = 0 is exactly log_lam[0]
-    coef = _pchip_coefficients(np.arange(len(s), dtype=float), log_lam)
-    return _FarTable(s[0], float(np.exp(log_lam[0])), *_small_s_law(link, outer, size, s[0]),
-                     link.delta, np.log(s), coef)
 
 
 def _conditional_values(t: np.ndarray, x: np.ndarray, scale, far) -> np.ndarray:
@@ -1117,42 +634,33 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Every trial gives one value per grid point t.  For the INTER and
     COEXIST transforms t is the transform variable and the value
-    exp(-t * x), x the field's near-disc interference; for INTRA it is
-    1 / prod_j (1 + t * p_x eta rho_j**-alpha), the interferers' fading
-    integrated out.  For coverage t is the SINR threshold and the value
-    exp(-t * sigma2 * scale - far(t * scale)) / prod_j (1 + t * b_j):
-    scale = r_typ**alpha / (p_x0 eta), so that t * scale is the fields'
-    s, and b_j the in-cluster loads of ``_typical_cluster``, the only
-    field drawn; ``far`` is the coverage request's table of
+    exp(-t * x), x the field's near-disc interference; their far factor
+    is applied by ``_estimate``.  For coverage t is the SINR threshold and
+    the value exp(-t * sigma2 * scale - far(t * scale)) / prod_j (1 + t *
+    b_j): scale = r_typ**alpha / (p_x0 eta), so that t * scale is the
+    fields' s, and b_j the in-cluster loads of ``_typical_cluster``, the
+    only field drawn; ``far`` is the coverage request's table of
     Lambda_(0, W], or None where there are no other clusters and no
-    coexisting nodes.  ``law`` is the request's
-    ``_size_law``, (0.0, None) where no typical cluster is drawn.  A Poisson
-    typical cluster with a lone-node weight w0 > 0 gives (1 - w0) times
-    that value plus w0 times the lone node's: the value without the
-    in-cluster product at node 0's radius.  For INTRA and for the unordered
-    typical node (node 0) that is the value before the product, which for
-    INTRA is exactly 1.  The transforms' far factor is applied by
-    ``_estimate``.  Values are formed and summed a few grid rows at a
-    time, at most _VALUE_BLOCK values per block.
+    coexisting nodes.  ``law`` is the request's ``_size_law``, (0.0, None)
+    for a transform, which draws no typical cluster.  A Poisson typical
+    cluster with a lone-node weight w0 > 0 gives (1 - w0) times that value
+    plus w0 times the lone node's: the value without the in-cluster
+    product at node 0's radius, which for the unordered typical node (node
+    0) is the value before the product.  Values are formed and summed a
+    few grid rows at a time, at most _VALUE_BLOCK values per block.
     """
-    spec, field, first, ns, grid, far, law, points = args
+    spec, interf_field, first, ns, grid, far, law, points = args
     scenario = spec.scenario
     link = spec.config.link
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
             for index in range(first, first + len(ns))]
     t = np.asarray(grid)
     load = scale = None
-    if field is InterferenceField.INTRA:
-        r_typ, load, seg_start, _ = _typical_cluster(rngs, scenario, link, law, ns, points)
-        # the loads of s: b_j (p_x0 eta) / r_typ**alpha = p_x eta rho_j**-alpha
-        sizes = np.diff(seg_start, append=len(load))
-        load *= np.repeat(link.p_x0 * link.eta / r_typ**link.alpha, sizes)
-        x = np.zeros(sum(ns))
-    elif field is InterferenceField.INTER:
+    if interf_field is InterferenceField.INTER:
         radius = _near_radius(spec.config)
         x = np.concatenate([_cross_clusters(rng, scenario, link, radius, n)
                             for rng, n in zip(rngs, ns)])
-    elif field is InterferenceField.COEXIST:
+    elif interf_field is InterferenceField.COEXIST:
         radius = _near_radius(spec.config)
         x = np.concatenate([_coexisting(rng, link, radius, n) for rng, n in zip(rngs, ns)])
     else:
@@ -1161,7 +669,7 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
         x = link.sigma2 * scale
     w0, _ = law
     lone_scale = None
-    if w0 and field is None and not isinstance(scenario.ordering, Unordered):
+    if w0 and not isinstance(scenario.ordering, Unordered):
         lone_scale = r_first**link.alpha / (link.p_x0 * link.eta)
         lone_x = link.sigma2 * lone_scale
     lengths = [_replicate_lengths(n, points) for n in ns]
@@ -1180,7 +688,7 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
                 lone = _conditional_values(block, lone_x, lone_scale, far)
                 lone *= w0
             else:
-                lone = values * w0  # node 0 is the typical node, or INTRA's 1
+                lone = values * w0  # node 0 is the typical node
         if load is not None:
             intra_fading(load, seg_start, block, values)
         if w0:
@@ -1191,14 +699,14 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _estimate(
-    spec: SimSpec, field: InterferenceField | None, grid: tuple[float, ...]
+    spec: SimSpec, interf_field: InterferenceField | None, grid: tuple[float, ...]
 ) -> list[McEstimate]:
     """Mean and standard error (see ``McEstimate``) of each trial's value at every grid point t.
 
     This is where a request is set up, once for all of its chunks: the
     coverage table of Lambda over the window (``_far_table``), the typical
-    cluster's size law (``_size_law``, drawn only by coverage and INTRA)
-    and N, the points of each replicate's net (``_net_points``: the largest power of two up to
+    cluster's size law (``_size_law``) and N, the points of each
+    replicate's net (``_net_points``: the largest power of two up to
     NET_POINTS, chunk_trials and trials / MIN_REPLICATES).  Contiguous
     chunks are simulated in runs of at most RUN_TRIALS trials (at least
     one chunk), one vectorised pass each (``_simulate_run``); with w
@@ -1216,19 +724,18 @@ def _estimate(
     and their trials are i.i.d.: replicates of one trial give the standard
     error n - 1 degrees of freedom.  Their chunks draw the near-disc field
     alone, and the annulus's exact factor exp(-Lambda_far(s)), a constant
-    per grid point, multiplies each mean and standard error here.  INTRA
-    has no far part.
+    per grid point, multiplies each mean and standard error here.
     """
-    far = _far_table(spec) if field is None else None
-    stratified = field is None or field is InterferenceField.INTRA
-    law = _size_law(spec.scenario.size_model) if stratified else (0.0, None)
-    points = _net_points(spec) if stratified else 1
+    if interf_field is None:
+        far, law, points = _far_table(spec), _size_law(spec.scenario.size_model), _net_points(spec)
+    else:
+        far, law, points = None, (0.0, None), 1
     ns = _chunk_sizes(spec.trials, spec.chunk_trials)
     workers = _resolve_workers(spec.workers)
     per_run = max(1, RUN_TRIALS // spec.chunk_trials)
     if workers > 1:
         per_run = min(per_run, -(-len(ns) // (4 * workers)))
-    runs = [(spec, field, first, ns[first:first + per_run], grid, far, law, points)
+    runs = [(spec, interf_field, first, ns[first:first + per_run], grid, far, law, points)
             for first in range(0, len(ns), per_run)]
     if workers == 1 or len(runs) == 1:
         chunks = [chunk for run in runs for chunk in _simulate_run(run)]
@@ -1252,8 +759,16 @@ def _estimate(
     m = len(sizes)
     dev = sums - means[:, None] * sizes
     stderr = np.sqrt(m / (m - 1) * (dev * dev).sum(axis=1)) / n if m > 1 else np.zeros_like(means)
-    if field in (InterferenceField.INTER, InterferenceField.COEXIST):
-        factor = np.exp(-_far_exponent(spec, field, grid))
+    if interf_field is not None:
+        # the field's parameters for its exact transform over (R0, W]
+        link, size = spec.config.link, spec.scenario.size_model
+        s = np.asarray(grid, dtype=float)
+        if interf_field is InterferenceField.INTER:
+            c, density, a = s * (link.p_x * link.eta), link.lambda_g, link.a
+        else:
+            c, density, a, size = s * (link.p_z * link.eta), link.lambda_co, 0.0, FixedSize(1)
+        factor = np.exp(-field.annulus_exponent(c, density, a, size, _near_radius(spec.config),
+                                                 spec.config.window_radius, link.alpha))
         means *= factor
         stderr *= factor
     return [McEstimate(mean, se, n) for mean, se in zip(means.tolist(), stderr.tolist())]
@@ -1276,28 +791,14 @@ def estimate_laplace(
     interf_field: InterferenceField,
     s_grid: tuple[float, ...],
 ) -> list[McEstimate]:
-    """Transforms E[exp(-s * I_field)], one per grid point.
+    """Transforms E[exp(-s * I_field)] of the other clusters or the coexisting nodes, one per s.
 
-    For INTER and COEXIST each trial contributes exp(-s I_near), its
-    sampled near-disc interference, and the annulus's exact factor
-    exp(-Lambda_far(s)) is a constant per grid point, so ``_estimate``
-    multiplies the estimate's mean and standard error by it.  For INTRA
-    (no far part) each trial contributes its drawn radii's transform with
-    the interferers' fading integrated out, 1 / prod_j (1 + s p_x eta
-    rho_j**-alpha), and with a Poisson size (1 - w0) times that plus w0,
-    the lone node's exact 1.  s = 0 gives exactly 1.
-
-    At small s the INTRA standard error understates the error: the deficit
-    1 - L then comes from rare in-cluster interferers very close to the
-    receiver, which few trials draw; the tail is in the radii, so
-    integrating out the fading does not mend it, and stratifying the radii
-    does not either.  On the reference link (beta about 7e-9) at 8,192
-    trials over seeds 0-39, s = 1e3 gives an rms z against
-    ``laplace_intra`` of 4.4 for a fixed size of 6 and 4.6 for a Poisson
-    mean of 6 (max |z| 14 and 16), and 1.8 and 1.7 at s = 1e4, against
-    1.1-1.3 from s = 1e5.  Over seeds 1000-1599 the share of |z| > 3 at
-    s = 1e3 is 14 % and 17 %, the 16-trial hypercube's 16 % and 15 %;
-    this is why ``test_intra_matches_closed_form`` starts at s = 1e6.
+    Each trial contributes exp(-s I_near), its sampled near-disc
+    interference, and the annulus's exact factor exp(-Lambda_far(s)) is a
+    constant per grid point, so ``_estimate`` multiplies the estimate's
+    mean and standard error by it.  s = 0 gives exactly 1.  The in-cluster
+    transform has its closed form, ``laplace.laplace_intra``, which
+    coverage on a link without other fields checks.
     """
     s_grid = tuple(s_grid)
     if not s_grid:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from . import config, laplace, mc, special
-from .params import FixedSize, LinkParams, NetworkConfig, Ordered, PoissonSize, Scenario, Unordered
+from . import config, field, laplace, special
+from .params import FixedSize, LinkParams, Ordered, PoissonSize, Scenario, Unordered
 
 __all__ = [
     "OracleCheck",
@@ -345,25 +345,24 @@ def _check_laplace() -> OracleCheck:
             (laplace.laplace_inter(s, FixedSize(1), p),
              inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, FixedSize(1))),
         ]
-        # the Monte Carlo factors: a transform's annulus (R0, W] and
-        # coverage's whole window (0, W], where the fields reach the receiver
+        # the exact exponent of the Monte Carlo factors, over a 20 km window:
+        # the annulus (2 a, W] beyond a transform's near disc, and coverage's
+        # whole window (0, W], where the fields reach the receiver
+        window = 20000.0
         for size in (fixed, poisson):
-            spec = mc.SimSpec(NetworkConfig(p, 20000.0), Scenario(Unordered(), size), 1, 0)
-            inner = mc._near_radius(spec.config)
-            pairs.append((
-                math.exp(-mc._far_exponent(spec, mc.InterferenceField.INTER, s)),
-                inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
-                                    inner, 20000.0),
-            ))
-            pairs.append((
-                math.exp(-mc._window_exponent(spec, mc.InterferenceField.INTER, s)),
-                inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
-                                    0.0, 20000.0),
-            ))
+            for inner in (2.0 * p.a, 0.0):
+                lam = field.annulus_exponent(s * (p.p_x * p.eta), p.lambda_g, p.a, size, inner,
+                                             window, p.alpha)
+                pairs.append((
+                    math.exp(-lam),
+                    inter_pgfl_integral(s * p.p_x * p.eta, p.lambda_g, p.a, p.alpha, size,
+                                        inner, window),
+                ))
         pairs.append((
-            math.exp(-mc._window_exponent(spec, mc.InterferenceField.COEXIST, s)),
+            math.exp(-field.annulus_exponent(s * (p.p_z * p.eta), p.lambda_co, 0.0, FixedSize(1),
+                                             0.0, window, p.alpha)),
             inter_pgfl_integral(s * p.p_z * p.eta, p.lambda_co, 0.0, p.alpha, FixedSize(1),
-                                0.0, 20000.0),
+                                0.0, window),
         ))
         for got, ref in pairs:
             worst = max(worst, abs(got - ref) / abs(ref))

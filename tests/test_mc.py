@@ -13,7 +13,7 @@ from scipy.stats import qmc
 
 import clustercov as cc
 import clustercov.mc as mc
-from clustercov import oracles
+from clustercov import field, oracles
 from clustercov.coverage import (
     BoundSide,
     CoverageResult,
@@ -759,12 +759,15 @@ class TestStratification:
             serial = estimate_coverage(make_spec(workers=1, **kw))
             parallel = estimate_coverage(make_spec(workers=2, **kw))
             assert serial == parallel
-        # the OP-6 transform takes the size law through the worker pool
-        s_grid = (0.0, 1e6, 1e9)
+        # and without a far table or noise: OP-6 takes the size law through
+        # the worker pool, up to a threshold where only the lone-node stratum
+        # is left
+        link = reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
         for scenario in scenarios:
-            kw = dict(scenario=scenario, trials=1000, chunk_trials=100)
-            serial = estimate_laplace(make_spec(workers=1, **kw), InterferenceField.INTRA, s_grid)
-            parallel = estimate_laplace(make_spec(workers=2, **kw), InterferenceField.INTRA, s_grid)
+            kw = dict(link=link, scenario=scenario, trials=1000, chunk_trials=100,
+                      gammas=(0.05, 1.0, 1e6, 1e296))
+            serial = estimate_coverage(make_spec(workers=1, **kw))
+            parallel = estimate_coverage(make_spec(workers=2, **kw))
             assert serial == parallel
 
     def test_chunks_combine_into_replicate_stderr(self):
@@ -815,23 +818,23 @@ class TestStratification:
         if 2 <= trials < 32:
             assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(trials), rel=1e-12)
 
-    @pytest.mark.parametrize("field", [InterferenceField.INTER, InterferenceField.COEXIST])
-    def test_unstratified_transforms_use_single_trial_replicates(self, field):
+    @pytest.mark.parametrize("interf_field", [InterferenceField.INTER, InterferenceField.COEXIST])
+    def test_unstratified_transforms_use_single_trial_replicates(self, interf_field):
         # INTER and COEXIST draw no in-cluster radii, so their trials are
         # i.i.d. and the standard error is the usual one over all n trials
         s_grid, chunk = (0.0, 1e6, 1e9), 100
         spec = make_spec(trials=3 * chunk, seed=9, chunk_trials=chunk, workers=1)
-        estimates = estimate_laplace(spec, field, s_grid)
+        estimates = estimate_laplace(spec, interf_field, s_grid)
         link, radius = spec.config.link, mc._near_radius(spec.config)
         near = []
         for index in range(3):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(index,)))
-            if field is InterferenceField.INTER:
+            if interf_field is InterferenceField.INTER:
                 near.append(mc._cross_clusters(rng, spec.scenario, link, radius, chunk))
             else:
                 near.append(mc._coexisting(rng, link, radius, chunk))
         s = np.array(s_grid)[:, None]
-        values = np.exp(-s * np.concatenate(near) - mc._far_exponent(spec, field, s))
+        values = np.exp(-s * np.concatenate(near) - field_exponents(spec, radius, s)[interf_field])
         assert estimates[0].stderr == 0.0
         for est, row in zip(estimates, values):
             assert est.mean == pytest.approx(row.mean(), rel=1e-14)
@@ -874,6 +877,29 @@ class TestStderrCalibration:
         scores = stats.norm.ppf(stats.t.cdf(z, dof))
         lo, hi = stats.chi2.ppf([0.0005, 0.9995], self.SEEDS) / self.SEEDS
         assert lo <= np.mean(scores**2) <= hi
+
+
+def field_exponents(spec, inner, s):
+    """Each field's exact exponent over (inner, W], keyed by InterferenceField.
+
+    The loads are s p eta, formed as ``mc`` and ``field.far_table`` form
+    them, so the values are theirs bit for bit.
+    """
+    link, size, window = spec.config.link, spec.scenario.size_model, spec.config.window_radius
+    s = np.asarray(s, dtype=float)
+    return {
+        InterferenceField.INTER: field.annulus_exponent(
+            s * (link.p_x * link.eta), link.lambda_g, link.a, size, inner, window, link.alpha),
+        InterferenceField.COEXIST: field.annulus_exponent(
+            s * (link.p_z * link.eta), link.lambda_co, 0.0, FixedSize(1), inner, window,
+            link.alpha),
+    }
+
+
+def both_fields(spec, inner, s):
+    """Lambda of both fields over (inner, W]: the sum the far table tabulates, bit for bit."""
+    inter, coexist = field_exponents(spec, inner, s).values()
+    return inter + coexist
 
 
 @functools.lru_cache(maxsize=None)
@@ -1117,15 +1143,21 @@ class TestInClusterFactor:
         ids=["UF-6", "OF-6", "UP-6", "OP-6", "UF-1"],
     )
     def test_intra_transform_unit_at_zero_s(self, scenario, lone):
+        # coverage on a link without other fields or noise is the in-cluster
+        # transform at s = gamma r**alpha / (p_x0 eta), averaged over the
+        # typical link: exactly 1 as s goes to 0 (at gamma = 1e-300 every
+        # factor 1 + gamma b_j rounds to 1) and, at huge loads, only a lone
+        # typical node is left (at gamma = 1e296 the terms and products
+        # overflow to inf, silently): the Poisson size's exact lone stratum,
+        # w0 = e**-5, with no spread, and nothing for a fixed size above one
+        link = reference_link(lambda_g=0.0, lambda_co=0.0, sigma2=0.0)
+        spec = make_spec(link=link, scenario=scenario, trials=1000,
+                         gammas=(1e-300, 1e3, 1e296))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ests = estimate_laplace(make_spec(scenario=scenario, trials=1000),
-                                    InterferenceField.INTRA, (0.0, 1e3, 1e300))
+            ests = estimate_coverage(spec)
         assert (ests[0].mean, ests[0].stderr) == (1.0, 0.0)
         assert 1.0 >= ests[1].mean >= ests[2].mean >= 0.0
-        # at s = 1e300 every interferer's factor is 0, so only a lone typical
-        # node is left: the Poisson size's exact lone stratum, w0 = e**-5,
-        # with no spread, and nothing for a fixed size above one
         if lone in (0.0, 1.0):
             assert (ests[2].mean, ests[2].stderr) == (lone, 0.0)
         else:
@@ -1136,7 +1168,7 @@ class TestInClusterFactor:
 
 
 class TestFarField:
-    """The exact transforms of the other clusters and the coexisting nodes.
+    """The exact transforms of the other clusters and the coexisting nodes (``field``).
 
     Coverage takes both fields over the whole window (0, W] from a table;
     a transform request draws its field in the near disc and takes the
@@ -1169,13 +1201,12 @@ class TestFarField:
         for s in s_top * np.array([1e-8, 1e-4, 0.02, 0.3, 0.77, 1.0]):
             whole = self.oracle_exponent(link, size, 0.0, window, float(s))
             assert abs(table(np.array(s)) - whole) <= table_bound
-            direct = (mc._window_exponent(spec, InterferenceField.INTER, s)
-                      + mc._window_exponent(spec, InterferenceField.COEXIST, s))
+            direct = both_fields(spec, 0.0, s)
             assert abs(direct - whole) <= direct_bound
             # the transforms' annulus beyond the near disc
-            far = self.oracle_exponent(link, size, mc._near_radius(spec.config), window, float(s))
-            direct = (mc._far_exponent(spec, InterferenceField.INTER, s)
-                      + mc._far_exponent(spec, InterferenceField.COEXIST, s))
+            near = mc._near_radius(spec.config)
+            far = self.oracle_exponent(link, size, near, window, float(s))
+            direct = both_fields(spec, near, s)
             assert abs(direct - far) <= direct_bound
 
     @pytest.mark.parametrize(
@@ -1222,8 +1253,7 @@ class TestFarField:
                          window=window)
         table = mc._far_table(spec)
         s = np.geomspace(math.exp(table.x[0]), math.exp(table.x[-1]), 400)
-        lam = (mc._window_exponent(spec, InterferenceField.INTER, s)
-               + mc._window_exponent(spec, InterferenceField.COEXIST, s))
+        lam = both_fields(spec, 0.0, s)
         assert (np.abs(table(s) - lam) <= 5e-7 * lam).all()
 
     @pytest.mark.parametrize(
@@ -1241,15 +1271,14 @@ class TestFarField:
         link = spec.config.link
         table = mc._far_table(spec)
         s_a = link.a**link.alpha / (link.p_x0 * link.eta)
-        per_decade = mc._TABLE_PER_DECADE
+        per_decade = field.TABLE_PER_DECADE
         # from where a node's load term is 1/2 at r = a / 50 (both fields
         # have p = p_x0 here)
-        floor = math.floor(per_decade * math.log10(mc._TABLE_FLOOR_SPIKE**link.alpha))
+        floor = math.floor(per_decade * math.log10(field.TABLE_FLOOR_SPIKE**link.alpha))
         k = np.arange(floor, math.ceil(per_decade * math.log10(GAMMAS_16[-1])) + 3)
         lattice = s_a * 10.0 ** (k / per_decade)
         assert np.array_equal(np.log(lattice), table.x)
-        lam = (mc._window_exponent(spec, InterferenceField.INTER, lattice)
-               + mc._window_exponent(spec, InterferenceField.COEXIST, lattice))
+        lam = both_fields(spec, 0.0, lattice)
         pchip = PchipInterpolator(np.arange(len(k)), np.log(lam))
         s_lo = lattice[0]
         lam_lo = np.exp(pchip(0.0))
@@ -1319,7 +1348,7 @@ class TestFarField:
     def test_pchip_coefficients_match_scipy(self, x, y, end_slopes):
         x, y = np.asarray(x), np.asarray(y)
         pchip = PchipInterpolator(x, y)
-        assert np.array_equal(mc._pchip_coefficients(x, y), pchip.c)
+        assert np.array_equal(field.pchip_coefficients(x, y), pchip.c)
         if end_slopes is not None:
             # the case reaches the end-slope correction it is named after
             slopes = pchip.derivative()(x[[0, -1]])
@@ -1333,7 +1362,7 @@ class TestFarField:
         for n in rng.integers(3, 12, size=300):
             x = np.cumsum(rng.uniform(0.1, 3.0, size=n))
             y = np.cumsum(np.exp(rng.uniform(-3.0, 3.0, size=n)))
-            assert np.array_equal(mc._pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+            assert np.array_equal(field.pchip_coefficients(x, y), PchipInterpolator(x, y).c)
             # the numerators of the two three-point end slopes
             h, m = np.diff(x), np.diff(y) / np.diff(x)
             ends = ((2 * h[0] + h[1]) * m[0] - h[0] * m[1],
@@ -1361,18 +1390,18 @@ class TestFarField:
                                     gammas=GAMMAS_16, window=window)
 
     def test_far_tables_strictly_increasing(self, monkeypatch):
-        # _pchip_coefficients serves only strictly increasing data: every
+        # pchip_coefficients serves only strictly increasing data: every
         # far table handed to it has a strictly increasing log Lambda
         tables = []
 
-        def recorder(x, y, _build=mc._pchip_coefficients):
+        def recorder(x, y, _build=field.pchip_coefficients):
             tables.append((x, y))
             return _build(x, y)
 
-        monkeypatch.setattr(mc, "_pchip_coefficients", recorder)
+        monkeypatch.setattr(field, "pchip_coefficients", recorder)
         specs = list(self.far_table_specs())
         for spec in specs:
-            mc._build_far_table.cache_clear()  # build every table, shared or not
+            field.far_table.cache_clear()  # build every table, shared or not
             mc._far_table(spec)
         # every one of these specs has other clusters and coexisting nodes
         assert len(tables) == len(specs)
@@ -1385,12 +1414,12 @@ class TestFarField:
         """A cold table memo and the number of annulus exponents computed since."""
         count = [0]
 
-        def counter(*args, _exponent=mc._annulus_exponent):
+        def counter(*args, _exponent=field.annulus_exponent):
             count[0] += 1
             return _exponent(*args)
 
-        monkeypatch.setattr(mc, "_annulus_exponent", counter)
-        mc._build_far_table.cache_clear()
+        monkeypatch.setattr(field, "annulus_exponent", counter)
+        field.far_table.cache_clear()
         return count
 
     def test_equal_build_inputs_share_one_table(self, builds):
@@ -1433,10 +1462,10 @@ class TestFarField:
     def test_cold_and_warm_memo_give_the_same_bits(self, size):
         spec = make_spec(scenario=Scenario(Ordered(), size), trials=2048, gammas=GAMMAS_16,
                          workers=1)
-        mc._build_far_table.cache_clear()
+        field.far_table.cache_clear()
         cold = estimate_coverage(spec)
         warm = estimate_coverage(spec)
-        mc._build_far_table.cache_clear()
+        field.far_table.cache_clear()
         two_workers = estimate_coverage(make_spec(scenario=spec.scenario, trials=2048,
                                                   gammas=GAMMAS_16, workers=2))
         assert cold == warm == two_workers
@@ -1447,11 +1476,11 @@ class TestFarField:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("field, size",
+    @pytest.mark.parametrize("kind, size",
                              [("inter", FixedSize(6)), ("inter", PoissonSize(6.0)),
                               ("coexist", FixedSize(1))],
                              ids=["FixedSize(6)", "PoissonSize(6.0)", "coexist"])
-    def test_exponent_independent_of_lattice_length(self, field, size):
+    def test_exponent_independent_of_lattice_length(self, kind, size):
         # the loads go through the kernels in blocks, yet each lattice value
         # is the same bits whatever the lattice's length and its position in
         # a block: a 1-threshold and a 16-threshold coverage request build
@@ -1461,40 +1490,39 @@ class TestFarField:
         link = spec.config.link
         s = np.exp(mc._far_table(spec).x)  # the request's lattice, up to rounding
         assert len(s) == 281
-        # the loads as _field_exponent forms them
-        if field == "inter":
+        # the loads as mc and the table form them
+        if kind == "inter":
             c, density, a = s * (link.p_x * link.eta), link.lambda_g, link.a
         else:
             c, density, a = s * (link.p_z * link.eta), link.lambda_co, 0.0
-        for inner, exponent in ((mc._near_radius(spec.config), mc._far_exponent),
-                                (0.0, mc._window_exponent)):
+        for inner in (mc._near_radius(spec.config), 0.0):
             rest = (density, a, size, inner, spec.config.window_radius, link.alpha)
-            full = mc._annulus_exponent(c, *rest)
+            full = field.annulus_exponent(c, *rest)
             assert (full > 0.0).all()
             # the clusters' exponent over (0, R] takes the loads in blocks
             # that fill _BLOCK_BYTES with the rule's arc array (the
             # coexisting PPP's closed form takes none): cut at, before and
             # after the first two boundaries of every block
-            blocks = [mc._BLOCK_BYTES // (8 * mc._near_rule(a, radius, link.alpha)[2][0].size)
+            blocks = [field._BLOCK_BYTES // (8 * field._near_rule(a, radius, link.alpha)[2][0].size)
                       for radius in (inner, spec.config.window_radius) if a > 0.0 and radius > 0.0]
             assert all(1 < block < len(c) // 2 for block in blocks)
             cuts = {1, len(c)} | {k * block + d for block in blocks for k in (1, 2)
                                   for d in (-1, 0, 1)}
             for m in sorted(cuts):
-                assert np.array_equal(mc._annulus_exponent(c[:m], *rest), full[:m])
+                assert np.array_equal(field.annulus_exponent(c[:m], *rest), full[:m])
             # shifted against the blocks
-            assert np.array_equal(mc._annulus_exponent(c[1:], *rest), full[1:])
+            assert np.array_equal(field.annulus_exponent(c[1:], *rest), full[1:])
             for i in (0, 31, 32, 100, len(c) - 1):
-                got = mc._annulus_exponent(c[i], *rest)
+                got = field.annulus_exponent(c[i], *rest)
                 assert np.shape(got) == () and got == full[i]
             # the shapes the callers pass: a transform request's 1-D s grid
-            # (a tuple) and the oracle check's scalar s
-            got = exponent(spec, InterferenceField(field), tuple(s[:40]))
+            # and the oracle check's Python float
+            got = field_exponents(spec, inner, s[:40])[InterferenceField(kind)]
             assert got.shape == (40,) and np.array_equal(got, full[:40])
-            got = exponent(spec, InterferenceField(field), float(s[100]))
+            got = field.annulus_exponent(float(c[100]), *rest)
             assert np.shape(got) == () and got == full[100]
-            assert mc._annulus_exponent(0.0, *rest) == 0.0
-            assert not mc._annulus_exponent(np.zeros(3), *rest).any()
+            assert field.annulus_exponent(0.0, *rest) == 0.0
+            assert not field.annulus_exponent(np.zeros(3), *rest).any()
 
     def test_empty_annulus_changes_nothing(self):
         # W <= R0: no far factor for a transform, whose draws and estimates
@@ -1502,9 +1530,10 @@ class TestFarField:
         # window (0, W] exactly
         near = mc._near_radius(make_spec().config)
         spec = make_spec(window=near, gammas=GAMMAS_16)
-        for field in (InterferenceField.INTER, InterferenceField.COEXIST):
-            assert not mc._far_exponent(spec, field, np.array([1e9, 1e12])).any()
-            assert (mc._window_exponent(spec, field, np.array([1e9, 1e12])) > 0.0).all()
+        s = np.array([1e9, 1e12])
+        for interf_field in (InterferenceField.INTER, InterferenceField.COEXIST):
+            assert not field_exponents(spec, near, s)[interf_field].any()
+            assert (field_exponents(spec, 0.0, s)[interf_field] > 0.0).all()
         assert mc._far_table(spec) is not None
 
     @pytest.mark.parametrize("field", [InterferenceField.INTER, InterferenceField.COEXIST])
@@ -1571,10 +1600,11 @@ class TestRuns:
     @staticmethod
     def simulate(spec, field, grid, first, ns):
         """``_simulate_run`` on chunks first, ... of ns, set up as ``_estimate`` sets it up."""
-        stratified = field is None or field is InterferenceField.INTRA
-        far = mc._far_table(spec) if field is None else None
-        law = mc._size_law(spec.scenario.size_model) if stratified else (0.0, None)
-        points = mc._net_points(spec) if stratified else 1
+        if field is None:
+            far = mc._far_table(spec)
+            law, points = mc._size_law(spec.scenario.size_model), mc._net_points(spec)
+        else:
+            far, law, points = None, (0.0, None), 1
         return mc._simulate_run((spec, field, first, ns, grid, far, law, points))
 
     def check_runs(self, spec, field, grid):
@@ -1822,25 +1852,12 @@ class TestLaplaceEstimates:
             )
             assert abs(est.mean - exact) <= 3.0 * est.stderr
 
-    @pytest.mark.parametrize("size", [FixedSize(6), PoissonSize(6.0)], ids=repr)
-    def test_intra_matches_closed_form(self, size):
-        # an unordered typical node's in-cluster transform does not depend on
-        # its own distance, so laplace_intra at u = 1 is the unconditional
-        # transform.  Small s (1e3) is left out: there the deficit 1 - L comes
-        # from rare close interferers and the replicate stderr is unreliable
-        link = reference_link()
-        scenario = Scenario(Unordered(), size)
-        s_grid = (1e6, 1e9, 1e10)
-        spec = make_spec(link=link, scenario=scenario, trials=8192, seed=31)
-        for s, est in zip(s_grid, estimate_laplace(spec, InterferenceField.INTRA, s_grid)):
-            beta = s * link.p_x * link.eta / link.a**link.alpha
-            exact = laplace_intra(beta, 1.0, link.alpha, scenario)
-            assert abs(est.mean - exact) <= 3.0 * est.stderr
-
     def test_unit_at_zero_s(self):
-        ests = estimate_laplace(make_spec(trials=500), InterferenceField.INTRA, (0.0,))
-        assert ests[0].mean == 1.0
-        assert ests[0].stderr == 0.0
+        # over the whole plane too, whose annulus beyond R0 is unbounded
+        for interf_field in InterferenceField:
+            ests = estimate_laplace(make_spec(trials=500, window=math.inf), interf_field, (0.0,))
+            assert ests[0].mean == 1.0
+            assert ests[0].stderr == 0.0
 
     def test_coexist_without_field_is_exactly_one(self):
         link = reference_link(lambda_co=0.0)
@@ -1872,8 +1889,9 @@ class TestLaplaceEstimates:
     @pytest.mark.parametrize("s", [math.inf, math.nan])
     def test_non_finite_grid_rejected(self, s):
         spec = make_spec(scenario=Scenario(Unordered(), FixedSize(1)), trials=10)
-        with pytest.raises(ValueError, match="finite"):
-            estimate_laplace(spec, InterferenceField.INTRA, (0.0, s))
+        for interf_field in InterferenceField:
+            with pytest.raises(ValueError, match="finite"):
+                estimate_laplace(spec, interf_field, (0.0, s))
 
 
 def mc_metrics(spec):
@@ -1994,56 +2012,16 @@ def _pinned_spec(name):
 class TestPinnedStreams:
     """The random-stream layout is part of the reproducibility contract.
 
-    Every row was re-recorded when the in-cluster radii became Latin-
-    hypercube stratified in replicates of 16 trials and the
-    standard error came to be computed from the replicate sums, after the
-    hybrid-vs-plain tests in TestFarField passed.  UF-6's INTER and COEXIST
-    transforms draw no in-cluster radii, so their means moved by at most
-    one ulp (the sum is now taken replicate by replicate) and only their
-    stderr moved.  Their stderr was re-recorded once more, alone, when
-    those two transforms went back to replicates of one trial (their
-    trials are i.i.d.); the means are unchanged.  Those two rows date from
-    when the drawn near disc shrank from 10 a to 3 a: at a = 500 m the 5 km
-    window extends past R0 = 1.5 km, so they draw fewer nodes and take the
-    annulus's exact factor.  The rows that draw the typical cluster (the
-    coverage cases and both INTRA transforms) were re-recorded once more
-    when the in-cluster interferers' fading came to be integrated out
-    instead of drawn, after TestCalibrationScan passed: their draws lost
-    the fading and their values its randomness, while the INTER and
-    COEXIST rows, which draw no typical cluster, kept their bits.  The
-    UP-6 and OP-6 coverage rows were re-recorded once more, alone, when the
-    typical Poisson cluster's size came to be drawn given at least one
-    interferer, stratified per replicate, with the lone-node stratum taken
-    exactly: every other row, all of them fixed-size, kept its bits.  The
-    four -6 coverage rows and UF-6's INTER and COEXIST rows were
-    re-recorded once more when the drawn near disc shrank from 3 a to 2 a
-    (R0 = 1 km of the 5 km window), after TestFarField's oracle and
-    hybrid-vs-plain tests passed: they draw fewer cross-cluster and
-    coexisting nodes, and the ring (2 a, 3 a] joined the exact far factor.
-    The INTRA and O2-F4-intra rows, which draw no near disc, kept their
-    bits.  The four -6 coverage rows were re-recorded once more, alone,
-    when a coverage trial came to draw its typical cluster and nothing
-    else, the other clusters and the coexisting nodes of the whole window
-    entering by their exact transform, after
-    TestCalibrationScan's two-sided scan against the model's coverage on
-    the reference link passed.  The transform rows (they still draw their
-    near disc) kept their bits, the coarse far-field panel's 96 radial
-    nodes included.  Every row that draws the typical cluster (the five
-    coverage rows and the two INTRA rows) was re-recorded once more when
-    the 16-trial Latin hypercube gave way to one scrambled Sobol' net per
-    replicate (64 points at these 1,500 trials), after TestCalibrationScan
-    and TestStderrCalibration passed; the INTER and COEXIST rows, which
-    draw no typical cluster, kept their bits.  The four -6 coverage rows
-    and UF-6's INTER row, the rows that read the other clusters' exact
-    exponent, were re-recorded once more, alone, when the arcs about the
-    receiver came to take that exponent over the whole window in place of
-    the polar disc panels beyond 2 a: they moved by at most 2.3e-10
-    relative, nothing was drawn differently, and every other row kept its
-    bits.  The UF-70 row was added, recorded before a chunk came to draw
-    the scramble words of only the net dimensions it reads; its 70 nodes
-    take every tabled dimension and then plain uniforms.  Any change in
-    what is drawn, or in which order, moves the rows by O(stderr), far
-    past the tolerance.
+    Each row pins one request's means and standard errors at a fixed seed:
+    the coverage rows pin what a coverage chunk draws (its typical
+    cluster, from the start of its stream) and the exact factor of the
+    other fields over the window; the INTER and COEXIST rows pin the near
+    disc a transform draws and the exact factor of the annulus beyond it.
+    UF-70's 70 nodes take every tabled net dimension and then plain
+    uniforms.  Any change in what is drawn, or in which order, moves the
+    rows by O(stderr), far past the tolerance, so a row is re-recorded
+    only with a change that means to draw differently, after the
+    calibration and oracle tests have passed on it.
     """
 
     COVERAGE = {
@@ -2080,12 +2058,6 @@ class TestPinnedStreams:
     }
     S_GRID = (0.0, 1e3, 1e6, 1e9)
     LAPLACE = {
-        ("UF-6", InterferenceField.INTRA): [
-            (1.0, 0.0),
-            (0.999596081420396, 0.00029494675017466374),
-            (0.991988463022527, 0.001445816931662833),
-            (0.601051725343569, 0.0017637424657124274),
-        ],
         ("UF-6", InterferenceField.INTER): [
             (1.0, 0.0),
             (0.9999943052453478, 4.28402057674538e-06),
@@ -2097,12 +2069,6 @@ class TestPinnedStreams:
             (0.9999998892613118, 9.048959715120993e-08),
             (0.999895136069762, 8.47453533250708e-05),
             (0.9911086593377966, 0.001530386641503033),
-        ],
-        ("O2-F4-intra", InterferenceField.INTRA): [
-            (1.0, 0.0),
-            (0.9997535858295228, 0.00023702944063668164),
-            (0.9936076919200603, 0.0009143722000392662),
-            (0.6970054247876504, 0.001471628339470444),
         ],
         # the in-cluster-limited link has no other clusters and no coexisting field
         ("O2-F4-intra", InterferenceField.INTER): [(1.0, 0.0)] * 4,
