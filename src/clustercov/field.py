@@ -375,7 +375,10 @@ class FarTable:
     it is read without PPoly's per-point interval search, which costs
     more than a chunk's draws: s sits at the position p = (log max(s,
     s_lo) - x[0]) TABLE_PER_DECADE / ln 10, on the interval floor(p) (the
-    last one beyond the lattice) at d = p - floor(p).  The cubic is
+    last one beyond the lattice) at d = p - floor(p).  ``coef`` keeps each
+    interval's four coefficients as one contiguous row, so a point's
+    interval is one gather of a row rather than four of a coefficient
+    each.  The cubic is
     evaluated in place in PPoly's order and the small-s law is applied to
     the points below the grid alone, so the values are SciPy's
     ``PchipInterpolator(np.arange(K + 1), log Lambda)`` at p bit for bit
@@ -391,7 +394,7 @@ class FarTable:
     slope: float
     delta: float
     x: np.ndarray  # log s at the lattice points k = 0, ..., K
-    coef: np.ndarray  # (4, K), highest power first, in powers of k - i on interval i
+    coef: np.ndarray  # (K, 4), row i interval i's, highest power first, in powers of k - i
     gap: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -408,20 +411,18 @@ class FarTable:
         pos -= self.x[0]
         pos *= TABLE_PER_DECADE / math.log(10.0)
         i = pos.astype(np.intp)  # floor(pos), since log s >= x[0]
-        np.minimum(i, self.coef.shape[1] - 1, out=i)
+        np.minimum(i, len(self.coef) - 1, out=i)
         d = np.subtract(pos, i, out=pos)
-        c0, c1, c2, c3 = self.coef
+        # each point's interval row (c0, c1, c2, c3), gathered at once:
         # c3 + c2 d + c1 (d d) + c0 ((d d) d), summed left to right
-        value = c2.take(i)
-        value *= d
-        value += c3.take(i)
+        c0, c1, c2, c3 = self.coef.take(i, axis=0).T
+        value = c2 * d
+        value += c3
         power = d * d
-        term = c1.take(i)
-        term *= power
+        term = c1 * power
         value += term
         power *= d
-        c0.take(i, out=term)
-        term *= power
+        np.multiply(c0, power, out=term)
         value += term
         np.exp(value, out=value)
         below = flat < self.s_lo
@@ -493,6 +494,7 @@ def far_table(link: LinkParams, outer: float, size, top: int) -> FarTable | None
     np.maximum.accumulate(lam, out=lam)
     log_lam = np.log(lam)
     # the interpolant at k = 0 is exactly log_lam[0]
-    coef = pchip_coefficients(np.arange(len(s), dtype=float), log_lam)
+    # one contiguous row of four coefficients per interval, gathered at once
+    coef = np.ascontiguousarray(pchip_coefficients(np.arange(len(s), dtype=float), log_lam).T)
     return FarTable(s[0], float(np.exp(log_lam[0])), *small_s_law(link, outer, size, s[0]),
                     link.delta, np.log(s), coef)

@@ -88,11 +88,19 @@ The per-node work runs through three NumPy kernels: ``radial_sums`` and
 ``inter_sums`` accumulate a transform's drawn coexisting and cross-cluster
 interference, and ``intra_fading`` divides by each trial's in-cluster
 product.  They are module attributes so that profilers and tests can wrap
-them in place.
+them in place.  Where no cluster size is drawn (a fixed size, or a
+Poisson mean of 1) the typical clusters stay one (trials, size) matrix,
+with no per-node index and no per-trial segments, and ``intra_fading``
+multiplies its columns; drawn sizes keep the ragged layout, node after
+node with each trial's first index, since padding them to the run's
+largest cluster cost more than the segments do (see
+``_typical_cluster``).  A chunk's generator is built from memoised seed
+words (``_chunk_rng``), on the stream its SeedSequence gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -131,6 +139,14 @@ NEAR_RADII = 2.0
 # chunks, 1.06 MiB in runs of 2,048, 2.06 at 4,096, 4.05 at 8,192 and 16.0
 # at 32,768.
 RUN_TRIALS = 2048
+# The most chunk seeds kept (``_seed_words``), the most recently used, at
+# about 240 B each: a chunk's generator is built from its four seed words
+# in about 3 us, against 12-22 us to hash (seed, chunk index) again, and
+# the requests of a sweep share their seed.  1,024 chunk indices cover a
+# request of 524,288 trials in default chunks.  A memoised seed gives the
+# same stream as a hashed one, so the bound is not part of the stream
+# layout.
+SEED_WORDS = 1024
 # The most values in one block of a run's value pass (``_simulate_run``):
 # a block takes as many grid rows as fit, so that its arrays are no larger
 # than one default chunk's at 16 thresholds.  The whole 16 x 2,048 grid at
@@ -321,28 +337,78 @@ def inter_sums(
 
 def intra_fading(
     load: np.ndarray,
-    seg_start: np.ndarray,
+    seg_start: np.ndarray | None,
     grid: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray:
     """Divide values[g, i] by prod_j (1 + grid[g] * load[j]) over trial i's nodes, in place.
 
-    ``load`` holds every node's load, trial after trial, ``seg_start`` the
-    index of each trial's first node (every trial holds at least one) and
-    ``values`` the (grid, trials) array, which is returned.  A term or a
-    product past the float range is inf, and the quotient is then 0, the
-    factor's limit, so that overflow is silenced here.
+    ``load`` holds every node's load, trial after trial, and ``seg_start``
+    the index of each trial's first node (every trial holds at least one);
+    or, with ``seg_start`` None, ``load`` is a (trials, size) matrix, one
+    row per trial.  ``values`` is the (grid, trials) array, which is
+    returned.  A matrix's factors are multiplied column by column, left to
+    right, as a ``multiply.reduceat`` segment multiplies them, so both
+    layouts of one cluster give the same bits.  A term or a product past
+    the float range is inf, and the quotient is then 0, the factor's
+    limit, so that overflow is silenced here.
     """
     with np.errstate(over="ignore"):
         terms = np.multiply.outer(grid, load)
         terms += 1.0
-        values /= np.multiply.reduceat(terms, seg_start, axis=1)
+        if seg_start is not None:
+            values /= np.multiply.reduceat(terms, seg_start, axis=1)
+        else:
+            product = terms[..., 0]  # a strided view, and the whole product of one node
+            if terms.shape[2] > 1:
+                product = product * terms[..., 1]
+                for j in range(2, terms.shape[2]):
+                    product *= terms[..., j]
+            values /= product
     return values
 
 
 def _chunk_sizes(trials: int, chunk_trials: int) -> list[int]:
     full, rest = divmod(trials, chunk_trials)
     return [chunk_trials] * full + ([rest] if rest else [])
+
+
+def _chunk_rng(seed: int, index: int):
+    """A new generator on chunk ``index``'s stream, that of
+    default_rng(SeedSequence(seed, spawn_key=(index,))).
+
+    PCG64 takes its state from the sequence's first four uint64 words;
+    those are memoised (``_seed_words``), so (seed, index) is hashed once,
+    and each call still returns a new generator at the stream's start.
+    """
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(_seed_words(seed, index))))
+
+
+@functools.lru_cache(maxsize=SEED_WORDS)
+def _seed_words(seed: int, index: int) -> bytes:
+    """The four uint64 words SeedSequence(seed, spawn_key=(index,)) gives PCG64, as bytes."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(index,))
+    return sequence.generate_state(4, np.uint64).tobytes()
+
+
+@functools.cache
+def _seed_words_type():
+    """The seed sequence of ``_chunk_rng``, a class built on first use, so that ``import
+    clustercov`` loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Memoised seed words: PCG64 reads them as it reads a SeedSequence's."""
+
+        def __init__(self, words: bytes) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if (n_words, np.dtype(dtype)) != (4, np.dtype(np.uint64)):
+                raise ValueError("seed words serve PCG64 alone: 4 words of uint64")
+            return np.frombuffer(self.words, np.uint64)  # read-only: the bytes are shared
+
+    return SeedWords
 
 
 def _window_points(rng, density: float, radius: float, n: int):
@@ -480,25 +546,39 @@ def _typical_cluster(rngs, scenario: Scenario, link: LinkParams, law, ns, points
     rngs[c]; the outputs are the chunks', joined in order, and each
     chunk's values are the bits it gets alone.  Only radii are drawn: the
     in-cluster interferers' fading is integrated out, not sampled (see the
-    module docstring).  ``load`` holds every node's load, trial after
-    trial, and ``seg_start`` the index of each trial's first node: node j
-    at radius rho_j has the load b_j = (p_x / p_x0) (r_typ / rho_j)**alpha,
-    and the typical node 0 (it does not interfere with itself).
-    ``r_first`` is each trial's node 0 radius, the typical link of the
-    trial cut to node 0 alone.  Sizes come from ``_typical_sizes`` under
-    ``law``, the request's ``_size_law``.  A chunk's stream holds the
-    scramble words of one Sobol' net per replicate of ``points`` trials
-    (``_net_words``), drawn first and only for the dimensions the chunk
-    reads.  A drawn size J is the net's dimension 0, whose words come
-    first; node j of every trial then takes (r / a)**2 from the net's next
-    dimension, j + 1 where a size is drawn and j otherwise, up to the
-    chunk's largest cluster (a trial without a node j skips its value
-    there), so the node dimensions' words follow up to that cluster, and
-    dimensions past the table draw plain uniforms next.  The run decodes
-    every chunk's words at once, each chunk's word block padded with
-    unread zero dimensions up to the run's largest cluster.  So the radii
-    are stratified jointly with J across a replicate's trials, while each
-    trial keeps i.i.d. uniform nodes.
+    module docstring).  Node j at radius rho_j has the load b_j = (p_x /
+    p_x0) (r_typ / rho_j)**alpha, and the typical node 0 (it does not
+    interfere with itself).  ``r_first`` is each trial's node 0 radius,
+    the typical link of the trial cut to node 0 alone.  Sizes come from
+    ``_typical_sizes`` under ``law``, the request's ``_size_law``.
+
+    Where no size is drawn (a fixed size, or a Poisson mean of 1) every
+    trial holds the same nodes, and ``load`` is a (trials, size) matrix,
+    node j in column j, with ``seg_start`` None: the unordered typical
+    node is column 0, the farthest the last column attaining its row's
+    largest radius (the node a stable sort puts last, ties included) and
+    a numeric rank's node is read off the row's stable argsort.  A drawn
+    size leaves the trials ragged: ``load`` holds every node's load, trial
+    after trial, and ``seg_start`` the index of each trial's first node.
+    Padding them to the run's largest cluster instead (14 to 16 columns at
+    a mean of 6, absent nodes at load 0) made the reference network's
+    4,096-trial, 16-threshold Poisson requests slower, unordered by 48 %
+    and farthest by 35 % (medians of four process pairs): every padded
+    node takes its radius, load and factor, and the clusters hold 2.5
+    times the nodes.
+
+    A chunk's stream holds the scramble words of one Sobol' net per
+    replicate of ``points`` trials (``_net_words``), drawn first and only
+    for the dimensions the chunk reads.  A drawn size J is the net's
+    dimension 0, whose words come first; node j of every trial then takes
+    (r / a)**2 from the net's next dimension, j + 1 where a size is drawn
+    and j otherwise, up to the chunk's largest cluster (a trial without a
+    node j skips its value there), so the node dimensions' words follow up
+    to that cluster, and dimensions past the table draw plain uniforms
+    next.  The run decodes every chunk's words at once, each chunk's word
+    block padded with unread zero dimensions up to the run's largest
+    cluster.  So the radii are stratified jointly with J across a
+    replicate's trials, while each trial keeps i.i.d. uniform nodes.
     """
     first = 0 if law[1] is None else 1
     lengths = np.concatenate([_replicate_lengths(n, points) for n in ns])
@@ -525,25 +605,38 @@ def _typical_cluster(rngs, scenario: Scenario, link: LinkParams, law, ns, points
     u = _net_dims(words, lengths, first)
     if columns > tabled:
         u = np.hstack([u, past])
+    if not first:
+        r = link.a * np.sqrt(u)
+        rows = np.arange(n)
+        if isinstance(scenario.ordering, Unordered):
+            # nodes are exchangeable, so the first one is a uniform pick
+            typical = np.zeros(n, dtype=np.intp)
+        elif scenario.ordering.k is None:
+            # the last column attaining the row's largest radius: argmax's
+            # first one in the reversed row
+            typical = columns - 1 - np.argmax(r[:, ::-1], axis=1)
+        else:
+            by_radius = np.argsort(r, axis=1, kind="stable")
+            typical = by_radius[:, scenario.ordering.k - 1]
+        r_typ = r[rows, typical]
+        load = (r_typ[:, None] / r) ** link.alpha
+        load *= link.p_x / link.p_x0
+        load[rows, typical] = 0.0
+        return r_typ, load, None, r[:, 0]
+
     u = u[np.arange(columns) < sizes[:, None]]
     trial_of_node = np.repeat(np.arange(n, dtype=np.intp), sizes)
     r = link.a * np.sqrt(u)
     seg_start = np.zeros(n, dtype=np.intp)
     np.cumsum(sizes[:-1], out=seg_start[1:])
     if isinstance(scenario.ordering, Unordered):
-        # nodes are exchangeable, so the first one is a uniform pick
-        typical = seg_start
-    elif scenario.ordering.k is None:
-        # the farthest node: the last index attaining its trial's largest
-        # radius, which is the node a stable sort puts last, ties included,
-        # found without the sort (every trial holds at least one node)
+        typical = seg_start  # node 0, a uniform pick as above
+    else:
+        # the farthest node (a numeric rank comes with a fixed size): the
+        # last index attaining its trial's largest radius, found without a
+        # sort (every trial holds at least one node)
         at_max = r == np.maximum.reduceat(r, seg_start)[trial_of_node]
         typical = np.maximum.reduceat(np.where(at_max, np.arange(len(r)), -1), seg_start)
-    else:
-        # a numeric rank comes with a fixed size, so each trial is one row
-        by_radius = np.argsort(r.reshape(n, -1), axis=1, kind="stable")
-        typical = seg_start + by_radius[:, scenario.ordering.k - 1]
-
     r_typ = r[typical]
     load = (r_typ[trial_of_node] / r) ** link.alpha
     load *= link.p_x / link.p_x0
@@ -623,14 +716,14 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
     """Simulate contiguous chunks in one pass: each chunk's (replicate sums S_j, sizes k_j).
 
     Chunk i of the request, of ``ns[i - first]`` trials, draws from its
-    own stream, default_rng(SeedSequence(seed, spawn_key=(i,))), in the
-    order it would alone, and everything after the draws is elementwise
-    or per trial or per replicate, so each chunk's output is the same
-    bits whatever run it is simulated in.  Consecutive trials of a chunk
-    form replicates of ``points`` trials, one scrambled net each, the
-    last one possibly shorter.  S_j is a (grid, replicates) array, the sum
-    of replicate j's values at every grid point; ``_estimate`` turns the
-    chunks' sums into means and standard errors.
+    own stream, default_rng(SeedSequence(seed, spawn_key=(i,))) (built by
+    ``_chunk_rng``), in the order it would alone, and everything after the
+    draws is elementwise or per trial or per replicate, so each chunk's
+    output is the same bits whatever run it is simulated in.  Consecutive
+    trials of a chunk form replicates of ``points`` trials, one scrambled
+    net each, the last one possibly shorter.  S_j is a (grid, replicates)
+    array, the sum of replicate j's values at every grid point;
+    ``_estimate`` turns the chunks' sums into means and standard errors.
 
     Every trial gives one value per grid point t.  For the INTER and
     COEXIST transforms t is the transform variable and the value
@@ -652,8 +745,7 @@ def _simulate_run(args: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
     spec, interf_field, first, ns, grid, far, law, points = args
     scenario = spec.scenario
     link = spec.config.link
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)))
-            for index in range(first, first + len(ns))]
+    rngs = [_chunk_rng(spec.seed, index) for index in range(first, first + len(ns))]
     t = np.asarray(grid)
     load = scale = None
     if interf_field is InterferenceField.INTER:

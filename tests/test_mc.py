@@ -62,12 +62,19 @@ def run_clusters(calls):
     """(load, seg_start) of each run's typical clusters, from its ``intra_fading`` calls.
 
     A run's value pass calls the kernel once per block of grid rows, every
-    time with the same load array.
+    time with the same load array.  A fixed size's (trials, size) matrix
+    is read as its rows joined, each trial's first node at a multiple of
+    the size.
     """
-    runs = []
+    runs, last = [], None
     for load, seg_start, *_ in calls["intra_fading"]:
-        if not runs or load is not runs[-1][0]:
-            runs.append((load, seg_start))
+        if load is last:
+            continue
+        last = load
+        if seg_start is None:
+            n, size = load.shape
+            load, seg_start = load.ravel(), np.arange(n) * size
+        runs.append((load, seg_start))
     return runs
 
 
@@ -369,7 +376,7 @@ class TestEngineSampling:
             )
             ref_r_typ, ref_load, ref_tied = stable_sort_pick(rngs[1], size, link, 512, 16)
             assert np.array_equal(r_typ, ref_r_typ)
-            assert np.array_equal(load, ref_load)
+            assert np.array_equal(load.ravel(), ref_load)  # a fixed size's rows, joined
             tied += ref_tied
         # a lone node cannot tie; every other size must really exercise the tie rule
         can_tie = ties and size not in (FixedSize(1), PoissonSize(1.0))
@@ -396,7 +403,7 @@ class TestEngineSampling:
                     rngs[1], FixedSize(n), link, trials, 16, k
                 )
                 assert np.array_equal(r_typ, ref_r_typ)
-                assert np.array_equal(load, ref_load)
+                assert np.array_equal(load.ravel(), ref_load)
                 tied += ref_tied
         assert (tied > 0) == (ties and n > 1)
 
@@ -630,6 +637,8 @@ class TestScrambledNet:
         _, load, seg_start, _ = mc._typical_cluster([Logged()], Scenario(Ordered(), size),
                                                     reference_link(), mc._size_law(size), [n],
                                                     points)
+        if seg_start is None:  # a fixed size: one row per trial
+            return log, np.full(n, load.shape[1])
         return log, np.diff(seg_start, append=len(load))
 
     @pytest.mark.parametrize(
@@ -1120,6 +1129,43 @@ class TestInClusterFactor:
                 want = 1.0 / math.prod(1.0 + float(t) * float(b) for b in load[lo:hi])
                 assert values[g, i] == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(Unordered(), FixedSize(1)), Scenario(Unordered(), FixedSize(6)),
+         Scenario(Ordered(), FixedSize(6)), Scenario(Ordered(), FixedSize(70)),
+         Scenario(Ordered(2), FixedSize(4))],
+        ids=["UF-1", "UF-6", "OF-6", "OF-70", "O2-F4"],
+    )
+    def test_dense_product_matches_reduceat(self, scenario):
+        # a fixed size's loads are one (trials, size) matrix, multiplied
+        # column by column: each trial's sequential reduceat product, bit
+        # for bit, and so the joined rows' ragged product; 70 nodes reach
+        # past the 64 tabled net dimensions.  At the largest thresholds
+        # terms and products overflow to inf, silently, and the quotient is
+        # 0, the factor's limit (a lone node has no product: its factor is 1)
+        size = scenario.size_model
+        _, load, seg_start, _ = mc._typical_cluster(
+            [np.random.default_rng(6)], scenario, reference_link(), mc._size_law(size), [300], 16,
+        )
+        assert seg_start is None and load.shape == (300, size.n)
+        grid = np.array(GAMMAS_16 + (1e150, 1e300, np.finfo(float).max))
+        values = np.random.default_rng(7).uniform(size=(len(grid), 300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = mc.intra_fading(load, None, grid, values.copy())
+            ragged = mc.intra_fading(load.ravel(), np.arange(300) * size.n, grid, values.copy())
+        want = values.copy()
+        with np.errstate(over="ignore"):
+            for i, row in enumerate(load):
+                terms = np.multiply.outer(grid, row) + 1.0
+                want[:, i] /= np.multiply.reduceat(terms, [0], axis=1)[:, 0]
+        assert np.array_equal(got, want)
+        assert np.array_equal(ragged, want)
+        if size.n == 1:
+            assert np.array_equal(got, values)
+        else:
+            assert (got[-1] == 0.0).all()
+
     @pytest.mark.parametrize("size", [FixedSize(1), PoissonSize(1.0)], ids=repr)
     def test_lone_node_factor_is_one(self, size):
         # a lone typical node has no interferer: every load is 0 and the
@@ -1592,6 +1638,59 @@ class TestDeterminism:
         (est,) = estimate_coverage(make_spec(trials=1))
         assert 0.0 <= est.mean <= 1.0
         assert est.stderr == 0.0
+
+
+class TestChunkSeeds:
+    """A chunk's generator comes from its memoised seed words, on the SeedSequence stream."""
+
+    @staticmethod
+    def draws(rng):
+        return (rng.integers(0, 1 << 52, size=(3, 2, 7), dtype=np.uint64).tolist(),
+                rng.random(5).tolist(), rng.poisson(3.0, size=4).tolist())
+
+    @pytest.mark.parametrize("seed, index",
+                             [(0, 0), (5, 7), (11, 195), (1, 1023), (2**40 + 3, 100000)])
+    def test_memoised_stream_is_the_seed_sequence_stream(self, seed, index):
+        want = self.draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,))))
+        mc._seed_words.cache_clear()
+        cold = self.draws(mc._chunk_rng(seed, index))
+        warm = self.draws(mc._chunk_rng(seed, index))
+        assert mc._seed_words.cache_info().hits == 1
+        assert cold == warm == want
+
+    def test_request_past_the_memo_bound_keeps_its_bits(self):
+        # 1,100 chunks of two trials: more chunk indices than the memo
+        # keeps, so the second request finds none of its seeds memoised
+        # at first and evicts as it goes
+        chunks = mc.SEED_WORDS + 76
+        spec = make_spec(trials=2 * chunks, chunk_trials=2, gammas=(0.1, 1.0), workers=1)
+        mc._seed_words.cache_clear()
+        first = estimate_coverage(spec)
+        assert mc._seed_words.cache_info().currsize == mc.SEED_WORDS
+        assert estimate_coverage(spec) == first
+        mc._seed_words.cache_clear()
+        assert estimate_coverage(spec) == first
+
+    def test_generators_are_never_shared(self):
+        # two generators of one chunk are distinct objects on the same
+        # stream: drawing from one leaves the other at the stream's start
+        one, two = mc._chunk_rng(5, 7), mc._chunk_rng(5, 7)
+        assert one is not two and one.bit_generator is not two.bit_generator
+        want = self.draws(one)
+        assert self.draws(two) == want
+        assert self.draws(mc._chunk_rng(5, 7)) == want
+
+    def test_memoised_words_are_read_only(self):
+        rng = mc._chunk_rng(5, 7)
+        words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+        want = np.random.SeedSequence(5, spawn_key=(7,)).generate_state(4, np.uint64)
+        assert np.array_equal(words, want)
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = 0
+        with pytest.raises(ValueError, match="4 words of uint64"):
+            rng.bit_generator.seed_seq.generate_state(8, np.uint32)
+        assert self.draws(mc._chunk_rng(5, 7)) == self.draws(
+            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(7,))))
 
 
 class TestRuns:

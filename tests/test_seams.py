@@ -84,6 +84,7 @@ def test_estimate_coverage_takes_spec_first():
 IMPORT_SURFACE_SCRIPT = """
 import dataclasses, json, math, sys
 import clustercov as cc
+on_import = sorted(name for name in sys.modules if name.startswith("numpy.random"))
 from clustercov import mc
 
 def loaded():
@@ -113,7 +114,7 @@ runs_loaded = sorted(name for name in loaded() if not name.startswith("scipy"))
 two_chunks = dataclasses.replace(spec, trials=1024)
 serial = cc.estimate_coverage(two_chunks)
 pooled = cc.estimate_coverage(dataclasses.replace(two_chunks, workers=2))
-print(json.dumps({"fast_paths": fast_paths, "far_table": far_table, "exact": exact,
+print(json.dumps({"on_import": on_import, "fast_paths": fast_paths, "far_table": far_table, "exact": exact,
                   "after_exact": after_exact, "runs_loaded": runs_loaded,
                   "pool_matches": serial == pooled,
                   "pool_loaded": "concurrent.futures.process" in sys.modules}))
@@ -147,8 +148,10 @@ def test_first_numbers_load_numpy_only():
     # pool; the exact path loads scipy.special alone when first called (its
     # quadrature is in-repo); one worker runs a request of four runs of
     # chunks without the pool either, and a pooled estimate equals the
-    # serial one
+    # serial one.  The import alone loads no numpy.random: the first
+    # Monte Carlo request loads it, for its chunks' generators
     result = _fresh_interpreter(IMPORT_SURFACE_SCRIPT)
+    assert result["on_import"] == []
     assert result["fast_paths"] == []
     assert result["far_table"]
     assert 0.0 < result["exact"] < 1.0
